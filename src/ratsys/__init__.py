@@ -21,6 +21,7 @@ from .analysis import (
     ProductReport,
     ProductStatus,
     classify,
+    closed_form_sequence,
     compare,
     detect_period,
     product_converges,
@@ -49,6 +50,7 @@ from .rank1 import (
     growth_and_ratio,
     k_constant,
     rank1_solution,
+    rank1_solution_sequence,
     rank1_uv,
 )
 from .rank2 import (
@@ -107,6 +109,7 @@ __all__ = [
     "classify",
     "classify_rank1",
     "classify_rank2",
+    "closed_form_sequence",
     "compare",
     "composed_matrix",
     "criterion_delta",
@@ -123,6 +126,7 @@ __all__ = [
     "parse_number",
     "product_converges",
     "rank1_solution",
+    "rank1_solution_sequence",
     "rank1_uv",
     "rank2_solution",
     "rank2_solution_sequence",

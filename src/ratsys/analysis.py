@@ -19,9 +19,31 @@ from .classification import Classification, Kind
 from .core import Orbit, PeriodicCoefficients, simulate
 from .errors import DomainError
 from .numeric import ArithmeticMode, Number, relative_gap
-from .rank1 import classify_rank1, rank1_solution
+from .rank1 import classify_rank1, rank1_solution_sequence
 from .rank2 import classify_rank2, limit_cycle, rank2_solution_sequence
 from .transfer import composed_matrix, rank_decision
+
+
+def _rank(params: PeriodicCoefficients, mode: ArithmeticMode, eps_rank: float) -> int:
+    """Rank of the composed matrix, the branch every dispatch follows."""
+    if mode is ArithmeticMode.EXACT_RATIONAL:
+        wp = params.as_fractions()
+    else:
+        wp = params.as_floats()
+    return rank_decision(composed_matrix(wp), eps_rank)
+
+
+def closed_form_sequence(
+    params: PeriodicCoefficients,
+    init: tuple[Number, Number],
+    n_max: int,
+    mode: ArithmeticMode = ArithmeticMode.FLOAT64,
+    eps_rank: float = 1e-12,
+) -> list[tuple[Number, Number]]:
+    """Closed-form states for n = 0 .. n_max from the rank's branch."""
+    if _rank(params, mode, eps_rank) == 1:
+        return rank1_solution_sequence(params, init, n_max, mode, eps_rank)
+    return rank2_solution_sequence(params, init, n_max, mode, eps_rank)
 
 
 def classify(
@@ -41,12 +63,7 @@ def classify(
     depends on where the orbit starts; the cycle values are always
     reported as floats).
     """
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        wp = params.as_fractions()
-    else:
-        wp = params.as_floats()
-    matrix = composed_matrix(wp)
-    if rank_decision(matrix, eps_rank) == 1:
+    if _rank(params, mode, eps_rank) == 1:
         return classify_rank1(params, mode, tol_class, eps_rank)
     verdict = classify_rank2(params, mode, tol_class, eps_rank)
     if attach_cycle and verdict.kind is Kind.CONVERGES_TO_TWO_PERIODIC:
@@ -231,17 +248,7 @@ def compare(
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     orbit = simulate(params, init, n_max, mode)
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        wp = params.as_fractions()
-    else:
-        wp = params.as_floats()
-    if rank_decision(composed_matrix(wp), eps_rank) == 1:
-        closed = [
-            rank1_solution(params, init, n, mode, eps_rank)
-            for n in range(n_max + 1)
-        ]
-    else:
-        closed = rank2_solution_sequence(params, init, n_max, mode, eps_rank)
+    closed = closed_form_sequence(params, init, n_max, mode, eps_rank)
     worst_x = 0.0
     worst_y = 0.0
     first: Optional[int] = None

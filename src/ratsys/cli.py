@@ -29,7 +29,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from .analysis import classify, compare
+from .analysis import classify, closed_form_sequence, compare
 from .classification import Classification
 from .core import PeriodicCoefficients, simulate
 from .errors import (
@@ -39,10 +39,7 @@ from .errors import (
     DomainError,
     TruncationError,
 )
-from .numeric import ArithmeticMode, format_number, parse_number
-from .rank1 import rank1_solution
-from .rank2 import rank2_solution_sequence
-from .transfer import composed_matrix, rank_decision
+from .numeric import ArithmeticMode, exact_text, format_number, parse_number
 
 COEFF_NAMES = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
 
@@ -123,7 +120,7 @@ def _jval(v, level: int) -> str:
     if isinstance(v, str):
         return _jstr(v)
     if isinstance(v, Fraction):
-        return _jstr(str(v))
+        return _jstr(exact_text(v))
     if isinstance(v, float):
         if not math.isfinite(v):
             return _jstr(repr(v))
@@ -210,24 +207,11 @@ def _cmd_simulate(args, parser) -> str:
     return _points_output("simulate", args, [orbit.state(n) for n in range(len(orbit))])
 
 
-def _closed_points(params, init, n_max, mode, eps_rank):
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        wp = params.as_fractions()
-    else:
-        wp = params.as_floats()
-    if rank_decision(composed_matrix(wp), eps_rank) == 1:
-        return [
-            rank1_solution(params, init, n, mode, eps_rank)
-            for n in range(n_max + 1)
-        ]
-    return rank2_solution_sequence(params, init, n_max, mode, eps_rank)
-
-
 def _cmd_closed(args, parser) -> str:
     mode = _mode_of(args)
     params = _coefficients(args, parser, mode)
     init = _init(args, parser, mode)
-    points = _closed_points(params, init, args.n_max, mode, args.eps_rank)
+    points = closed_form_sequence(params, init, args.n_max, mode, args.eps_rank)
     return _points_output("closed", args, points)
 
 

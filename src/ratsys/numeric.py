@@ -29,10 +29,6 @@ def is_exact(value: Number) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-def to_float(value: Number) -> float:
-    return float(value)
-
-
 def to_fraction(value: Number, name: str = "value") -> Fraction:
     """Coerce to Fraction, refusing floats.
 
@@ -97,15 +93,42 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
+def _decimal(value: int) -> str:
+    """Decimal digits of an int of any size.
+
+    str() refuses ints past the interpreter's digit limit (4300 digits by
+    default, a process-wide setting), so wider values are split by a
+    power of ten into halves that are rendered separately.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if value < 0:
+        return "-" + _decimal(-value)
+    half = value.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(value, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
+def exact_text(value: Union[int, Fraction]) -> str:
+    """str() of an int or Fraction, without the int-to-str digit limit."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return _decimal(value.numerator)
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+    return _decimal(value)
+
+
 def format_number(value: Number) -> str:
     """Render a scalar for machine-readable output.
 
     Floats print with 17 significant digits, enough to round-trip any
-    double. Exact values print as integers or 'p/q'.
+    double. Exact values print as integers or 'p/q', at any size.
     """
     if isinstance(value, float):
         return f"{value:.17g}"
-    return str(value)
+    return exact_text(value)
 
 
 def relative_gap(a: Number, b: Number) -> float:

@@ -101,6 +101,12 @@ def growth_and_ratio(
     return Rank1Data(k=k, mu=mu, rho=rho)
 
 
+def _start(init: tuple[Number, Number], mode: ArithmeticMode) -> tuple[Number, Number]:
+    if mode is ArithmeticMode.EXACT_RATIONAL:
+        return (to_fraction(init[0], "x0"), to_fraction(init[1], "y0"))
+    return (float(init[0]), float(init[1]))
+
+
 def rank1_uv(
     params: PeriodicCoefficients,
     init: tuple[Number, Number],
@@ -124,10 +130,7 @@ def rank1_uv(
     wp = _working(params, mode)
     data = growth_and_ratio(wp, mode, eps_rank)
     k, mu = data.k, data.mu
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        uv0 = (to_fraction(init[0], "x0"), to_fraction(init[1], "y0"))
-    else:
-        uv0 = (float(init[0]), float(init[1]))
+    uv0 = _start(init, mode)
     u1v1 = linear_step(parity_matrix(wp, Parity.EVEN), uv0)
     u2 = linear_step(parity_matrix(wp, Parity.ODD), u1v1)[0]
 
@@ -143,6 +146,36 @@ def rank1_uv(
         math.log(ew) + log_u_even,
         math.log(ow) + log_u_even,
     )
+
+
+def _geometric_law(s2, s3, rho: Number, mode: ArithmeticMode):
+    """The closed form past index 3, as a function n -> (x[n], y[n]).
+
+    Even indices follow x[2m] = x2 * rho**(m-1) and odd indices
+    x[2m+1] = x3 * rho**(1-m), same for y. Float mode evaluates the
+    powers in log space, taking the logs of the anchors and of rho once.
+    """
+    exact = mode is ArithmeticMode.EXACT_RATIONAL
+    if not exact:
+        s2 = (math.log(s2[0]), math.log(s2[1]))
+        s3 = (math.log(s3[0]), math.log(s3[1]))
+        log_rho = math.log(rho)
+
+    def term(n: int) -> tuple[Number, Number]:
+        if n % 2 == 0:
+            anchor, exponent = s2, n // 2 - 1
+        else:
+            anchor, exponent = s3, 1 - (n - 1) // 2
+        if exact:
+            factor = rho ** exponent
+            return (anchor[0] * factor, anchor[1] * factor)
+        log_factor = exponent * log_rho
+        return (
+            math.exp(anchor[0] + log_factor),
+            math.exp(anchor[1] + log_factor),
+        )
+
+    return term
 
 
 def rank1_solution(
@@ -164,31 +197,43 @@ def rank1_solution(
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     wp = _working(params, mode)
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        state = (to_fraction(init[0], "x0"), to_fraction(init[1], "y0"))
-    else:
-        state = (float(init[0]), float(init[1]))
+    state = _start(init, mode)
     if n <= 3:
         for i in range(n):
             state = step(wp, i, state)
         return state
 
-    data = growth_and_ratio(wp, mode, eps_rank)
-    rho = data.rho
-    s1 = step(wp, 0, state)
-    s2 = step(wp, 1, s1)
-    if n % 2 == 0:
-        anchor, exponent = s2, n // 2 - 1
-    else:
-        anchor, exponent = step(wp, 2, s2), 1 - (n - 1) // 2
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        factor = rho ** exponent
-        return (anchor[0] * factor, anchor[1] * factor)
-    log_factor = exponent * math.log(rho)
-    return (
-        math.exp(math.log(anchor[0]) + log_factor),
-        math.exp(math.log(anchor[1]) + log_factor),
-    )
+    rho = growth_and_ratio(wp, mode, eps_rank).rho
+    s2 = step(wp, 1, step(wp, 0, state))
+    return _geometric_law(s2, step(wp, 2, s2), rho, mode)(n)
+
+
+def rank1_solution_sequence(
+    params: PeriodicCoefficients,
+    init: tuple[Number, Number],
+    n_max: int,
+    mode: ArithmeticMode = ArithmeticMode.FLOAT64,
+    eps_rank: float = 1e-12,
+) -> list[tuple[Number, Number]]:
+    """Closed-form states for n = 0 .. n_max, equal to rank1_solution(n).
+
+    The coefficients are converted, K, mu and rho computed, and indices
+    1 to 3 stepped once per call; every further index costs one power of
+    rho (exact) or one exp per component (float). Raises BranchError
+    when n_max >= 4 and the composed matrix has rank 2.
+    """
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    wp = _working(params, mode)
+    out = [_start(init, mode)]
+    for i in range(min(n_max, 3)):
+        out.append(step(wp, i, out[-1]))
+    if n_max <= 3:
+        return out
+    rho = growth_and_ratio(wp, mode, eps_rank).rho
+    term = _geometric_law(out[2], out[3], rho, mode)
+    out.extend(term(n) for n in range(4, n_max + 1))
+    return out
 
 
 def classify_rank1(

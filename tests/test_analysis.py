@@ -6,6 +6,7 @@ from itertools import count
 
 import pytest
 
+import ratsys.rank1
 from ratsys import (
     ArithmeticMode,
     DomainError,
@@ -16,6 +17,7 @@ from ratsys import (
     Rank1Data,
     Rank2Witness,
     classify,
+    closed_form_sequence,
     compare,
     detect_period,
     product_converges,
@@ -27,6 +29,7 @@ from conftest import (
     RANK1_GROWTH,
     RANK2_BALANCED,
     RANK2_GENERIC,
+    RANK2_SQUARE,
 )
 
 EXACT = ArithmeticMode.EXACT_RATIONAL
@@ -177,3 +180,26 @@ def test_compare_reports_first_index_over_threshold():
 def test_compare_rejects_negative_horizon():
     with pytest.raises(DomainError):
         compare(RANK2_GENERIC.as_floats(), (1.0, 1.0), -1)
+
+
+def test_rank1_compare_computes_the_constants_once(monkeypatch):
+    calls = []
+    original = ratsys.rank1.growth_and_ratio
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ratsys.rank1, "growth_and_ratio", counting)
+    report = compare(RANK1_BOUNDARY.as_floats(), (1.0, 2.0), 1000)
+    assert report.first_divergence_index is None
+    assert len(calls) == 1  # once per call, not once per index
+
+
+def test_closed_form_sequence_dispatches_on_rank():
+    init = (Fraction(1), Fraction(2))
+    for params in (RANK1_GROWTH, RANK2_SQUARE):
+        orbit = simulate(params, init, 12, EXACT)
+        assert closed_form_sequence(params, init, 12, EXACT) == [
+            orbit.state(n) for n in range(13)
+        ]

@@ -1,12 +1,20 @@
 """Command-line behavior: parsing, formats, files, exit codes."""
 
+import csv
+import io
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ratsys
+from ratsys import ArithmeticMode, PeriodicCoefficients, simulate
 from ratsys.cli import main
+from ratsys.numeric import exact_text
 
 RANK2_ARGS = [
     "--a0", "2", "--b0", "1", "--c0", "4", "--d0", "3",
@@ -202,3 +210,56 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "COMMAND" in proc.stdout
+
+
+def _parse_decimal(text: str) -> int:
+    """int(text) in chunks, each below the interpreter's digit limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
+def _parse_fraction(text: str) -> Fraction:
+    num, _, den = text.partition("/")
+    return Fraction(_parse_decimal(num), _parse_decimal(den or "1"))
+
+
+def test_exact_text_renders_past_the_digit_limit():
+    for value in (0, 7, -12345, 10**4299, 3**20000, -(7**9000) + 1):
+        text = exact_text(value)
+        assert _parse_decimal(text) == value
+        assert not text.lstrip("-").startswith("0") or value == 0
+    assert exact_text(Fraction(-3, 4)) == "-3/4"
+    wide = Fraction(3**20000 + 1, 2**40000)
+    assert _parse_fraction(exact_text(wide)) == wide
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exact_simulate_prints_states_past_the_digit_limit(fmt):
+    # states pass 4300 decimal digits near n = 125
+    src = str(Path(ratsys.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "ratsys", "simulate", "--mode", "exact"]
+        + RANK2_ARGS + ["-n", "130", "--format", fmt],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if fmt == "csv":
+        n, x, y = list(csv.reader(io.StringIO(proc.stdout)))[-1]
+    else:
+        last = json.loads(proc.stdout)["points"][-1]
+        n, x, y = last["n"], last["x"], last["y"]
+    params = PeriodicCoefficients(2, 1, 4, 3, 1, 2, 3, 1)
+    want = simulate(params, (1, 1), 130, ArithmeticMode.EXACT_RATIONAL).state(130)
+    assert int(n) == 130
+    assert (_parse_fraction(x), _parse_fraction(y)) == want
+    assert max(len(x), len(y)) > 4300

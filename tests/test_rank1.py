@@ -9,12 +9,14 @@ from hypothesis import given, strategies as st
 from ratsys import (
     ArithmeticMode,
     BranchError,
+    DomainError,
     Kind,
     PeriodicCoefficients,
     classify_rank1,
     growth_and_ratio,
     k_constant,
     rank1_solution,
+    rank1_solution_sequence,
     rank1_uv,
     simulate,
 )
@@ -37,6 +39,21 @@ rank1_sets = st.tuples(*([odd_rationals] * 4)).map(
     lambda t: PeriodicCoefficients(1, 1, 1, 1, *t)
 )
 inits = st.tuples(odd_rationals, odd_rationals)
+
+coefficients = st.fractions(
+    min_value=Fraction(1, 4), max_value=Fraction(4), max_denominator=8
+)
+
+
+@st.composite
+def singular_sets(draw):
+    """Rank-1 sets with either parity matrix singular (d = b*c/a)."""
+    a, b, c = draw(coefficients), draw(coefficients), draw(coefficients)
+    singular = (a, b, c, b * c / a)
+    other = draw(st.tuples(*([coefficients] * 4)))
+    if draw(st.booleans()):
+        return PeriodicCoefficients(*singular, *other)
+    return PeriodicCoefficients(*other, *singular)
 
 
 def test_k_constant_frozen_values():
@@ -153,3 +170,47 @@ def test_classified_decay_actually_decays():
     orbit = simulate(RANK1_DECAY, (Fraction(2), Fraction(3)), 40, EXACT)
     assert orbit.state(20)[0] < orbit.state(10)[0] < orbit.state(2)[0]
     assert orbit.state(21)[0] > orbit.state(11)[0] > orbit.state(3)[0]
+
+
+@given(
+    params=singular_sets(),
+    start=st.tuples(coefficients, coefficients),
+    on_locus=st.booleans(),
+    exact=st.booleans(),
+)
+def test_sequence_equals_point_queries(params, start, on_locus, exact):
+    # bit-identical in float mode, equal rationals in exact mode, both on
+    # and off the y0 = K*x0 locus
+    mode = EXACT if exact else ArithmeticMode.FLOAT64
+    if not exact:
+        params, start = params.as_floats(), tuple(map(float, start))
+    init = (start[0], k_constant(params, mode) * start[0]) if on_locus else start
+    seq = rank1_solution_sequence(params, init, 300, mode)
+    assert len(seq) == 301
+    for n, state in enumerate(seq):
+        assert state == rank1_solution(params, init, n, mode)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+def test_sequence_short_horizons_are_direct_steps(n_max):
+    init = (Fraction(1), Fraction(2))
+    orbit = simulate(RANK1_GROWTH, init, n_max, EXACT)
+    seq = rank1_solution_sequence(RANK1_GROWTH, init, n_max, EXACT)
+    assert seq == [orbit.state(n) for n in range(n_max + 1)]
+    # no rank-1 constant is needed below index 4, as for rank1_solution
+    seq = rank1_solution_sequence(RANK2_GENERIC, init, n_max, EXACT)
+    assert seq == [rank1_solution(RANK2_GENERIC, init, n, EXACT)
+                   for n in range(n_max + 1)]
+
+
+def test_sequence_rejects_negative_horizon():
+    with pytest.raises(DomainError):
+        rank1_solution_sequence(RANK1_GROWTH, (1, 1), -1, EXACT)
+
+
+@pytest.mark.parametrize("n_max", [4, 5, 40])
+def test_sequence_needs_rank_one(n_max):
+    with pytest.raises(BranchError):
+        rank1_solution_sequence(RANK2_GENERIC, (1, 1), n_max, EXACT)
+    with pytest.raises(BranchError):
+        rank1_solution_sequence(RANK2_GENERIC.as_floats(), (1.0, 1.0), n_max)
