@@ -70,11 +70,13 @@ from .rank2 import (
 )
 from .transfer import (
     Parity,
+    System,
     TransferMatrix,
     UVPoint,
     composed_matrix,
     linear_step,
     parity_matrix,
+    prepare,
     rank_decision,
     uv_from_orbit,
 )
@@ -103,6 +105,7 @@ __all__ = [
     "RatsysError",
     "SignedLog",
     "SpectralData",
+    "System",
     "TransferMatrix",
     "TruncationError",
     "UVPoint",
@@ -124,6 +127,7 @@ __all__ = [
     "log_simulate",
     "parity_matrix",
     "parse_number",
+    "prepare",
     "product_converges",
     "rank1_solution",
     "rank1_solution_sequence",

@@ -21,33 +21,25 @@ from .errors import DomainError
 from .numeric import ArithmeticMode, Number, relative_gap
 from .rank1 import classify_rank1, rank1_solution_sequence
 from .rank2 import classify_rank2, limit_cycle, rank2_solution_sequence
-from .transfer import composed_matrix, rank_decision
-
-
-def _rank(params: PeriodicCoefficients, mode: ArithmeticMode, eps_rank: float) -> int:
-    """Rank of the composed matrix, the branch every dispatch follows."""
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        wp = params.as_fractions()
-    else:
-        wp = params.as_floats()
-    return rank_decision(composed_matrix(wp), eps_rank)
+from .transfer import System, prepare
 
 
 def closed_form_sequence(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     n_max: int,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> list[tuple[Number, Number]]:
     """Closed-form states for n = 0 .. n_max from the rank's branch."""
-    if _rank(params, mode, eps_rank) == 1:
-        return rank1_solution_sequence(params, init, n_max, mode, eps_rank)
-    return rank2_solution_sequence(params, init, n_max, mode, eps_rank)
+    system = prepare(params, mode, eps_rank)
+    if system.rank == 1:
+        return rank1_solution_sequence(system, init, n_max, mode, eps_rank)
+    return rank2_solution_sequence(system, init, n_max, mode, eps_rank)
 
 
 def classify(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
     tol_class: float = 1e-9,
@@ -61,14 +53,16 @@ def classify(
     matching witness. In the convergent rank-2 case the limit cycle for
     probe_init is attached as well (unlike the verdict itself, the cycle
     depends on where the orbit starts; the cycle values are always
-    reported as floats).
+    reported as floats). The coefficients are prepared once and the
+    System is handed to the branch functions.
     """
-    if _rank(params, mode, eps_rank) == 1:
-        return classify_rank1(params, mode, tol_class, eps_rank)
-    verdict = classify_rank2(params, mode, tol_class, eps_rank)
+    system = prepare(params, mode, eps_rank)
+    if system.rank == 1:
+        return classify_rank1(system, mode, tol_class, eps_rank)
+    verdict = classify_rank2(system, mode, tol_class, eps_rank)
     if attach_cycle and verdict.kind is Kind.CONVERGES_TO_TWO_PERIODIC:
         cycle = limit_cycle(
-            params,
+            system,
             probe_init,
             tol=cycle_tol,
             tol_class=tol_class,

@@ -21,17 +21,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
 from .analysis import classify, closed_form_sequence, compare
 from .classification import Classification
-from .core import PeriodicCoefficients, simulate
+from .core import COEFF_NAMES, PeriodicCoefficients, simulate
 from .errors import (
     BitGrowthError,
     BranchError,
@@ -40,8 +40,6 @@ from .errors import (
     TruncationError,
 )
 from .numeric import ArithmeticMode, exact_text, format_number, parse_number
-
-COEFF_NAMES = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
 
 
 def _mode_of(args) -> ArithmeticMode:
@@ -358,6 +356,7 @@ def _cmd_sweep(args, parser) -> str:
             parser.error(f"axis1 and axis2 both sweep {axes[0][0]!r}")
     args._axis_names = tuple(name for name, _ in axes)
     base = _coefficients(args, parser, ArithmeticMode.FLOAT64)
+    base_values = {name: getattr(base, name) for name in COEFF_NAMES}
     axis_names = [name for name, _ in axes]
     grids = [values for _, values in axes]
     combos = (
@@ -367,7 +366,9 @@ def _cmd_sweep(args, parser) -> str:
     )
     rows = []
     for combo in combos:
-        params = replace(base, **dict(zip(axis_names, combo)))
+        params = PeriodicCoefficients(
+            **(base_values | dict(zip(axis_names, combo)))
+        )
         verdict = classify(
             params,
             ArithmeticMode.FLOAT64,
@@ -471,10 +472,32 @@ def _add_n_flag(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _tolerance(allow_zero: bool):
+    """argparse type for a tolerance: a finite float above 0, or at 0 too
+    when allow_zero is set."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid float value: {text!r}"
+            ) from None
+        in_range = value > 0 or (allow_zero and value == 0)
+        if not (math.isfinite(value) and in_range):
+            bound = ">= 0" if allow_zero else "> 0"
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {bound}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def _add_eps_rank(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--eps-rank",
-        type=float,
+        type=_tolerance(allow_zero=True),
         default=1e-12,
         metavar="E",
         help="relative determinant tolerance for the rank decision",
@@ -517,14 +540,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eps_rank(p_cfy)
     p_cfy.add_argument(
         "--tol-class",
-        type=float,
+        type=_tolerance(allow_zero=True),
         default=1e-9,
         metavar="T",
         help="relative width of the boundary band in float mode",
     )
     p_cfy.add_argument(
         "--tol-cycle",
-        type=float,
+        type=_tolerance(allow_zero=False),
         default=1e-11,
         metavar="T",
         help="tolerance for the limit-cycle products",
@@ -545,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eps_rank(p_cmp)
     p_cmp.add_argument(
         "--threshold",
-        type=float,
+        type=_tolerance(allow_zero=True),
         default=1e-6,
         metavar="T",
         help="relative error that counts as divergence (default 1e-6)",
@@ -569,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eps_rank(p_swp)
     p_swp.add_argument(
         "--tol-class",
-        type=float,
+        type=_tolerance(allow_zero=True),
         default=1e-9,
         metavar="T",
         help="relative width of the boundary band",
@@ -580,8 +603,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use and reused by later calls
+    in the process. Parsing leaves no state on it: every call parses into
+    a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "n_max", 0) < 0:
         parser.error(f"n must be >= 0, got {args.n_max}")

@@ -28,6 +28,7 @@ from .numeric import (
 )
 
 DEFAULT_BIT_CAP = 1_000_000
+COEFF_NAMES = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +50,7 @@ class PeriodicCoefficients:
     d1: Number
 
     def __post_init__(self):
-        for name in ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1"):
+        for name in COEFF_NAMES:
             require_positive(getattr(self, name), f"coefficient {name}")
 
     def at(self, n: int) -> tuple[Number, Number, Number, Number]:
@@ -69,16 +70,25 @@ class PeriodicCoefficients:
         )
 
     def as_floats(self) -> "PeriodicCoefficients":
-        return PeriodicCoefficients(
-            *(float(getattr(self, f)) for f in
-              ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1"))
-        )
+        """Float copy, or self when every coefficient is already a float.
+
+        Sharing is safe: the value is frozen and was validated when it
+        was built.
+        """
+        values = [getattr(self, f) for f in COEFF_NAMES]
+        if all(type(v) is float for v in values):
+            return self
+        return PeriodicCoefficients(*(float(v) for v in values))
 
     def as_fractions(self) -> "PeriodicCoefficients":
-        """Exact copy; rejects float-valued coefficients."""
+        """Exact copy, or self when every coefficient is already a Fraction;
+        rejects float-valued coefficients."""
+        values = [getattr(self, f) for f in COEFF_NAMES]
+        if all(type(v) is Fraction for v in values):
+            return self
         return PeriodicCoefficients(
-            *(to_fraction(getattr(self, f), f"coefficient {f}") for f in
-              ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1"))
+            *(to_fraction(v, f"coefficient {f}")
+              for f, v in zip(COEFF_NAMES, values))
         )
 
 

@@ -18,6 +18,11 @@ y0 = K*x0 satisfy it), so the geometric laws are anchored at indices 2
 and 3, the first pair they are guaranteed to cover. Initial values on
 the y0 = K*x0 locus collapse the anchors to x2 = rho*x0 and x3 = x1/rho,
 extending the laws back to the start.
+
+Every function takes the coefficients either as PeriodicCoefficients or
+as a System from transfer.prepare, which carries the converted
+coefficients, the composed matrix and its rank, so a caller that
+prepared once pays for none of that again.
 """
 
 from __future__ import annotations
@@ -29,13 +34,7 @@ from .classification import Classification, Kind
 from .core import PeriodicCoefficients, step
 from .errors import BranchError, DomainError
 from .numeric import ArithmeticMode, Number, to_fraction
-from .transfer import (
-    Parity,
-    composed_matrix,
-    linear_step,
-    parity_matrix,
-    rank_decision,
-)
+from .transfer import Parity, System, linear_step, parity_matrix, prepare
 
 K_CONSISTENCY_EPS = 1e-10
 
@@ -49,14 +48,8 @@ class Rank1Data:
     rho: Number
 
 
-def _working(params, mode):
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        return params.as_fractions()
-    return params.as_floats()
-
-
 def k_constant(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> Number:
@@ -66,9 +59,9 @@ def k_constant(
     second columns is evaluated as a consistency check. Raises BranchError
     when the composed matrix has rank 2 and K does not exist.
     """
-    wp = _working(params, mode)
-    m = composed_matrix(wp)
-    if rank_decision(m, eps_rank) != 1:
+    system = prepare(params, mode, eps_rank)
+    m = system.matrix
+    if system.rank != 1:
         raise BranchError(
             "composed matrix has rank 2; the row ratio K is undefined "
             f"(det = {m.det()!r})"
@@ -88,14 +81,14 @@ def k_constant(
 
 
 def growth_and_ratio(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> Rank1Data:
     """K, the two-step growth mu, and the orbit-space ratio rho."""
-    wp = _working(params, mode)
-    k = k_constant(wp, mode, eps_rank)
-    m = composed_matrix(wp)
+    system = prepare(params, mode, eps_rank)
+    k = k_constant(system, mode, eps_rank)
+    m, wp = system.matrix, system.params
     mu = m.m11 + k * m.m12
     rho = k * mu / ((wp.b0 + k * wp.a0) * (wp.d0 + k * wp.c0))
     return Rank1Data(k=k, mu=mu, rho=rho)
@@ -108,7 +101,7 @@ def _start(init: tuple[Number, Number], mode: ArithmeticMode) -> tuple[Number, N
 
 
 def rank1_uv(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     m: int,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
@@ -127,8 +120,9 @@ def rank1_uv(
     """
     if m < 1:
         raise ValueError(f"closed form for transformed pairs needs m >= 1, got {m}")
-    wp = _working(params, mode)
-    data = growth_and_ratio(wp, mode, eps_rank)
+    system = prepare(params, mode, eps_rank)
+    wp = system.params
+    data = growth_and_ratio(system, mode, eps_rank)
     k, mu = data.k, data.mu
     uv0 = _start(init, mode)
     u1v1 = linear_step(parity_matrix(wp, Parity.EVEN), uv0)
@@ -179,7 +173,7 @@ def _geometric_law(s2, s3, rho: Number, mode: ArithmeticMode):
 
 
 def rank1_solution(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     n: int,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
@@ -196,20 +190,21 @@ def rank1_solution(
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    wp = _working(params, mode)
+    system = prepare(params, mode, eps_rank)
+    wp = system.params
     state = _start(init, mode)
     if n <= 3:
         for i in range(n):
             state = step(wp, i, state)
         return state
 
-    rho = growth_and_ratio(wp, mode, eps_rank).rho
+    rho = growth_and_ratio(system, mode, eps_rank).rho
     s2 = step(wp, 1, step(wp, 0, state))
     return _geometric_law(s2, step(wp, 2, s2), rho, mode)(n)
 
 
 def rank1_solution_sequence(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     n_max: int,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
@@ -224,20 +219,21 @@ def rank1_solution_sequence(
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    wp = _working(params, mode)
+    system = prepare(params, mode, eps_rank)
+    wp = system.params
     out = [_start(init, mode)]
     for i in range(min(n_max, 3)):
         out.append(step(wp, i, out[-1]))
     if n_max <= 3:
         return out
-    rho = growth_and_ratio(wp, mode, eps_rank).rho
+    rho = growth_and_ratio(system, mode, eps_rank).rho
     term = _geometric_law(out[2], out[3], rho, mode)
     out.extend(term(n) for n in range(4, n_max + 1))
     return out
 
 
 def classify_rank1(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     tol_class: float = 1e-9,
     eps_rank: float = 1e-12,

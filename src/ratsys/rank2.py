@@ -24,6 +24,9 @@ ones blow up, positive the reverse, zero means convergence to a positive
 two-cycle. Per-factor deviations decay geometrically at rate
 |lambda2/lambda1|, which drives both the truncation rule for the infinite
 products and the observed contraction toward the cycle.
+
+Every function takes the coefficients either as PeriodicCoefficients or
+as a System from transfer.prepare, as in the rank-1 module.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .classification import Classification, Kind
 from .core import PeriodicCoefficients, step
 from .errors import BranchError, ConvergenceError, DomainError
 from .numeric import ArithmeticMode, Number, exact_sqrt, to_fraction
-from .transfer import composed_matrix, rank_decision
+from .transfer import System, TransferMatrix, prepare
 
 DEFAULT_CYCLE_TOL = 1e-11
 DEFAULT_MAX_TERMS = 1_000_000
@@ -108,36 +111,25 @@ def _signed_log(x: float) -> SignedLog:
     return SignedLog(1 if x > 0 else -1, math.log(abs(x)))
 
 
-def _working(params, mode):
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        return params.as_fractions()
-    return params.as_floats()
-
-
-def _require_rank2(matrix, eps_rank):
-    if rank_decision(matrix, eps_rank) != 2:
+def _rank2(
+    params: PeriodicCoefficients | System,
+    mode: ArithmeticMode,
+    eps_rank: float,
+) -> System:
+    system = prepare(params, mode, eps_rank)
+    if system.rank != 2:
         raise BranchError(
             "composed matrix has rank 1; the spectral split is degenerate, "
             "use the rank-1 closed forms"
         )
+    return system
 
 
-def eigenvalues(
-    params: PeriodicCoefficients,
-    mode: ArithmeticMode = ArithmeticMode.FLOAT64,
-    eps_rank: float = 1e-12,
-) -> tuple[Number, Number]:
-    """(lambda1, lambda2) of the composed matrix, lambda1 dominant.
-
-    Exact mode needs the discriminant to be a perfect rational square;
-    otherwise the eigenvalues are irrational and a DomainError says so.
-    """
-    wp = _working(params, mode)
-    m = composed_matrix(wp)
-    _require_rank2(m, eps_rank)
+def _roots(m: TransferMatrix, exact: bool) -> tuple[Number, Number]:
+    """Eigenvalues of a positive 2x2 matrix, dominant first."""
     alpha, beta, gamma, delta = m.m11, m.m12, m.m21, m.m22
     disc = (alpha - delta) ** 2 + 4 * beta * gamma
-    if mode is ArithmeticMode.EXACT_RATIONAL:
+    if exact:
         root = exact_sqrt(Fraction(disc))
         if root is None:
             raise DomainError(
@@ -148,20 +140,34 @@ def eigenvalues(
     else:
         root = math.sqrt(disc)
     trace = alpha + delta
-    half = Fraction(1, 2) if mode is ArithmeticMode.EXACT_RATIONAL else 0.5
+    half = Fraction(1, 2) if exact else 0.5
     return ((trace + root) * half, (trace - root) * half)
 
 
+def eigenvalues(
+    params: PeriodicCoefficients | System,
+    mode: ArithmeticMode = ArithmeticMode.FLOAT64,
+    eps_rank: float = 1e-12,
+) -> tuple[Number, Number]:
+    """(lambda1, lambda2) of the composed matrix, lambda1 dominant.
+
+    Exact mode needs the discriminant to be a perfect rational square;
+    otherwise the eigenvalues are irrational and a DomainError says so.
+    """
+    system = _rank2(params, mode, eps_rank)
+    return _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)
+
+
 def spectral_constants(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> SpectralData:
     """Expansion constants for the start (u0, v0) = (x0, y0)."""
-    wp = _working(params, mode)
-    l1, l2 = eigenvalues(wp, mode, eps_rank)
-    m = composed_matrix(wp)
+    system = prepare(params, mode, eps_rank)
+    l1, l2 = eigenvalues(system, mode, eps_rank)
+    m = system.matrix
     alpha, beta, gamma = m.m11, m.m12, m.m21
     if mode is ArithmeticMode.EXACT_RATIONAL:
         u0, v0 = to_fraction(init[0], "x0"), to_fraction(init[1], "y0")
@@ -177,7 +183,7 @@ def spectral_constants(
 
 
 def rank2_uv(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     n: int,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
@@ -191,8 +197,9 @@ def rank2_uv(
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    wp = _working(params, mode)
-    sd = spectral_constants(wp, init, mode, eps_rank)
+    system = prepare(params, mode, eps_rank)
+    wp = system.params
+    sd = spectral_constants(system, init, mode, eps_rank)
     m, odd = divmod(n, 2)
     if odd:
         e1 = wp.b0 * sd.c1 + wp.a0 * sd.c3
@@ -251,7 +258,7 @@ def _ratio_factors(
 
 
 def rank2_solution_sequence(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     n_max: int,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
@@ -264,7 +271,8 @@ def rank2_solution_sequence(
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    wp = _working(params, mode)
+    system = prepare(params, mode, eps_rank)
+    wp = system.params
     exact = mode is ArithmeticMode.EXACT_RATIONAL
     if exact:
         s0 = (to_fraction(init[0], "x0"), to_fraction(init[1], "y0"))
@@ -275,7 +283,7 @@ def rank2_solution_sequence(
         return out
     s1 = step(wp, 0, s0)
     out.append(s1)
-    sd = spectral_constants(wp, init, mode, eps_rank)
+    sd = spectral_constants(system, init, mode, eps_rank)
     factors = _ratio_factors(wp, sd, exact)
     if exact:
         ax_e, ax_o, ay_e, ay_o = s0[0], s1[0], s0[1], s1[1]
@@ -300,7 +308,7 @@ def rank2_solution_sequence(
 
 
 def rank2_solution(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     n: int,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
@@ -311,7 +319,7 @@ def rank2_solution(
 
 
 def criterion_delta(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> Number:
@@ -320,15 +328,15 @@ def criterion_delta(
     Depends only on coefficients. Exact mode needs a rational eigenvalue
     gap; delta_sign_exact decides the sign without that restriction.
     """
-    wp = _working(params, mode)
-    l1, _ = eigenvalues(wp, mode, eps_rank)
-    m = composed_matrix(wp)
+    system = prepare(params, mode, eps_rank)
+    wp, m = system.params, system.matrix
+    l1, _ = eigenvalues(system, mode, eps_rank)
     q = m.m12 / (l1 - m.m11)
     return l1 * q - (wp.b0 * q + wp.a0) * (wp.d0 * q + wp.c0)
 
 
 def delta_sign_exact(
-    params: PeriodicCoefficients, eps_rank: float = 1e-12
+    params: PeriodicCoefficients | System, eps_rank: float = 1e-12
 ) -> int:
     """Exact sign of the trichotomy quantity for rational coefficients.
 
@@ -338,9 +346,8 @@ def delta_sign_exact(
     X**2 against Y**2*disc. Works whether or not disc is a perfect
     square. Returns -1, 0, or 1.
     """
-    wp = params.as_fractions()
-    m = composed_matrix(wp)
-    _require_rank2(m, eps_rank)
+    system = _rank2(params, ArithmeticMode.EXACT_RATIONAL, eps_rank)
+    wp, m = system.params, system.matrix
     alpha, beta, gamma, delta = m.m11, m.m12, m.m21, m.m22
     disc = (alpha - delta) ** 2 + 4 * beta * gamma
     diff = delta - alpha
@@ -361,7 +368,7 @@ def delta_sign_exact(
 
 
 def classify_rank2(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     tol_class: float = 1e-9,
     eps_rank: float = 1e-12,
@@ -373,18 +380,15 @@ def classify_rank2(
     mode decides the sign exactly. The witness always reports float
     approximations of the spectral quantities.
     """
-    fp = params.as_floats()
-    m = composed_matrix(fp)
-    _require_rank2(m, eps_rank)
-    disc = (m.m11 - m.m22) ** 2 + 4 * m.m12 * m.m21
-    root = math.sqrt(disc)
-    l1 = (m.m11 + m.m22 + root) / 2
-    l2 = (m.m11 + m.m22 - root) / 2
+    system = _rank2(params, mode, eps_rank)
+    floats = prepare(system, ArithmeticMode.FLOAT64, eps_rank)
+    fp, m = floats.params, floats.matrix
+    l1, l2 = _roots(m, exact=False)
     q = m.m12 / (l1 - m.m11)
     scale = (fp.b0 * q + fp.a0) * (fp.d0 * q + fp.c0)
     delta = l1 * q - scale
     if mode is ArithmeticMode.EXACT_RATIONAL:
-        sign = delta_sign_exact(params, eps_rank)
+        sign = delta_sign_exact(system, eps_rank)
         if sign == 0:
             delta = 0.0
     else:
@@ -400,7 +404,7 @@ def classify_rank2(
 
 
 def limit_cycle(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     tol: float = DEFAULT_CYCLE_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
@@ -415,16 +419,17 @@ def limit_cycle(
     the coefficients are not in the convergent case and ConvergenceError
     if max_terms factors do not reach tolerance.
     """
-    verdict = classify_rank2(params, ArithmeticMode.FLOAT64, tol_class, eps_rank)
+    system = prepare(params, ArithmeticMode.FLOAT64, eps_rank)
+    verdict = classify_rank2(system, ArithmeticMode.FLOAT64, tol_class, eps_rank)
     if verdict.kind is not Kind.CONVERGES_TO_TWO_PERIODIC:
         raise BranchError(
             f"limit cycle exists only in the convergent case, "
             f"classification is {verdict.kind.value}"
         )
-    wp = params.as_floats()
+    wp = system.params
     x0, y0 = float(init[0]), float(init[1])
     s1 = step(wp, 0, (x0, y0))
-    sd = spectral_constants(wp, (x0, y0), ArithmeticMode.FLOAT64, eps_rank)
+    sd = spectral_constants(system, (x0, y0), ArithmeticMode.FLOAT64, eps_rank)
     r = abs(sd.lambda2 / sd.lambda1)
     tail = r / (1.0 - r)
     acc = [math.log(x0), math.log(s1[0]), math.log(y0), math.log(s1[1])]

@@ -146,3 +146,56 @@ def rank_decision(matrix: TransferMatrix, eps: float = 1e-12) -> int:
     if not math.isfinite(float(det)):
         raise DomainError("matrix entries overflow float range")
     return 1 if abs(det) <= eps * scale else 2
+
+
+@dataclass(frozen=True, slots=True)
+class System:
+    """A coefficient set prepared for one arithmetic mode.
+
+    params holds the validated coefficients in the mode's representation
+    (floats, or Fractions in exact mode), matrix the composed two-step
+    matrix built from them, and rank its rank under eps_rank. Every
+    classification and closed form reads these instead of converting,
+    composing and deciding again. Build one with prepare.
+    """
+
+    params: PeriodicCoefficients
+    mode: ArithmeticMode
+    eps_rank: float
+    matrix: TransferMatrix
+    rank: int
+
+
+def prepare(
+    params: PeriodicCoefficients | System,
+    mode: ArithmeticMode = ArithmeticMode.FLOAT64,
+    eps_rank: float = 1e-12,
+) -> System:
+    """Validate, convert, compose and decide the rank, once.
+
+    A System already in this mode with this eps_rank is returned as it
+    is. A System in the other mode is converted from its coefficients;
+    a float System made from an exact one keeps the exact rank, which
+    no tolerance can improve on. Raises DomainError for an eps_rank that
+    is negative or not finite, and for coefficients that exact mode
+    cannot take.
+    """
+    rank = None
+    if isinstance(params, System):
+        if params.mode is mode and params.eps_rank == eps_rank:
+            return params
+        if params.mode is ArithmeticMode.EXACT_RATIONAL:
+            rank = params.rank
+        params = params.params
+    if not (math.isfinite(eps_rank) and eps_rank >= 0):
+        raise DomainError(
+            f"eps_rank must be finite and >= 0, got {eps_rank!r}"
+        )
+    if mode is ArithmeticMode.EXACT_RATIONAL:
+        wp = params.as_fractions()
+    else:
+        wp = params.as_floats()
+    matrix = composed_matrix(wp)
+    if rank is None:
+        rank = rank_decision(matrix, eps_rank)
+    return System(wp, mode, eps_rank, matrix, rank)

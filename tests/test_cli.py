@@ -263,3 +263,61 @@ def test_exact_simulate_prints_states_past_the_digit_limit(fmt):
     assert int(n) == 130
     assert (_parse_fraction(x), _parse_fraction(y)) == want
     assert max(len(x), len(y)) > 4300
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["classify", "--all-ones", "--eps-rank", "nan"], "--eps-rank"),
+        # a negative band turns balanced sets into blow-up verdicts
+        (["classify", "--a0", "1", "--b0", "1", "--c0", "1", "--d0", "2",
+          "--a1", "2", "--b1", "1", "--c1", "1", "--d1", "1",
+          "--tol-class", "-1"], "--tol-class"),
+        # zero never meets the cycle test and runs to the term cap
+        (["classify", "--all-ones", "--tol-cycle", "0"], "--tol-cycle"),
+        (["compare", "--all-ones", "--threshold", "inf"], "--threshold"),
+    ],
+)
+def test_bad_tolerance_is_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ratsys")
+    assert f"argument {flag}: must be finite and" in err
+
+
+def test_zero_tolerances_are_accepted(capsys):
+    code, out, _ = run_cli(
+        ["classify", "--all-ones", "--eps-rank", "0", "--tol-class", "0"],
+        capsys,
+    )
+    assert code == 0
+    assert out.startswith("rank: 1\n")
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    # sweep sets _axis_names on its namespace; a later call must not see it
+    code, _, _ = run_cli(["sweep", "--all-ones", "--axis1", "d1:1:2:2"], capsys)
+    assert code == 0
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--a0", "1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert ("missing coefficients: --b0, --c0, --d0, --a1, --b1, --c1, --d1"
+            in err)
+
+
+def test_reused_parser_matches_a_fresh_one(monkeypatch, capsys):
+    def outputs():
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "--help"])
+        assert info.value.code == 0
+        help_text = capsys.readouterr()
+        return help_text, run_cli(["classify", *RANK2_ARGS], capsys)
+
+    reused = outputs()
+    assert ratsys.cli._parser() is ratsys.cli._parser()
+    monkeypatch.setattr(ratsys.cli, "_parser", ratsys.cli.build_parser)
+    assert outputs() == reused
+    assert ratsys.cli.build_parser() is not ratsys.cli.build_parser()

@@ -1,0 +1,198 @@
+"""Prepared systems: one conversion, matrix and rank decision per
+classification, with results equal to the branch functions."""
+
+import math
+import sys
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import ratsys
+from ratsys import (
+    ArithmeticMode,
+    DomainError,
+    Kind,
+    PeriodicCoefficients,
+    System,
+    classify,
+    classify_rank1,
+    classify_rank2,
+    limit_cycle,
+    prepare,
+)
+from ratsys.cli import main
+
+from conftest import (
+    RANK1_BOUNDARY,
+    RANK1_GROWTH,
+    RANK2_BALANCED,
+    RANK2_GENERIC,
+    RANK2_SQUARE,
+)
+
+EXACT = ArithmeticMode.EXACT_RATIONAL
+FLOAT = ArithmeticMode.FLOAT64
+
+# fixed sets on every branch, the convergent ones included
+KNOWN = [RANK1_BOUNDARY, RANK1_GROWTH, RANK2_BALANCED, RANK2_GENERIC,
+         RANK2_SQUARE]
+
+rationals = st.fractions(
+    min_value=Fraction(1, 8), max_value=Fraction(8), max_denominator=12
+)
+
+
+@st.composite
+def rational_sets(draw):
+    """Rational sets: generic, singular in one parity, or a known one."""
+    shape = draw(st.sampled_from(["generic", "even", "odd", "known"]))
+    if shape == "known":
+        return draw(st.sampled_from(KNOWN))
+    v = list(draw(st.tuples(*([rationals] * 8))))
+    if shape != "generic":
+        i = 0 if shape == "even" else 4
+        v[i + 3] = v[i + 1] * v[i + 2] / v[i]
+    return PeriodicCoefficients(*v)
+
+
+def count_calls(monkeypatch, fn):
+    """Replace fn under every ratsys name that binds it; returns the list
+    its calls are appended to."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key == "ratsys" or key.startswith("ratsys."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def count_inits(monkeypatch):
+    calls = []
+    original = PeriodicCoefficients.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(PeriodicCoefficients, "__post_init__", counting)
+    return calls
+
+
+def test_prepare_builds_the_system():
+    system = prepare(RANK2_GENERIC, EXACT)
+    assert system.mode is EXACT
+    assert system.params == RANK2_GENERIC.as_fractions()
+    assert system.matrix == ratsys.composed_matrix(system.params)
+    assert system.rank == 2
+    assert prepare(RANK1_GROWTH.as_floats()).rank == 1
+
+
+def test_prepare_is_idempotent():
+    system = prepare(RANK2_GENERIC.as_floats())
+    assert prepare(system) is system
+    assert prepare(system, FLOAT, 1e-12) is system
+    other = prepare(system, FLOAT, 1e-6)
+    assert other is not system and other.eps_rank == 1e-6
+    assert other.params is system.params
+
+
+def test_float_system_from_an_exact_one_keeps_the_exact_rank():
+    exact = prepare(RANK1_BOUNDARY, EXACT)
+    floats = prepare(exact, FLOAT, 0.0)
+    assert floats.mode is FLOAT and floats.params == RANK1_BOUNDARY.as_floats()
+    assert floats.rank == exact.rank == 1
+
+
+@pytest.mark.parametrize("eps_rank", [-1e-12, math.nan, math.inf])
+def test_prepare_rejects_bad_eps_rank(eps_rank):
+    with pytest.raises(DomainError):
+        prepare(RANK2_GENERIC, FLOAT, eps_rank)
+    with pytest.raises(DomainError):
+        classify(RANK2_GENERIC, eps_rank=eps_rank)
+
+
+def test_exact_mode_rejects_float_coefficients():
+    with pytest.raises(DomainError):
+        prepare(RANK2_GENERIC.as_floats(), EXACT)
+    with pytest.raises(DomainError):
+        prepare(prepare(RANK2_GENERIC.as_floats()), EXACT)
+
+
+def test_conversions_share_values_already_in_the_target_type():
+    floats = RANK2_GENERIC.as_floats()
+    assert floats.as_floats() is floats
+    copy = RANK2_GENERIC.as_floats()  # int-valued input gets a float copy
+    assert copy is not RANK2_GENERIC
+    assert all(type(getattr(copy, f)) is float for f in ratsys.core.COEFF_NAMES)
+    exact = RANK2_GENERIC.as_fractions()
+    assert exact.as_fractions() is exact
+    with pytest.raises(DomainError):
+        floats.as_fractions()
+
+
+@pytest.mark.parametrize(
+    "params, kind",
+    [
+        (RANK1_GROWTH, Kind.BLOW_EVEN_VANISH_ODD),
+        (RANK2_GENERIC, Kind.VANISH_EVEN_BLOW_ODD),
+        (RANK2_BALANCED, Kind.CONVERGES_TO_TWO_PERIODIC),
+    ],
+)
+def test_float_classify_prepares_once(monkeypatch, params, kind):
+    params = params.as_floats()
+    ranks = count_calls(monkeypatch, ratsys.transfer.rank_decision)
+    matrices = count_calls(monkeypatch, ratsys.transfer.composed_matrix)
+    inits = count_inits(monkeypatch)
+    verdict = classify(params, probe_init=(1.5, 0.5))
+    assert verdict.kind is kind
+    assert (verdict.cycle is not None) == (kind is Kind.CONVERGES_TO_TWO_PERIODIC)
+    assert len(ranks) == 1
+    assert len(matrices) == 1
+    assert inits == []
+
+
+def test_sweep_validates_each_cell_once(monkeypatch, capsys):
+    inits = count_inits(monkeypatch)
+    code = main(["sweep", "--all-ones", "--axis1", "d1:1:2:5",
+                 "--axis2", "c1:1:3:5", "--format", "csv"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 26
+    assert len(inits) <= 5 * 5 + 1  # the cells plus the base
+
+
+def expected_verdict(params, mode, init):
+    """The branch function's verdict, with the cycle classify attaches."""
+    if prepare(params, mode).rank == 1:
+        return classify_rank1(params, mode)
+    verdict = classify_rank2(params, mode)
+    if verdict.kind is Kind.CONVERGES_TO_TWO_PERIODIC:
+        verdict = replace(verdict, cycle=limit_cycle(params, init))
+    return verdict
+
+
+@settings(max_examples=100)
+@given(params=rational_sets(), init=st.tuples(rationals, rationals),
+       exact=st.booleans())
+def test_classify_equals_the_branch_functions(params, init, exact):
+    mode = EXACT if exact else FLOAT
+    if not exact:
+        params, init = params.as_floats(), tuple(map(float, init))
+    verdict = classify(params, mode, probe_init=init)
+    # dataclass equality: floats are bit-identical
+    assert verdict == expected_verdict(params, mode, init)
+
+
+def test_branch_functions_take_a_system():
+    for params in KNOWN:
+        for mode in (EXACT, FLOAT):
+            system = prepare(params, mode)
+            assert isinstance(system, System)
+            assert classify(system, mode) == classify(params, mode)
