@@ -16,7 +16,7 @@ from itertools import islice
 from typing import Iterable, Optional
 
 from .classification import Classification, Kind
-from .core import Orbit, PeriodicCoefficients, simulate
+from .core import Orbit, PeriodicCoefficients, initial_state, simulate
 from .errors import DomainError
 from .numeric import ArithmeticMode, Number, relative_gap
 from .rank1 import classify_rank1, rank1_solution_sequence
@@ -53,9 +53,12 @@ def classify(
     matching witness. In the convergent rank-2 case the limit cycle for
     probe_init is attached as well (unlike the verdict itself, the cycle
     depends on where the orbit starts; the cycle values are always
-    reported as floats). The coefficients are prepared once and the
+    reported as floats). probe_init is checked on every branch, so a
+    non-positive or non-finite probe raises DomainError whether or not a
+    cycle is attached. The coefficients are prepared once and the
     System is handed to the branch functions.
     """
+    probe_init = initial_state(probe_init, mode)
     system = prepare(params, mode, eps_rank)
     if system.rank == 1:
         return classify_rank1(system, mode, tol_class, eps_rank)

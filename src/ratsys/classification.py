@@ -13,6 +13,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from .numeric import Number
     from .rank1 import Rank1Data
     from .rank2 import LimitCycle, Rank2Witness
 
@@ -24,6 +25,15 @@ class Kind(Enum):
     BLOW_EVEN_VANISH_ODD = "BlowEvenVanishOdd"
     EXACT_TWO_PERIODIC = "ExactTwoPeriodic"
     CONVERGES_TO_TWO_PERIODIC = "ConvergesToTwoPeriodic"
+
+
+def kind_from_sign(value: Number, band: Number, boundary: Kind) -> Kind:
+    """The verdict read off a decision quantity (rho - 1, or delta): the
+    boundary kind within band of zero (band 0 in exact mode), otherwise
+    the sign says which parity vanishes."""
+    if abs(value) <= band:
+        return boundary
+    return Kind.VANISH_EVEN_BLOW_ODD if value < 0 else Kind.BLOW_EVEN_VANISH_ODD
 
 
 @dataclass(frozen=True, slots=True)

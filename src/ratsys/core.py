@@ -150,6 +150,25 @@ def step(
     return (a / x + b / y, c / x + d / y)
 
 
+def initial_state(
+    init: tuple[Number, Number], mode: ArithmeticMode
+) -> tuple[Number, Number]:
+    """The start (x0, y0) as floats, or as Fractions in exact mode.
+
+    Raises DomainError unless both are finite and positive.
+    """
+    if mode is ArithmeticMode.EXACT_RATIONAL:
+        state = (to_fraction(init[0], "x0"), to_fraction(init[1], "y0"))
+    else:
+        try:
+            state = (float(init[0]), float(init[1]))
+        except OverflowError:
+            raise DomainError("x0 and y0 must lie within float range") from None
+    require_positive(state[0], "x0")
+    require_positive(state[1], "y0")
+    return state
+
+
 def _bits(value: Fraction) -> int:
     return max(value.numerator.bit_length(), value.denominator.bit_length())
 
@@ -173,12 +192,9 @@ def simulate(
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     if mode is ArithmeticMode.EXACT_RATIONAL:
         wp = params.as_fractions()
-        x, y = (to_fraction(init[0], "x0"), to_fraction(init[1], "y0"))
     else:
         wp = params.as_floats()
-        x, y = (float(init[0]), float(init[1]))
-    require_positive(x, "x0")
-    require_positive(y, "y0")
+    x, y = initial_state(init, mode)
 
     points = [OrbitPoint(0, x, y)]
     for n in range(n_max):
@@ -215,9 +231,7 @@ def log_simulate(
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     wp = params.as_floats()
-    x0, y0 = float(init[0]), float(init[1])
-    require_positive(x0, "x0")
-    require_positive(y0, "y0")
+    x0, y0 = initial_state(init, ArithmeticMode.FLOAT64)
 
     logs = [
         (math.log(wp.a0), math.log(wp.b0), math.log(wp.c0), math.log(wp.d0)),

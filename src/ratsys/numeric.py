@@ -77,6 +77,14 @@ def log_add_exp(p: float, q: float) -> float:
     return p + math.log1p(math.exp(q - p))
 
 
+def saturating_exp(x: float) -> float:
+    """math.exp that returns inf past float range instead of raising."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def exact_sqrt(value: Fraction) -> Fraction | None:
     """Exact square root of a non-negative rational, or None.
 

@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classification import Classification, Kind
-from .core import PeriodicCoefficients, step
+from .classification import Classification, Kind, kind_from_sign
+from .core import PeriodicCoefficients, initial_state, step
 from .errors import BranchError, DomainError
-from .numeric import ArithmeticMode, Number, to_fraction
+from .numeric import ArithmeticMode, Number
 from .transfer import Parity, System, linear_step, parity_matrix, prepare
 
 K_CONSISTENCY_EPS = 1e-10
@@ -69,11 +69,10 @@ def k_constant(
     k = m.m21 / m.m11
     k_check = m.m22 / m.m12
     if mode is ArithmeticMode.EXACT_RATIONAL:
-        if k != k_check:
-            raise BranchError(
-                f"rank-1 row ratios disagree exactly: {k} vs {k_check}"
-            )
-    elif abs(k - k_check) > K_CONSISTENCY_EPS * max(abs(k), abs(k_check)):
+        band = 0
+    else:
+        band = K_CONSISTENCY_EPS * max(abs(k), abs(k_check))
+    if abs(k - k_check) > band:
         raise BranchError(
             f"rank-1 row ratios disagree beyond tolerance: {k} vs {k_check}"
         )
@@ -92,12 +91,6 @@ def growth_and_ratio(
     mu = m.m11 + k * m.m12
     rho = k * mu / ((wp.b0 + k * wp.a0) * (wp.d0 + k * wp.c0))
     return Rank1Data(k=k, mu=mu, rho=rho)
-
-
-def _start(init: tuple[Number, Number], mode: ArithmeticMode) -> tuple[Number, Number]:
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        return (to_fraction(init[0], "x0"), to_fraction(init[1], "y0"))
-    return (float(init[0]), float(init[1]))
 
 
 def rank1_uv(
@@ -119,12 +112,12 @@ def rank1_uv(
     form starts one two-step later.
     """
     if m < 1:
-        raise ValueError(f"closed form for transformed pairs needs m >= 1, got {m}")
+        raise DomainError(f"closed form for transformed pairs needs m >= 1, got {m}")
     system = prepare(params, mode, eps_rank)
     wp = system.params
     data = growth_and_ratio(system, mode, eps_rank)
     k, mu = data.k, data.mu
-    uv0 = _start(init, mode)
+    uv0 = initial_state(init, mode)
     u1v1 = linear_step(parity_matrix(wp, Parity.EVEN), uv0)
     u2 = linear_step(parity_matrix(wp, Parity.ODD), u1v1)[0]
 
@@ -191,16 +184,11 @@ def rank1_solution(
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     system = prepare(params, mode, eps_rank)
-    wp = system.params
-    state = _start(init, mode)
+    head = rank1_solution_sequence(system, init, min(n, 3), mode, eps_rank)
     if n <= 3:
-        for i in range(n):
-            state = step(wp, i, state)
-        return state
-
+        return head[n]
     rho = growth_and_ratio(system, mode, eps_rank).rho
-    s2 = step(wp, 1, step(wp, 0, state))
-    return _geometric_law(s2, step(wp, 2, s2), rho, mode)(n)
+    return _geometric_law(head[2], head[3], rho, mode)(n)
 
 
 def rank1_solution_sequence(
@@ -221,7 +209,7 @@ def rank1_solution_sequence(
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     system = prepare(params, mode, eps_rank)
     wp = system.params
-    out = [_start(init, mode)]
+    out = [initial_state(init, mode)]
     for i in range(min(n_max, 3)):
         out.append(step(wp, i, out[-1]))
     if n_max <= 3:
@@ -245,19 +233,6 @@ def classify_rank1(
     a relative band of width tol_class around 1.
     """
     data = growth_and_ratio(params, mode, eps_rank)
-    rho = data.rho
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        if rho == 1:
-            kind = Kind.EXACT_TWO_PERIODIC
-        elif rho < 1:
-            kind = Kind.VANISH_EVEN_BLOW_ODD
-        else:
-            kind = Kind.BLOW_EVEN_VANISH_ODD
-    else:
-        if abs(rho - 1.0) <= tol_class:
-            kind = Kind.EXACT_TWO_PERIODIC
-        elif rho < 1.0:
-            kind = Kind.VANISH_EVEN_BLOW_ODD
-        else:
-            kind = Kind.BLOW_EVEN_VANISH_ODD
+    band = 0 if mode is ArithmeticMode.EXACT_RATIONAL else tol_class
+    kind = kind_from_sign(data.rho - 1, band, Kind.EXACT_TWO_PERIODIC)
     return Classification(kind=kind, rank=1, witness=data)

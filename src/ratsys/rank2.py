@@ -34,12 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .classification import Classification, Kind
-from .core import PeriodicCoefficients, step
+from .classification import Classification, Kind, kind_from_sign
+from .core import PeriodicCoefficients, initial_state, step
 from .errors import BranchError, ConvergenceError, DomainError
-from .numeric import ArithmeticMode, Number, exact_sqrt, to_fraction
+from .numeric import ArithmeticMode, Number, exact_sqrt
 from .transfer import System, TransferMatrix, prepare
 
 DEFAULT_CYCLE_TOL = 1e-11
@@ -158,6 +159,20 @@ def eigenvalues(
     return _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)
 
 
+def _criterion(system: System) -> tuple[Number, Number, Number, Number, Number]:
+    """(lambda1, lambda2, Q, scale, delta) of a rank-2 System.
+
+    Q = beta/(lambda1 - alpha) is the init-free limit of u[2m]/v[2m],
+    scale = (b0*Q + a0)*(d0*Q + c0) is positive, and
+    delta = lambda1*Q - scale. All in the System's arithmetic.
+    """
+    wp, m = system.params, system.matrix
+    l1, l2 = _roots(m, system.mode is ArithmeticMode.EXACT_RATIONAL)
+    q = m.m12 / (l1 - m.m11)
+    scale = (wp.b0 * q + wp.a0) * (wp.d0 * q + wp.c0)
+    return l1, l2, q, scale, l1 * q - scale
+
+
 def spectral_constants(
     params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
@@ -165,20 +180,16 @@ def spectral_constants(
     eps_rank: float = 1e-12,
 ) -> SpectralData:
     """Expansion constants for the start (u0, v0) = (x0, y0)."""
-    system = prepare(params, mode, eps_rank)
-    l1, l2 = eigenvalues(system, mode, eps_rank)
+    system = _rank2(params, mode, eps_rank)
+    l1, l2, q, _, _ = _criterion(system)
     m = system.matrix
     alpha, beta, gamma = m.m11, m.m12, m.m21
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        u0, v0 = to_fraction(init[0], "x0"), to_fraction(init[1], "y0")
-    else:
-        u0, v0 = float(init[0]), float(init[1])
+    u0, v0 = initial_state(init, mode)
     gap = l1 - l2
     c1 = beta / gap * (gamma / (l1 - alpha) * u0 + v0)
     c2 = beta / gap * (gamma / (l2 - alpha) * u0 + v0)
     c3 = (gamma * u0 + (l1 - alpha) * v0) / gap
     c4 = (gamma * u0 + (l2 - alpha) * v0) / gap
-    q = beta / (l1 - alpha)
     return SpectralData(lambda1=l1, lambda2=l2, c1=c1, c2=c2, c3=c3, c4=c4, q=q)
 
 
@@ -221,40 +232,50 @@ def rank2_uv(
     )
 
 
-def _ratio_factors(
+def _products(
     wp: PeriodicCoefficients,
     sd: SpectralData,
+    s0: tuple[Number, Number],
+    s1: tuple[Number, Number],
     exact: bool,
 ) -> Iterator[tuple[Number, Number, Number, Number]]:
-    """Per-step factors of the four telescoping products, k = 1, 2, ...
+    """Running (x[2k], x[2k+1], y[2k], y[2k+1]) for k = 0, 1, 2, ...
 
-    Yields (gx_even, gx_odd, gy_even, gy_odd) where
-    x[2n] = x0 * prod gx_even[k], x[2n+1] = x1 * prod gx_odd[k], etc.
+    Exact mode yields the products themselves, float mode their natural
+    logs. Each step multiplies in one factor per product,
+    x[2k] = x[2k-2] * gx_even[k] and likewise for the other three.
     Every factor is a ratio of bounded positive quantities: the
     eigenvalue powers are carried only through t**k with t = l2/l1,
     |t| < 1, so nothing here can overflow.
     """
     t = sd.lambda2 / sd.lambda1
     c1, c2, c3, c4 = sd.c1, sd.c2, sd.c3, sd.c4
-    tk_prev = Fraction(1) if exact else 1.0  # t**(k-1)
+    start = (s0[0], s1[0], s0[1], s1[1])
+    x_e, x_o, y_e, y_o = start if exact else map(math.log, start)
+    yield (x_e, x_o, y_e, y_o)
+    tk = Fraction(1) if exact else 1.0  # t**k
+    num_u, num_v = c1 - c2 * tk, c3 - c4 * tk  # u[2k], v[2k] / lambda1**k
+    q_cur = num_u / num_v
+    s_cur = 1 / q_cur
     while True:
-        tk = tk_prev * t
-        num_u_prev = c1 - c2 * tk_prev  # u[2k-2] / lambda1**(k-1)
-        num_v_prev = c3 - c4 * tk_prev  # v[2k-2] / lambda1**(k-1)
-        num_u = c1 - c2 * tk
-        num_v = c3 - c4 * tk
-        q_prev = num_u_prev / num_v_prev
+        tk *= t
+        num_u_prev, num_v_prev, q_prev, s_prev = num_u, num_v, q_cur, s_cur
+        num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
         q_cur = num_u / num_v
+        s_cur = 1 / q_cur
         p_cur = sd.lambda1 * num_u / num_v_prev
         r_cur = sd.lambda1 * num_v / num_u_prev
-        s_prev = 1 / q_prev
-        s_cur = 1 / q_cur
         gx_even = p_cur / ((wp.b0 * q_prev + wp.a0) * (wp.d0 * q_prev + wp.c0))
         gx_odd = (wp.b0 * q_cur + wp.a0) * (wp.d0 * q_prev + wp.c0) / p_cur
         gy_even = r_cur / ((wp.d0 + wp.c0 * s_prev) * (wp.b0 + wp.a0 * s_prev))
         gy_odd = (wp.d0 + wp.c0 * s_cur) * (wp.b0 + wp.a0 * s_prev) / r_cur
-        yield (gx_even, gx_odd, gy_even, gy_odd)
-        tk_prev = tk
+        if exact:
+            x_e, x_o = x_e * gx_even, x_o * gx_odd
+            y_e, y_o = y_e * gy_even, y_o * gy_odd
+        else:
+            x_e, x_o = x_e + math.log(gx_even), x_o + math.log(gx_odd)
+            y_e, y_o = y_e + math.log(gy_even), y_o + math.log(gy_odd)
+        yield (x_e, x_o, y_e, y_o)
 
 
 def rank2_solution_sequence(
@@ -273,37 +294,19 @@ def rank2_solution_sequence(
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     system = prepare(params, mode, eps_rank)
     wp = system.params
-    exact = mode is ArithmeticMode.EXACT_RATIONAL
-    if exact:
-        s0 = (to_fraction(init[0], "x0"), to_fraction(init[1], "y0"))
-    else:
-        s0 = (float(init[0]), float(init[1]))
+    s0 = initial_state(init, mode)
     out = [s0]
     if n_max == 0:
         return out
     s1 = step(wp, 0, s0)
     out.append(s1)
-    sd = spectral_constants(system, init, mode, eps_rank)
-    factors = _ratio_factors(wp, sd, exact)
-    if exact:
-        ax_e, ax_o, ay_e, ay_o = s0[0], s1[0], s0[1], s1[1]
-        for _ in range(1, n_max // 2 + 1):
-            gx_e, gx_o, gy_e, gy_o = next(factors)
-            ax_e, ax_o = ax_e * gx_e, ax_o * gx_o
-            ay_e, ay_o = ay_e * gy_e, ay_o * gy_o
-            out.append((ax_e, ay_e))
-            out.append((ax_o, ay_o))
-        return out[: n_max + 1]
-    lx_e, lx_o = math.log(s0[0]), math.log(s1[0])
-    ly_e, ly_o = math.log(s0[1]), math.log(s1[1])
-    for _ in range(1, n_max // 2 + 1):
-        gx_e, gx_o, gy_e, gy_o = next(factors)
-        lx_e += math.log(gx_e)
-        lx_o += math.log(gx_o)
-        ly_e += math.log(gy_e)
-        ly_o += math.log(gy_o)
-        out.append((math.exp(lx_e), math.exp(ly_e)))
-        out.append((math.exp(lx_o), math.exp(ly_o)))
+    sd = spectral_constants(system, s0, mode, eps_rank)
+    exact = mode is ArithmeticMode.EXACT_RATIONAL
+    value = (lambda v: v) if exact else math.exp
+    products = _products(wp, sd, s0, s1, exact)
+    for x_e, x_o, y_e, y_o in islice(products, 1, n_max // 2 + 1):
+        out.append((value(x_e), value(y_e)))
+        out.append((value(x_o), value(y_o)))
     return out[: n_max + 1]
 
 
@@ -328,11 +331,7 @@ def criterion_delta(
     Depends only on coefficients. Exact mode needs a rational eigenvalue
     gap; delta_sign_exact decides the sign without that restriction.
     """
-    system = prepare(params, mode, eps_rank)
-    wp, m = system.params, system.matrix
-    l1, _ = eigenvalues(system, mode, eps_rank)
-    q = m.m12 / (l1 - m.m11)
-    return l1 * q - (wp.b0 * q + wp.a0) * (wp.d0 * q + wp.c0)
+    return _criterion(_rank2(params, mode, eps_rank))[4]
 
 
 def delta_sign_exact(
@@ -382,23 +381,13 @@ def classify_rank2(
     """
     system = _rank2(params, mode, eps_rank)
     floats = prepare(system, ArithmeticMode.FLOAT64, eps_rank)
-    fp, m = floats.params, floats.matrix
-    l1, l2 = _roots(m, exact=False)
-    q = m.m12 / (l1 - m.m11)
-    scale = (fp.b0 * q + fp.a0) * (fp.d0 * q + fp.c0)
-    delta = l1 * q - scale
+    l1, l2, q, scale, delta = _criterion(floats)
+    value, band = delta, tol_class * scale
     if mode is ArithmeticMode.EXACT_RATIONAL:
-        sign = delta_sign_exact(system, eps_rank)
-        if sign == 0:
+        value, band = delta_sign_exact(system, eps_rank), 0
+        if value == 0:
             delta = 0.0
-    else:
-        sign = 0 if abs(delta) <= tol_class * scale else (1 if delta > 0 else -1)
-    if sign == 0:
-        kind = Kind.CONVERGES_TO_TWO_PERIODIC
-    elif sign < 0:
-        kind = Kind.VANISH_EVEN_BLOW_ODD
-    else:
-        kind = Kind.BLOW_EVEN_VANISH_ODD
+    kind = kind_from_sign(value, band, Kind.CONVERGES_TO_TWO_PERIODIC)
     witness = Rank2Witness(lambda1=l1, lambda2=l2, q=q, delta=delta, scale=scale)
     return Classification(kind=kind, rank=2, witness=witness)
 
@@ -413,11 +402,12 @@ def limit_cycle(
 ) -> LimitCycle:
     """Limits of the four subsequences in the convergent rank-2 case.
 
-    Accumulates the four telescoping products until the current factor
-    deviations |e_k| and the geometric tail bound |e_k|*r/(1 - r), with
-    r = |lambda2/lambda1|, both drop below tol. Raises BranchError when
-    the coefficients are not in the convergent case and ConvergenceError
-    if max_terms factors do not reach tolerance.
+    Runs the product engine of the closed form in log space until the
+    per-term change |e_k| of the four logs and the geometric tail bound
+    |e_k|*r/(1 - r), with r = |lambda2/lambda1|, both drop below tol.
+    Raises BranchError when the coefficients are not in the convergent
+    case and ConvergenceError if max_terms factors do not reach
+    tolerance.
     """
     system = prepare(params, ArithmeticMode.FLOAT64, eps_rank)
     verdict = classify_rank2(system, ArithmeticMode.FLOAT64, tol_class, eps_rank)
@@ -427,29 +417,25 @@ def limit_cycle(
             f"classification is {verdict.kind.value}"
         )
     wp = system.params
-    x0, y0 = float(init[0]), float(init[1])
-    s1 = step(wp, 0, (x0, y0))
-    sd = spectral_constants(system, (x0, y0), ArithmeticMode.FLOAT64, eps_rank)
+    s0 = initial_state(init, ArithmeticMode.FLOAT64)
+    s1 = step(wp, 0, s0)
+    sd = spectral_constants(system, s0, ArithmeticMode.FLOAT64, eps_rank)
     r = abs(sd.lambda2 / sd.lambda1)
     tail = r / (1.0 - r)
-    acc = [math.log(x0), math.log(s1[0]), math.log(y0), math.log(s1[1])]
-    factors = _ratio_factors(wp, sd, exact=False)
-    for k in range(1, max_terms + 1):
-        gs = next(factors)
-        worst = 0.0
-        for i, g in enumerate(gs):
-            e = g - 1.0
-            acc[i] += math.log1p(e)
-            worst = max(worst, abs(e))
+    products = _products(wp, sd, s0, s1, exact=False)
+    p_xe, p_xo, p_ye, p_yo = next(products)
+    for x_e, x_o, y_e, y_o in islice(products, max_terms):
+        worst = max(abs(x_e - p_xe), abs(x_o - p_xo),
+                    abs(y_e - p_ye), abs(y_o - p_yo))
         if worst < tol and worst * tail < tol:
             break
+        p_xe, p_xo, p_ye, p_yo = x_e, x_o, y_e, y_o
     else:
         raise ConvergenceError(
             max_terms,
             f"cycle products did not meet tol={tol} within {max_terms} terms",
         )
-    x_even, x_odd = math.exp(acc[0]), math.exp(acc[1])
-    y_even, y_odd = math.exp(acc[2]), math.exp(acc[3])
+    x_even, x_odd, y_even, y_odd = map(math.exp, (x_e, x_o, y_e, y_o))
     residual = max(
         abs(x_odd - (wp.a0 / x_even + wp.b0 / y_even)) / x_odd,
         abs(x_even - (wp.a1 / x_odd + wp.b1 / y_odd)) / x_even,

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .core import Orbit, PeriodicCoefficients
 from .errors import DomainError
-from .numeric import ArithmeticMode, Number, is_exact, number_log
+from .numeric import ArithmeticMode, Number, is_exact, number_log, saturating_exp
 
 
 class Parity(IntEnum):
@@ -101,8 +101,9 @@ def linear_step(
 def uv_from_orbit(orbit: Orbit) -> list[UVPoint]:
     """Cumulative-product pairs for every index of the orbit.
 
-    Float orbits are accumulated in log space to avoid overflow; exact
-    orbits multiply Fractions directly.
+    Float orbits are accumulated in log space to avoid overflow, and u
+    and v saturate to inf past float range; exact orbits multiply
+    Fractions directly.
     """
     out: list[UVPoint] = []
     if orbit.mode is ArithmeticMode.FLOAT64:
@@ -114,7 +115,8 @@ def uv_from_orbit(orbit: Orbit) -> list[UVPoint]:
             sum_ly_prev += prev_ly
             lu = sum_lx + sum_ly_prev
             lv = sum_lx - math.log(p.x) + sum_ly_prev + math.log(p.y)
-            out.append(UVPoint(p.n, math.exp(lu), math.exp(lv), lu, lv))
+            u, v = saturating_exp(lu), saturating_exp(lv)
+            out.append(UVPoint(p.n, u, v, lu, lv))
             prev_ly = math.log(p.y)
         return out
     # Fraction seeds keep int-valued points from hitting true division.

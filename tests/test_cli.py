@@ -189,6 +189,40 @@ def test_nonpositive_coefficient_exits_three(capsys):
     assert "must be positive" in err
 
 
+def test_closed_rejects_a_bad_start_at_horizon_zero(capsys):
+    code, out, err = run_cli(
+        ["closed", "--all-ones", "--x0", "-1", "-n", "0"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert "x0 must be positive" in err
+
+
+BALANCED_ARGS = [
+    "--a0", "1", "--b0", "1", "--c0", "1", "--d0", "2",
+    "--a1", "2", "--b1", "1", "--c1", "1", "--d1", "1",
+]
+
+
+@pytest.mark.parametrize("no_cycle", [[], ["--no-cycle"]], ids=["cycle", "no-cycle"])
+@pytest.mark.parametrize(
+    "coeffs, start",
+    [
+        (["--all-ones"], ["--x0", "-1", "--y0", "0"]),  # rank 1
+        (RANK2_ARGS, ["--x0", "nan"]),  # rank 2, divergent
+        (BALANCED_ARGS, ["--y0", "0"]),  # rank 2, convergent
+    ],
+    ids=["rank1", "rank2", "convergent"],
+)
+def test_classify_checks_the_probe_start_on_every_branch(
+    coeffs, start, no_cycle, capsys
+):
+    code, out, err = run_cli(["classify", *coeffs, *start, *no_cycle], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_float_overflow_exits_four(capsys):
     code, out, err = run_cli(
         [

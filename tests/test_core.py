@@ -12,12 +12,21 @@ from ratsys import (
     DomainError,
     PeriodicCoefficients,
     TruncationError,
+    limit_cycle,
     log_simulate,
+    rank1_solution,
+    rank1_solution_sequence,
+    rank1_uv,
+    rank2_solution,
+    rank2_solution_sequence,
+    rank2_uv,
     simulate,
+    spectral_constants,
     step,
 )
+from ratsys.core import initial_state
 
-from conftest import RANK2_GENERIC
+from conftest import RANK1_GROWTH, RANK2_BALANCED, RANK2_GENERIC
 
 rationals = st.fractions(
     min_value=Fraction(1, 10), max_value=Fraction(10), max_denominator=20
@@ -150,3 +159,47 @@ def test_log_simulate_all_ones_is_exact():
         expected = 0.0 if n % 2 == 0 else math.log(2.0)
         assert lx == expected
         assert ly == expected
+
+
+# Every entry point that takes a start, as (init, n) -> result. rank1_uv
+# indexes two-steps from m = 1, so it gets n + 1; spectral_constants and
+# limit_cycle take no index.
+START_ENTRY_POINTS = {
+    "rank1_solution": lambda init, n: rank1_solution(RANK1_GROWTH, init, n),
+    "rank1_solution_sequence":
+        lambda init, n: rank1_solution_sequence(RANK1_GROWTH, init, n),
+    "rank1_uv": lambda init, n: rank1_uv(RANK1_GROWTH, init, n + 1),
+    "rank2_solution": lambda init, n: rank2_solution(RANK2_GENERIC, init, n),
+    "rank2_solution_sequence":
+        lambda init, n: rank2_solution_sequence(RANK2_GENERIC, init, n),
+    "rank2_uv": lambda init, n: rank2_uv(RANK2_GENERIC, init, n),
+    "spectral_constants": lambda init, n: spectral_constants(RANK2_GENERIC, init),
+    "limit_cycle": lambda init, n: limit_cycle(RANK2_BALANCED, init),
+    "simulate": lambda init, n: simulate(RANK2_GENERIC, init, n),
+    "log_simulate": lambda init, n: log_simulate(RANK2_GENERIC, init, n),
+}
+BAD_STARTS = [
+    (bad, 1.0) if first else (1.0, bad)
+    for bad in (0.0, -1.0, float("inf"), float("nan"))
+    for first in (True, False)
+]
+
+
+@pytest.mark.parametrize("init", BAD_STARTS, ids=repr)
+@pytest.mark.parametrize("entry", sorted(START_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_bad_start(entry, init):
+    for n in (0, 5):
+        with pytest.raises(DomainError):
+            START_ENTRY_POINTS[entry](init, n)
+
+
+def test_initial_state_coerces_to_the_mode():
+    assert initial_state((1, Fraction(1, 2)), ArithmeticMode.FLOAT64) == (1.0, 0.5)
+    state = initial_state((2, Fraction(1, 3)), ArithmeticMode.EXACT_RATIONAL)
+    assert state == (Fraction(2), Fraction(1, 3))
+    assert all(type(v) is Fraction for v in state)
+    with pytest.raises(DomainError):
+        initial_state((0.5, 1), ArithmeticMode.EXACT_RATIONAL)
+    # a rational too wide for a double is out of float range, not a crash
+    with pytest.raises(DomainError):
+        initial_state((Fraction(10) ** 400, 1), ArithmeticMode.FLOAT64)

@@ -225,3 +225,16 @@ def test_signed_log_value_round_trip():
     assert SignedLog(0, float("-inf")).value == 0.0
     assert SignedLog(1, 0.0).value == 1.0
     assert SignedLog(-1, math.log(2.0)).value == -2.0
+
+
+@pytest.mark.parametrize("case", ["frozen", "seeded"])
+def test_closed_form_tail_agrees_with_the_limit_cycle(case, balanced_instance):
+    params = RANK2_BALANCED if case == "frozen" else balanced_instance[0]
+    init = (1.5, 0.5)
+    # 2000 two-steps is past the terms the cycle needs at r <= 0.9
+    seq = rank2_solution_sequence(params, init, 2 * 2000 + 1)
+    (x_even, y_even), (x_odd, y_odd) = seq[-2], seq[-1]
+    cycle = limit_cycle(params, init)
+    for got, want in ((x_even, cycle.x_even), (x_odd, cycle.x_odd),
+                      (y_even, cycle.y_even), (y_odd, cycle.y_odd)):
+        assert got == pytest.approx(want, rel=1e-9)

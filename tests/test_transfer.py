@@ -109,3 +109,10 @@ def test_rank_decision_rejects_nonfinite():
     p = PeriodicCoefficients(1e200, 1e200, 1e200, 1e200, 1e200, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         rank_decision(composed_matrix(p))
+
+
+def test_float_uv_saturates_past_float_range():
+    orbit = simulate(RANK2_GENERIC, (1.0, 1.0), 1500)
+    last = uv_from_orbit(orbit)[-1]
+    assert math.isfinite(last.log_u) and math.isfinite(last.log_v)
+    assert last.u == math.inf and last.v == math.inf
