@@ -202,7 +202,7 @@ def _cmd_simulate(args, parser) -> str:
     params = _coefficients(args, parser, mode)
     init = _init(args, parser, mode)
     orbit = simulate(params, init, args.n_max, mode)
-    return _points_output("simulate", args, [orbit.state(n) for n in range(len(orbit))])
+    return _points_output("simulate", args, orbit.states)
 
 
 def _cmd_closed(args, parser) -> str:

@@ -94,42 +94,32 @@ class PeriodicCoefficients:
 
 @dataclass(frozen=True, slots=True)
 class OrbitPoint:
+    """One orbit state with its index, built on demand by Orbit.__iter__."""
+
     n: int
     x: Number
     y: Number
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise DomainError(f"orbit index must be >= 0, got {self.n}")
-        require_positive(self.x, f"x[{self.n}]")
-        require_positive(self.y, f"y[{self.n}]")
-
 
 @dataclass(frozen=True, slots=True)
 class Orbit:
-    """A finite orbit prefix, indices 0 .. n_max with no gaps."""
+    """A finite orbit prefix: states[n] is (x[n], y[n]) for n = 0 .. n_max."""
 
-    points: tuple[OrbitPoint, ...]
+    states: tuple[tuple[Number, Number], ...]
     mode: ArithmeticMode
 
-    def __post_init__(self):
-        for i, p in enumerate(self.points):
-            if p.n != i:
-                raise DomainError(f"orbit indices must be contiguous from 0, "
-                                  f"point {i} has n={p.n}")
-
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.states)
 
     def __iter__(self) -> Iterator[OrbitPoint]:
-        return iter(self.points)
+        return (OrbitPoint(n, x, y) for n, (x, y) in enumerate(self.states))
 
     def state(self, n: int) -> tuple[Number, Number]:
-        return (self.points[n].x, self.points[n].y)
+        return self.states[n]
 
     @property
     def n_max(self) -> int:
-        return len(self.points) - 1
+        return len(self.states) - 1
 
 
 def step(
@@ -190,30 +180,25 @@ def simulate(
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        wp = params.as_fractions()
-    else:
-        wp = params.as_floats()
-    x, y = initial_state(init, mode)
-
-    points = [OrbitPoint(0, x, y)]
+    exact = mode is ArithmeticMode.EXACT_RATIONAL
+    wp = params.as_fractions() if exact else params.as_floats()
+    state = initial_state(init, mode)
+    states = [state]
     for n in range(n_max):
-        x, y = step(wp, n, (x, y))
-        if mode is ArithmeticMode.FLOAT64:
-            bad = not (math.isfinite(x) and math.isfinite(y) and x > 0 and y > 0)
-            if bad:
-                raise TruncationError(
-                    n + 1,
-                    Orbit(tuple(points), mode),
-                    f"float orbit left (0, inf) at step {n + 1}: "
-                    f"x={x!r}, y={y!r}",
-                )
-        else:
+        x, y = state = step(wp, n, state)
+        if exact:
             worst = max(_bits(x), _bits(y))
             if worst > bit_cap:
                 raise BitGrowthError(n + 1, worst, bit_cap)
-        points.append(OrbitPoint(n + 1, x, y))
-    return Orbit(tuple(points), mode)
+        elif not (0 < x < math.inf and 0 < y < math.inf):
+            raise TruncationError(
+                n + 1,
+                Orbit(tuple(states), mode),
+                f"float orbit left (0, inf) at step {n + 1}: "
+                f"x={x!r}, y={y!r}",
+            )
+        states.append(state)
+    return Orbit(tuple(states), mode)
 
 
 def log_simulate(

@@ -28,8 +28,8 @@ class TruncationError(RatsysError):
     """Float iteration left the representable positive range.
 
     ``index`` is the first step whose value overflowed to infinity or
-    underflowed to zero. ``orbit`` holds the valid prefix, indices
-    0 .. index-1.
+    underflowed to zero. ``orbit`` is the valid prefix: ``orbit.states``
+    holds (x[n], y[n]) for n = 0 .. index-1.
     """
 
     def __init__(self, index: int, orbit, message: str):

@@ -181,10 +181,19 @@ def spectral_constants(
 ) -> SpectralData:
     """Expansion constants for the start (u0, v0) = (x0, y0)."""
     system = _rank2(params, mode, eps_rank)
-    l1, l2, q, _, _ = _criterion(system)
+    return _expansion(system, _criterion(system), initial_state(init, mode))
+
+
+def _expansion(
+    system: System,
+    criterion: tuple[Number, Number, Number, Number, Number],
+    start: tuple[Number, Number],
+) -> SpectralData:
+    """SpectralData of a checked start from the System's _criterion."""
+    l1, l2, q, _, _ = criterion
     m = system.matrix
     alpha, beta, gamma = m.m11, m.m12, m.m21
-    u0, v0 = initial_state(init, mode)
+    u0, v0 = start
     gap = l1 - l2
     c1 = beta / gap * (gamma / (l1 - alpha) * u0 + v0)
     c2 = beta / gap * (gamma / (l2 - alpha) * u0 + v0)
@@ -254,7 +263,9 @@ def _products(
     x_e, x_o, y_e, y_o = start if exact else map(math.log, start)
     yield (x_e, x_o, y_e, y_o)
     tk = Fraction(1) if exact else 1.0  # t**k
-    num_u, num_v = c1 - c2 * tk, c3 - c4 * tk  # u[2k], v[2k] / lambda1**k
+    # u[2k], v[2k] / lambda1**k; at k = 0 that is (x0, y0) itself, which
+    # c1 - c2 and c3 - c4 lose to cancellation when x0/y0 is lopsided
+    num_u, num_v = s0
     q_cur = num_u / num_v
     s_cur = 1 / q_cur
     while True:
@@ -409,17 +420,20 @@ def limit_cycle(
     case and ConvergenceError if max_terms factors do not reach
     tolerance.
     """
-    system = prepare(params, ArithmeticMode.FLOAT64, eps_rank)
-    verdict = classify_rank2(system, ArithmeticMode.FLOAT64, tol_class, eps_rank)
-    if verdict.kind is not Kind.CONVERGES_TO_TWO_PERIODIC:
+    system = _rank2(params, ArithmeticMode.FLOAT64, eps_rank)
+    criterion = _criterion(system)
+    _, _, _, scale, delta = criterion
+    kind = kind_from_sign(delta, tol_class * scale,
+                          Kind.CONVERGES_TO_TWO_PERIODIC)
+    if kind is not Kind.CONVERGES_TO_TWO_PERIODIC:
         raise BranchError(
             f"limit cycle exists only in the convergent case, "
-            f"classification is {verdict.kind.value}"
+            f"classification is {kind.value}"
         )
     wp = system.params
     s0 = initial_state(init, ArithmeticMode.FLOAT64)
     s1 = step(wp, 0, s0)
-    sd = spectral_constants(system, s0, ArithmeticMode.FLOAT64, eps_rank)
+    sd = _expansion(system, criterion, s0)
     r = abs(sd.lambda2 / sd.lambda1)
     tail = r / (1.0 - r)
     products = _products(wp, sd, s0, s1, exact=False)

@@ -110,26 +110,26 @@ def uv_from_orbit(orbit: Orbit) -> list[UVPoint]:
         sum_lx = 0.0  # log of x[0]*...*x[n]
         sum_ly_prev = 0.0  # log of y[0]*...*y[n-1]
         prev_ly = 0.0
-        for p in orbit:
-            sum_lx += math.log(p.x)
+        for n, (x, y) in enumerate(orbit.states):
+            sum_lx += math.log(x)
             sum_ly_prev += prev_ly
             lu = sum_lx + sum_ly_prev
-            lv = sum_lx - math.log(p.x) + sum_ly_prev + math.log(p.y)
+            lv = sum_lx - math.log(x) + sum_ly_prev + math.log(y)
             u, v = saturating_exp(lu), saturating_exp(lv)
-            out.append(UVPoint(p.n, u, v, lu, lv))
-            prev_ly = math.log(p.y)
+            out.append(UVPoint(n, u, v, lu, lv))
+            prev_ly = math.log(y)
         return out
     # Fraction seeds keep int-valued points from hitting true division.
     prod_x = Fraction(1)  # x[0]*...*x[n] once updated
     prod_y_prev = Fraction(1)  # y[0]*...*y[n-1]
     prev_y: Number = Fraction(1)
-    for p in orbit:
-        prod_x = prod_x * p.x
+    for n, (x, y) in enumerate(orbit.states):
+        prod_x = prod_x * x
         prod_y_prev = prod_y_prev * prev_y
         u = prod_x * prod_y_prev
-        v = (prod_x / p.x) * prod_y_prev * p.y
-        out.append(UVPoint(p.n, u, v, number_log(u), number_log(v)))
-        prev_y = p.y
+        v = (prod_x / x) * prod_y_prev * y
+        out.append(UVPoint(n, u, v, number_log(u), number_log(v)))
+        prev_y = y
     return out
 
 

@@ -236,6 +236,33 @@ def test_float_overflow_exits_four(capsys):
     assert err.startswith("error:")
 
 
+LOPSIDED_ARGS = [["--x0", "1e8", "--y0", "1e-8"],
+                 ["--x0", "1e10", "--y0", "1e-10"]]
+
+
+@pytest.mark.parametrize("start", LOPSIDED_ARGS)
+def test_rank2_closed_forms_from_lopsided_starts(start, capsys):
+    code, out, err = run_cli(
+        ["compare", *RANK2_ARGS, "-n", "40", *start, "--format", "json"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["max_rel_error_x"] <= 1e-13
+    assert report["max_rel_error_y"] <= 1e-13
+    assert report["first_divergence_index"] is None
+    code, out, err = run_cli(["closed", *RANK2_ARGS, "-n", "3", *start], capsys)
+    assert code == 0 and err == ""
+    code, out, err = run_cli(
+        ["classify", "--a0", "1", "--b0", "1", "--c0", "1", "--d0", "2",
+         "--a1", "2", "--b1", "1", "--c1", "1", "--d1", "1", *start,
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["cycle"]["residual"] < 1e-12
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "ratsys", "--help"],

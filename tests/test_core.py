@@ -10,6 +10,7 @@ from ratsys import (
     ArithmeticMode,
     BitGrowthError,
     DomainError,
+    OrbitPoint,
     PeriodicCoefficients,
     TruncationError,
     limit_cycle,
@@ -87,7 +88,24 @@ def test_orbit_accessors():
     assert len(orbit) == 8
     assert orbit.n_max == 7
     assert [pt.n for pt in orbit] == list(range(8))
-    assert orbit.state(0) == (1.0, 1.0)
+    assert [(pt.x, pt.y) for pt in orbit] == list(orbit.states)
+    assert orbit.state(0) == orbit.states[0] == (1.0, 1.0)
+
+
+def test_simulate_builds_no_orbit_points(monkeypatch):
+    built = []
+    original = OrbitPoint.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(OrbitPoint, "__init__", counting)
+    orbit = simulate(RANK2_GENERIC, (1.5, 0.5), 500)
+    assert built == []
+    # iteration builds them on demand, one per state
+    assert [pt.n for pt in orbit] == list(range(501))
+    assert len(built) == 501
 
 
 @given(params=coefficient_sets, init=inits)
@@ -116,6 +134,16 @@ def test_float_overflow_raises_truncation_with_prefix():
     assert err.index == 1
     assert err.orbit.n_max == 0
     assert err.orbit.state(0) == (1e-300, 1.0)
+
+
+def test_truncation_orbit_holds_the_valid_prefix():
+    p = RANK2_GENERIC.as_floats()
+    with pytest.raises(TruncationError) as info:
+        simulate(p, (1.0, 1.0), 10_000)
+    err = info.value
+    assert err.index > 1000
+    assert len(err.orbit.states) == err.index
+    assert err.orbit.states == simulate(p, (1.0, 1.0), err.index - 1).states
 
 
 def test_exact_bit_cap_raises_bit_growth():

@@ -159,6 +159,16 @@ def test_float_classify_prepares_once(monkeypatch, params, kind):
     assert inits == []
 
 
+def test_float_convergent_classify_solves_the_criterion_twice(monkeypatch):
+    verdicts = count_calls(monkeypatch, ratsys.rank2.classify_rank2)
+    roots = count_calls(monkeypatch, ratsys.rank2._roots)
+    verdict = classify(RANK2_BALANCED.as_floats(), probe_init=(1.5, 0.5))
+    assert verdict.cycle is not None
+    # classify_rank2 solves once, limit_cycle once more for its constants
+    assert len(verdicts) == 1
+    assert len(roots) == 2
+
+
 def test_sweep_validates_each_cell_once(monkeypatch, capsys):
     inits = count_inits(monkeypatch)
     code = main(["sweep", "--all-ones", "--axis1", "d1:1:2:5",

@@ -198,7 +198,7 @@ def test_classified_blow_even_actually_grows():
 
 
 def test_limit_cycle_needs_the_convergent_case():
-    with pytest.raises(BranchError):
+    with pytest.raises(BranchError, match="classification is VanishEvenBlowOdd"):
         limit_cycle(RANK2_GENERIC, (1.0, 1.0))
 
 
@@ -210,6 +210,40 @@ def test_limit_cycle_matches_the_orbit():
     assert orbit.state(79)[0] == pytest.approx(cycle.x_odd, rel=1e-12)
     assert orbit.state(78)[1] == pytest.approx(cycle.y_even, rel=1e-12)
     assert orbit.state(79)[1] == pytest.approx(cycle.y_odd, rel=1e-12)
+
+
+# x0/y0 many orders of magnitude from 1, where the expansion constants
+# c1 - c2 and c3 - c4 cancel catastrophically instead of giving x0 and y0
+LOPSIDED = [(1e8, 1e-8), (1e-8, 1e8), (1e10, 1e-10), (1e-10, 1e10)]
+
+
+@pytest.mark.parametrize("init", LOPSIDED)
+def test_closed_form_matches_iteration_from_lopsided_starts(init):
+    seq = rank2_solution_sequence(RANK2_GENERIC, init, 40)
+    orbit = simulate(RANK2_GENERIC, init, 40)
+    for (xc, yc), (xi, yi) in zip(seq, orbit.states):
+        assert xc == pytest.approx(xi, rel=1e-13)
+        assert yc == pytest.approx(yi, rel=1e-13)
+    assert rank2_solution(RANK2_GENERIC, init, 3) == seq[3]
+
+
+@pytest.mark.parametrize("init", LOPSIDED)
+def test_limit_cycle_from_lopsided_starts(init):
+    cycle = limit_cycle(RANK2_BALANCED, init)
+    assert cycle.residual < 1e-12
+    orbit = simulate(RANK2_BALANCED, init, 201)
+    (x_even, y_even), (x_odd, y_odd) = orbit.state(200), orbit.state(201)
+    assert x_even == pytest.approx(cycle.x_even, rel=1e-12)
+    assert x_odd == pytest.approx(cycle.x_odd, rel=1e-12)
+    assert y_even == pytest.approx(cycle.y_even, rel=1e-12)
+    assert y_odd == pytest.approx(cycle.y_odd, rel=1e-12)
+
+
+def test_exact_closed_form_from_a_lopsided_start():
+    init = (Fraction(10**10), Fraction(1, 10**10))
+    orbit = simulate(RANK2_SQUARE, init, 20, EXACT)
+    assert rank2_solution_sequence(RANK2_SQUARE, init, 20, EXACT) == list(
+        orbit.states)
 
 
 def test_limit_cycle_depends_on_the_start(balanced_instance):
