@@ -22,6 +22,7 @@ from .analysis import (
     ProductStatus,
     classify,
     closed_form_sequence,
+    closed_form_states,
     compare,
     detect_period,
     product_converges,
@@ -113,6 +114,7 @@ __all__ = [
     "classify_rank1",
     "classify_rank2",
     "closed_form_sequence",
+    "closed_form_states",
     "compare",
     "composed_matrix",
     "criterion_delta",

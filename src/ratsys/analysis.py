@@ -12,16 +12,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import islice
-from typing import Iterable, Optional
+from itertools import count, islice
+from typing import Iterable, Iterator, Optional
 
 from .classification import Classification, Kind
 from .core import Orbit, PeriodicCoefficients, initial_state, simulate
 from .errors import DomainError
 from .numeric import ArithmeticMode, Number, relative_gap
-from .rank1 import classify_rank1, rank1_solution_sequence
-from .rank2 import classify_rank2, limit_cycle, rank2_solution_sequence
+from .rank1 import classify_rank1, rank1_states
+from .rank2 import classify_rank2, limit_cycle, rank2_states
 from .transfer import System, prepare
+
+
+def closed_form_states(
+    params: PeriodicCoefficients | System,
+    init: tuple[Number, Number],
+    mode: ArithmeticMode = ArithmeticMode.FLOAT64,
+    eps_rank: float = 1e-12,
+) -> Iterator[tuple[Number, Number]]:
+    """Closed-form states n = 0, 1, 2, ... from the rank's branch, lazily.
+
+    The coefficients are prepared and the start checked on the call. An
+    error tied to an index, such as the DomainError of an exact rank-2
+    set with an irrational eigenvalue gap at index 1, is raised when the
+    iterator reaches it. Float values saturate to inf or 0.0.
+    """
+    system = prepare(params, mode, eps_rank)
+    start = initial_state(init, mode)
+    states = rank1_states if system.rank == 1 else rank2_states
+    return states(system, start)
 
 
 def closed_form_sequence(
@@ -32,10 +51,9 @@ def closed_form_sequence(
     eps_rank: float = 1e-12,
 ) -> list[tuple[Number, Number]]:
     """Closed-form states for n = 0 .. n_max from the rank's branch."""
-    system = prepare(params, mode, eps_rank)
-    if system.rank == 1:
-        return rank1_solution_sequence(system, init, n_max, mode, eps_rank)
-    return rank2_solution_sequence(system, init, n_max, mode, eps_rank)
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    return list(islice(closed_form_states(params, init, mode, eps_rank), n_max + 1))
 
 
 def classify(
@@ -239,24 +257,33 @@ def compare(
     Uses the rank-appropriate closed form for every index 0..n_max and
     records the worst relative error in each component, plus the first
     index (if any) where either component's error exceeds
-    divergence_threshold. In exact mode both sides are rational and the
-    errors are exactly zero whenever the closed form is faithful.
+    divergence_threshold or is NaN. In exact mode both sides are
+    rational and the errors are exactly zero whenever the closed form is
+    faithful. The closed-form states are streamed, never held as a list.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     orbit = simulate(params, init, n_max, mode)
-    closed = closed_form_sequence(params, init, n_max, mode, eps_rank)
+    closed = closed_form_states(params, init, mode, eps_rank)
+    # relative_gap for the mode, chosen once; every state is positive
+    if mode is ArithmeticMode.EXACT_RATIONAL:
+        def gap(a, b):
+            return float(abs(a - b) / a)
+    else:
+        def gap(a, b):
+            return abs(a - b) / a
     worst_x = 0.0
     worst_y = 0.0
     first: Optional[int] = None
-    for n in range(n_max + 1):
-        x_it, y_it = orbit.state(n)
-        x_cf, y_cf = closed[n]
-        err_x = relative_gap(x_it, x_cf)
-        err_y = relative_gap(y_it, y_cf)
-        worst_x = max(worst_x, err_x)
-        worst_y = max(worst_y, err_y)
-        if first is None and max(err_x, err_y) > divergence_threshold:
+    for n, (x_it, y_it), (x_cf, y_cf) in zip(count(), orbit.states, closed):
+        err_x = gap(x_it, x_cf)
+        err_y = gap(y_it, y_cf)
+        if err_x > worst_x:
+            worst_x = err_x
+        if err_y > worst_y:
+            worst_y = err_y
+        if first is None and not (err_x <= divergence_threshold
+                                  and err_y <= divergence_threshold):
             first = n
     return ComparisonReport(
         n_max=n_max,

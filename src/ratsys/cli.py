@@ -13,23 +13,23 @@ Exit codes: 0 success, 2 usage error, 3 invalid domain or branch
 (TruncationError, BitGrowthError, ConvergenceError).
 
 All floats print with 17 significant digits; exact rationals print as
-'p/q'. Output is plain text with no escape sequences, written in one
-piece with newline-terminated lines.
+'p/q'. Output is plain text with no escape sequences and
+newline-terminated lines. Every value is computed before the first byte
+is written, so an error leaves no partial output.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .analysis import classify, closed_form_sequence, compare
+from .analysis import classify, closed_form_states, compare
 from .classification import Classification
 from .core import COEFF_NAMES, PeriodicCoefficients, simulate
 from .errors import (
@@ -142,75 +142,139 @@ def render_json(payload: dict) -> str:
     return _jval(payload, 0) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _kv_text(pairs) -> str:
+    """'key: value' lines; None prints as 'none'."""
+    def text(v):
+        return "none" if v is None else v if isinstance(v, str) else format_number(v)
+    return "".join(f"{key}: {text(value)}\n" for key, value in pairs)
 
 
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+def _jfloat(v: float) -> str:
+    return f"{v:.17g}" if math.isfinite(v) else _jstr(repr(v))
 
 
-def _kv_text(pairs: list[tuple[str, str]]) -> str:
-    return "".join(f"{key}: {value}\n" for key, value in pairs)
+# How a column of values of one type becomes cells, for table and csv and
+# for json. Every value of a column has the type of its first value, so
+# each column picks its formatter once.
+_TEXT_CELLS = {
+    float: lambda col: map(format, col, repeat(".17g")),
+    Fraction: functools.partial(map, exact_text),
+    int: functools.partial(map, str),
+    str: iter,
+}
+_JSON_CELLS = {
+    float: functools.partial(map, _jfloat),
+    Fraction: functools.partial(map, lambda v: _jstr(exact_text(v))),
+    int: functools.partial(map, str),
+    str: functools.partial(map, _jstr),
+}
+_BLOCK_ROWS = 1024  # rows taken from a command at a time
+_CHUNK_CHARS = 1 << 16  # characters per write, about
+# A block's cells of one column are stored joined by newlines while none
+# is longer than this: string objects would take most of the memory of
+# short cells, and long ones (exact rationals) are not copied.
+_JOINED_WIDTH = 64
 
 
-def _write_output(text: str, path: Optional[str]) -> None:
+class _Rows(NamedTuple):
+    """A header and rows of values; json puts the rows under key, after
+    the fields of head."""
+
+    header: tuple[str, ...]
+    rows: Iterable[tuple]
+    head: tuple[tuple[str, object], ...] = ()
+    key: str = "rows"
+
+
+def _serialize(out: _Rows | str, fmt: str) -> Iterator[str]:
+    """Text chunks of a command's output.
+
+    Every value is computed and every cell formatted here, before the
+    first chunk is handed out, so an error leaves no partial output.
+    Rows are taken in blocks and only their cells are kept, so no column
+    of values is held whole. Lines are written in chunks through one
+    format template.
+    """
+    if isinstance(out, str):
+        return iter((out,))
+    cells_for = _JSON_CELLS if fmt == "json" else _TEXT_CELLS
+    widths = [len(h) for h in out.header]
+    rows, blocks = iter(out.rows), []  # the columns of each block
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        if not blocks:
+            formatters = [cells_for[type(v)] for v in block[0]]
+        columns = []
+        for i, values in enumerate(zip(*block)):
+            cells = list(formatters[i](values))
+            widest = max(map(len, cells))
+            widths[i] = max(widths[i], widest)
+            columns.append("\n".join(cells) if widest <= _JOINED_WIDTH else cells)
+        blocks.append(columns)
+    if fmt != "json":
+        if fmt == "csv":
+            line = ",".join(["{}"] * len(widths)) + "\n"
+        else:
+            line = "  ".join(f"{{:>{w}}}" for w in widths) + "\n"
+        return _chunks(line.format(*out.header), line, blocks, widths, "")
+    opening = "{\n" + "".join(
+        f"  {_jstr(k)}: {_jval(v, 1)},\n" for k, v in out.head
+    ) + f"  {_jstr(out.key)}: ["
+    if not blocks:
+        return iter((opening + "]\n}\n",))
+    fields = ",\n".join(f"      {_jstr(h)}: {{}}" for h in out.header)
+    line = "    {{\n" + fields + "\n    }},\n"
+    return _chunks(opening + "\n", line, blocks, widths, "\n  ]\n}\n")
+
+
+def _chunks(opening, line, blocks, widths, closing) -> Iterator[str]:
+    """opening, the rows through the line template, then closing; a json
+    closing replaces the separator after the last row. Cells are freed
+    as they are written."""
+    yield opening
+    per = max(1, _CHUNK_CHARS // (len(line) + sum(widths)))
+    blocks.reverse()
+    while blocks:
+        columns = [c.split("\n") if isinstance(c, str) else c
+                   for c in blocks.pop()]
+        while columns[0]:
+            part = [c[:per] for c in columns]
+            for c in columns:
+                del c[:per]  # written cells are freed as the output grows
+            text = (line * len(part[0])).format(*chain.from_iterable(zip(*part)))
+            yield text[:-2] if closing and not blocks and not columns[0] else text
+    yield closing
+
+
+def _write_output(chunks: Iterable[str], path: Optional[str]) -> None:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 # ------------------------------------------------------------- commands
 
 
-def _points_output(command: str, args, points) -> str:
-    mode = _mode_of(args)
-    if args.format == "json":
-        payload = {
-            "command": command,
-            "mode": mode.value,
-            "n_max": len(points) - 1,
-            "points": [
-                {"n": i, "x": x, "y": y} for i, (x, y) in enumerate(points)
-            ],
-        }
-        return render_json(payload)
-    rows = [
-        [str(i), format_number(x), format_number(y)]
-        for i, (x, y) in enumerate(points)
-    ]
-    if args.format == "csv":
-        return _csv_text(["n", "x", "y"], rows)
-    return _table(["n", "x", "y"], rows)
+def _points(command: str, args, states: Iterable) -> _Rows:
+    head = (("command", command), ("mode", args.mode), ("n_max", args.n_max))
+    rows = ((n, x, y) for n, (x, y) in enumerate(states))
+    return _Rows(("n", "x", "y"), rows, head, "points")
 
 
-def _cmd_simulate(args, parser) -> str:
+def _cmd_simulate(args, parser) -> _Rows:
     mode = _mode_of(args)
     params = _coefficients(args, parser, mode)
     init = _init(args, parser, mode)
-    orbit = simulate(params, init, args.n_max, mode)
-    return _points_output("simulate", args, orbit.states)
+    return _points("simulate", args, simulate(params, init, args.n_max, mode).states)
 
 
-def _cmd_closed(args, parser) -> str:
+def _cmd_closed(args, parser) -> _Rows:
     mode = _mode_of(args)
     params = _coefficients(args, parser, mode)
     init = _init(args, parser, mode)
-    points = closed_form_sequence(params, init, args.n_max, mode, args.eps_rank)
-    return _points_output("closed", args, points)
+    states = closed_form_states(params, init, mode, args.eps_rank)
+    return _points("closed", args, islice(states, args.n_max + 1))
 
 
 def _witness_fields(verdict: Classification) -> tuple[list[tuple[str, object]], object, object]:
@@ -228,7 +292,10 @@ def _witness_fields(verdict: Classification) -> tuple[list[tuple[str, object]], 
     return (pairs, w.q, w.delta)
 
 
-def _cmd_classify(args, parser) -> str:
+_CYCLE_FIELDS = ("x_even", "x_odd", "y_even", "y_odd", "residual")
+
+
+def _cmd_classify(args, parser) -> _Rows | str:
     mode = _mode_of(args)
     params = _coefficients(args, parser, mode)
     init = _init(args, parser, mode)
@@ -242,49 +309,22 @@ def _cmd_classify(args, parser) -> str:
         attach_cycle=not args.no_cycle,
     )
     pairs, k_or_q, rho_or_delta = _witness_fields(verdict)
+    c = verdict.cycle
+    cycle = c and {k: getattr(c, k) for k in _CYCLE_FIELDS}
+    head = [("rank", verdict.rank), ("kind", verdict.kind.value)]
     if args.format == "json":
-        payload = {
-            "command": "classify",
-            "mode": mode.value,
-            "rank": verdict.rank,
-            "kind": verdict.kind.value,
-            "witness": dict(pairs),
-        }
-        if verdict.cycle is not None:
-            c = verdict.cycle
-            payload["cycle"] = {
-                "x_even": c.x_even,
-                "x_odd": c.x_odd,
-                "y_even": c.y_even,
-                "y_odd": c.y_odd,
-                "residual": c.residual,
-            }
-        else:
-            payload["cycle"] = None
-        return render_json(payload)
+        return render_json(
+            {"command": "classify", "mode": mode.value, **dict(head),
+             "witness": dict(pairs), "cycle": cycle}
+        )
     if args.format == "csv":
-        row = [
-            str(verdict.rank),
-            format_number(k_or_q),
-            format_number(rho_or_delta),
-            verdict.kind.value,
-        ]
-        return _csv_text(["rank", "K_or_Q", "rho_or_delta", "kind"], [row])
-    lines = [("rank", str(verdict.rank)), ("kind", verdict.kind.value)]
-    lines += [(key, format_number(value)) for key, value in pairs]
-    if verdict.cycle is not None:
-        c = verdict.cycle
-        lines += [
-            ("cycle_x_even", format_number(c.x_even)),
-            ("cycle_x_odd", format_number(c.x_odd)),
-            ("cycle_y_even", format_number(c.y_even)),
-            ("cycle_y_odd", format_number(c.y_odd)),
-            ("cycle_residual", format_number(c.residual)),
-        ]
-    return _kv_text(lines)
+        row = (verdict.rank, k_or_q, rho_or_delta, verdict.kind.value)
+        return _Rows(("rank", "K_or_Q", "rho_or_delta", "kind"), [row])
+    cycle_pairs = [(f"cycle_{k}", v) for k, v in (cycle or {}).items()]
+    return _kv_text(head + pairs + cycle_pairs)
 
 
-def _cmd_compare(args, parser) -> str:
+def _cmd_compare(args, parser) -> _Rows | str:
     mode = _mode_of(args)
     params = _coefficients(args, parser, mode)
     init = _init(args, parser, mode)
@@ -296,36 +336,13 @@ def _cmd_compare(args, parser) -> str:
         divergence_threshold=args.threshold,
         eps_rank=args.eps_rank,
     )
+    keys = ("n_max", "max_rel_error_x", "max_rel_error_y", "first_divergence_index")
+    fields = {k: getattr(report, k) for k in keys}
     if args.format == "json":
-        payload = {
-            "command": "compare",
-            "mode": mode.value,
-            "n_max": report.n_max,
-            "max_rel_error_x": report.max_rel_error_x,
-            "max_rel_error_y": report.max_rel_error_y,
-            "first_divergence_index": report.first_divergence_index,
-        }
-        return render_json(payload)
-    first = report.first_divergence_index
+        return render_json({"command": "compare", "mode": mode.value, **fields})
     if args.format == "csv":
-        row = [
-            str(report.n_max),
-            format_number(report.max_rel_error_x),
-            format_number(report.max_rel_error_y),
-            "" if first is None else str(first),
-        ]
-        return _csv_text(
-            ["n_max", "max_rel_error_x", "max_rel_error_y", "first_divergence_index"],
-            [row],
-        )
-    return _kv_text(
-        [
-            ("n_max", str(report.n_max)),
-            ("max_rel_error_x", format_number(report.max_rel_error_x)),
-            ("max_rel_error_y", format_number(report.max_rel_error_y)),
-            ("first_divergence_index", "none" if first is None else str(first)),
-        ]
-    )
+        return _Rows(keys, [tuple("" if v is None else v for v in fields.values())])
+    return _kv_text(fields.items())
 
 
 def _parse_axis(raw: str, parser):
@@ -348,7 +365,7 @@ def _parse_axis(raw: str, parser):
     return (name, values)
 
 
-def _cmd_sweep(args, parser) -> str:
+def _cmd_sweep(args, parser) -> _Rows:
     axes = [_parse_axis(args.axis1, parser)]
     if args.axis2:
         axes.append(_parse_axis(args.axis2, parser))
@@ -357,119 +374,37 @@ def _cmd_sweep(args, parser) -> str:
     args._axis_names = tuple(name for name, _ in axes)
     base = _coefficients(args, parser, ArithmeticMode.FLOAT64)
     base_values = {name: getattr(base, name) for name in COEFF_NAMES}
-    axis_names = [name for name, _ in axes]
-    grids = [values for _, values in axes]
+    axis_names = tuple(name for name, _ in axes)
     combos = (
-        [(v1,) for v1 in grids[0]]
-        if len(grids) == 1
-        else [(v1, v2) for v1 in grids[0] for v2 in grids[1]]
+        [(v1,) for v1 in axes[0][1]]
+        if len(axes) == 1
+        else [(v1, v2) for v1 in axes[0][1] for v2 in axes[1][1]]
     )
-    rows = []
-    for combo in combos:
-        params = PeriodicCoefficients(
-            **(base_values | dict(zip(axis_names, combo)))
-        )
-        verdict = classify(
-            params,
-            ArithmeticMode.FLOAT64,
-            eps_rank=args.eps_rank,
-            tol_class=args.tol_class,
-            attach_cycle=False,
-        )
-        _, k_or_q, rho_or_delta = _witness_fields(verdict)
-        rows.append((combo, verdict, k_or_q, rho_or_delta))
-    if args.format == "json":
-        payload = {
-            "command": "sweep",
-            "axes": [
-                {"name": name, "values": values}
-                for name, values in zip(axis_names, grids)
-            ],
-            "rows": [
-                {
-                    **{name: v for name, v in zip(axis_names, combo)},
-                    "rank": verdict.rank,
-                    "K_or_Q": k_or_q,
-                    "rho_or_delta": rho_or_delta,
-                    "kind": verdict.kind.value,
-                }
-                for combo, verdict, k_or_q, rho_or_delta in rows
-            ],
-        }
-        return render_json(payload)
-    header = axis_names + ["rank", "K_or_Q", "rho_or_delta", "kind"]
-    text_rows = [
-        [format_number(v) for v in combo]
-        + [
-            str(verdict.rank),
-            format_number(k_or_q),
-            format_number(rho_or_delta),
-            verdict.kind.value,
-        ]
-        for combo, verdict, k_or_q, rho_or_delta in rows
-    ]
-    if args.format == "csv":
-        return _csv_text(header, text_rows)
-    return _table(header, text_rows)
+
+    def rows():
+        for combo in combos:
+            params = PeriodicCoefficients(
+                **(base_values | dict(zip(axis_names, combo)))
+            )
+            verdict = classify(
+                params,
+                ArithmeticMode.FLOAT64,
+                eps_rank=args.eps_rank,
+                tol_class=args.tol_class,
+                attach_cycle=False,
+            )
+            _, k_or_q, rho_or_delta = _witness_fields(verdict)
+            yield (*combo, verdict.rank, k_or_q, rho_or_delta, verdict.kind.value)
+
+    axes_json = [{"name": name, "values": values} for name, values in axes]
+    return _Rows(
+        axis_names + ("rank", "K_or_Q", "rho_or_delta", "kind"),
+        rows(),
+        (("command", "sweep"), ("axes", axes_json)),
+    )
 
 
 # --------------------------------------------------------------- parser
-
-
-def _add_coefficient_flags(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_argument_group("coefficients")
-    for name in COEFF_NAMES:
-        group.add_argument(f"--{name}", metavar="V", help=f"coefficient {name}")
-    group.add_argument(
-        "--all-ones",
-        action="store_true",
-        help="use 1 for every coefficient not given otherwise",
-    )
-    group.add_argument(
-        "--config",
-        metavar="PATH",
-        help="JSON object with coefficient values; explicit flags win",
-    )
-
-
-def _add_io_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--format",
-        choices=("table", "csv", "json"),
-        default="table",
-        help="output format (default table)",
-    )
-    sub.add_argument(
-        "-o",
-        "--output",
-        metavar="PATH",
-        help="write output to PATH instead of stdout",
-    )
-
-
-def _add_mode_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--mode",
-        choices=("float", "exact"),
-        default="float",
-        help="float64 arithmetic or exact rationals (default float)",
-    )
-
-
-def _add_init_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--x0", metavar="V", default="1", help="initial x (default 1)")
-    sub.add_argument("--y0", metavar="V", default="1", help="initial y (default 1)")
-
-
-def _add_n_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "-n",
-        "--n-max",
-        type=int,
-        default=20,
-        metavar="N",
-        help="largest index to produce (default 20)",
-    )
 
 
 def _tolerance(allow_zero: bool):
@@ -494,14 +429,61 @@ def _tolerance(allow_zero: bool):
     return parse
 
 
-def _add_eps_rank(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--eps-rank",
-        type=_tolerance(allow_zero=True),
-        default=1e-12,
-        metavar="E",
-        help="relative determinant tolerance for the rank decision",
-    )
+def _flag(*names, **options):
+    return (names, options)
+
+
+_NONNEGATIVE = _tolerance(allow_zero=True)
+# Flag groups, each added in this order by the subcommands that name it.
+_FLAGS = {
+    "init": [
+        _flag("--x0", metavar="V", default="1", help="initial x (default 1)"),
+        _flag("--y0", metavar="V", default="1", help="initial y (default 1)"),
+    ],
+    "n": [_flag("-n", "--n-max", type=int, default=20, metavar="N",
+                help="largest index to produce (default 20)")],
+    "mode": [_flag("--mode", choices=("float", "exact"), default="float",
+                   help="float64 arithmetic or exact rationals (default float)")],
+    "eps": [_flag("--eps-rank", type=_NONNEGATIVE, default=1e-12, metavar="E",
+                  help="relative determinant tolerance for the rank decision")],
+    "classify": [
+        _flag("--tol-class", type=_NONNEGATIVE, default=1e-9, metavar="T",
+              help="relative width of the boundary band in float mode"),
+        _flag("--tol-cycle", type=_tolerance(allow_zero=False), default=1e-11,
+              metavar="T", help="tolerance for the limit-cycle products"),
+        _flag("--no-cycle", action="store_true",
+              help="skip computing the limit cycle in the convergent case"),
+    ],
+    "threshold": [
+        _flag("--threshold", type=_NONNEGATIVE, default=1e-6, metavar="T",
+              help="relative error that counts as divergence (default 1e-6)"),
+    ],
+    "axes": [
+        _flag("--axis1", required=True, metavar="NAME:LO:HI:STEPS",
+              help="first sweep axis, evenly spaced including both endpoints"),
+        _flag("--axis2", metavar="NAME:LO:HI:STEPS", help="optional second sweep axis"),
+    ],
+    "band": [_flag("--tol-class", type=_NONNEGATIVE, default=1e-9, metavar="T",
+                   help="relative width of the boundary band")],
+    "io": [
+        _flag("--format", choices=("table", "csv", "json"), default="table",
+              help="output format (default table)"),
+        _flag("-o", "--output", metavar="PATH",
+              help="write output to PATH instead of stdout"),
+    ],
+}
+_COMMANDS = (
+    ("simulate", "iterate the system directly", _cmd_simulate,
+     ("init", "n", "mode", "io")),
+    ("closed", "evaluate the closed form", _cmd_closed,
+     ("init", "n", "mode", "eps", "io")),
+    ("classify", "rank and asymptotic verdict", _cmd_classify,
+     ("init", "mode", "eps", "classify", "io")),
+    ("compare", "closed form vs direct iteration", _cmd_compare,
+     ("init", "n", "mode", "eps", "threshold", "io")),
+    ("sweep", "classify across a coefficient grid", _cmd_sweep,
+     ("axes", "eps", "band", "io")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,91 +497,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p_sim = sub.add_parser("simulate", help="iterate the system directly")
-    _add_coefficient_flags(p_sim)
-    _add_init_flags(p_sim)
-    _add_n_flag(p_sim)
-    _add_mode_flag(p_sim)
-    _add_io_flags(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_cls = sub.add_parser("closed", help="evaluate the closed form")
-    _add_coefficient_flags(p_cls)
-    _add_init_flags(p_cls)
-    _add_n_flag(p_cls)
-    _add_mode_flag(p_cls)
-    _add_eps_rank(p_cls)
-    _add_io_flags(p_cls)
-    p_cls.set_defaults(func=_cmd_closed)
-
-    p_cfy = sub.add_parser("classify", help="rank and asymptotic verdict")
-    _add_coefficient_flags(p_cfy)
-    _add_init_flags(p_cfy)
-    _add_mode_flag(p_cfy)
-    _add_eps_rank(p_cfy)
-    p_cfy.add_argument(
-        "--tol-class",
-        type=_tolerance(allow_zero=True),
-        default=1e-9,
-        metavar="T",
-        help="relative width of the boundary band in float mode",
-    )
-    p_cfy.add_argument(
-        "--tol-cycle",
-        type=_tolerance(allow_zero=False),
-        default=1e-11,
-        metavar="T",
-        help="tolerance for the limit-cycle products",
-    )
-    p_cfy.add_argument(
-        "--no-cycle",
-        action="store_true",
-        help="skip computing the limit cycle in the convergent case",
-    )
-    _add_io_flags(p_cfy)
-    p_cfy.set_defaults(func=_cmd_classify)
-
-    p_cmp = sub.add_parser("compare", help="closed form vs direct iteration")
-    _add_coefficient_flags(p_cmp)
-    _add_init_flags(p_cmp)
-    _add_n_flag(p_cmp)
-    _add_mode_flag(p_cmp)
-    _add_eps_rank(p_cmp)
-    p_cmp.add_argument(
-        "--threshold",
-        type=_tolerance(allow_zero=True),
-        default=1e-6,
-        metavar="T",
-        help="relative error that counts as divergence (default 1e-6)",
-    )
-    _add_io_flags(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_swp = sub.add_parser("sweep", help="classify across a coefficient grid")
-    _add_coefficient_flags(p_swp)
-    p_swp.add_argument(
-        "--axis1",
-        required=True,
-        metavar="NAME:LO:HI:STEPS",
-        help="first sweep axis, evenly spaced including both endpoints",
-    )
-    p_swp.add_argument(
-        "--axis2",
-        metavar="NAME:LO:HI:STEPS",
-        help="optional second sweep axis",
-    )
-    _add_eps_rank(p_swp)
-    p_swp.add_argument(
-        "--tol-class",
-        type=_tolerance(allow_zero=True),
-        default=1e-9,
-        metavar="T",
-        help="relative width of the boundary band",
-    )
-    _add_io_flags(p_swp)
-    p_swp.set_defaults(func=_cmd_sweep)
-
+    for name, help_text, func, groups in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        coefficients = command.add_argument_group("coefficients")
+        for coeff in COEFF_NAMES:
+            coefficients.add_argument(
+                f"--{coeff}", metavar="V", help=f"coefficient {coeff}"
+            )
+        coefficients.add_argument(
+            "--all-ones",
+            action="store_true",
+            help="use 1 for every coefficient not given otherwise",
+        )
+        coefficients.add_argument(
+            "--config",
+            metavar="PATH",
+            help="JSON object with coefficient values; explicit flags win",
+        )
+        for names, options in (flag for group in groups for flag in _FLAGS[group]):
+            command.add_argument(*names, **options)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -617,14 +534,14 @@ def main(argv=None) -> int:
     if getattr(args, "n_max", 0) < 0:
         parser.error(f"n must be >= 0, got {args.n_max}")
     try:
-        text = args.func(args, parser)
+        chunks = _serialize(args.func(args, parser), args.format)
     except (DomainError, BranchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (TruncationError, BitGrowthError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    _write_output(text, args.output)
+    _write_output(chunks, args.output)
     return 0
 
 

@@ -131,11 +131,13 @@ def step(
 
     Uses the even quadruple when n is even, the odd one otherwise, matching
     a[2k] = a0. Raises DomainError when either state component is zero,
-    negative, or non-finite, naming the offending component.
+    negative, or non-finite, naming the offending component; the names
+    are only formatted on that path.
     """
     x, y = state
-    require_positive(x, f"x[{n}]")
-    require_positive(y, f"y[{n}]")
+    if not (0 < x < math.inf and 0 < y < math.inf):
+        require_positive(x, f"x[{n}]")
+        require_positive(y, f"y[{n}]")
     a, b, c, d = params.at(n)
     return (a / x + b / y, c / x + d / y)
 
@@ -177,15 +179,18 @@ def simulate(
     TruncationError reporting n* is raised with the valid prefix attached.
     Exact mode requires rational coefficients and init, and raises
     BitGrowthError if a state's numerator or denominator outgrows bit_cap.
+    Each state is checked once, after it is produced; step is not called.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     exact = mode is ArithmeticMode.EXACT_RATIONAL
     wp = params.as_fractions() if exact else params.as_floats()
-    state = initial_state(init, mode)
+    quads = (wp.at(0), wp.at(1))
+    x, y = state = initial_state(init, mode)
     states = [state]
     for n in range(n_max):
-        x, y = state = step(wp, n, state)
+        a, b, c, d = quads[n & 1]
+        x, y = state = (a / x + b / y, c / x + d / y)
         if exact:
             worst = max(_bits(x), _bits(y))
             if worst > bit_cap:

@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
+from typing import Iterator
 
 from .classification import Classification, Kind, kind_from_sign
 from .core import PeriodicCoefficients, initial_state, step
 from .errors import BranchError, DomainError
-from .numeric import ArithmeticMode, Number
+from .numeric import ArithmeticMode, Number, saturating_exp
 from .transfer import Parity, System, linear_step, parity_matrix, prepare
 
 K_CONSISTENCY_EPS = 1e-10
@@ -140,7 +142,8 @@ def _geometric_law(s2, s3, rho: Number, mode: ArithmeticMode):
 
     Even indices follow x[2m] = x2 * rho**(m-1) and odd indices
     x[2m+1] = x3 * rho**(1-m), same for y. Float mode evaluates the
-    powers in log space, taking the logs of the anchors and of rho once.
+    powers in log space, taking the logs of the anchors and of rho once,
+    and values past float range saturate to inf or 0.0.
     """
     exact = mode is ArithmeticMode.EXACT_RATIONAL
     if not exact:
@@ -158,8 +161,8 @@ def _geometric_law(s2, s3, rho: Number, mode: ArithmeticMode):
             return (anchor[0] * factor, anchor[1] * factor)
         log_factor = exponent * log_rho
         return (
-            math.exp(anchor[0] + log_factor),
-            math.exp(anchor[1] + log_factor),
+            saturating_exp(anchor[0] + log_factor),
+            saturating_exp(anchor[1] + log_factor),
         )
 
     return term
@@ -184,11 +187,32 @@ def rank1_solution(
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     system = prepare(params, mode, eps_rank)
-    head = rank1_solution_sequence(system, init, min(n, 3), mode, eps_rank)
+    start = initial_state(init, mode)
+    head = list(islice(rank1_states(system, start), min(n, 3) + 1))
     if n <= 3:
         return head[n]
     rho = growth_and_ratio(system, mode, eps_rank).rho
     return _geometric_law(head[2], head[3], rho, mode)(n)
+
+
+def rank1_states(
+    system: System, start: tuple[Number, Number]
+) -> Iterator[tuple[Number, Number]]:
+    """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
+
+    Indices 1 to 3 are direct steps; K, mu and rho are computed on
+    reaching index 4, so a rank-2 System raises BranchError there.
+    """
+    wp = system.params
+    yield start
+    s1 = step(wp, 0, start)
+    yield s1
+    s2 = step(wp, 1, s1)
+    yield s2
+    s3 = step(wp, 2, s2)
+    yield s3
+    rho = growth_and_ratio(system, system.mode, system.eps_rank).rho
+    yield from map(_geometric_law(s2, s3, rho, system.mode), count(4))
 
 
 def rank1_solution_sequence(
@@ -208,16 +232,8 @@ def rank1_solution_sequence(
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     system = prepare(params, mode, eps_rank)
-    wp = system.params
-    out = [initial_state(init, mode)]
-    for i in range(min(n_max, 3)):
-        out.append(step(wp, i, out[-1]))
-    if n_max <= 3:
-        return out
-    rho = growth_and_ratio(system, mode, eps_rank).rho
-    term = _geometric_law(out[2], out[3], rho, mode)
-    out.extend(term(n) for n in range(4, n_max + 1))
-    return out
+    start = initial_state(init, mode)
+    return list(islice(rank1_states(system, start), n_max + 1))
 
 
 def classify_rank1(

@@ -40,7 +40,7 @@ from typing import Iterator, NamedTuple
 from .classification import Classification, Kind, kind_from_sign
 from .core import PeriodicCoefficients, initial_state, step
 from .errors import BranchError, ConvergenceError, DomainError
-from .numeric import ArithmeticMode, Number, exact_sqrt
+from .numeric import ArithmeticMode, Number, exact_sqrt, saturating_exp
 from .transfer import System, TransferMatrix, prepare
 
 DEFAULT_CYCLE_TOL = 1e-11
@@ -129,7 +129,12 @@ def _rank2(
 def _roots(m: TransferMatrix, exact: bool) -> tuple[Number, Number]:
     """Eigenvalues of a positive 2x2 matrix, dominant first."""
     alpha, beta, gamma, delta = m.m11, m.m12, m.m21, m.m22
-    disc = (alpha - delta) ** 2 + 4 * beta * gamma
+    try:
+        disc = (alpha - delta) ** 2 + 4 * beta * gamma
+    except OverflowError:
+        disc = math.inf
+    if disc == math.inf:
+        raise DomainError("the composed matrix's discriminant overflows")
     if exact:
         root = exact_sqrt(Fraction(disc))
         if root is None:
@@ -255,12 +260,17 @@ def _products(
     x[2k] = x[2k-2] * gx_even[k] and likewise for the other three.
     Every factor is a ratio of bounded positive quantities: the
     eigenvalue powers are carried only through t**k with t = l2/l1,
-    |t| < 1, so nothing here can overflow.
+    |t| < 1, so nothing here can overflow, except at k = 0 in float
+    mode, where the factors use the start's ratio x0/y0 itself. They
+    are the step ratios x2/x0, x3/x1, y2/y0 and y3/y1, so when one of
+    them leaves (0, inf) the logs of two direct steps are taken instead.
     """
     t = sd.lambda2 / sd.lambda1
-    c1, c2, c3, c4 = sd.c1, sd.c2, sd.c3, sd.c4
+    l1, c1, c2, c3, c4 = sd.lambda1, sd.c1, sd.c2, sd.c3, sd.c4
+    a0, b0, c0, d0 = wp.at(0)
+    log = math.log
     start = (s0[0], s1[0], s0[1], s1[1])
-    x_e, x_o, y_e, y_o = start if exact else map(math.log, start)
+    x_e, x_o, y_e, y_o = start if exact else map(log, start)
     yield (x_e, x_o, y_e, y_o)
     tk = Fraction(1) if exact else 1.0  # t**k
     # u[2k], v[2k] / lambda1**k; at k = 0 that is (x0, y0) itself, which
@@ -268,24 +278,33 @@ def _products(
     num_u, num_v = s0
     q_cur = num_u / num_v
     s_cur = 1 / q_cur
+    first = not exact
     while True:
         tk *= t
         num_u_prev, num_v_prev, q_prev, s_prev = num_u, num_v, q_cur, s_cur
         num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
         q_cur = num_u / num_v
         s_cur = 1 / q_cur
-        p_cur = sd.lambda1 * num_u / num_v_prev
-        r_cur = sd.lambda1 * num_v / num_u_prev
-        gx_even = p_cur / ((wp.b0 * q_prev + wp.a0) * (wp.d0 * q_prev + wp.c0))
-        gx_odd = (wp.b0 * q_cur + wp.a0) * (wp.d0 * q_prev + wp.c0) / p_cur
-        gy_even = r_cur / ((wp.d0 + wp.c0 * s_prev) * (wp.b0 + wp.a0 * s_prev))
-        gy_odd = (wp.d0 + wp.c0 * s_cur) * (wp.b0 + wp.a0 * s_prev) / r_cur
+        p_cur = l1 * num_u / num_v_prev
+        r_cur = l1 * num_v / num_u_prev
+        dq = d0 * q_prev + c0
+        bs = b0 + a0 * s_prev
+        gx_even = p_cur / ((b0 * q_prev + a0) * dq)
+        gx_odd = (b0 * q_cur + a0) * dq / p_cur
+        gy_even = r_cur / ((d0 + c0 * s_prev) * bs)
+        gy_odd = (d0 + c0 * s_cur) * bs / r_cur
         if exact:
             x_e, x_o = x_e * gx_even, x_o * gx_odd
             y_e, y_o = y_e * gy_even, y_o * gy_odd
+        elif first and not all(
+                0 < g < math.inf for g in (gx_even, gx_odd, gy_even, gy_odd)):
+            s2 = step(wp, 1, s1)
+            s3 = step(wp, 2, s2)
+            x_e, x_o, y_e, y_o = map(log, (s2[0], s3[0], s2[1], s3[1]))
         else:
-            x_e, x_o = x_e + math.log(gx_even), x_o + math.log(gx_odd)
-            y_e, y_o = y_e + math.log(gy_even), y_o + math.log(gy_odd)
+            x_e, x_o = x_e + log(gx_even), x_o + log(gx_odd)
+            y_e, y_o = y_e + log(gy_even), y_o + log(gy_odd)
+        first = False
         yield (x_e, x_o, y_e, y_o)
 
 
@@ -304,21 +323,30 @@ def rank2_solution_sequence(
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     system = prepare(params, mode, eps_rank)
+    start = initial_state(init, mode)
+    return list(islice(rank2_states(system, start), n_max + 1))
+
+
+def rank2_states(
+    system: System, start: tuple[Number, Number]
+) -> Iterator[tuple[Number, Number]]:
+    """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
+
+    The spectral constants are computed on reaching index 1, so a rank-1
+    System raises BranchError there, and an exact one with an irrational
+    eigenvalue gap DomainError.
+    """
     wp = system.params
-    s0 = initial_state(init, mode)
-    out = [s0]
-    if n_max == 0:
-        return out
-    s1 = step(wp, 0, s0)
-    out.append(s1)
-    sd = spectral_constants(system, s0, mode, eps_rank)
-    exact = mode is ArithmeticMode.EXACT_RATIONAL
-    value = (lambda v: v) if exact else math.exp
-    products = _products(wp, sd, s0, s1, exact)
-    for x_e, x_o, y_e, y_o in islice(products, 1, n_max // 2 + 1):
-        out.append((value(x_e), value(y_e)))
-        out.append((value(x_o), value(y_o)))
-    return out[: n_max + 1]
+    yield start
+    s1 = step(wp, 0, start)
+    sd = spectral_constants(system, start, system.mode, system.eps_rank)
+    yield s1
+    exact = system.mode is ArithmeticMode.EXACT_RATIONAL
+    value = (lambda v: v) if exact else saturating_exp
+    products = _products(wp, sd, start, s1, exact)
+    for x_e, x_o, y_e, y_o in islice(products, 1, None):
+        yield (value(x_e), value(y_e))
+        yield (value(x_o), value(y_o))
 
 
 def rank2_solution(
@@ -329,7 +357,11 @@ def rank2_solution(
     eps_rank: float = 1e-12,
 ) -> tuple[Number, Number]:
     """(x[n], y[n]) through the telescoping ratio products."""
-    return rank2_solution_sequence(params, init, n, mode, eps_rank)[n]
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    system = prepare(params, mode, eps_rank)
+    start = initial_state(init, mode)
+    return next(islice(rank2_states(system, start), n, None))
 
 
 def criterion_delta(

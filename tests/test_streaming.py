@@ -1,0 +1,376 @@
+"""Streamed orbits: the closed-form state iterator, the CLI row writer,
+saturation past float range, lopsided starts, and exit codes."""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import random
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
+from itertools import islice
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+import ratsys
+import ratsys.analysis
+import ratsys.core
+from ratsys import (
+    ArithmeticMode,
+    DomainError,
+    PeriodicCoefficients,
+    classify,
+    closed_form_sequence,
+    closed_form_states,
+    compare,
+    format_number,
+    rank1_solution,
+    rank1_solution_sequence,
+    rank2_solution,
+    rank2_solution_sequence,
+    simulate,
+)
+from ratsys.cli import main, render_json
+
+from conftest import RANK1_GROWTH, RANK2_SQUARE, random_float_params, random_rank1_params
+
+NAMES = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
+EXACT = ArithmeticMode.EXACT_RATIONAL
+FLOAT = ArithmeticMode.FLOAT64
+# orbits that leave float range within a few hundred steps
+FAULT_RANK2 = "2,1,4,3,1,2,3,1"
+FAULT_RANK1 = "1,1,1,1,1,1,2,2"
+BALANCED = "1,1,1,2,2,1,1,1"
+RANK1_EDGE = "1,1,1,1,0.5,1.5,0.7,1.3"
+
+
+def coeff_flags(values) -> list[str]:
+    if isinstance(values, str):
+        values = values.split(",")
+    out = []
+    for name, v in zip(NAMES, values):
+        out += [f"--{name}", repr(v) if isinstance(v, float) else str(v)]
+    return out
+
+
+def stdout_of(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+# ------------------------------------------------ reference rendering
+
+
+def table_text(header, rows) -> str:
+    cells = [[format_number(v) if not isinstance(v, str) else v for v in row]
+             for row in rows]
+    widths = [max(len(h), *(len(r[i]) for r in cells))
+              for i, h in enumerate(header)]
+    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
+    lines += ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in cells]
+    return "\n".join(lines) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_number(v) if not isinstance(v, str) else v
+                      for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def points_text(command, mode, states, fmt) -> str:
+    rows = [(n, x, y) for n, (x, y) in enumerate(states)]
+    if fmt == "json":
+        return render_json({
+            "command": command,
+            "mode": mode.value,
+            "n_max": len(states) - 1,
+            "points": [{"n": n, "x": x, "y": y} for n, x, y in rows],
+        })
+    render = csv_text if fmt == "csv" else table_text
+    return render(["n", "x", "y"], rows)
+
+
+def seeded_orbit_cases(seed=2024, count=12):
+    """(coefficients, start, horizon, mode) on both ranks and both modes."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        if i % 4 == 3:
+            p = PeriodicCoefficients(*(Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                                       for _ in range(8)))
+            start = (Fraction(rng.randint(1, 5), rng.randint(1, 5)),
+                     Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+            cases.append((p, start, rng.randint(0, 25), EXACT))
+            continue
+        p = random_rank1_params(rng) if i % 2 else random_float_params(rng)
+        start = (10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3))
+        cases.append((p, start, rng.choice([0, 1, 2, 3, 4, 7, 60, 400]), FLOAT))
+    return cases
+
+
+def start_flags(start) -> list[str]:
+    return ["--x0", str(start[0]) if isinstance(start[0], Fraction) else repr(start[0]),
+            "--y0", str(start[1]) if isinstance(start[1], Fraction) else repr(start[1])]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_simulate_and_closed_render_like_the_reference(fmt):
+    for p, start, n, mode in seeded_orbit_cases():
+        argv = coeff_flags([getattr(p, f) for f in NAMES]) + start_flags(start) + [
+            "-n", str(n), "--mode", mode.value, "--format", fmt]
+        try:
+            orbit = simulate(p, start, n, mode).states
+        except ratsys.TruncationError:
+            orbit = None
+        if orbit is not None:
+            assert stdout_of(["simulate", *argv]) == (
+                0, points_text("simulate", mode, orbit, fmt))
+        try:
+            closed = closed_form_sequence(p, start, n, mode)
+        except DomainError:  # exact rank 2 with an irrational eigenvalue gap
+            assert mode is EXACT
+            continue
+        assert stdout_of(["closed", *argv]) == (
+            0, points_text("closed", mode, closed, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("axes", [
+    ["--axis1", "d1:0.5:2:7"],
+    ["--axis1", "b1:0.1:10:6", "--axis2", "a0:0.5:2:4"],
+])
+def test_sweep_renders_like_the_reference(fmt, axes):
+    base = PeriodicCoefficients(2.0, 1.0, 4.0, 3.0, 1.0, 2.0, 3.0, 1.0)
+    grids = []
+    for name, lo, hi, steps in (a.split(":") for a in axes[1::2]):
+        lo, hi, steps = float(lo), float(hi), int(steps)
+        grids.append((name, [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]))
+    combos = [(v,) for v in grids[0][1]] if len(grids) == 1 else [
+        (v1, v2) for v1 in grids[0][1] for v2 in grids[1][1]]
+    names = [name for name, _ in grids]
+    rows = []
+    for combo in combos:
+        values = {f: getattr(base, f) for f in NAMES} | dict(zip(names, combo))
+        verdict = classify(PeriodicCoefficients(**values), attach_cycle=False)
+        w = verdict.witness
+        k_or_q, rho_or_delta = (w.k, w.rho) if verdict.rank == 1 else (w.q, w.delta)
+        rows.append((*combo, verdict.rank, k_or_q, rho_or_delta, verdict.kind.value))
+    header = names + ["rank", "K_or_Q", "rho_or_delta", "kind"]
+    if fmt == "json":
+        want = render_json({
+            "command": "sweep",
+            "axes": [{"name": n, "values": v} for n, v in grids],
+            "rows": [dict(zip(header, row)) for row in rows],
+        })
+    else:
+        want = (csv_text if fmt == "csv" else table_text)(header, rows)
+    argv = ["sweep", *coeff_flags("2,1,4,3,1,2,3,1"), *axes, "--format", fmt]
+    assert stdout_of(argv) == (0, want)
+
+
+def test_golden_files_still_match():
+    golden = Path(__file__).parent / "golden"
+    code, out = stdout_of(["simulate", "--all-ones", "-n", "4", "--format", "csv"])
+    assert code == 0 and out == (golden / "simulate_all_ones.csv").read_text()
+
+
+# ------------------------------------------------ the state iterator
+
+
+@st.composite
+def systems(draw):
+    rank1 = draw(st.booleans())
+    exact = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if exact:
+        params = RANK1_GROWTH if rank1 else RANK2_SQUARE
+        start = (Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                 Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        return params, start, EXACT, rank1
+    params = random_rank1_params(rng) if rank1 else random_float_params(rng)
+    start = (10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2))
+    return params, start, FLOAT, rank1
+
+
+@given(systems(), st.integers(0, 30))
+def test_state_iterator_equals_the_sequences(case, n_max):
+    params, start, mode, rank1 = case
+    streamed = list(islice(closed_form_states(params, start, mode), n_max + 1))
+    sequence = (rank1_solution_sequence if rank1 else rank2_solution_sequence)
+    point = rank1_solution if rank1 else rank2_solution
+    assert streamed == sequence(params, start, n_max, mode)
+    assert streamed == closed_form_sequence(params, start, n_max, mode)
+    assert streamed[n_max] == point(params, start, n_max, mode)
+
+
+def test_state_iterator_checks_the_start_on_the_call():
+    with pytest.raises(DomainError, match="x0 must be positive"):
+        closed_form_states(RANK2_SQUARE, (-1, 1))
+
+
+def test_sequence_errors_stay_tied_to_the_horizon():
+    # a rank-2 set takes direct steps up to index 3 on the rank-1 path
+    assert len(rank1_solution_sequence(RANK2_SQUARE, (1, 1), 3, EXACT)) == 4
+    with pytest.raises(ratsys.BranchError):
+        rank1_solution_sequence(RANK2_SQUARE, (1, 1), 4, EXACT)
+    # and the rank-2 path needs a rank-2 set from index 1 on
+    assert rank2_solution_sequence(RANK1_GROWTH, (1, 1), 0) == [(1.0, 1.0)]
+    with pytest.raises(ratsys.BranchError):
+        rank2_solution_sequence(RANK1_GROWTH, (1, 1), 1)
+
+
+# ------------------------------------------------ saturation and starts
+
+
+@pytest.mark.parametrize("rank, coeffs", [(2, FAULT_RANK2), (1, FAULT_RANK1)])
+def test_closed_forms_saturate_past_float_range(rank, coeffs):
+    code, out = stdout_of(["closed", *coeff_flags(coeffs), "-n", "10000",
+                           "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 10001
+    cells = {cell for row in rows for cell in row[1:]}
+    assert {"inf", "0"} <= cells and "nan" not in cells
+    params = PeriodicCoefficients(*map(float, coeffs.split(",")))
+    point = rank1_solution if rank == 1 else rank2_solution
+    for n in (6000, 6001, 10000):
+        assert point(params, (1, 1), n) == tuple(map(float, rows[n][1:]))
+
+
+@pytest.mark.parametrize("start", [(1e78, 1e-78), (1e-78, 1e78),
+                                   (1e160, 1e-160), (1e-160, 1e160)])
+def test_rank2_closed_form_from_far_lopsided_starts(start):
+    params = PeriodicCoefficients(2, 1, 4, 3, 1, 2, 3, 1)
+    code, out = stdout_of(["closed", *coeff_flags(FAULT_RANK2), "-n", "3",
+                           *start_flags(start)])
+    assert code == 0 and "nan" not in out
+    report = compare(params, start, 200)
+    assert report.max_rel_error_x < 1e-10 and report.max_rel_error_y < 1e-10
+    assert report.first_divergence_index is None
+
+
+def test_compare_counts_a_nan_error_as_divergence(monkeypatch):
+    real = ratsys.analysis.closed_form_states
+
+    def with_nan(*args):
+        states = real(*args)
+        yield next(states)
+        yield (math.nan, next(states)[1])
+        yield from states
+
+    monkeypatch.setattr(ratsys.analysis, "closed_form_states", with_nan)
+    report = compare(PeriodicCoefficients(2, 1, 4, 3, 1, 2, 3, 1), (1, 1), 5)
+    assert report.first_divergence_index == 1
+
+
+# ------------------------------------------------ cost
+
+
+@pytest.mark.parametrize("coeffs", [FAULT_RANK2, FAULT_RANK1])
+def test_closed_output_memory_stays_small(coeffs, tmp_path):
+    argv = ["closed", *coeff_flags(coeffs), "-n", "10000",
+            "-o", str(tmp_path / "out.txt")]
+    assert main(argv) == 0  # imports and the parser, outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
+def test_float_simulate_makes_no_step_call(monkeypatch):
+    calls = []
+    real = ratsys.core.step
+    monkeypatch.setattr(ratsys.core, "step", lambda *a: calls.append(a) or real(*a))
+    orbit = simulate(PeriodicCoefficients(2, 1, 4, 3, 1, 2, 3, 1), (1, 1), 50)
+    assert len(orbit) == 51 and calls == []
+
+
+def test_step_error_names_the_component():
+    p = PeriodicCoefficients(1, 1, 1, 1, 1, 1, 1, 1)
+    with pytest.raises(DomainError, match=r"^y\[7\] must be finite, got inf$"):
+        ratsys.step(p, 7, (1.0, math.inf))
+    with pytest.raises(DomainError, match=r"^x\[2\] must be positive, got 0$"):
+        ratsys.step(p, 2, (0, 1))
+
+
+# ------------------------------------------------ exit codes
+
+RUN_CALLS = """
+import io, json, os, sys
+from ratsys.cli import main
+codes = []
+sink = open(os.devnull, "w")
+for argv in json.load(sys.stdin):
+    sys.stdout, sys.stderr = sink, io.StringIO()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except BaseException as exc:
+        code = f"{type(exc).__name__}: {exc}"
+    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    codes.append(code)
+json.dump(codes, sys.stdout)
+"""
+
+LOPSIDED = [("1e78", "1e-78"), ("1e-78", "1e78"), ("1e160", "1e-160"),
+            ("1e-160", "1e160"), ("1e300", "1e-300"), ("5e-324", "1"),
+            ("1.7e308", "1")]
+
+
+def exit_code_argvs() -> list[list[str]]:
+    argvs = []
+    for coeffs in (FAULT_RANK2, FAULT_RANK1, BALANCED, RANK1_EDGE):
+        flags = coeff_flags(coeffs)
+        for x0, y0 in [("1", "1")] + LOPSIDED:
+            start = ["--x0", x0, "--y0", y0]
+            longest = 10**5 if (x0, y0) == ("1", "1") else 10**4
+            for n in (0, 1, 2, 3, 4, 5, 100, longest):
+                for cmd in ("simulate", "closed", "compare"):
+                    argvs.append([cmd, *flags, *start, "-n", str(n)])
+            for n in (0, 3, 12):
+                for cmd in ("simulate", "closed", "compare"):
+                    argvs.append([cmd, *flags, *start, "-n", str(n),
+                                  "--mode", "exact", "--format", "csv"])
+            argvs.append(["classify", *flags, *start, "--format", "json"])
+        argvs.append(["sweep", *flags, "--axis1", "d1:0.5:2:9",
+                      "--axis2", "a0:1e-300:1e300:9"])
+    return argvs
+
+
+def test_every_subcommand_exits_with_a_documented_code():
+    argvs = exit_code_argvs()
+    src = str(Path(ratsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CALLS],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout)
+    bad = [(" ".join(a), c) for a, c in zip(argvs, codes) if c not in (0, 2, 3, 4)]
+    assert bad == []
+
+
+def test_float_spectrum_past_float_range_is_a_domain_error():
+    # the discriminant (alpha - delta)**2 overflows although every entry
+    # of the composed matrix is finite
+    params = PeriodicCoefficients(1e200, 1.0, 4.0, 3.0, 1.0, 2.0, 3.0, 1.0)
+    with pytest.raises(DomainError, match="discriminant overflows"):
+        classify(params)
