@@ -73,17 +73,19 @@ def classify(
     depends on where the orbit starts; the cycle values are always
     reported as floats). probe_init is checked on every branch, so a
     non-positive or non-finite probe raises DomainError whether or not a
-    cycle is attached. The coefficients are prepared once and the
-    System is handed to the branch functions.
+    cycle is attached. The coefficients are prepared once per mode, and
+    the Systems are handed to the branch functions: exact mode's float
+    System serves both the witness and the cycle.
     """
     probe_init = initial_state(probe_init, mode)
     system = prepare(params, mode, eps_rank)
     if system.rank == 1:
         return classify_rank1(system, mode, tol_class, eps_rank)
-    verdict = classify_rank2(system, mode, tol_class, eps_rank)
+    floats = prepare(system, ArithmeticMode.FLOAT64, eps_rank)
+    verdict = classify_rank2(system, mode, tol_class, eps_rank, floats)
     if attach_cycle and verdict.kind is Kind.CONVERGES_TO_TWO_PERIODIC:
         cycle = limit_cycle(
-            system,
+            floats,
             probe_init,
             tol=cycle_tol,
             tol_class=tol_class,
@@ -245,7 +247,7 @@ class ComparisonReport:
 
 
 def compare(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     n_max: int,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
@@ -260,11 +262,13 @@ def compare(
     divergence_threshold or is NaN. In exact mode both sides are
     rational and the errors are exactly zero whenever the closed form is
     faithful. The closed-form states are streamed, never held as a list.
+    The coefficients are prepared once for both sides.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    orbit = simulate(params, init, n_max, mode)
-    closed = closed_form_states(params, init, mode, eps_rank)
+    system = prepare(params, mode, eps_rank)
+    orbit = simulate(system, init, n_max, mode)
+    closed = closed_form_states(system, init, mode, eps_rank)
     # relative_gap for the mode, chosen once; every state is positive
     if mode is ArithmeticMode.EXACT_RATIONAL:
         def gap(a, b):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import BitGrowthError, DomainError, TruncationError
 from .numeric import (
@@ -26,6 +26,9 @@ from .numeric import (
     require_positive,
     to_fraction,
 )
+
+if TYPE_CHECKING:
+    from .transfer import System
 
 DEFAULT_BIT_CAP = 1_000_000
 COEFF_NAMES = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
@@ -166,7 +169,7 @@ def _bits(value: Fraction) -> int:
 
 
 def simulate(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     n_max: int,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
@@ -180,9 +183,13 @@ def simulate(
     Exact mode requires rational coefficients and init, and raises
     BitGrowthError if a state's numerator or denominator outgrows bit_cap.
     Each state is checked once, after it is produced; step is not called.
+    params may be a System from transfer.prepare, whose coefficients are
+    used.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
+    if not isinstance(params, PeriodicCoefficients):
+        params = params.params
     exact = mode is ArithmeticMode.EXACT_RATIONAL
     wp = params.as_fractions() if exact else params.as_floats()
     quads = (wp.at(0), wp.at(1))

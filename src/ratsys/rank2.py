@@ -22,8 +22,9 @@ that does not depend on the initial values. The sign of
 decides the trichotomy: negative means even subsequences vanish and odd
 ones blow up, positive the reverse, zero means convergence to a positive
 two-cycle. Per-factor deviations decay geometrically at rate
-|lambda2/lambda1|, which drives both the truncation rule for the infinite
-products and the observed contraction toward the cycle.
+|lambda2/lambda1|, which drives the truncation rule for the infinite
+products, the settle term past which the float closed form extrapolates
+instead of multiplying, and the observed contraction toward the cycle.
 
 Every function takes the coefficients either as PeriodicCoefficients or
 as a System from transfer.prepare, as in the rank-1 module.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator, NamedTuple
 
 from .classification import Classification, Kind, kind_from_sign
@@ -45,6 +46,8 @@ from .transfer import System, TransferMatrix, prepare
 
 DEFAULT_CYCLE_TOL = 1e-11
 DEFAULT_MAX_TERMS = 1_000_000
+
+Quad = tuple[Number, Number, Number, Number]
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,15 +130,16 @@ def _rank2(
 
 
 def _roots(m: TransferMatrix, exact: bool) -> tuple[Number, Number]:
-    """Eigenvalues of a positive 2x2 matrix, dominant first."""
-    alpha, beta, gamma, delta = m.m11, m.m12, m.m21, m.m22
-    try:
-        disc = (alpha - delta) ** 2 + 4 * beta * gamma
-    except OverflowError:
-        disc = math.inf
-    if disc == math.inf:
-        raise DomainError("the composed matrix's discriminant overflows")
+    """Eigenvalues of a positive 2x2 matrix, dominant first.
+
+    Float mode works on the matrix scaled by the power of two that brings
+    its largest entry into [0.5, 1), so the discriminant cannot overflow
+    while every entry is finite; the scaling is exact, and the roots are
+    scaled back.
+    """
     if exact:
+        alpha, beta, gamma, delta = m.entries
+        disc = (alpha - delta) ** 2 + 4 * beta * gamma
         root = exact_sqrt(Fraction(disc))
         if root is None:
             raise DomainError(
@@ -143,11 +147,18 @@ def _roots(m: TransferMatrix, exact: bool) -> tuple[Number, Number]:
                 "exact spectral evaluation is unavailable for these "
                 "coefficients, use float mode"
             )
-    else:
-        root = math.sqrt(disc)
+        trace = alpha + delta
+        half = Fraction(1, 2)
+        return ((trace + root) * half, (trace - root) * half)
+    top = max(m.entries)
+    if top == math.inf:
+        raise DomainError("matrix entries overflow float range")
+    e = math.frexp(top)[1]
+    alpha, beta, gamma, delta = (math.ldexp(v, -e) for v in m.entries)
+    root = math.sqrt((alpha - delta) ** 2 + 4 * beta * gamma)
     trace = alpha + delta
-    half = Fraction(1, 2) if exact else 0.5
-    return ((trace + root) * half, (trace - root) * half)
+    return (math.ldexp((trace + root) * 0.5, e),
+            math.ldexp((trace - root) * 0.5, e))
 
 
 def eigenvalues(
@@ -249,21 +260,28 @@ def rank2_uv(
 def _products(
     wp: PeriodicCoefficients,
     sd: SpectralData,
+    seed: tuple[Number, Number],
     s0: tuple[Number, Number],
     s1: tuple[Number, Number],
     exact: bool,
-) -> Iterator[tuple[Number, Number, Number, Number]]:
-    """Running (x[2k], x[2k+1], y[2k], y[2k+1]) for k = 0, 1, 2, ...
+) -> Iterator[tuple[Quad, Quad | None]]:
+    """Running (x[2k], x[2k+1], y[2k], y[2k+1]) and their factors, k >= 0.
 
     Exact mode yields the products themselves, float mode their natural
     logs. Each step multiplies in one factor per product,
-    x[2k] = x[2k-2] * gx_even[k] and likewise for the other three.
-    Every factor is a ratio of bounded positive quantities: the
-    eigenvalue powers are carried only through t**k with t = l2/l1,
-    |t| < 1, so nothing here can overflow, except at k = 0 in float
-    mode, where the factors use the start's ratio x0/y0 itself. They
-    are the step ratios x2/x0, x3/x1, y2/y0 and y3/y1, so when one of
-    them leaves (0, inf) the logs of two direct steps are taken instead.
+    x[2k] = x[2k-2] * gx_even[k] and likewise for the other three, and
+    yields those four factors (their logs in float mode) next to the
+    products; at k = 0 the factors are None. Every factor is a ratio of
+    bounded positive quantities: the eigenvalue powers are carried only
+    through t**k with t = l2/l1, |t| < 1, so nothing here can overflow,
+    except at k = 0 in float mode, where the factors use the start's
+    ratio x0/y0 itself. They are the step ratios x2/x0, x3/x1, y2/y0 and
+    y3/y1, so when one of them leaves (0, inf) the logs of two direct
+    steps are taken instead, and the factors are the differences of the
+    logs. seed is the start the constants in sd were computed from:
+    (x0, y0), or that times a power of two (see _scaled). Each term costs
+    the same, so running to term k costs k factors; rank2_solution stops
+    at the settle term of _float_terms instead of at n/2.
     """
     t = sd.lambda2 / sd.lambda1
     l1, c1, c2, c3, c4 = sd.lambda1, sd.c1, sd.c2, sd.c3, sd.c4
@@ -271,11 +289,11 @@ def _products(
     log = math.log
     start = (s0[0], s1[0], s0[1], s1[1])
     x_e, x_o, y_e, y_o = start if exact else map(log, start)
-    yield (x_e, x_o, y_e, y_o)
+    yield (x_e, x_o, y_e, y_o), None
     tk = Fraction(1) if exact else 1.0  # t**k
-    # u[2k], v[2k] / lambda1**k; at k = 0 that is (x0, y0) itself, which
+    # u[2k], v[2k] / lambda1**k; at k = 0 that is the seed itself, which
     # c1 - c2 and c3 - c4 lose to cancellation when x0/y0 is lopsided
-    num_u, num_v = s0
+    num_u, num_v = seed
     q_cur = num_u / num_v
     s_cur = 1 / q_cur
     first = not exact
@@ -294,18 +312,138 @@ def _products(
         gy_even = r_cur / ((d0 + c0 * s_prev) * bs)
         gy_odd = (d0 + c0 * s_cur) * bs / r_cur
         if exact:
+            factors = (gx_even, gx_odd, gy_even, gy_odd)
             x_e, x_o = x_e * gx_even, x_o * gx_odd
             y_e, y_o = y_e * gy_even, y_o * gy_odd
         elif first and not all(
                 0 < g < math.inf for g in (gx_even, gx_odd, gy_even, gy_odd)):
             s2 = step(wp, 1, s1)
             s3 = step(wp, 2, s2)
-            x_e, x_o, y_e, y_o = map(log, (s2[0], s3[0], s2[1], s3[1]))
+            logs = tuple(map(log, (s2[0], s3[0], s2[1], s3[1])))
+            factors = (logs[0] - x_e, logs[1] - x_o, logs[2] - y_e, logs[3] - y_o)
+            x_e, x_o, y_e, y_o = logs
         else:
-            x_e, x_o = x_e + log(gx_even), x_o + log(gx_odd)
-            y_e, y_o = y_e + log(gy_even), y_o + log(gy_odd)
+            factors = fxe, fxo, fye, fyo = (
+                log(gx_even), log(gx_odd), log(gy_even), log(gy_odd))
+            x_e, x_o = x_e + fxe, x_o + fxo
+            y_e, y_o = y_e + fye, y_o + fyo
         first = False
-        yield (x_e, x_o, y_e, y_o)
+        yield (x_e, x_o, y_e, y_o), factors
+
+
+def _scaled(start: tuple[float, float]) -> tuple[float, float]:
+    """A float start times the power of two nearest its geometric mean's
+    inverse: exact, and it keeps the expansion constants in float range
+    for starts near the ends of it. Starts within a factor of two or so
+    of 1 are returned unchanged."""
+    e = (math.frexp(start[0])[1] + math.frexp(start[1])[1]) // 2
+    return (math.ldexp(start[0], -e), math.ldexp(start[1], -e))
+
+
+_EPS = 2.0 ** -52
+# The rounding of a float log factor, relative to its size (at least 1):
+# the settle waits for the factors to change by less than this. Their
+# limit also inherits the rounding of lambda1 - alpha, which cancels
+# when lambda1 is close to alpha, so the error bound scales it by
+# lambda1/(lambda1 - alpha).
+_ROUNDING = 16 * _EPS
+# The settle comes at this term at the earliest, so that every index
+# below 42, the horizons the golden outputs pin digit for digit, is the
+# running sum itself.
+_MIN_SETTLE_TERM = 20
+
+
+class _Settled(NamedTuple):
+    """Where the float log factors stop changing, and the tail after it.
+
+    Past term k the logs of the four products are logs + (m - k)*factors,
+    one multiply-add each. base bounds the error of logs in log, the
+    rounding of every earlier term and the factors' remaining tail
+    included; slope is what each later term adds to it.
+    """
+
+    term: int
+    logs: Quad
+    factors: Quad
+    base: float
+    slope: float
+
+    def logs_at(self, m: int) -> Quad:
+        """The four logs at term m >= term."""
+        j = m - self.term
+        return tuple(v + j * f for v, f in zip(self.logs, self.factors))
+
+    def error_bound(self, m: int) -> float:
+        """Bound on the error in log of every component of logs_at(m)."""
+        return (self.base + (m - self.term) * self.slope
+                + _EPS * max(map(abs, self.logs_at(m))))
+
+
+def _balanced(wp: PeriodicCoefficients, eps_rank: float) -> bool:
+    """True when delta is exactly 0 for the binary values of the floats."""
+    exact = prepare(
+        PeriodicCoefficients(*map(Fraction, wp.at(0) + wp.at(1))),
+        ArithmeticMode.EXACT_RATIONAL, eps_rank)
+    return exact.rank == 2 and delta_sign_exact(exact, eps_rank) == 0
+
+
+def _float_terms(
+    system: System, start: tuple[float, float], s1: tuple[float, float]
+) -> Iterator[tuple[Quad, _Settled | None]]:
+    """Float logs (x[2k], x[2k+1], y[2k], y[2k+1]) up to the settle term.
+
+    Yields (logs, None) for k = 0, 1, ... and (logs, settle) at the
+    settle term k, then stops. The settle watches the log factors of
+    _products. With r = |lambda2/lambda1| they approach their limits
+    geometrically, so the change from one term to the next, times
+    r/(1 - r), estimates how far a factor still is from its limit;
+    drift keeps the largest such estimate, shrunk by r per term, so that
+    a change that rounds to 0 early settles nothing. k is the first
+    term from _MIN_SETTLE_TERM on where change plus drift, at least the
+    change times 1 + r/(1 - r), is down to the factors' rounding. k
+    depends on r and the start, never on a horizon: about
+    log(rounding)/log(r) terms, so 20 on typical sets, some 400 at
+    r = 0.9 and 4,000 at r = 0.99. If r rounds to 1 the factors never
+    settle and the iterator does not stop.
+
+    Factors settled within rounding of 0 belong to a set on the
+    convergence boundary. If delta_sign_exact finds delta exactly 0 for
+    the coefficients' binary values, their limit is exactly 0 and they
+    are snapped to it, so the orbit does not drift off its cycle.
+
+    The spectral constants are computed on the first term; a rank-1
+    System raises BranchError there.
+    """
+    system = _rank2(system, system.mode, system.eps_rank)
+    wp = system.params
+    seed = _scaled(start)
+    sd = _expansion(system, _criterion(system), seed)
+    r = abs(sd.lambda2 / sd.lambda1)
+    tail = r / (1.0 - r) if r < 1.0 else math.inf
+    drift = 0.0 if r < 1.0 else math.inf
+    products = _products(wp, sd, seed, start, s1, exact=False)
+    yield next(products)[0], None
+    logs, (pxe, pxo, pye, pyo) = next(products)
+    yield logs, None
+    for k, (logs, factors) in enumerate(products, 2):
+        fxe, fxo, fye, fyo = factors
+        change = max(abs(fxe - pxe), abs(fxo - pxo),
+                     abs(fye - pye), abs(fyo - pyo))
+        drift *= r
+        if change * tail > drift:
+            drift = change * tail
+        if (k >= _MIN_SETTLE_TERM
+                and change + drift <= _ROUNDING * max(1.0, abs(fxe))):
+            break
+        yield logs, None
+        pxe, pxo, pye, pyo = factors
+    rounding = (_ROUNDING * max(1.0, abs(fxe))
+                * sd.lambda1 / abs(sd.lambda1 - system.matrix.m11))
+    base = k * (rounding + _EPS * max(map(abs, logs))) + drift * tail
+    slope = rounding + drift
+    if max(map(abs, factors)) <= rounding and _balanced(wp, system.eps_rank):
+        factors, slope = (0.0, 0.0, 0.0, 0.0), 0.0
+    yield logs, _Settled(k, logs, factors, base, slope)
 
 
 def rank2_solution_sequence(
@@ -315,10 +453,11 @@ def rank2_solution_sequence(
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> list[tuple[Number, Number]]:
-    """Closed-form states for n = 0 .. n_max, one bounded factor per step.
+    """Closed-form states for n = 0 .. n_max, as rank2_states yields them.
 
-    Float mode accumulates the products in log space and exponentiates
-    per index; values beyond float range saturate to inf or 0.0.
+    Float mode accumulates the products in log space up to the settle
+    term and takes one multiply-add per component after it; values
+    beyond float range saturate to inf or 0.0.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -332,6 +471,14 @@ def rank2_states(
 ) -> Iterator[tuple[Number, Number]]:
     """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
 
+    Exact mode multiplies in one ratio factor per product and two-step.
+    Float mode adds their logs up to the settle term k of _float_terms
+    (20 terms on typical sets, more as r = |lambda2/lambda1| nears 1,
+    independent of n); past it each log is the log at term k
+    plus (m - k) times the settled factor, one multiply-add and one
+    saturating_exp per component. Every index before 2k + 2 is the
+    running sum itself.
+
     The spectral constants are computed on reaching index 1, so a rank-1
     System raises BranchError there, and an exact one with an irrational
     eigenvalue gap DomainError.
@@ -339,14 +486,25 @@ def rank2_states(
     wp = system.params
     yield start
     s1 = step(wp, 0, start)
-    sd = spectral_constants(system, start, system.mode, system.eps_rank)
+    if system.mode is ArithmeticMode.EXACT_RATIONAL:
+        sd = spectral_constants(system, start, system.mode, system.eps_rank)
+        yield s1
+        products = _products(wp, sd, start, start, s1, exact=True)
+        for (x_e, x_o, y_e, y_o), _ in islice(products, 1, None):
+            yield (x_e, y_e)
+            yield (x_o, y_o)
+    # float mode; the exact products above never end
+    terms = _float_terms(system, start, s1)
+    next(terms)
     yield s1
-    exact = system.mode is ArithmeticMode.EXACT_RATIONAL
-    value = (lambda v: v) if exact else saturating_exp
-    products = _products(wp, sd, start, s1, exact)
-    for x_e, x_o, y_e, y_o in islice(products, 1, None):
-        yield (value(x_e), value(y_e))
-        yield (value(x_o), value(y_o))
+    exp = saturating_exp
+    for (x_e, x_o, y_e, y_o), settled in terms:
+        yield (exp(x_e), exp(y_e))
+        yield (exp(x_o), exp(y_o))
+    (lxe, lxo, lye, lyo), (fxe, fxo, fye, fyo) = settled.logs, settled.factors
+    for j in count(1):
+        yield (exp(lxe + j * fxe), exp(lye + j * fye))
+        yield (exp(lxo + j * fxo), exp(lyo + j * fyo))
 
 
 def rank2_solution(
@@ -356,12 +514,36 @@ def rank2_solution(
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> tuple[Number, Number]:
-    """(x[n], y[n]) through the telescoping ratio products."""
+    """(x[n], y[n]) through the telescoping ratio products.
+
+    Float mode runs the factors only to the settle term k of
+    _float_terms and jumps from there straight to index n, so a query
+    costs a number of terms set by r = |lambda2/lambda1| and the start
+    (20 on typical sets, some 4,000 at r = 0.99), not by n; before
+    index 2k + 2 it costs n/2 terms. The value is the n-th state of
+    rank2_states, bit for bit. Exact mode multiplies in all n/2 terms.
+    """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
-    return next(islice(rank2_states(system, start), n, None))
+    if mode is ArithmeticMode.EXACT_RATIONAL or n < 2:
+        return next(islice(rank2_states(system, start), n, None))
+    m, odd = divmod(n, 2)
+    logs, _ = _logs_at(system, start, m)
+    return (saturating_exp(logs[odd]), saturating_exp(logs[2 + odd]))
+
+
+def _logs_at(
+    system: System, start: tuple[float, float], m: int
+) -> tuple[Quad, _Settled | None]:
+    """The float logs at term m >= 1, and the settle if it came first."""
+    terms = _float_terms(system, start, step(system.params, 0, start))
+    for k, (logs, settled) in enumerate(terms):
+        if settled is not None:
+            return settled.logs_at(m), settled
+        if k == m:
+            return logs, None
 
 
 def criterion_delta(
@@ -414,16 +596,19 @@ def classify_rank2(
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     tol_class: float = 1e-9,
     eps_rank: float = 1e-12,
+    floats: System | None = None,
 ) -> Classification:
     """Trichotomy by the sign of delta_crit.
 
     Float mode calls the case convergent when |delta_crit| is within
     tol_class times the positive scale (b0*Q + a0)*(d0*Q + c0). Exact
     mode decides the sign exactly. The witness always reports float
-    approximations of the spectral quantities.
+    approximations of the spectral quantities, from floats when the
+    caller has already prepared the float System of these coefficients.
     """
     system = _rank2(params, mode, eps_rank)
-    floats = prepare(system, ArithmeticMode.FLOAT64, eps_rank)
+    if floats is None:
+        floats = prepare(system, ArithmeticMode.FLOAT64, eps_rank)
     l1, l2, q, scale, delta = _criterion(floats)
     value, band = delta, tol_class * scale
     if mode is ArithmeticMode.EXACT_RATIONAL:
@@ -465,12 +650,13 @@ def limit_cycle(
     wp = system.params
     s0 = initial_state(init, ArithmeticMode.FLOAT64)
     s1 = step(wp, 0, s0)
-    sd = _expansion(system, criterion, s0)
+    seed = _scaled(s0)
+    sd = _expansion(system, criterion, seed)
     r = abs(sd.lambda2 / sd.lambda1)
     tail = r / (1.0 - r)
-    products = _products(wp, sd, s0, s1, exact=False)
-    p_xe, p_xo, p_ye, p_yo = next(products)
-    for x_e, x_o, y_e, y_o in islice(products, max_terms):
+    products = _products(wp, sd, seed, s0, s1, exact=False)
+    p_xe, p_xo, p_ye, p_yo = next(products)[0]
+    for (x_e, x_o, y_e, y_o), _ in islice(products, max_terms):
         worst = max(abs(x_e - p_xe), abs(x_o - p_xo),
                     abs(y_e - p_ye), abs(y_o - p_yo))
         if worst < tol and worst * tail < tol:

@@ -5,6 +5,7 @@ well-understood examples; the generator helpers produce reproducible
 random instances from a caller-supplied random.Random.
 """
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -115,6 +116,27 @@ def find_balanced(rng, r_lo=1e-3, r_hi=0.9):
         r = abs(l2 / l1)
         if r_lo <= r <= r_hi:
             return params, r
+
+
+def decimal_log_orbit(params, init, indices):
+    """{n: (log x[n], log y[n])} by direct iteration in 34-digit decimal.
+
+    The test suite's reference for float closed forms at long horizons.
+    Coefficients and start enter as the exact values of their floats, so
+    it iterates the very system the float code does; the exponent range
+    reaches 10**18, so no orbit of interest leaves it. About 4 us a step.
+    """
+    ctx = decimal.Context(prec=34, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    quads = [tuple(decimal.Decimal(float(v)) for v in params.at(i)) for i in (0, 1)]
+    x, y = (decimal.Decimal(float(v)) for v in init)
+    wanted, out = set(indices), {}
+    for n in range(max(indices) + 1):
+        if n in wanted:
+            out[n] = (float(x.ln(ctx)), float(y.ln(ctx)))
+        a, b, c, d = quads[n & 1]
+        x, y = (ctx.add(ctx.divide(a, x), ctx.divide(b, y)),
+                ctx.add(ctx.divide(c, x), ctx.divide(d, y)))
+    return out
 
 
 @pytest.fixture

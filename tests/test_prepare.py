@@ -19,8 +19,10 @@ from ratsys import (
     classify,
     classify_rank1,
     classify_rank2,
+    compare,
     limit_cycle,
     prepare,
+    simulate,
 )
 from ratsys.cli import main
 
@@ -206,3 +208,37 @@ def test_branch_functions_take_a_system():
             system = prepare(params, mode)
             assert isinstance(system, System)
             assert classify(system, mode) == classify(params, mode)
+
+
+def test_exact_convergent_classify_builds_each_matrix_once(monkeypatch):
+    matrices = count_calls(monkeypatch, ratsys.transfer.composed_matrix)
+    verdict = classify(RANK2_BALANCED, EXACT,
+                       probe_init=(Fraction(3, 2), Fraction(1, 2)))
+    assert verdict.cycle is not None
+    # once exact, once float; the float System serves witness and cycle
+    assert len(matrices) == 2
+    assert sorted(type(args[0].a0).__name__ for args in matrices) == [
+        "Fraction", "float"]
+
+
+def outcome(fn, *args):
+    """fn's result, or its error as (type, message)."""
+    try:
+        return fn(*args)
+    except DomainError as e:  # exact closed forms of irrational spectra
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_simulate_and_compare_take_a_system(mode):
+    init = (Fraction(3, 2), Fraction(1, 2)) if mode is EXACT else (1.5, 0.5)
+    for params in KNOWN:
+        system = prepare(params, mode)
+        assert simulate(system, init, 12, mode) == simulate(params, init, 12, mode)
+        assert outcome(compare, system, init, 12, mode) == (
+            outcome(compare, params, init, 12, mode))
+    # an exact System gives its coefficients to float mode, not the reverse
+    assert simulate(prepare(RANK2_SQUARE, EXACT), init, 12, FLOAT) == (
+        simulate(RANK2_SQUARE, init, 12, FLOAT))
+    with pytest.raises(DomainError):
+        simulate(prepare(RANK2_SQUARE, FLOAT), init, 12, EXACT)

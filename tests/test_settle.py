@@ -1,0 +1,169 @@
+"""The settled float rank-2 closed form: point queries whose cost does not
+grow with n, checked against a 34-digit decimal iteration."""
+
+import math
+import random
+import time
+from itertools import islice
+
+import pytest
+
+import ratsys.rank2
+from ratsys import (
+    PeriodicCoefficients,
+    eigenvalues,
+    limit_cycle,
+    prepare,
+    rank2_solution,
+    rank2_solution_sequence,
+)
+from ratsys.core import step
+from ratsys.numeric import saturating_exp
+from ratsys.rank2 import _balanced, _logs_at, _products, rank2_states
+
+from conftest import (
+    RANK2_BALANCED,
+    RANK2_GENERIC,
+    decimal_log_orbit,
+    log_uniform,
+    random_float_params,
+)
+
+
+def with_ratio(r, negative, tweak=1.5):
+    """Coefficients whose composed matrix has |lambda2/lambda1| = r.
+
+    (t, 1, 1, t, t, 1, 1, t) composes to ((1 + t*t, 2t), (2t, 1 + t*t)),
+    with r = ((1 - t)/(1 + t))**2 and lambda2 > 0; (1, t, t, 1, t, 1, 1, t)
+    gives the same r with lambda2 < 0. a0 is scaled by tweak, so that delta
+    is not 0, and t is bisected until r is hit.
+    """
+    def make(t):
+        v = (tweak, t, t, 1, t, 1, 1, t) if negative else (tweak * t, 1, 1, t, t, 1, 1, t)
+        return PeriodicCoefficients(*map(float, v))
+
+    lo, hi = 0.0, 1.0  # r falls as t rises
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        l1, l2 = eigenvalues(make(mid))
+        lo, hi = (mid, hi) if abs(l2 / l1) > r else (lo, mid)
+    params = make(0.5 * (lo + hi))
+    l1, l2 = eigenvalues(params)
+    assert (l2 < 0) == negative and abs(l2 / l1) == pytest.approx(r, rel=1e-6)
+    return params
+
+
+def seeded_mix():
+    """(params, start): the generic set, seeded random sets, and one set of
+    each sign of lambda2 whose factors settle after some 40 terms."""
+    rng = random.Random(2027)
+    cases = [(RANK2_GENERIC.as_floats(), (1.0, 1.0))]
+    while len(cases) < 3:
+        params = random_float_params(rng)
+        if prepare(params).rank == 2:
+            cases.append((params, (log_uniform(rng, 0.5, 2), log_uniform(rng, 0.5, 2))))
+    cases += [(with_ratio(0.4, False), (1.5, 0.5)), (with_ratio(0.4, True), (0.7, 2.0))]
+    return cases
+
+
+HORIZONS = (10**3, 10**4, 10**5)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_logs_agree_with_the_decimal_oracle_within_the_settle_bound(case):
+    params, start = seeded_mix()[case]
+    oracle = decimal_log_orbit(params, start, HORIZONS)
+    for n in HORIZONS:
+        m, odd = divmod(n, 2)
+        logs, settled = _logs_at(prepare(params), start, m)
+        assert settled is not None and settled.term < m
+        bound = settled.error_bound(m)
+        want_x, want_y = oracle[n]
+        assert abs(logs[odd] - want_x) <= bound
+        assert abs(logs[2 + odd] - want_y) <= bound
+        assert bound < 1e-7  # loose where lambda1 - alpha cancels, not vacuous
+        # the point query returns exactly these logs, exponentiated
+        assert rank2_solution(params, start, n) == (
+            saturating_exp(logs[odd]), saturating_exp(logs[2 + odd]))
+
+
+def test_generic_set_at_1e5_is_far_closer_than_the_running_sum():
+    params, start, n = RANK2_GENERIC.as_floats(), (1.0, 1.0), 10**5
+    m = n // 2
+    want = decimal_log_orbit(params, start, [n])[n][0]
+    settled_x = _logs_at(prepare(params), start, m)[0][0]
+    # the running sum over every factor, as the closed form was evaluated
+    # before the settle
+    system = prepare(params)
+    seed = ratsys.rank2._scaled(start)
+    sd = ratsys.rank2._expansion(system, ratsys.rank2._criterion(system), seed)
+    s1 = step(params, 0, start)
+    products = _products(params, sd, seed, start, s1, exact=False)
+    summed_x = next(islice(products, m, None))[0][0]
+    assert abs(summed_x - want) > 1e-9  # the running sum's n**2 rounding
+    assert abs(settled_x - want) * 100 <= abs(summed_x - want)
+    assert abs(settled_x - want) < 8.5e-11
+
+
+@pytest.mark.parametrize("negative", [False, True])
+def test_stream_equals_point_queries_across_the_settle(negative):
+    params, start = with_ratio(0.3, negative), (1.3, 0.8)
+    _, settled = _logs_at(prepare(params), start, 10**6)
+    assert 0 < 2 * settled.term < 5000
+    stream = list(islice(rank2_states(prepare(params), start), 5001))
+    assert stream == [rank2_solution(params, start, n) for n in range(5001)]
+    assert stream == rank2_solution_sequence(params, start, 5000)
+
+
+@pytest.mark.parametrize("negative", [False, True])
+@pytest.mark.parametrize("r", [0.01, 0.1, 0.5, 0.9, 0.99])
+def test_factors_drawn_do_not_grow_with_n(monkeypatch, r, negative):
+    params = with_ratio(r, negative)
+    drawn = []
+
+    def counting(*args, **kwargs):
+        for item in _products(*args, **kwargs):
+            drawn.append(None)
+            yield item
+
+    monkeypatch.setattr(ratsys.rank2, "_products", counting)
+    counts = []
+    for n in (10**4, 10**9):
+        drawn.clear()
+        x, y = rank2_solution(params, (1.5, 0.5), n)
+        assert not (math.isnan(x) or math.isnan(y))
+        counts.append(len(drawn))
+    assert counts[0] == counts[1] < 10**4 // 2
+
+
+def test_balanced_set_holds_its_cycle_at_1e9():
+    params, start = RANK2_BALANCED, (1.5, 0.5)
+    _, settled = _logs_at(prepare(params), start, 10**9)
+    assert settled.factors == (0.0, 0.0, 0.0, 0.0) and settled.slope == 0.0
+    cycle = limit_cycle(params, start)
+    x_even, y_even = rank2_solution(params, start, 10**9)
+    x_odd, y_odd = rank2_solution(params, start, 10**9 + 1)
+    for got, want in ((x_even, cycle.x_even), (y_even, cycle.y_even),
+                      (x_odd, cycle.x_odd), (y_odd, cycle.y_odd)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    # the snapped tail does not move
+    assert rank2_solution(params, start, 10**3) == (x_even, y_even)
+
+
+def test_nearly_balanced_float_set_is_not_snapped(balanced_instance):
+    # bisected to the float boundary: delta is tiny, but not exactly 0
+    params = balanced_instance[0]
+    assert not _balanced(params, 1e-12)
+    _, settled = _logs_at(prepare(params), (1.5, 0.5), 10**6)
+    assert settled.factors != (0.0, 0.0, 0.0, 0.0)
+
+
+def test_point_query_at_1e9_takes_under_a_millisecond():
+    params = RANK2_GENERIC.as_floats()
+    rank2_solution(params, (1.0, 1.0), 10**9)
+    best = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        rank2_solution(params, (1.0, 1.0), 10**9)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 1e-3

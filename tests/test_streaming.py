@@ -368,9 +368,64 @@ def test_every_subcommand_exits_with_a_documented_code():
     assert bad == []
 
 
-def test_float_spectrum_past_float_range_is_a_domain_error():
-    # the discriminant (alpha - delta)**2 overflows although every entry
-    # of the composed matrix is finite
+def test_float_spectrum_of_entries_past_1e154_classifies():
+    # the discriminant (alpha - delta)**2 would overflow although every
+    # entry of the composed matrix is finite; the roots are taken on the
+    # matrix scaled by a power of two
+    for a0 in ("1e200", "1e300"):
+        argv = ["classify", *coeff_flags([a0, 1, 4, 3, 1, 2, 3, 1])]
+        code, out = stdout_of(argv)
+        assert code == 0 and "kind: VanishEvenBlowOdd" in out
     params = PeriodicCoefficients(1e200, 1.0, 4.0, 3.0, 1.0, 2.0, 3.0, 1.0)
-    with pytest.raises(DomainError, match="discriminant overflows"):
-        classify(params)
+    l1, l2 = ratsys.eigenvalues(params)
+    assert l1 == pytest.approx(1e200, rel=1e-12)
+
+
+def test_matrix_entries_past_float_range_are_a_domain_error(capsys):
+    argv = ["classify", *coeff_flags(["1e308", 1, 4, 3, 1, 2, 3, 1])]
+    assert main(argv) == 3
+    assert "matrix entries overflow float range" in capsys.readouterr().err
+
+
+def test_scaled_roots_are_bit_identical_within_range():
+    rng = random.Random(99)
+    for _ in range(200):
+        params = random_float_params(rng)
+        if ratsys.prepare(params).rank != 2:
+            continue
+        m = ratsys.prepare(params).matrix
+        root = math.sqrt((m.m11 - m.m22) ** 2 + 4 * m.m12 * m.m21)
+        trace = m.m11 + m.m22
+        assert ratsys.eigenvalues(params) == ((trace + root) * 0.5,
+                                              (trace - root) * 0.5)
+
+
+def test_rank2_closed_form_from_a_start_near_the_top_of_float_range():
+    start = ["--x0", "1.7e308", "--y0", "1"]
+    code, closed = stdout_of(["closed", *coeff_flags(BALANCED), *start,
+                              "-n", "40", "--format", "csv"])
+    assert code == 0 and "nan" not in closed
+    code, simulated = stdout_of(["simulate", *coeff_flags(BALANCED), *start,
+                                 "-n", "40", "--format", "csv"])
+    assert code == 0
+    rows = zip(csv.reader(io.StringIO(closed)), csv.reader(io.StringIO(simulated)))
+    next(rows)
+    for got, want in rows:
+        for a, b in zip(map(float, got[1:]), map(float, want[1:])):
+            assert a == pytest.approx(b, rel=1e-12)
+    params = PeriodicCoefficients(*map(float, BALANCED.split(",")))
+    report = compare(params, (1.7e308, 1.0), 200)
+    assert report.first_divergence_index is None
+
+
+def test_classify_from_a_start_near_the_top_of_float_range():
+    code, out = stdout_of(["classify", *coeff_flags(BALANCED),
+                           "--x0", "1.7e308", "--y0", "1"])
+    assert code == 0 and "nan" not in out
+    params = PeriodicCoefficients(*map(float, BALANCED.split(",")))
+    cycle = classify(params, probe_init=(1.7e308, 1.0)).cycle
+    assert cycle.residual < 1e-12
+    # two steps from (1.7e308, 1) the orbit is at (2.5, 1.5), so it has
+    # the cycle of that start
+    near = classify(params, probe_init=(2.5, 1.5)).cycle
+    assert cycle.x_even == pytest.approx(near.x_even, rel=1e-9)
