@@ -13,15 +13,21 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import count, islice
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .classification import Classification, Kind
+from .classification import Classification, Kind, kind_from_sign
 from .core import Orbit, PeriodicCoefficients, initial_state, simulate
 from .errors import DomainError
 from .numeric import ArithmeticMode, Number, relative_gap
-from .rank1 import classify_rank1, rank1_states
-from .rank2 import classify_rank2, limit_cycle, rank2_states
-from .transfer import System, prepare
+from .rank1 import classify_rank1, growth_terms, rank1_states
+from .rank2 import (
+    classify_rank2,
+    criterion_terms,
+    float_roots,
+    limit_cycle,
+    rank2_states,
+)
+from .transfer import System, composed_entries, float_rank, prepare
 
 
 def closed_form_states(
@@ -93,6 +99,32 @@ def classify(
         )
         verdict = replace(verdict, cycle=cycle)
     return verdict
+
+
+def float_verdict(
+    values: Sequence[float], eps_rank: float = 1e-12, tol_class: float = 1e-9
+) -> tuple[int, float, float, Kind]:
+    """(rank, K or Q, rho or delta, kind) of eight float coefficients.
+
+    values are a0, b0, c0, d0, a1, b1, c1, d1, already checked finite
+    and positive. The formulas are the ones classify reaches through its
+    branch functions, composed_entries, float_rank, growth_terms,
+    float_roots and criterion_terms, so the numbers and the kind equal
+    those of classify(..., attach_cycle=False) bit for bit; no
+    coefficient set, matrix, System or witness is built. Raises
+    DomainError when the composed matrix leaves float range and
+    BranchError when the rank-1 row ratios disagree.
+    """
+    m = composed_entries(*values)
+    even = values[:4]
+    if float_rank(*m, eps_rank) == 1:
+        k, _, rho = growth_terms(*m, *even)
+        return 1, k, rho, kind_from_sign(rho - 1, tol_class,
+                                         Kind.EXACT_TWO_PERIODIC)
+    l1, _ = float_roots(*m)
+    q, scale, delta = criterion_terms(l1, *m, *even)
+    return 2, q, delta, kind_from_sign(delta, tol_class * scale,
+                                       Kind.CONVERGES_TO_TWO_PERIODIC)
 
 
 class PeriodStatus(Enum):
@@ -272,7 +304,7 @@ def compare(
     # relative_gap for the mode, chosen once; every state is positive
     if mode is ArithmeticMode.EXACT_RATIONAL:
         def gap(a, b):
-            return float(abs(a - b) / a)
+            return 0.0 if a == b else float(abs(a - b) / a)
     else:
         def gap(a, b):
             return abs(a - b) / a

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .analysis import classify, closed_form_states, compare
+from .analysis import classify, closed_form_states, compare, float_verdict
 from .classification import Classification
 from .core import COEFF_NAMES, PeriodicCoefficients, simulate
 from .errors import (
@@ -366,35 +366,40 @@ def _parse_axis(raw: str, parser):
 
 
 def _cmd_sweep(args, parser) -> _Rows:
+    """Classify every cell of the grid, one row per cell.
+
+    The base coefficients are checked once. A cell is checked and
+    classified with no per-cell objects: its swept values are written
+    into one list of the eight coefficients, tested against (0, inf),
+    and handed to float_verdict, which shares its formulas with
+    classify. A value outside the range builds the cell's
+    PeriodicCoefficients, which raises the DomainError naming it.
+    """
     axes = [_parse_axis(args.axis1, parser)]
     if args.axis2:
         axes.append(_parse_axis(args.axis2, parser))
         if axes[0][0] == axes[1][0]:
             parser.error(f"axis1 and axis2 both sweep {axes[0][0]!r}")
-    args._axis_names = tuple(name for name, _ in axes)
+    args._axis_names = axis_names = tuple(name for name, _ in axes)
     base = _coefficients(args, parser, ArithmeticMode.FLOAT64)
-    base_values = {name: getattr(base, name) for name in COEFF_NAMES}
-    axis_names = tuple(name for name, _ in axes)
+    cell = [*base.at(0), *base.at(1)]
+    slots = [COEFF_NAMES.index(name) for name in axis_names]
     combos = (
         [(v1,) for v1 in axes[0][1]]
         if len(axes) == 1
         else [(v1, v2) for v1 in axes[0][1] for v2 in axes[1][1]]
     )
+    eps_rank, tol_class, inf = args.eps_rank, args.tol_class, math.inf
 
     def rows():
         for combo in combos:
-            params = PeriodicCoefficients(
-                **(base_values | dict(zip(axis_names, combo)))
-            )
-            verdict = classify(
-                params,
-                ArithmeticMode.FLOAT64,
-                eps_rank=args.eps_rank,
-                tol_class=args.tol_class,
-                attach_cycle=False,
-            )
-            _, k_or_q, rho_or_delta = _witness_fields(verdict)
-            yield (*combo, verdict.rank, k_or_q, rho_or_delta, verdict.kind.value)
+            for i, v in zip(slots, combo):
+                cell[i] = v
+            if not all(0 < v < inf for v in combo):
+                PeriodicCoefficients(*cell)
+            rank, k_or_q, rho_or_delta, kind = float_verdict(
+                cell, eps_rank, tol_class)
+            yield (*combo, rank, k_or_q, rho_or_delta, kind.value)
 
     axes_json = [{"name": name, "values": values} for name, values in axes]
     return _Rows(

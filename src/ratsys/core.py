@@ -76,12 +76,21 @@ class PeriodicCoefficients:
         """Float copy, or self when every coefficient is already a float.
 
         Sharing is safe: the value is frozen and was validated when it
-        was built.
+        was built. Raises DomainError naming a rational coefficient too
+        large for a float.
         """
         values = [getattr(self, f) for f in COEFF_NAMES]
         if all(type(v) is float for v in values):
             return self
-        return PeriodicCoefficients(*(float(v) for v in values))
+        floats = []
+        for name, v in zip(COEFF_NAMES, values):
+            try:
+                floats.append(float(v))
+            except OverflowError:
+                raise DomainError(
+                    f"coefficient {name} must lie within float range"
+                ) from None
+        return PeriodicCoefficients(*floats)
 
     def as_fractions(self) -> "PeriodicCoefficients":
         """Exact copy, or self when every coefficient is already a Fraction;

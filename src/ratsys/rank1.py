@@ -50,6 +50,52 @@ class Rank1Data:
     rho: Number
 
 
+def _rank1(
+    params: PeriodicCoefficients | System,
+    mode: ArithmeticMode,
+    eps_rank: float,
+) -> System:
+    system = prepare(params, mode, eps_rank)
+    if system.rank != 1:
+        raise BranchError(
+            "composed matrix has rank 2; the row ratio K is undefined "
+            f"(det = {system.matrix.det()!r})"
+        )
+    return system
+
+
+def row_ratio(
+    m11: Number, m12: Number, m21: Number, m22: Number, exact: bool = False
+) -> Number:
+    """Row ratio K = m21/m11 of a rank-1 matrix from its entries.
+
+    The same ratio from the second columns, m22/m12, is evaluated as a
+    consistency check: exactly equal in exact mode, within a relative
+    K_CONSISTENCY_EPS in float mode. Raises BranchError otherwise.
+    """
+    k = m21 / m11
+    k_check = m22 / m12
+    band = 0 if exact else K_CONSISTENCY_EPS * max(abs(k), abs(k_check))
+    if abs(k - k_check) > band:
+        raise BranchError(
+            f"rank-1 row ratios disagree beyond tolerance: {k} vs {k_check}"
+        )
+    return k
+
+
+def growth_terms(
+    m11: Number, m12: Number, m21: Number, m22: Number,
+    a0: Number, b0: Number, c0: Number, d0: Number,
+    exact: bool = False,
+) -> tuple[Number, Number, Number]:
+    """(K, mu, rho) from the entries of a rank-1 composed matrix and the
+    even coefficients, in the arithmetic of the inputs; row_ratio checks
+    K."""
+    k = row_ratio(m11, m12, m21, m22, exact)
+    mu = m11 + k * m12
+    return k, mu, k * mu / ((b0 + k * a0) * (d0 + k * c0))
+
+
 def k_constant(
     params: PeriodicCoefficients | System,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
@@ -61,24 +107,9 @@ def k_constant(
     second columns is evaluated as a consistency check. Raises BranchError
     when the composed matrix has rank 2 and K does not exist.
     """
-    system = prepare(params, mode, eps_rank)
-    m = system.matrix
-    if system.rank != 1:
-        raise BranchError(
-            "composed matrix has rank 2; the row ratio K is undefined "
-            f"(det = {m.det()!r})"
-        )
-    k = m.m21 / m.m11
-    k_check = m.m22 / m.m12
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        band = 0
-    else:
-        band = K_CONSISTENCY_EPS * max(abs(k), abs(k_check))
-    if abs(k - k_check) > band:
-        raise BranchError(
-            f"rank-1 row ratios disagree beyond tolerance: {k} vs {k_check}"
-        )
-    return k
+    system = _rank1(params, mode, eps_rank)
+    return row_ratio(*system.matrix.entries,
+                     mode is ArithmeticMode.EXACT_RATIONAL)
 
 
 def growth_and_ratio(
@@ -87,12 +118,10 @@ def growth_and_ratio(
     eps_rank: float = 1e-12,
 ) -> Rank1Data:
     """K, the two-step growth mu, and the orbit-space ratio rho."""
-    system = prepare(params, mode, eps_rank)
-    k = k_constant(system, mode, eps_rank)
-    m, wp = system.matrix, system.params
-    mu = m.m11 + k * m.m12
-    rho = k * mu / ((wp.b0 + k * wp.a0) * (wp.d0 + k * wp.c0))
-    return Rank1Data(k=k, mu=mu, rho=rho)
+    system = _rank1(params, mode, eps_rank)
+    return Rank1Data(*growth_terms(*system.matrix.entries,
+                                   *system.params.at(0),
+                                   mode is ArithmeticMode.EXACT_RATIONAL))
 
 
 def rank1_uv(

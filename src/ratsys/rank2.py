@@ -129,36 +129,46 @@ def _rank2(
     return system
 
 
-def _roots(m: TransferMatrix, exact: bool) -> tuple[Number, Number]:
-    """Eigenvalues of a positive 2x2 matrix, dominant first.
+def float_roots(
+    m11: float, m12: float, m21: float, m22: float
+) -> tuple[float, float]:
+    """Eigenvalues of a positive 2x2 float matrix from its entries,
+    dominant first.
 
-    Float mode works on the matrix scaled by the power of two that brings
-    its largest entry into [0.5, 1), so the discriminant cannot overflow
+    Works on the matrix scaled by the power of two that brings its
+    largest entry into [0.5, 1), so the discriminant cannot overflow
     while every entry is finite; the scaling is exact, and the roots are
-    scaled back.
+    scaled back. Raises DomainError when an entry is inf.
     """
-    if exact:
-        alpha, beta, gamma, delta = m.entries
-        disc = (alpha - delta) ** 2 + 4 * beta * gamma
-        root = exact_sqrt(Fraction(disc))
-        if root is None:
-            raise DomainError(
-                f"discriminant {disc} has no rational square root; "
-                "exact spectral evaluation is unavailable for these "
-                "coefficients, use float mode"
-            )
-        trace = alpha + delta
-        half = Fraction(1, 2)
-        return ((trace + root) * half, (trace - root) * half)
-    top = max(m.entries)
+    top = max(m11, m12, m21, m22)
     if top == math.inf:
         raise DomainError("matrix entries overflow float range")
     e = math.frexp(top)[1]
-    alpha, beta, gamma, delta = (math.ldexp(v, -e) for v in m.entries)
+    ldexp = math.ldexp
+    alpha, beta = ldexp(m11, -e), ldexp(m12, -e)
+    gamma, delta = ldexp(m21, -e), ldexp(m22, -e)
     root = math.sqrt((alpha - delta) ** 2 + 4 * beta * gamma)
     trace = alpha + delta
-    return (math.ldexp((trace + root) * 0.5, e),
-            math.ldexp((trace - root) * 0.5, e))
+    return (ldexp((trace + root) * 0.5, e), ldexp((trace - root) * 0.5, e))
+
+
+def _roots(m: TransferMatrix, exact: bool) -> tuple[Number, Number]:
+    """Eigenvalues of a positive 2x2 matrix, dominant first: exact
+    rationals, or float_roots in float mode."""
+    if not exact:
+        return float_roots(*m.entries)
+    alpha, beta, gamma, delta = m.entries
+    disc = (alpha - delta) ** 2 + 4 * beta * gamma
+    root = exact_sqrt(Fraction(disc))
+    if root is None:
+        raise DomainError(
+            f"discriminant {disc} has no rational square root; "
+            "exact spectral evaluation is unavailable for these "
+            "coefficients, use float mode"
+        )
+    trace = alpha + delta
+    half = Fraction(1, 2)
+    return ((trace + root) * half, (trace - root) * half)
 
 
 def eigenvalues(
@@ -175,18 +185,31 @@ def eigenvalues(
     return _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)
 
 
-def _criterion(system: System) -> tuple[Number, Number, Number, Number, Number]:
-    """(lambda1, lambda2, Q, scale, delta) of a rank-2 System.
+def criterion_terms(
+    l1: Number, m11: Number, m12: Number, m21: Number, m22: Number,
+    a0: Number, b0: Number, c0: Number, d0: Number,
+) -> tuple[Number, Number, Number]:
+    """(Q, scale, delta) from lambda1, the composed-matrix entries and
+    the even coefficients, in the arithmetic of the inputs.
 
     Q = beta/(lambda1 - alpha) is the init-free limit of u[2m]/v[2m],
     scale = (b0*Q + a0)*(d0*Q + c0) is positive, and
-    delta = lambda1*Q - scale. All in the System's arithmetic.
+    delta = lambda1*Q - scale. When beta*gamma underflows, lambda1
+    rounds to alpha itself; Q is then (lambda1 - delta_m)/gamma, the
+    same ratio read off the second row of the matrix.
     """
-    wp, m = system.params, system.matrix
+    gap = l1 - m11
+    q = m12 / gap if gap else (l1 - m22) / m21
+    scale = (b0 * q + a0) * (d0 * q + c0)
+    return q, scale, l1 * q - scale
+
+
+def _criterion(system: System) -> tuple[Number, Number, Number, Number, Number]:
+    """(lambda1, lambda2, Q, scale, delta) of a rank-2 System, in the
+    System's arithmetic; see criterion_terms."""
+    m = system.matrix
     l1, l2 = _roots(m, system.mode is ArithmeticMode.EXACT_RATIONAL)
-    q = m.m12 / (l1 - m.m11)
-    scale = (wp.b0 * q + wp.a0) * (wp.d0 * q + wp.c0)
-    return l1, l2, q, scale, l1 * q - scale
+    return (l1, l2, *criterion_terms(l1, *m.entries, *system.params.at(0)))
 
 
 def spectral_constants(
@@ -211,7 +234,11 @@ def _expansion(
     alpha, beta, gamma = m.m11, m.m12, m.m21
     u0, v0 = start
     gap = l1 - l2
-    c1 = beta / gap * (gamma / (l1 - alpha) * u0 + v0)
+    # gamma/(l1 - alpha) as the second row gives it when l1 rounds to
+    # alpha, as in criterion_terms
+    lead = l1 - alpha
+    ratio = gamma / lead if lead else (l1 - m.m22) / beta
+    c1 = beta / gap * (ratio * u0 + v0)
     c2 = beta / gap * (gamma / (l2 - alpha) * u0 + v0)
     c3 = (gamma * u0 + (l1 - alpha) * v0) / gap
     c4 = (gamma * u0 + (l2 - alpha) * v0) / gap
@@ -404,7 +431,11 @@ def _float_terms(
     depends on r and the start, never on a horizon: about
     log(rounding)/log(r) terms, so 20 on typical sets, some 400 at
     r = 0.9 and 4,000 at r = 0.99. If r rounds to 1 the factors never
-    settle and the iterator does not stop.
+    settle and the iterator does not stop. Nor do they where lambda1
+    rounds to alpha, beta*gamma being lost against (alpha - delta)**2:
+    the bound below scales the rounding by lambda1/(lambda1 - alpha),
+    and early factors there can sit on a plateau for hundreds of terms
+    before they move, so every term is the running sum.
 
     Factors settled within rounding of 0 belong to a set on the
     convergence boundary. If delta_sign_exact finds delta exactly 0 for
@@ -421,6 +452,7 @@ def _float_terms(
     r = abs(sd.lambda2 / sd.lambda1)
     tail = r / (1.0 - r) if r < 1.0 else math.inf
     drift = 0.0 if r < 1.0 else math.inf
+    lead = abs(sd.lambda1 - system.matrix.m11)
     products = _products(wp, sd, seed, start, s1, exact=False)
     yield next(products)[0], None
     logs, (pxe, pxo, pye, pyo) = next(products)
@@ -432,13 +464,12 @@ def _float_terms(
         drift *= r
         if change * tail > drift:
             drift = change * tail
-        if (k >= _MIN_SETTLE_TERM
+        if (lead and k >= _MIN_SETTLE_TERM
                 and change + drift <= _ROUNDING * max(1.0, abs(fxe))):
             break
         yield logs, None
         pxe, pxo, pye, pyo = factors
-    rounding = (_ROUNDING * max(1.0, abs(fxe))
-                * sd.lambda1 / abs(sd.lambda1 - system.matrix.m11))
+    rounding = _ROUNDING * max(1.0, abs(fxe)) * sd.lambda1 / lead
     base = k * (rounding + _EPS * max(map(abs, logs))) + drift * tail
     slope = rounding + drift
     if max(map(abs, factors)) <= rounding and _balanced(wp, system.eps_rank):
@@ -520,8 +551,9 @@ def rank2_solution(
     _float_terms and jumps from there straight to index n, so a query
     costs a number of terms set by r = |lambda2/lambda1| and the start
     (20 on typical sets, some 4,000 at r = 0.99), not by n; before
-    index 2k + 2 it costs n/2 terms. The value is the n-th state of
-    rank2_states, bit for bit. Exact mode multiplies in all n/2 terms.
+    index 2k + 2 it costs n/2 terms, as does every index of a set whose
+    factors never settle. The value is the n-th state of rank2_states,
+    bit for bit. Exact mode multiplies in all n/2 terms.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")

@@ -74,21 +74,25 @@ def parity_matrix(params: PeriodicCoefficients, parity: Parity) -> TransferMatri
     return TransferMatrix(b, a, d, c)
 
 
-def composed_matrix(params: PeriodicCoefficients) -> TransferMatrix:
-    """The two-step matrix, odd-step matrix applied after the even one.
-
-    Entries written out so they are exact in rational mode:
+def composed_entries(
+    a0: Number, b0: Number, c0: Number, d0: Number,
+    a1: Number, b1: Number, c1: Number, d1: Number,
+) -> tuple[Number, Number, Number, Number]:
+    """Entries (m11, m12, m21, m22) of the two-step matrix, odd-step
+    matrix applied after the even one, from the eight coefficients:
 
         [[a1*d0 + b0*b1, a0*b1 + a1*c0],
          [b0*d1 + c1*d0, a0*d1 + c0*c1]]
+
+    Plain arithmetic, so the entries are exact for rational inputs.
     """
-    p = params
-    return TransferMatrix(
-        p.a1 * p.d0 + p.b0 * p.b1,
-        p.a0 * p.b1 + p.a1 * p.c0,
-        p.b0 * p.d1 + p.c1 * p.d0,
-        p.a0 * p.d1 + p.c0 * p.c1,
-    )
+    return (a1 * d0 + b0 * b1, a0 * b1 + a1 * c0,
+            b0 * d1 + c1 * d0, a0 * d1 + c0 * c1)
+
+
+def composed_matrix(params: PeriodicCoefficients) -> TransferMatrix:
+    """The two-step matrix of composed_entries, as a TransferMatrix."""
+    return TransferMatrix(*composed_entries(*params.at(0), *params.at(1)))
 
 
 def linear_step(
@@ -133,21 +137,32 @@ def uv_from_orbit(orbit: Orbit) -> list[UVPoint]:
     return out
 
 
+def float_rank(
+    m11: float, m12: float, m21: float, m22: float, eps: float = 1e-12
+) -> int:
+    """Rank of a positive 2x2 float matrix from its entries.
+
+    The matrix counts as singular when |det| <= eps times the magnitude
+    of the products that formed it, which keeps the test meaningful
+    across scales. Raises DomainError when the determinant is not
+    finite.
+    """
+    det = m11 * m22 - m12 * m21
+    scale = abs(m11 * m22) + abs(m12 * m21)
+    if not math.isfinite(det):
+        raise DomainError("matrix entries overflow float range")
+    return 1 if abs(det) <= eps * scale else 2
+
+
 def rank_decision(matrix: TransferMatrix, eps: float = 1e-12) -> int:
     """Decide rank 1 versus rank 2 of a positive 2x2 matrix.
 
-    Exact entries compare the determinant with zero outright. Float
-    entries treat the matrix as singular when |det| <= eps times the
-    magnitude of the products that formed it, which keeps the test
-    meaningful across scales.
+    Exact entries compare the determinant with zero outright; float
+    entries go through float_rank.
     """
-    det = matrix.det()
     if matrix.is_exact:
-        return 1 if det == 0 else 2
-    scale = abs(matrix.m11 * matrix.m22) + abs(matrix.m12 * matrix.m21)
-    if not math.isfinite(float(det)):
-        raise DomainError("matrix entries overflow float range")
-    return 1 if abs(det) <= eps * scale else 2
+        return 1 if matrix.det() == 0 else 2
+    return float_rank(*matrix.entries, eps)
 
 
 @dataclass(frozen=True, slots=True)

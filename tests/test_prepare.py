@@ -177,7 +177,24 @@ def test_sweep_validates_each_cell_once(monkeypatch, capsys):
                  "--axis2", "c1:1:3:5", "--format", "csv"])
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) == 26
-    assert len(inits) <= 5 * 5 + 1  # the cells plus the base
+    assert len(inits) == 1  # the base; a cell builds no coefficient set
+
+
+def test_sweep_builds_no_per_cell_objects(monkeypatch, capsys):
+    inits = count_inits(monkeypatch)
+    calls = [count_calls(monkeypatch, fn) for fn in (
+        ratsys.transfer.prepare, ratsys.transfer.composed_matrix,
+        ratsys.analysis.classify)]
+    # d0 = 1 and c1 = 1 make a parity matrix of the all-ones set singular,
+    # so the grid has cells of both ranks
+    code = main(["sweep", "--all-ones", "--axis1", "d0:0.5:1.5:5",
+                 "--axis2", "c1:1:3:5", "--format", "csv"])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 25
+    assert {row.split(",")[2] for row in rows} == {"1", "2"}
+    assert len(inits) == 1
+    assert calls == [[], [], []]
 
 
 def expected_verdict(params, mode, init):

@@ -429,3 +429,70 @@ def test_classify_from_a_start_near_the_top_of_float_range():
     # the cycle of that start
     near = classify(params, probe_init=(2.5, 1.5)).cycle
     assert cycle.x_even == pytest.approx(near.x_even, rel=1e-9)
+
+
+# beta*gamma of the composed matrix underflows, so the float lambda1 is
+# alpha itself; b1 = 1.5 and 2 move the set toward and onto the boundary
+UNDERFLOW = ["1e-200", 2, 1, "1e-200", "1e-200", 1, 1, "1e-200"]
+
+
+def test_underflowing_off_diagonal_product_classifies(capsys):
+    code, out = stdout_of(["classify", *coeff_flags(UNDERFLOW)])
+    assert code == 0 and "nan" not in out
+    fields = dict(line.split(": ") for line in out.splitlines())
+    assert fields["kind"] == "VanishEvenBlowOdd"
+    # Q = (lambda1 - delta)/gamma = (2 - 1)/3e-200
+    assert float(fields["Q"]) == pytest.approx(1 / 3e-200, rel=1e-12)
+    flags = coeff_flags(UNDERFLOW)
+    del flags[10:12]  # b1 is swept
+    code, out = stdout_of(["sweep", *flags, "--axis1", "b1:1:2:3"])
+    assert code == 0 and "nan" not in out
+    assert len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("b1", ["1", "1.5", "2"])
+def test_underflowing_off_diagonal_product_closed_forms(b1):
+    values = UNDERFLOW[:5] + [b1] + UNDERFLOW[6:]
+    flags = coeff_flags(values)
+    code, out = stdout_of(["compare", *flags, "-n", "1000"])
+    assert code == 0 and "first_divergence_index: none" in out
+    fields = dict(line.split(": ") for line in out.splitlines())
+    assert float(fields["max_rel_error_x"]) < 1e-11
+    closed = stdout_of(["closed", *flags, "-n", "30", "--format", "csv"])
+    simulated = stdout_of(["simulate", *flags, "-n", "30", "--format", "csv"])
+    assert closed[0] == simulated[0] == 0
+    rows = zip(csv.reader(io.StringIO(closed[1])),
+               csv.reader(io.StringIO(simulated[1])))
+    next(rows)
+    for got, want in rows:
+        for a, b in zip(map(float, got[1:]), map(float, want[1:])):
+            assert a == pytest.approx(b, rel=1e-12)
+    # the factors never settle there, and the point query is the stream's
+    params = PeriodicCoefficients(*map(float, values))
+    n = 999
+    stream = next(islice(closed_form_states(params, (1.0, 1.0)), n, None))
+    assert rank2_solution(params, (1.0, 1.0), n) == stream
+
+
+EXACT_PAST_RANGE = ["1e400", 1, 4, 3, 1, 2, 3, 1]
+
+
+def test_exact_coefficients_past_float_range_are_a_domain_error(capsys):
+    params = PeriodicCoefficients(Fraction(10**400), 1, 4, 3, 1, 2, 3, 1)
+    with pytest.raises(DomainError,
+                       match=r"^coefficient a0 must lie within float range$"):
+        params.as_floats()
+    flags = coeff_flags(EXACT_PAST_RANGE)
+    for fmt in ("table", "csv", "json"):
+        assert main(["classify", *flags, "--mode", "exact", "--format", fmt]) == 3
+        assert capsys.readouterr().err == (
+            "error: coefficient a0 must lie within float range\n")
+    # every other subcommand the input reaches ends in a documented code
+    for argv in (["simulate", *flags, "--mode", "exact", "-n", "5"],
+                 ["closed", *flags, "--mode", "exact", "-n", "5"],
+                 ["compare", *flags, "--mode", "exact", "-n", "5"],
+                 ["classify", *flags, "--mode", "exact", "--no-cycle"],
+                 ["classify", *flags],
+                 ["sweep", *flags[2:], "--axis1", "a0:1e400:1e401:2"]):
+        assert main(argv) in (0, 3)
+    capsys.readouterr()
