@@ -15,16 +15,17 @@ from enum import Enum
 from itertools import count, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .classification import Classification, Kind, kind_from_sign
+from .classification import Classification, Kind
 from .core import Orbit, PeriodicCoefficients, initial_state, simulate
 from .errors import DomainError
 from .numeric import ArithmeticMode, Number, relative_gap
-from .rank1 import classify_rank1, growth_terms, rank1_states
+from .rank1 import classify_rank1, growth_terms, rank1_kind, rank1_states
 from .rank2 import (
     classify_rank2,
     criterion_terms,
     float_roots,
     limit_cycle,
+    rank2_kind,
     rank2_states,
 )
 from .transfer import System, composed_entries, float_rank, prepare
@@ -107,9 +108,10 @@ def float_verdict(
     """(rank, K or Q, rho or delta, kind) of eight float coefficients.
 
     values are a0, b0, c0, d0, a1, b1, c1, d1, already checked finite
-    and positive. The formulas are the ones classify reaches through its
-    branch functions, composed_entries, float_rank, growth_terms,
-    float_roots and criterion_terms, so the numbers and the kind equal
+    and positive. The formulas and the verdict bands are the ones
+    classify reaches through its branch functions, composed_entries,
+    float_rank, growth_terms, float_roots, criterion_terms, rank1_kind
+    and rank2_kind, so the numbers and the kind equal
     those of classify(..., attach_cycle=False) bit for bit; no
     coefficient set, matrix, System or witness is built. Raises
     DomainError when the composed matrix leaves float range and
@@ -119,12 +121,10 @@ def float_verdict(
     even = values[:4]
     if float_rank(*m, eps_rank) == 1:
         k, _, rho = growth_terms(*m, *even)
-        return 1, k, rho, kind_from_sign(rho - 1, tol_class,
-                                         Kind.EXACT_TWO_PERIODIC)
+        return 1, k, rho, rank1_kind(rho, tol_class)
     l1, _ = float_roots(*m)
     q, scale, delta = criterion_terms(l1, *m, *even)
-    return 2, q, delta, kind_from_sign(delta, tol_class * scale,
-                                       Kind.CONVERGES_TO_TWO_PERIODIC)
+    return 2, q, delta, rank2_kind(delta, scale, tol_class)
 
 
 class PeriodStatus(Enum):

@@ -96,6 +96,13 @@ def growth_terms(
     return k, mu, k * mu / ((b0 + k * a0) * (d0 + k * c0))
 
 
+def rank1_kind(rho: Number, tol_class: float) -> Kind:
+    """The rank-1 verdict from rho: two-periodic within tol_class of 1
+    (tol_class 0 for an exact rho), otherwise the side of 1 says which
+    parity vanishes."""
+    return kind_from_sign(rho - 1, tol_class, Kind.EXACT_TWO_PERIODIC)
+
+
 def k_constant(
     params: PeriodicCoefficients | System,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
@@ -278,6 +285,6 @@ def classify_rank1(
     a relative band of width tol_class around 1.
     """
     data = growth_and_ratio(params, mode, eps_rank)
-    band = 0 if mode is ArithmeticMode.EXACT_RATIONAL else tol_class
-    kind = kind_from_sign(data.rho - 1, band, Kind.EXACT_TWO_PERIODIC)
+    tol = 0 if mode is ArithmeticMode.EXACT_RATIONAL else tol_class
+    kind = rank1_kind(data.rho, tol)
     return Classification(kind=kind, rank=1, witness=data)

@@ -194,14 +194,38 @@ def criterion_terms(
 
     Q = beta/(lambda1 - alpha) is the init-free limit of u[2m]/v[2m],
     scale = (b0*Q + a0)*(d0*Q + c0) is positive, and
-    delta = lambda1*Q - scale. When beta*gamma underflows, lambda1
-    rounds to alpha itself; Q is then (lambda1 - delta_m)/gamma, the
-    same ratio read off the second row of the matrix.
+    delta = lambda1*Q - scale. Where beta*gamma is lost against the
+    diagonal, the float lambda1 rounds to alpha itself, and _slope takes
+    Q from the entries instead.
     """
     gap = l1 - m11
-    q = m12 / gap if gap else (l1 - m22) / m21
+    q = m12 / gap if gap else _slope(m11, m12, m21, m22)
     scale = (b0 * q + a0) * (d0 * q + c0)
     return q, scale, l1 * q - scale
+
+
+def _slope(m11: float, m12: float, m21: float, m22: float) -> float:
+    """Q = beta/(lambda1 - alpha) of a positive float matrix from its
+    entries alone, for a lambda1 that rounds to alpha.
+
+    With h half the eigenvalue gap, lambda1 - alpha = h + (delta - alpha)/2
+    and lambda1 - delta = h - (delta - alpha)/2. Their product is
+    beta*gamma, so Q is also (lambda1 - delta)/gamma, and the form whose
+    difference adds is taken. h is the hypot of (delta - alpha)/2 and
+    sqrt(beta)*sqrt(gamma), so beta*gamma never underflows, and when
+    alpha == delta, Q = sqrt(beta)/sqrt(gamma) up to rounding.
+    """
+    half = (m22 - m11) * 0.5
+    h = math.hypot(half, math.sqrt(m12) * math.sqrt(m21))
+    return (h - half) / m21 if half <= 0 else m12 / (h + half)
+
+
+def rank2_kind(delta: Number, scale: Number, tol_class: float) -> Kind:
+    """The rank-2 verdict from delta: convergent within tol_class times
+    the positive scale of zero (tol_class 0 for an exact delta or its
+    sign), otherwise the sign says which parity vanishes."""
+    return kind_from_sign(delta, tol_class * scale,
+                          Kind.CONVERGES_TO_TWO_PERIODIC)
 
 
 def _criterion(system: System) -> tuple[Number, Number, Number, Number, Number]:
@@ -233,15 +257,20 @@ def _expansion(
     m = system.matrix
     alpha, beta, gamma = m.m11, m.m12, m.m21
     u0, v0 = start
-    gap = l1 - l2
-    # gamma/(l1 - alpha) as the second row gives it when l1 rounds to
-    # alpha, as in criterion_terms
-    lead = l1 - alpha
-    ratio = gamma / lead if lead else (l1 - m.m22) / beta
-    c1 = beta / gap * (ratio * u0 + v0)
-    c2 = beta / gap * (gamma / (l2 - alpha) * u0 + v0)
-    c3 = (gamma * u0 + (l1 - alpha) * v0) / gap
-    c4 = (gamma * u0 + (l2 - alpha) * v0) / gap
+    lead1, lead2, gap = l1 - alpha, l2 - alpha, l1 - l2
+    if lead1 and lead2 and gap:
+        ratio1, ratio2 = gamma / lead1, gamma / lead2
+    else:
+        # a float eigenvalue rounds to alpha or to the other one; the
+        # slope Q of criterion_terms still gives lambda1 - alpha = beta/Q
+        # and lambda2 - alpha = -(lambda1 - delta) = -gamma*Q
+        lead1, lead2 = beta / q, -gamma * q
+        ratio1, ratio2 = gamma / beta * q, -1 / q
+        gap = lead1 - lead2
+    c1 = beta / gap * (ratio1 * u0 + v0)
+    c2 = beta / gap * (ratio2 * u0 + v0)
+    c3 = (gamma * u0 + lead1 * v0) / gap
+    c4 = (gamma * u0 + lead2 * v0) / gap
     return SpectralData(lambda1=l1, lambda2=l2, c1=c1, c2=c2, c3=c3, c4=c4, q=q)
 
 
@@ -642,12 +671,12 @@ def classify_rank2(
     if floats is None:
         floats = prepare(system, ArithmeticMode.FLOAT64, eps_rank)
     l1, l2, q, scale, delta = _criterion(floats)
-    value, band = delta, tol_class * scale
+    value, tol = delta, tol_class
     if mode is ArithmeticMode.EXACT_RATIONAL:
-        value, band = delta_sign_exact(system, eps_rank), 0
+        value, tol = delta_sign_exact(system, eps_rank), 0
         if value == 0:
             delta = 0.0
-    kind = kind_from_sign(value, band, Kind.CONVERGES_TO_TWO_PERIODIC)
+    kind = rank2_kind(value, scale, tol)
     witness = Rank2Witness(lambda1=l1, lambda2=l2, q=q, delta=delta, scale=scale)
     return Classification(kind=kind, rank=2, witness=witness)
 
@@ -664,16 +693,16 @@ def limit_cycle(
 
     Runs the product engine of the closed form in log space until the
     per-term change |e_k| of the four logs and the geometric tail bound
-    |e_k|*r/(1 - r), with r = |lambda2/lambda1|, both drop below tol.
-    Raises BranchError when the coefficients are not in the convergent
+    |e_k|*r/(1 - r), with r = |lambda2/lambda1|, both drop below tol,
+    or until a term repeats the logs exactly, which also ends it where
+    the float eigenvalues coincide and r is 1. Raises BranchError when the coefficients are not in the convergent
     case and ConvergenceError if max_terms factors do not reach
     tolerance.
     """
     system = _rank2(params, ArithmeticMode.FLOAT64, eps_rank)
     criterion = _criterion(system)
     _, _, _, scale, delta = criterion
-    kind = kind_from_sign(delta, tol_class * scale,
-                          Kind.CONVERGES_TO_TWO_PERIODIC)
+    kind = rank2_kind(delta, scale, tol_class)
     if kind is not Kind.CONVERGES_TO_TWO_PERIODIC:
         raise BranchError(
             f"limit cycle exists only in the convergent case, "
@@ -685,13 +714,13 @@ def limit_cycle(
     seed = _scaled(s0)
     sd = _expansion(system, criterion, seed)
     r = abs(sd.lambda2 / sd.lambda1)
-    tail = r / (1.0 - r)
+    tail = r / (1.0 - r) if r < 1.0 else math.inf
     products = _products(wp, sd, seed, s0, s1, exact=False)
     p_xe, p_xo, p_ye, p_yo = next(products)[0]
     for (x_e, x_o, y_e, y_o), _ in islice(products, max_terms):
         worst = max(abs(x_e - p_xe), abs(x_o - p_xo),
                     abs(y_e - p_ye), abs(y_o - p_yo))
-        if worst < tol and worst * tail < tol:
+        if not worst or (worst < tol and worst * tail < tol):
             break
         p_xe, p_xo, p_ye, p_yo = x_e, x_o, y_e, y_o
     else:

@@ -450,14 +450,51 @@ def test_underflowing_off_diagonal_product_classifies(capsys):
     assert len(out.splitlines()) == 4
 
 
-@pytest.mark.parametrize("b1", ["1", "1.5", "2"])
-def test_underflowing_off_diagonal_product_closed_forms(b1):
-    values = UNDERFLOW[:5] + [b1] + UNDERFLOW[6:]
-    flags = coeff_flags(values)
+def symmetric(tiny):
+    """alpha == delta == 1 and beta == gamma == 2*tiny: beta*gamma is
+    below alpha's rounding, so the float eigenvalues coincide. The set
+    is exactly balanced: Q = 1 and delta = 0."""
+    return [tiny, 1, 1, tiny, tiny, 1, 1, tiny]
+
+
+@pytest.mark.parametrize("tiny", ["1e-20", "1e-200"])
+def test_coinciding_float_eigenvalues_classify_on_the_boundary(tiny, capsys):
+    flags = coeff_flags(symmetric(tiny))
+    for mode in ("float", "exact"):
+        code, out = stdout_of(["classify", *flags, "--mode", mode])
+        assert code == 0 and "nan" not in out
+        fields = dict(line.split(": ") for line in out.splitlines())
+        assert fields["kind"] == "ConvergesToTwoPeriodic"
+        assert float(fields["Q"]) == 1 and float(fields["delta"]) == 0
+    del flags[10:12]  # b1 is swept
+    code, out = stdout_of(["sweep", *flags, "--axis1", "b1:1:2:3",
+                           "--format", "csv"])
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out)))[1] == [
+        "1", "2", "1", "0", "ConvergesToTwoPeriodic"]
+
+
+@pytest.mark.parametrize("values", [
+    *(UNDERFLOW[:5] + [b1] + UNDERFLOW[6:] for b1 in ("1", "1.5", "2")),
+    symmetric("1e-20"),
+    symmetric("1e-200"),
+    # lambda2 rounds to alpha, lambda1 to delta
+    ["1e-200", 1, 2, "1e-200", "1e-200", 1, 1, "1e-200"],
+    # beta*gamma below the rounding of alpha == delta == 2, on and off
+    # the boundary
+    [1, "1e-20", "1e-20", 1, 2, "1e-20", "1e-20", 2],
+    [3, "1e-200", "1e-200", 2, 2, "1e-200", "1e-200", 3],
+], ids=["underflow-b1-1", "underflow-b1-1.5", "underflow-b1-2",
+        "symmetric-1e-20", "symmetric-1e-200", "mirror", "diagonal",
+        "diagonal-balanced"])
+@pytest.mark.parametrize("start", [(1.0, 1.0), (3.0, 0.5)])
+def test_float_eigenvalues_rounding_together_closed_forms(values, start):
+    flags = coeff_flags(values) + ["--x0", repr(start[0]), "--y0", repr(start[1])]
     code, out = stdout_of(["compare", *flags, "-n", "1000"])
     assert code == 0 and "first_divergence_index: none" in out
     fields = dict(line.split(": ") for line in out.splitlines())
     assert float(fields["max_rel_error_x"]) < 1e-11
+    assert float(fields["max_rel_error_y"]) < 1e-11
     closed = stdout_of(["closed", *flags, "-n", "30", "--format", "csv"])
     simulated = stdout_of(["simulate", *flags, "-n", "30", "--format", "csv"])
     assert closed[0] == simulated[0] == 0
@@ -467,11 +504,14 @@ def test_underflowing_off_diagonal_product_closed_forms(b1):
     for got, want in rows:
         for a, b in zip(map(float, got[1:]), map(float, want[1:])):
             assert a == pytest.approx(b, rel=1e-12)
-    # the factors never settle there, and the point query is the stream's
+    for mode in ("float", "exact"):
+        code, out = stdout_of(["classify", *flags, "--mode", mode])
+        assert code == 0 and "nan" not in out
+    # where the factors never settle, the point query is the stream's
     params = PeriodicCoefficients(*map(float, values))
     n = 999
-    stream = next(islice(closed_form_states(params, (1.0, 1.0)), n, None))
-    assert rank2_solution(params, (1.0, 1.0), n) == stream
+    stream = next(islice(closed_form_states(params, start), n, None))
+    assert rank2_solution(params, start, n) == stream
 
 
 EXACT_PAST_RANGE = ["1e400", 1, 4, 3, 1, 2, 3, 1]
