@@ -22,6 +22,7 @@ from .errors import BitGrowthError, DomainError, TruncationError
 from .numeric import (
     ArithmeticMode,
     Number,
+    coprime_fraction,
     log_add_exp,
     require_positive,
     to_fraction,
@@ -173,8 +174,86 @@ def initial_state(
     return state
 
 
-def _bits(value: Fraction) -> int:
-    return max(value.numerator.bit_length(), value.denominator.bit_length())
+def _exact_states(
+    params: PeriodicCoefficients,
+    state: tuple[Fraction, Fraction],
+    n_max: int,
+    bit_cap: int,
+) -> list[tuple[Fraction, Fraction]]:
+    """The exact orbit from state, by integer steps that take no gcd of
+    two numbers the size of the state.
+
+    For each parity the coefficients are written as ints over one
+    denominator D: a = A/D, b = B/D, c = C/D, d = E/D. The state is
+    carried as
+
+        x = g*p1 / (F*r1),   y = g*p2 / (F*r2)
+
+    with gcd(p1, p2) = gcd(r1, r2) = 1 and both fractions reduced, so F
+    is coprime to g*p1*p2. The shared factors g and F hold the history
+    and grow with the orbit; p1, p2, r1, r2 stay small. One step gives
+
+        x' = F*Nx / G,  Nx = A*r1*p2 + B*r2*p1
+        y' = F*Ny / G,  Ny = C*r1*p2 + E*r2*p1,  G = D*g*p1*p2.
+
+    Since gcd(ab, c) = gcd(a, c)*gcd(b, c/gcd(a, c)), x' reduces by
+    ex*fx, where ex = gcd(Nx, G) takes one division of G by the small
+    Nx, and fx = gcd(F, G/ex) = gcd(gcd(F, D), G/ex) because F is
+    coprime to g*p1*p2; likewise ey, fy for y'. The reduced numerators
+    are (F/fx)*(Nx/ex) and (F/fy)*(Ny/ey). With fl = lcm(fx, fy),
+    mx = (fl/fx)*(Nx/ex), my = (fl/fy)*(Ny/ey) and h = gcd(mx, my), the
+    next factors are
+
+        g' = (F/fl)*h,  p1' = mx/h,  p2' = my/h,
+        F' = G/L,  r1' = L/(ex*fx),  r2' = L/(ey*fy),
+
+    with L = lcm(ex*fx, ey*fy), from gcd(N/u, N/v) = N/lcm(u, v). Every
+    gcd has a small operand, and every other operation on g, F or G is
+    a product or an exact division by a small number. The states are
+    emitted as Fractions already in lowest terms, without normalizing
+    again. Raises BitGrowthError at the first state whose numerator or
+    denominator passes bit_cap bits. In the code D is den, F is f, G is
+    big and L is low.
+    """
+    gcd, lcm = math.gcd, math.lcm
+    coeffs = []
+    for a, b, c, d in (params.at(0), params.at(1)):
+        den = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        coeffs.append((den, *(v.numerator * (den // v.denominator)
+                              for v in (a, b, c, d))))
+    x, y = state
+    g = gcd(x.numerator, y.numerator)
+    f = gcd(x.denominator, y.denominator)
+    p1, p2 = x.numerator // g, y.numerator // g
+    r1, r2 = x.denominator // f, y.denominator // f
+    states = [state]
+    for n in range(n_max):
+        den, a, b, c, e = coeffs[n & 1]
+        s, t = r1 * p2, r2 * p1
+        nx, ny = a * s + b * t, c * s + e * t
+        big = g * (den * p1 * p2)
+        ex, ey = gcd(nx, big), gcd(ny, big)
+        fd = gcd(f, den)
+        if fd == 1:  # always so for int coefficients
+            fx = fy = fl = 1
+        else:
+            fx, fy = gcd(fd, big // ex), gcd(fd, big // ey)
+            fl = lcm(fx, fy)
+            f //= fl
+        mx, my = (fl // fx) * (nx // ex), (fl // fy) * (ny // ey)
+        h = gcd(mx, my)
+        ux, uy = ex * fx, ey * fy
+        low = lcm(ux, uy)
+        g = f * h
+        f = big // low
+        p1, p2, r1, r2 = mx // h, my // h, low // ux, low // uy
+        xn, xd, yn, yd = g * p1, f * r1, g * p2, f * r2
+        worst = max(xn.bit_length(), xd.bit_length(),
+                    yn.bit_length(), yd.bit_length())
+        if worst > bit_cap:
+            raise BitGrowthError(n + 1, worst, bit_cap)
+        states.append((coprime_fraction(xn, xd), coprime_fraction(yn, yd)))
+    return states
 
 
 def simulate(
@@ -191,6 +270,10 @@ def simulate(
     TruncationError reporting n* is raised with the valid prefix attached.
     Exact mode requires rational coefficients and init, and raises
     BitGrowthError if a state's numerator or denominator outgrows bit_cap.
+    Its states equal those of Fraction iteration, but each step costs
+    products and divisions against small numbers, with no gcd of two
+    state-sized ints (see _exact_states); printing an exact orbit now
+    costs more than computing it.
     Each state is checked once, after it is produced; step is not called.
     params may be a System from transfer.prepare, whose coefficients are
     used.
@@ -199,19 +282,18 @@ def simulate(
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     if not isinstance(params, PeriodicCoefficients):
         params = params.params
-    exact = mode is ArithmeticMode.EXACT_RATIONAL
-    wp = params.as_fractions() if exact else params.as_floats()
+    if mode is ArithmeticMode.EXACT_RATIONAL:
+        wp = params.as_fractions()
+        states = _exact_states(wp, initial_state(init, mode), n_max, bit_cap)
+        return Orbit(tuple(states), mode)
+    wp = params.as_floats()
     quads = (wp.at(0), wp.at(1))
     x, y = state = initial_state(init, mode)
     states = [state]
     for n in range(n_max):
         a, b, c, d = quads[n & 1]
         x, y = state = (a / x + b / y, c / x + d / y)
-        if exact:
-            worst = max(_bits(x), _bits(y))
-            if worst > bit_cap:
-                raise BitGrowthError(n + 1, worst, bit_cap)
-        elif not (0 < x < math.inf and 0 < y < math.inf):
+        if not (0 < x < math.inf and 0 < y < math.inf):
             raise TruncationError(
                 n + 1,
                 Orbit(tuple(states), mode),

@@ -43,6 +43,18 @@ def to_fraction(value: Number, name: str = "value") -> Fraction:
     return Fraction(value)
 
 
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
+    def coprime_fraction(numerator: int, denominator: int) -> Fraction:
+        """Fraction(numerator, denominator) without the gcd that would
+        reduce it: the ints must be coprime, the denominator positive."""
+        return Fraction._from_coprime_ints(numerator, denominator)
+else:
+    def coprime_fraction(numerator: int, denominator: int) -> Fraction:
+        """Fraction(numerator, denominator) without the gcd that would
+        reduce it: the ints must be coprime, the denominator positive."""
+        return Fraction(numerator, denominator, _normalize=False)
+
+
 def parse_number(text: str, mode: ArithmeticMode) -> Number:
     """Parse a scalar from text. Exact mode accepts 'p/q' and decimals."""
     if mode is ArithmeticMode.EXACT_RATIONAL:

@@ -33,12 +33,13 @@ from itertools import count, islice
 from typing import Iterator
 
 from .classification import Classification, Kind, kind_from_sign
-from .core import PeriodicCoefficients, initial_state, step
+from .core import PeriodicCoefficients, initial_state, log_simulate, step
 from .errors import BranchError, DomainError
 from .numeric import ArithmeticMode, Number, saturating_exp
 from .transfer import Parity, System, linear_step, parity_matrix, prepare
 
 K_CONSISTENCY_EPS = 1e-10
+SMALLEST_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,10 +91,14 @@ def growth_terms(
 ) -> tuple[Number, Number, Number]:
     """(K, mu, rho) from the entries of a rank-1 composed matrix and the
     even coefficients, in the arithmetic of the inputs; row_ratio checks
-    K."""
+    K. Where the float product of the two row sums falls below the
+    smallest normal float, rho divides by them one at a time."""
     k = row_ratio(m11, m12, m21, m22, exact)
     mu = m11 + k * m12
-    return k, mu, k * mu / ((b0 + k * a0) * (d0 + k * c0))
+    rows = (b0 + k * a0) * (d0 + k * c0)
+    if not exact and rows < SMALLEST_NORMAL:
+        return k, mu, k * mu / (b0 + k * a0) / (d0 + k * c0)
+    return k, mu, k * mu / rows
 
 
 def rank1_kind(rho: Number, tol_class: float) -> Kind:
@@ -173,18 +178,40 @@ def rank1_uv(
     )
 
 
+def _head(system: System, start: tuple[Number, Number]):
+    """States 0 to 3 by direct steps, and the anchors of _geometric_law:
+    states 2 and 3, as logs in float mode.
+
+    A float orbit that leaves float range before index 4 takes the rest
+    of its head from log-space steps, saturated to 0.0 or inf, and keeps
+    the logs as anchors.
+    """
+    wp = system.params
+    exact = system.mode is ArithmeticMode.EXACT_RATIONAL
+    head = [start]
+    for n in range(3):
+        x, y = state = step(wp, n, head[-1])
+        if not exact and not (0 < x < math.inf and 0 < y < math.inf):
+            logs = log_simulate(wp, start, 3)
+            head += ((saturating_exp(lx), saturating_exp(ly))
+                     for lx, ly in logs[n + 1:])
+            return head, logs[2], logs[3]
+        head.append(state)
+    if exact:
+        return head, head[2], head[3]
+    return head, *((math.log(x), math.log(y)) for x, y in head[2:])
+
+
 def _geometric_law(s2, s3, rho: Number, mode: ArithmeticMode):
     """The closed form past index 3, as a function n -> (x[n], y[n]).
 
     Even indices follow x[2m] = x2 * rho**(m-1) and odd indices
-    x[2m+1] = x3 * rho**(1-m), same for y. Float mode evaluates the
-    powers in log space, taking the logs of the anchors and of rho once,
-    and values past float range saturate to inf or 0.0.
+    x[2m+1] = x3 * rho**(1-m), same for y. Float mode takes the anchors
+    as logs from _head and evaluates the powers in log space, taking the
+    log of rho once, and values past float range saturate to inf or 0.0.
     """
     exact = mode is ArithmeticMode.EXACT_RATIONAL
     if not exact:
-        s2 = (math.log(s2[0]), math.log(s2[1]))
-        s3 = (math.log(s3[0]), math.log(s3[1]))
         log_rho = math.log(rho)
 
     def term(n: int) -> tuple[Number, Number]:
@@ -223,12 +250,11 @@ def rank1_solution(
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     system = prepare(params, mode, eps_rank)
-    start = initial_state(init, mode)
-    head = list(islice(rank1_states(system, start), min(n, 3) + 1))
+    head, s2, s3 = _head(system, initial_state(init, mode))
     if n <= 3:
         return head[n]
     rho = growth_and_ratio(system, mode, eps_rank).rho
-    return _geometric_law(head[2], head[3], rho, mode)(n)
+    return _geometric_law(s2, s3, rho, mode)(n)
 
 
 def rank1_states(
@@ -236,17 +262,12 @@ def rank1_states(
 ) -> Iterator[tuple[Number, Number]]:
     """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
 
-    Indices 1 to 3 are direct steps; K, mu and rho are computed on
-    reaching index 4, so a rank-2 System raises BranchError there.
+    Indices 1 to 3 are direct steps (see _head); K, mu and rho are
+    computed on reaching index 4, so a rank-2 System raises BranchError
+    there.
     """
-    wp = system.params
-    yield start
-    s1 = step(wp, 0, start)
-    yield s1
-    s2 = step(wp, 1, s1)
-    yield s2
-    s3 = step(wp, 2, s2)
-    yield s3
+    head, s2, s3 = _head(system, start)
+    yield from head
     rho = growth_and_ratio(system, system.mode, system.eps_rank).rho
     yield from map(_geometric_law(s2, s3, rho, system.mode), count(4))
 

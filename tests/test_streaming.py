@@ -36,6 +36,7 @@ from ratsys import (
     simulate,
 )
 from ratsys.cli import main, render_json
+from ratsys.rank1 import growth_terms
 
 from conftest import RANK1_GROWTH, RANK2_SQUARE, random_float_params, random_rank1_params
 
@@ -448,6 +449,41 @@ def test_underflowing_off_diagonal_product_classifies(capsys):
     code, out = stdout_of(["sweep", *flags, "--axis1", "b1:1:2:3"])
     assert code == 0 and "nan" not in out
     assert len(out.splitlines()) == 4
+
+
+# rank 1 with every even coefficient tiny: K = 1 and rho = 1e200, but the
+# product of the row sums b0 + K*a0 and d0 + K*c0 underflows to 0.0
+RANK1_UNDERFLOW = ["1e-200"] * 4 + [1] * 4
+
+
+def test_underflowing_rank1_row_sums_keep_rho(capsys):
+    flags = coeff_flags(RANK1_UNDERFLOW)
+    for mode, rho in (("float", 1e200), ("exact", 10**200)):
+        code, out = stdout_of(["classify", *flags, "--mode", mode])
+        assert code == 0
+        fields = dict(line.split(": ") for line in out.splitlines())
+        assert fields["kind"] == "BlowEvenVanishOdd"
+        assert fields["rank"] == "1" and fields["K"] == "1"
+        assert float(fields["rho"]) == pytest.approx(rho, rel=1e-15)
+    # x2 = 1e200 and x3 = 2e-400: from index 3 the closed form saturates
+    code, out = stdout_of(["closed", *flags, "-n", "7", "--format", "csv"])
+    assert code == 0
+    assert [row[1:] for row in csv.reader(io.StringIO(out))][1:] == [
+        ["1", "1"], ["2e-200", "2e-200"],
+        ["9.9999999999999997e+199", "9.9999999999999997e+199"],
+        ["0", "0"], ["inf", "inf"], ["0", "0"], ["inf", "inf"], ["0", "0"]]
+    assert rank1_solution(PeriodicCoefficients(*map(float, RANK1_UNDERFLOW)),
+                          (1.0, 1.0), 1001) == (0.0, 0.0)
+    del flags[8:10]  # a1 is swept
+    code, out = stdout_of(["sweep", *flags, "--axis1", "a1:1:2:3",
+                           "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[-1] for row in rows] == ["BlowEvenVanishOdd"] * 3
+    assert float(rows[0][3]) == pytest.approx(1e200, rel=1e-15)
+    # a product of row sums above the smallest normal keeps its bits
+    k, mu, rho = growth_terms(5.0, 8.0, 10.0, 16.0, 1.0, 1.0, 1.0, 1.0)
+    assert rho == k * mu / ((1.0 + k) * (1.0 + k))
 
 
 def symmetric(tiny):
