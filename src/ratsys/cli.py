@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .analysis import classify, closed_form_states, compare, float_verdict
 from .classification import Classification
-from .core import COEFF_NAMES, PeriodicCoefficients, simulate
+from .core import COEFF_NAMES, PeriodicCoefficients, exact_orbit_text, simulate
 from .errors import (
     BitGrowthError,
     BranchError,
@@ -263,10 +263,16 @@ def _points(command: str, args, states: Iterable) -> _Rows:
 
 
 def _cmd_simulate(args, parser) -> _Rows:
+    """The orbit's rows; an exact orbit comes as text, never as Fractions,
+    since printing a wide int costs more than computing it."""
     mode = _mode_of(args)
     params = _coefficients(args, parser, mode)
     init = _init(args, parser, mode)
-    return _points("simulate", args, simulate(params, init, args.n_max, mode).states)
+    if mode is ArithmeticMode.EXACT_RATIONAL:
+        states = exact_orbit_text(params, init, args.n_max)
+    else:
+        states = simulate(params, init, args.n_max, mode).states
+    return _points("simulate", args, states)
 
 
 def _cmd_closed(args, parser) -> _Rows:

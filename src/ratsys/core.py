@@ -13,6 +13,7 @@ against which all closed-form evaluation in this package is checked.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,14 +175,14 @@ def initial_state(
     return state
 
 
-def _exact_states(
+def _exact_factors(
     params: PeriodicCoefficients,
     state: tuple[Fraction, Fraction],
     n_max: int,
     bit_cap: int,
-) -> list[tuple[Fraction, Fraction]]:
-    """The exact orbit from state, by integer steps that take no gcd of
-    two numbers the size of the state.
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...] | None]]:
+    """The exact orbit from state as factors, by integer steps that take
+    no gcd of two numbers the size of the state.
 
     For each parity the coefficients are written as ints over one
     denominator D: a = A/D, b = B/D, c = C/D, d = E/D. The state is
@@ -209,11 +210,15 @@ def _exact_states(
 
     with L = lcm(ex*fx, ey*fy), from gcd(N/u, N/v) = N/lcm(u, v). Every
     gcd has a small operand, and every other operation on g, F or G is
-    a product or an exact division by a small number. The states are
-    emitted as Fractions already in lowest terms, without normalizing
-    again. Raises BitGrowthError at the first state whose numerator or
-    denominator passes bit_cap bits. In the code D is den, F is f, G is
-    big and L is low.
+    a product or an exact division by a small number.
+
+    Yields ((g, F, p1, p2, r1, r2), moves) for n = 0 .. n_max, where
+    moves is None for the start and (fl, h, D*p1*p2, L) for a step: the
+    small numbers that took F to g' = (F/fl)*h and g to
+    F' = g*(D*p1*p2)/L, so a copy of g and F in another representation
+    can follow them. Raises BitGrowthError at the first state whose
+    numerator or denominator passes bit_cap bits. In the code D is den,
+    F is f, G is big and L is low.
     """
     gcd, lcm = math.gcd, math.lcm
     coeffs = []
@@ -226,12 +231,13 @@ def _exact_states(
     f = gcd(x.denominator, y.denominator)
     p1, p2 = x.numerator // g, y.numerator // g
     r1, r2 = x.denominator // f, y.denominator // f
-    states = [state]
+    yield (g, f, p1, p2, r1, r2), None
     for n in range(n_max):
         den, a, b, c, e = coeffs[n & 1]
         s, t = r1 * p2, r2 * p1
         nx, ny = a * s + b * t, c * s + e * t
-        big = g * (den * p1 * p2)
+        m = den * p1 * p2
+        big = g * m
         ex, ey = gcd(nx, big), gcd(ny, big)
         fd = gcd(f, den)
         if fd == 1:  # always so for int coefficients
@@ -247,13 +253,73 @@ def _exact_states(
         g = f * h
         f = big // low
         p1, p2, r1, r2 = mx // h, my // h, low // ux, low // uy
-        xn, xd, yn, yd = g * p1, f * r1, g * p2, f * r2
-        worst = max(xn.bit_length(), xd.bit_length(),
-                    yn.bit_length(), yd.bit_length())
-        if worst > bit_cap:
-            raise BitGrowthError(n + 1, worst, bit_cap)
-        states.append((coprime_fraction(xn, xd), coprime_fraction(yn, yd)))
-    return states
+        # a product has the bits of its factors summed, or one fewer
+        if max(g.bit_length() + max(p1.bit_length(), p2.bit_length()),
+               f.bit_length() + max(r1.bit_length(), r2.bit_length())) > bit_cap:
+            worst = max((g * p1).bit_length(), (f * r1).bit_length(),
+                        (g * p2).bit_length(), (f * r2).bit_length())
+            if worst > bit_cap:
+                raise BitGrowthError(n + 1, worst, bit_cap)
+        yield (g, f, p1, p2, r1, r2), (fl, h, m, low)
+
+
+# Exact integer arithmetic in decimal: no operation may round, so one
+# that would raises instead of printing wrong digits.
+_EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.DivisionByZero, decimal.Overflow],
+)
+
+
+def _checked(params: PeriodicCoefficients | System, n_max: int) -> PeriodicCoefficients:
+    """params, or a System's coefficients, once n_max is checked."""
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    if isinstance(params, PeriodicCoefficients):
+        return params
+    return params.params
+
+
+def exact_orbit_text(
+    params: PeriodicCoefficients | System,
+    init: tuple[Number, Number],
+    n_max: int,
+    bit_cap: int = DEFAULT_BIT_CAP,
+) -> Iterator[tuple[str, str]]:
+    """The exact orbit as text: (exact_text(x), exact_text(y)) of each
+    state of simulate(params, init, n_max, EXACT_RATIONAL, bit_cap).
+
+    Each row costs time linear in its length. Printing an int in decimal
+    takes time quadratic in its length, so the shared factors g and F of
+    _exact_factors are carried as exact Decimals beside the ints: a step
+    moves them by products and exact divisions by small ints only, and
+    Decimal prints in linear time. The ints of a state are never built
+    and no Fraction is made. Arguments are checked at the call;
+    BitGrowthError is raised, as simulate raises it, when the rows reach
+    the state past bit_cap. The thread's decimal context is not used.
+    """
+    params = _checked(params, n_max).as_fractions()
+    state = initial_state(init, ArithmeticMode.EXACT_RATIONAL)
+    return _decimal_rows(_exact_factors(params, state, n_max, bit_cap))
+
+
+def _decimal_rows(factors) -> Iterator[tuple[str, str]]:
+    ctx = _EXACT_DECIMAL
+    mul, div, text = ctx.multiply, ctx.divide, ctx.to_sci_string
+    for (g, f, p1, p2, r1, r2), moves in factors:
+        if moves is None:
+            dg, df = ctx.create_decimal(g), ctx.create_decimal(f)
+        else:
+            fl, h, m, low = moves
+            if fl != 1:
+                df = div(df, fl)
+            dg, df = mul(df, h), div(mul(dg, m), low)
+        whole = f == 1
+        yield tuple(
+            text(mul(dg, p)) + ("" if whole and r == 1 else "/" + text(mul(df, r)))
+            for p, r in ((p1, r1), (p2, r2))
+        )
 
 
 def simulate(
@@ -272,20 +338,22 @@ def simulate(
     BitGrowthError if a state's numerator or denominator outgrows bit_cap.
     Its states equal those of Fraction iteration, but each step costs
     products and divisions against small numbers, with no gcd of two
-    state-sized ints (see _exact_states); printing an exact orbit now
-    costs more than computing it.
+    state-sized ints (see _exact_factors). Printing those states with
+    str() takes time quadratic in their length; exact_orbit_text gives
+    the same text in linear time per row, and the simulate command
+    prints through it.
     Each state is checked once, after it is produced; step is not called.
     params may be a System from transfer.prepare, whose coefficients are
     used.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if not isinstance(params, PeriodicCoefficients):
-        params = params.params
+    params = _checked(params, n_max)
     if mode is ArithmeticMode.EXACT_RATIONAL:
-        wp = params.as_fractions()
-        states = _exact_states(wp, initial_state(init, mode), n_max, bit_cap)
-        return Orbit(tuple(states), mode)
+        factors = _exact_factors(params.as_fractions(),
+                                 initial_state(init, mode), n_max, bit_cap)
+        return Orbit(tuple(
+            (coprime_fraction(g * p1, f * r1), coprime_fraction(g * p2, f * r2))
+            for (g, f, p1, p2, r1, r2), _ in factors
+        ), mode)
     wp = params.as_floats()
     quads = (wp.at(0), wp.at(1))
     x, y = state = initial_state(init, mode)
