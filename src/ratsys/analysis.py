@@ -23,7 +23,7 @@ from .rank1 import classify_rank1, growth_terms, rank1_kind, rank1_states
 from .rank2 import (
     classify_rank2,
     criterion_terms,
-    float_roots,
+    float_split,
     limit_cycle,
     rank2_kind,
     rank2_states,
@@ -109,12 +109,12 @@ def float_verdict(
 
     values are a0, b0, c0, d0, a1, b1, c1, d1, already checked finite
     and positive. The formulas and the verdict bands are the ones
-    classify reaches through its branch functions, composed_entries,
-    float_rank, growth_terms, float_roots, criterion_terms, rank1_kind
-    and rank2_kind, so the numbers and the kind equal
-    those of classify(..., attach_cycle=False) bit for bit; no
-    coefficient set, matrix, System or witness is built. Raises
-    DomainError when the composed matrix leaves float range and
+    classify reaches through its branch functions (composed_entries,
+    float_rank, growth_terms, float_split, criterion_terms, rank1_kind,
+    rank2_kind), so the numbers and the kind equal those of
+    classify(..., attach_cycle=False) bit for bit, cancelling leads
+    included; no coefficient set, matrix, System or witness is built.
+    Raises DomainError when the composed matrix leaves float range and
     BranchError when the rank-1 row ratios disagree.
     """
     m = composed_entries(*values)
@@ -122,9 +122,9 @@ def float_verdict(
     if float_rank(*m, eps_rank) == 1:
         k, _, rho = growth_terms(*m, *even)
         return 1, k, rho, rank1_kind(rho, tol_class)
-    l1, _ = float_roots(*m)
-    q, scale, delta = criterion_terms(l1, *m, *even)
-    return 2, q, delta, rank2_kind(delta, scale, tol_class)
+    split = float_split(*m)
+    scale, delta = criterion_terms(split.lambda1, split.q, *even)
+    return 2, split.q, delta, rank2_kind(delta, scale, tol_class)
 
 
 class PeriodStatus(Enum):

@@ -129,16 +129,38 @@ def _rank2(
     return system
 
 
-def float_roots(
-    m11: float, m12: float, m21: float, m22: float
-) -> tuple[float, float]:
-    """Eigenvalues of a positive 2x2 float matrix from its entries,
-    dominant first.
+class Split(NamedTuple):
+    """Of a positive matrix [[alpha, beta], [gamma, delta]]: eigenvalues,
+    dominant first, Q = beta/(lambda1 - alpha), the leads lambda - alpha,
+    the ratios gamma/lead and the gap lambda1 - lambda2."""
 
-    Works on the matrix scaled by the power of two that brings its
-    largest entry into [0.5, 1), so the discriminant cannot overflow
-    while every entry is finite; the scaling is exact, and the roots are
-    scaled back. Raises DomainError when an entry is inf.
+    lambda1: Number
+    lambda2: Number
+    q: Number
+    lead1: Number
+    lead2: Number
+    ratio1: Number
+    ratio2: Number
+    gap: Number
+
+
+def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
+    """The Split of a positive 2x2 float matrix from its entries.
+
+    The eigenvalues come from the matrix scaled by the power of two that
+    brings its largest entry into [0.5, 1), so the discriminant cannot
+    overflow while every entry is finite; the scaling is exact, and the
+    roots are scaled back. Raises DomainError when an entry is inf.
+
+    The leads lambda - alpha are plain differences of the roots where
+    both keep their digits: lambda1 <= 64*(lambda1 - alpha) and
+    |lambda2| <= 64*|lambda2 - alpha|. Elsewhere beta*gamma is lost
+    against (alpha - delta)**2. With d = (delta - alpha)/2 and
+    h = hypot(d, sqrt(beta)*sqrt(gamma)), the leads are d + h and d - h:
+    the one whose sum adds is taken as it is, the other as -beta*gamma
+    over it, in a form that never rounds beta*gamma away, with its ratio
+    -(the first lead)/beta, which holds where it underflows. The gap
+    is 2h.
     """
     top = max(m11, m12, m21, m22)
     if top == math.inf:
@@ -149,14 +171,26 @@ def float_roots(
     gamma, delta = ldexp(m21, -e), ldexp(m22, -e)
     root = math.sqrt((alpha - delta) ** 2 + 4 * beta * gamma)
     trace = alpha + delta
-    return (ldexp((trace + root) * 0.5, e), ldexp((trace - root) * 0.5, e))
+    l1, l2 = ldexp((trace + root) * 0.5, e), ldexp((trace - root) * 0.5, e)
+    lead1, lead2 = l1 - m11, l2 - m11
+    if l1 <= 64 * lead1 and abs(l2) <= 64 * abs(lead2):
+        return Split(l1, l2, m12 / lead1, lead1, lead2,
+                     m21 / lead1, m21 / lead2, l1 - l2)
+    d = (m22 - m11) * 0.5
+    sb, sg = math.sqrt(m12), math.sqrt(m21)
+    h = math.hypot(d, sb * sg)
+    lead = d + h if d >= 0 else d - h
+    other = -(sb / lead * sg) * sb * sg
+    if d >= 0:
+        return Split(l1, l2, m12 / lead, lead, other, m21 / lead, -lead / m12, 2 * h)
+    return Split(l1, l2, -lead / m21, other, lead, -lead / m12, m21 / lead, 2 * h)
 
 
-def _roots(m: TransferMatrix, exact: bool) -> tuple[Number, Number]:
-    """Eigenvalues of a positive 2x2 matrix, dominant first: exact
-    rationals, or float_roots in float mode."""
+def _roots(m: TransferMatrix, exact: bool) -> Split:
+    """The Split of a positive 2x2 matrix: exact rationals by plain
+    subtraction, or float_split in float mode."""
     if not exact:
-        return float_roots(*m.entries)
+        return float_split(*m.entries)
     alpha, beta, gamma, delta = m.entries
     disc = (alpha - delta) ** 2 + 4 * beta * gamma
     root = exact_sqrt(Fraction(disc))
@@ -168,7 +202,10 @@ def _roots(m: TransferMatrix, exact: bool) -> tuple[Number, Number]:
         )
     trace = alpha + delta
     half = Fraction(1, 2)
-    return ((trace + root) * half, (trace - root) * half)
+    l1, l2 = (trace + root) * half, (trace - root) * half
+    lead1, lead2 = l1 - alpha, l2 - alpha
+    return Split(l1, l2, beta / lead1, lead1, lead2,
+                 gamma / lead1, gamma / lead2, l1 - l2)
 
 
 def eigenvalues(
@@ -182,42 +219,17 @@ def eigenvalues(
     otherwise the eigenvalues are irrational and a DomainError says so.
     """
     system = _rank2(params, mode, eps_rank)
-    return _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)
+    return _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)[:2]
 
 
 def criterion_terms(
-    l1: Number, m11: Number, m12: Number, m21: Number, m22: Number,
-    a0: Number, b0: Number, c0: Number, d0: Number,
-) -> tuple[Number, Number, Number]:
-    """(Q, scale, delta) from lambda1, the composed-matrix entries and
-    the even coefficients, in the arithmetic of the inputs.
-
-    Q = beta/(lambda1 - alpha) is the init-free limit of u[2m]/v[2m],
-    scale = (b0*Q + a0)*(d0*Q + c0) is positive, and
-    delta = lambda1*Q - scale. Where beta*gamma is lost against the
-    diagonal, the float lambda1 rounds to alpha itself, and _slope takes
-    Q from the entries instead.
-    """
-    gap = l1 - m11
-    q = m12 / gap if gap else _slope(m11, m12, m21, m22)
+    l1: Number, q: Number, a0: Number, b0: Number, c0: Number, d0: Number,
+) -> tuple[Number, Number]:
+    """(scale, delta) from lambda1, the slope Q of the Split and the even
+    coefficients, in the arithmetic of the inputs: the positive
+    scale = (b0*Q + a0)*(d0*Q + c0) and delta = lambda1*Q - scale."""
     scale = (b0 * q + a0) * (d0 * q + c0)
-    return q, scale, l1 * q - scale
-
-
-def _slope(m11: float, m12: float, m21: float, m22: float) -> float:
-    """Q = beta/(lambda1 - alpha) of a positive float matrix from its
-    entries alone, for a lambda1 that rounds to alpha.
-
-    With h half the eigenvalue gap, lambda1 - alpha = h + (delta - alpha)/2
-    and lambda1 - delta = h - (delta - alpha)/2. Their product is
-    beta*gamma, so Q is also (lambda1 - delta)/gamma, and the form whose
-    difference adds is taken. h is the hypot of (delta - alpha)/2 and
-    sqrt(beta)*sqrt(gamma), so beta*gamma never underflows, and when
-    alpha == delta, Q = sqrt(beta)/sqrt(gamma) up to rounding.
-    """
-    half = (m22 - m11) * 0.5
-    h = math.hypot(half, math.sqrt(m12) * math.sqrt(m21))
-    return (h - half) / m21 if half <= 0 else m12 / (h + half)
+    return scale, l1 * q - scale
 
 
 def rank2_kind(delta: Number, scale: Number, tol_class: float) -> Kind:
@@ -228,12 +240,11 @@ def rank2_kind(delta: Number, scale: Number, tol_class: float) -> Kind:
                           Kind.CONVERGES_TO_TWO_PERIODIC)
 
 
-def _criterion(system: System) -> tuple[Number, Number, Number, Number, Number]:
-    """(lambda1, lambda2, Q, scale, delta) of a rank-2 System, in the
-    System's arithmetic; see criterion_terms."""
-    m = system.matrix
-    l1, l2 = _roots(m, system.mode is ArithmeticMode.EXACT_RATIONAL)
-    return (l1, l2, *criterion_terms(l1, *m.entries, *system.params.at(0)))
+def _criterion(system: System) -> tuple[Split, Number, Number]:
+    """(Split, scale, delta) of a rank-2 System, in the System's
+    arithmetic; see criterion_terms."""
+    split = _roots(system.matrix, system.mode is ArithmeticMode.EXACT_RATIONAL)
+    return (split, *criterion_terms(split.lambda1, split.q, *system.params.at(0)))
 
 
 def spectral_constants(
@@ -244,29 +255,17 @@ def spectral_constants(
 ) -> SpectralData:
     """Expansion constants for the start (u0, v0) = (x0, y0)."""
     system = _rank2(params, mode, eps_rank)
-    return _expansion(system, _criterion(system), initial_state(init, mode))
+    split = _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)
+    return _expansion(split, system.matrix, initial_state(init, mode))
 
 
 def _expansion(
-    system: System,
-    criterion: tuple[Number, Number, Number, Number, Number],
-    start: tuple[Number, Number],
+    split: Split, m: TransferMatrix, start: tuple[Number, Number]
 ) -> SpectralData:
-    """SpectralData of a checked start from the System's _criterion."""
-    l1, l2, q, _, _ = criterion
-    m = system.matrix
-    alpha, beta, gamma = m.m11, m.m12, m.m21
+    """SpectralData of a checked start from the matrix m and its Split."""
+    beta, gamma = m.m12, m.m21
     u0, v0 = start
-    lead1, lead2, gap = l1 - alpha, l2 - alpha, l1 - l2
-    if lead1 and lead2 and gap:
-        ratio1, ratio2 = gamma / lead1, gamma / lead2
-    else:
-        # a float eigenvalue rounds to alpha or to the other one; the
-        # slope Q of criterion_terms still gives lambda1 - alpha = beta/Q
-        # and lambda2 - alpha = -(lambda1 - delta) = -gamma*Q
-        lead1, lead2 = beta / q, -gamma * q
-        ratio1, ratio2 = gamma / beta * q, -1 / q
-        gap = lead1 - lead2
+    l1, l2, q, lead1, lead2, ratio1, ratio2, gap = split
     c1 = beta / gap * (ratio1 * u0 + v0)
     c2 = beta / gap * (ratio2 * u0 + v0)
     c3 = (gamma * u0 + lead1 * v0) / gap
@@ -397,11 +396,9 @@ def _scaled(start: tuple[float, float]) -> tuple[float, float]:
 
 
 _EPS = 2.0 ** -52
-# The rounding of a float log factor, relative to its size (at least 1):
-# the settle waits for the factors to change by less than this. Their
-# limit also inherits the rounding of lambda1 - alpha, which cancels
-# when lambda1 is close to alpha, so the error bound scales it by
-# lambda1/(lambda1 - alpha).
+# The rounding of a float log factor, relative to its size (at least 1),
+# whose constants float_split forms without cancellation: the settle
+# waits for the factors to change by less than this.
 _ROUNDING = 16 * _EPS
 # The settle comes at this term at the earliest, so that every index
 # below 42, the horizons the golden outputs pin digit for digit, is the
@@ -415,7 +412,8 @@ class _Settled(NamedTuple):
     Past term k the logs of the four products are logs + (m - k)*factors,
     one multiply-add each. base bounds the error of logs in log, the
     rounding of every earlier term and the factors' remaining tail
-    included; slope is what each later term adds to it.
+    included; slope, one term's rounding plus drift, is what each later
+    term adds to it.
     """
 
     term: int
@@ -455,16 +453,14 @@ def _float_terms(
     r/(1 - r), estimates how far a factor still is from its limit;
     drift keeps the largest such estimate, shrunk by r per term, so that
     a change that rounds to 0 early settles nothing. k is the first
-    term from _MIN_SETTLE_TERM on where change plus drift, at least the
-    change times 1 + r/(1 - r), is down to the factors' rounding. k
-    depends on r and the start, never on a horizon: about
-    log(rounding)/log(r) terms, so 20 on typical sets, some 400 at
-    r = 0.9 and 4,000 at r = 0.99. If r rounds to 1 the factors never
-    settle and the iterator does not stop. Nor do they where lambda1
-    rounds to alpha, beta*gamma being lost against (alpha - delta)**2:
-    the bound below scales the rounding by lambda1/(lambda1 - alpha),
-    and early factors there can sit on a plateau for hundreds of terms
-    before they move, so every term is the running sum.
+    term where change plus drift, at least the change times
+    1 + r/(1 - r), is down to the factors' rounding, from term
+    max(_MIN_SETTLE_TERM, log(B)/log(1/r)) on, B = max(|c2/c1|, |c4/c3|):
+    before it the lambda2 mode can outweigh the lambda1 mode and hold
+    the factors on a plateau. k depends on r and the start, never on a
+    horizon: about log(rounding)/log(r) terms, so 20 on typical sets,
+    some 400 at r = 0.9 and 4,000 at r = 0.99. If r rounds to 1, or c1
+    or c3 is 0, the factors never settle and the iterator never stops.
 
     Factors settled within rounding of 0 belong to a set on the
     convergence boundary. If delta_sign_exact finds delta exactly 0 for
@@ -477,11 +473,14 @@ def _float_terms(
     system = _rank2(system, system.mode, system.eps_rank)
     wp = system.params
     seed = _scaled(start)
-    sd = _expansion(system, _criterion(system), seed)
+    sd = _expansion(_roots(system.matrix, False), system.matrix, seed)
     r = abs(sd.lambda2 / sd.lambda1)
     tail = r / (1.0 - r) if r < 1.0 else math.inf
     drift = 0.0 if r < 1.0 else math.inf
-    lead = abs(sd.lambda1 - system.matrix.m11)
+    first = math.inf
+    if r < 1.0 and sd.c1 and sd.c3:
+        b = max(abs(sd.c2 / sd.c1), abs(sd.c4 / sd.c3), 1.0)
+        first = max(_MIN_SETTLE_TERM, math.log(b) / -math.log(r) if r else 0)
     products = _products(wp, sd, seed, start, s1, exact=False)
     yield next(products)[0], None
     logs, (pxe, pxo, pye, pyo) = next(products)
@@ -493,12 +492,12 @@ def _float_terms(
         drift *= r
         if change * tail > drift:
             drift = change * tail
-        if (lead and k >= _MIN_SETTLE_TERM
+        if (k >= first
                 and change + drift <= _ROUNDING * max(1.0, abs(fxe))):
             break
         yield logs, None
         pxe, pxo, pye, pyo = factors
-    rounding = _ROUNDING * max(1.0, abs(fxe)) * sd.lambda1 / lead
+    rounding = _ROUNDING * max(1.0, abs(fxe))
     base = k * (rounding + _EPS * max(map(abs, logs))) + drift * tail
     slope = rounding + drift
     if max(map(abs, factors)) <= rounding and _balanced(wp, system.eps_rank):
@@ -617,7 +616,7 @@ def criterion_delta(
     Depends only on coefficients. Exact mode needs a rational eigenvalue
     gap; delta_sign_exact decides the sign without that restriction.
     """
-    return _criterion(_rank2(params, mode, eps_rank))[4]
+    return _criterion(_rank2(params, mode, eps_rank))[2]
 
 
 def delta_sign_exact(
@@ -670,14 +669,15 @@ def classify_rank2(
     system = _rank2(params, mode, eps_rank)
     if floats is None:
         floats = prepare(system, ArithmeticMode.FLOAT64, eps_rank)
-    l1, l2, q, scale, delta = _criterion(floats)
+    split, scale, delta = _criterion(floats)
     value, tol = delta, tol_class
     if mode is ArithmeticMode.EXACT_RATIONAL:
         value, tol = delta_sign_exact(system, eps_rank), 0
         if value == 0:
             delta = 0.0
     kind = rank2_kind(value, scale, tol)
-    witness = Rank2Witness(lambda1=l1, lambda2=l2, q=q, delta=delta, scale=scale)
+    witness = Rank2Witness(lambda1=split.lambda1, lambda2=split.lambda2,
+                           q=split.q, delta=delta, scale=scale)
     return Classification(kind=kind, rank=2, witness=witness)
 
 
@@ -700,8 +700,7 @@ def limit_cycle(
     tolerance.
     """
     system = _rank2(params, ArithmeticMode.FLOAT64, eps_rank)
-    criterion = _criterion(system)
-    _, _, _, scale, delta = criterion
+    split, scale, delta = _criterion(system)
     kind = rank2_kind(delta, scale, tol_class)
     if kind is not Kind.CONVERGES_TO_TWO_PERIODIC:
         raise BranchError(
@@ -712,7 +711,7 @@ def limit_cycle(
     s0 = initial_state(init, ArithmeticMode.FLOAT64)
     s1 = step(wp, 0, s0)
     seed = _scaled(s0)
-    sd = _expansion(system, criterion, seed)
+    sd = _expansion(split, system.matrix, seed)
     r = abs(sd.lambda2 / sd.lambda1)
     tail = r / (1.0 - r) if r < 1.0 else math.inf
     products = _products(wp, sd, seed, s0, s1, exact=False)

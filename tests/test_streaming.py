@@ -15,7 +15,7 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ratsys
 import ratsys.analysis
@@ -24,6 +24,7 @@ from ratsys import (
     ArithmeticMode,
     DomainError,
     PeriodicCoefficients,
+    TruncationError,
     classify,
     closed_form_sequence,
     closed_form_states,
@@ -486,6 +487,14 @@ def test_underflowing_rank1_row_sums_keep_rho(capsys):
     assert rho == k * mu / ((1.0 + k) * (1.0 + k))
 
 
+TINY_DIAGONAL = ["1e-6", 2, 1, "1e-6", "1e-6", 1, 1, "1e-6"]
+# the float lambda2 rounds to alpha
+LAMBDA2_NEAR_ALPHA = [
+    "7.731020285711353e-12", "1.5821012714728953", "4.904839267964394",
+    "7.113291871332182e-12", "1.1504532194895387e-11", "0.7667157356238181",
+    "2.206989544569091", "9.676311136298773e-12"]
+
+
 def symmetric(tiny):
     """alpha == delta == 1 and beta == gamma == 2*tiny: beta*gamma is
     below alpha's rounding, so the float eigenvalues coincide. The set
@@ -520,9 +529,18 @@ def test_coinciding_float_eigenvalues_classify_on_the_boundary(tiny, capsys):
     # the boundary
     [1, "1e-20", "1e-20", 1, 2, "1e-20", "1e-20", 2],
     [3, "1e-200", "1e-200", 2, 2, "1e-200", "1e-200", 3],
+    # beta*gamma is some 1e-12 of (alpha - delta)**2: lambda1 - alpha
+    # keeps a handful of digits when it is a plain difference
+    TINY_DIAGONAL,
+    LAMBDA2_NEAR_ALPHA,
+    ["1e-20", 2, 1, "1e-20", "1e-20", "0.6", 1, "1e-20"],
+    # the lambda1 mode of v starts some 1e24 below the lambda2 mode, so
+    # the factors sit on a plateau long past term 20
+    ["1e-25", 2, 1, "1e-25", "1e-25", "1.5", 1, "1e-25"],
 ], ids=["underflow-b1-1", "underflow-b1-1.5", "underflow-b1-2",
         "symmetric-1e-20", "symmetric-1e-200", "mirror", "diagonal",
-        "diagonal-balanced"])
+        "diagonal-balanced", "tiny-diagonal-1e-6", "lambda2-near-alpha",
+        "tiny-diagonal-1e-20", "buried-lambda1-mode"])
 @pytest.mark.parametrize("start", [(1.0, 1.0), (3.0, 0.5)])
 def test_float_eigenvalues_rounding_together_closed_forms(values, start):
     flags = coeff_flags(values) + ["--x0", repr(start[0]), "--y0", repr(start[1])]
@@ -543,11 +561,38 @@ def test_float_eigenvalues_rounding_together_closed_forms(values, start):
     for mode in ("float", "exact"):
         code, out = stdout_of(["classify", *flags, "--mode", mode])
         assert code == 0 and "nan" not in out
-    # where the factors never settle, the point query is the stream's
+    # settled or not, the point query is the stream's
     params = PeriodicCoefficients(*map(float, values))
     n = 999
     stream = next(islice(closed_form_states(params, start), n, None))
     assert rank2_solution(params, start, n) == stream
+
+
+moderate = st.floats(min_value=0.2, max_value=5.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exponent=st.floats(min_value=-15.0, max_value=-1.0),
+       diagonal=st.tuples(moderate, moderate, moderate, moderate),
+       off_diagonal=st.tuples(moderate, moderate, moderate, moderate),
+       start=st.tuples(st.floats(min_value=-0.5, max_value=0.5),
+                       st.floats(min_value=-0.5, max_value=0.5)))
+def test_float_compare_holds_where_beta_gamma_is_lost_against_the_diagonal(
+        exponent, diagonal, off_diagonal, start):
+    # a0, d0, a1, d1 of size 10**exponent make beta*gamma some 1e-2 to
+    # 1e-30 of (alpha - delta)**2
+    a0, d0, a1, d1 = (10.0 ** exponent * v for v in diagonal)
+    b0, c0, b1, c1 = off_diagonal
+    params = PeriodicCoefficients(a0, b0, c0, d0, a1, b1, c1, d1)
+    assume(ratsys.prepare(params).rank == 2)
+    init = (10.0 ** start[0], 10.0 ** start[1])
+    try:
+        report = compare(params, init, 1000)
+    except TruncationError:
+        return  # the iteration itself left float range
+    assert report.first_divergence_index is None
+    assert report.max_rel_error_x <= 1e-10
+    assert report.max_rel_error_y <= 1e-10
 
 
 EXACT_PAST_RANGE = ["1e400", 1, 4, 3, 1, 2, 3, 1]

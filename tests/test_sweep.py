@@ -71,6 +71,9 @@ def sweep_argv(base, axes, fmt="csv"):
 @given(grid=grids())
 # cells at 1.6, 3.1 and 4.7 times the tol_class band from the boundary
 @example(grid=(BALANCED, [("b1", 1 - 6e-8, 1 + 6e-8, 7)]))
+# beta*gamma lost against (alpha - delta)**2, where Q comes from the
+# cancellation-free split; alpha == delta at b1 = 0.5
+@example(grid=([1e-6, 2.0, 1.0, 1e-6, 1e-6, 1.0, 1.0, 1e-6], [("b1", 0.5, 2.0, 7)]))
 def test_sweep_rows_equal_classify_bit_for_bit(grid):
     base, axes = grid
     out = io.StringIO()
