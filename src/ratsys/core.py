@@ -24,8 +24,8 @@ from .numeric import (
     ArithmeticMode,
     Number,
     coprime_fraction,
-    log_add_exp,
     require_positive,
+    saturating_exp,
     to_fraction,
 )
 
@@ -33,6 +33,7 @@ if TYPE_CHECKING:
     from .transfer import System
 
 DEFAULT_BIT_CAP = 1_000_000
+SMALLEST_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
 COEFF_NAMES = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
 
 
@@ -379,26 +380,56 @@ def log_simulate(
 ) -> list[tuple[float, float]]:
     """Iterate in log space, immune to overflow and underflow.
 
-    Returns [(log x[n], log y[n])] for n = 0 .. n_max. Each step evaluates
-    log(a*e**-lx + b*e**-ly) as max + log1p(exp(-gap)), which keeps every
-    intermediate bounded, so growth and decay rates remain readable out to
-    n around 10**6 even when the values themselves dwarf float range.
+    Returns [(log x[n], log y[n])] for n = 0 .. n_max. States and
+    coefficients are carried as frexp's mantissa and power-of-two
+    exponent, so a/x is a quotient in (0.5, 2) times a power of two and
+    nothing leaves float range. A step rounds at the size of the value,
+    not of its log, so the error in log grows at most linearly in n
+    (about 2e-12 at n = 10**5).
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    wp = params.as_floats()
-    x0, y0 = initial_state(init, ArithmeticMode.FLOAT64)
-
-    logs = [
-        (math.log(wp.a0), math.log(wp.b0), math.log(wp.c0), math.log(wp.d0)),
-        (math.log(wp.a1), math.log(wp.b1), math.log(wp.c1), math.log(wp.d1)),
-    ]
-    lx, ly = math.log(x0), math.log(y0)
-    out = [(lx, ly)]
+    frexp, log, ln2 = math.frexp, math.log, math.log(2.0)
+    quads = [tuple(map(frexp, params.as_floats().at(i))) for i in (0, 1)]
+    (mx, ex), (my, ey) = map(frexp, initial_state(init, ArithmeticMode.FLOAT64))
+    out = [(log(mx) + ex * ln2, log(my) + ey * ln2)]
     for n in range(n_max):
-        la, lb, lc, ld = logs[n % 2]
-        nlx = log_add_exp(la - lx, lb - ly)
-        nly = log_add_exp(lc - lx, ld - ly)
-        lx, ly = nlx, nly
-        out.append((lx, ly))
+        (ma, ea), (mb, eb), (mc, ec), (md, ed) = quads[n & 1]
+        (mx, ex), (my, ey) = (_scaled_sum(ma / mx, ea - ex, mb / my, eb - ey),
+                              _scaled_sum(mc / mx, ec - ex, md / my, ed - ey))
+        out.append((log(mx) + ex * ln2, log(my) + ey * ln2))
     return out
+
+
+def _scaled_sum(u: float, i: int, v: float, j: int) -> tuple[float, int]:
+    """u*2**i + v*2**j, for u and v in (0.5, 2), as frexp gives it."""
+    if i < j:
+        u, i, v, j = v, j, u, i
+    m, k = math.frexp(u + math.ldexp(v, j - i))
+    return m, i + k
+
+
+def head(
+    params: PeriodicCoefficients, start: tuple[Number, Number], mode: ArithmeticMode
+) -> tuple[list[tuple[Number, Number]], list[tuple[Number, Number]]]:
+    """States 0 to 3 by direct steps from a checked start, where every
+    closed form starts, and the same states as logs in float mode (exact
+    mode gives the states twice). A float orbit whose state 1, 2 or 3
+    leaves the normal float range, where a step would lose digits or
+    fail, takes the rest of its head and its logs from log_simulate,
+    saturated to 0.0 or inf.
+    """
+    states = [start]
+    exact = mode is ArithmeticMode.EXACT_RATIONAL
+    for n in range(3):
+        x, y = state = step(params, n, states[-1])
+        if not (exact or (SMALLEST_NORMAL <= x < math.inf
+                          and SMALLEST_NORMAL <= y < math.inf)):
+            logs = log_simulate(params, start, 3)
+            states += ((saturating_exp(lx), saturating_exp(ly))
+                       for lx, ly in logs[n + 1:])
+            return states, logs
+        states.append(state)
+    if exact:
+        return states, states
+    return states, [(math.log(x), math.log(y)) for x, y in states]

@@ -82,13 +82,6 @@ def number_log(value: Number) -> float:
     return math.log(value)
 
 
-def log_add_exp(p: float, q: float) -> float:
-    """log(e**p + e**q) without overflow, by factoring out the max."""
-    if p < q:
-        p, q = q, p
-    return p + math.log1p(math.exp(q - p))
-
-
 def saturating_exp(x: float) -> float:
     """math.exp that returns inf past float range instead of raising."""
     try:

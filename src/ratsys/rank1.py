@@ -33,13 +33,12 @@ from itertools import count, islice
 from typing import Iterator
 
 from .classification import Classification, Kind, kind_from_sign
-from .core import PeriodicCoefficients, initial_state, log_simulate, step
+from .core import SMALLEST_NORMAL, PeriodicCoefficients, head, initial_state
 from .errors import BranchError, DomainError
 from .numeric import ArithmeticMode, Number, saturating_exp
 from .transfer import Parity, System, linear_step, parity_matrix, prepare
 
 K_CONSISTENCY_EPS = 1e-10
-SMALLEST_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,39 +177,17 @@ def rank1_uv(
     )
 
 
-def _head(system: System, start: tuple[Number, Number]):
-    """States 0 to 3 by direct steps, and the anchors of _geometric_law:
-    states 2 and 3, as logs in float mode.
-
-    A float orbit that leaves float range before index 4 takes the rest
-    of its head from log-space steps, saturated to 0.0 or inf, and keeps
-    the logs as anchors.
-    """
-    wp = system.params
-    exact = system.mode is ArithmeticMode.EXACT_RATIONAL
-    head = [start]
-    for n in range(3):
-        x, y = state = step(wp, n, head[-1])
-        if not exact and not (0 < x < math.inf and 0 < y < math.inf):
-            logs = log_simulate(wp, start, 3)
-            head += ((saturating_exp(lx), saturating_exp(ly))
-                     for lx, ly in logs[n + 1:])
-            return head, logs[2], logs[3]
-        head.append(state)
-    if exact:
-        return head, head[2], head[3]
-    return head, *((math.log(x), math.log(y)) for x, y in head[2:])
-
-
-def _geometric_law(s2, s3, rho: Number, mode: ArithmeticMode):
+def _geometric_law(anchors, rho: Number, mode: ArithmeticMode):
     """The closed form past index 3, as a function n -> (x[n], y[n]).
 
     Even indices follow x[2m] = x2 * rho**(m-1) and odd indices
-    x[2m+1] = x3 * rho**(1-m), same for y. Float mode takes the anchors
-    as logs from _head and evaluates the powers in log space, taking the
-    log of rho once, and values past float range saturate to inf or 0.0.
+    x[2m+1] = x3 * rho**(1-m), same for y. The anchors are the second
+    list of core.head: in float mode logs, so the powers are evaluated
+    in log space, taking the log of rho once, and values past float
+    range saturate to inf or 0.0.
     """
     exact = mode is ArithmeticMode.EXACT_RATIONAL
+    s2, s3 = anchors[2], anchors[3]
     if not exact:
         log_rho = math.log(rho)
 
@@ -240,8 +217,8 @@ def rank1_solution(
 ) -> tuple[Number, Number]:
     """(x[n], y[n]) in closed form, valid for every positive start.
 
-    Indices 0 to 3 are produced by direct steps (constant work). Beyond
-    that, even indices follow x[2m] = x2 * rho**(m-1) and odd indices
+    Indices 0 to 3 are direct steps, from core.head. Beyond that, even
+    indices follow x[2m] = x2 * rho**(m-1) and odd indices
     x[2m+1] = x3 * rho**(1-m), same for y; this matches direct iteration
     for all initial values, including those off the y0 = K*x0 locus where
     the first even factor differs from rho. Float mode evaluates the
@@ -250,11 +227,11 @@ def rank1_solution(
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     system = prepare(params, mode, eps_rank)
-    head, s2, s3 = _head(system, initial_state(init, mode))
+    states, anchors = head(system.params, initial_state(init, mode), mode)
     if n <= 3:
-        return head[n]
+        return states[n]
     rho = growth_and_ratio(system, mode, eps_rank).rho
-    return _geometric_law(s2, s3, rho, mode)(n)
+    return _geometric_law(anchors, rho, mode)(n)
 
 
 def rank1_states(
@@ -262,14 +239,14 @@ def rank1_states(
 ) -> Iterator[tuple[Number, Number]]:
     """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
 
-    Indices 1 to 3 are direct steps (see _head); K, mu and rho are
-    computed on reaching index 4, so a rank-2 System raises BranchError
-    there.
+    Indices 0 to 3 are core.head's direct steps, and its states 2 and 3
+    anchor the geometric law; K, mu and rho are computed on reaching
+    index 4, so a rank-2 System raises BranchError there.
     """
-    head, s2, s3 = _head(system, start)
-    yield from head
+    states, anchors = head(system.params, start, system.mode)
+    yield from states
     rho = growth_and_ratio(system, system.mode, system.eps_rank).rho
-    yield from map(_geometric_law(s2, s3, rho, system.mode), count(4))
+    yield from map(_geometric_law(anchors, rho, system.mode), count(4))
 
 
 def rank1_solution_sequence(

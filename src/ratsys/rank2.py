@@ -39,7 +39,7 @@ from itertools import count, islice
 from typing import Iterator, NamedTuple
 
 from .classification import Classification, Kind, kind_from_sign
-from .core import PeriodicCoefficients, initial_state, step
+from .core import PeriodicCoefficients, head, initial_state
 from .errors import BranchError, ConvergenceError, DomainError
 from .numeric import ArithmeticMode, Number, exact_sqrt, saturating_exp
 from .transfer import System, TransferMatrix, prepare
@@ -315,43 +315,37 @@ def rank2_uv(
 def _products(
     wp: PeriodicCoefficients,
     sd: SpectralData,
-    seed: tuple[Number, Number],
-    s0: tuple[Number, Number],
-    s1: tuple[Number, Number],
+    anchors: list[tuple[Number, Number]],
     exact: bool,
 ) -> Iterator[tuple[Quad, Quad | None]]:
     """Running (x[2k], x[2k+1], y[2k], y[2k+1]) and their factors, k >= 0.
 
     Exact mode yields the products themselves, float mode their natural
-    logs. Each step multiplies in one factor per product,
+    logs. The products at k = 0 and 1 are states 0 to 3 from anchors,
+    the second list of core.head, and their factors are None. From
+    k = 2 on each step multiplies in one factor per product,
     x[2k] = x[2k-2] * gx_even[k] and likewise for the other three, and
     yields those four factors (their logs in float mode) next to the
-    products; at k = 0 the factors are None. Every factor is a ratio of
-    bounded positive quantities: the eigenvalue powers are carried only
-    through t**k with t = l2/l1, |t| < 1, so nothing here can overflow,
-    except at k = 0 in float mode, where the factors use the start's
-    ratio x0/y0 itself. They are the step ratios x2/x0, x3/x1, y2/y0 and
-    y3/y1, so when one of them leaves (0, inf) the logs of two direct
-    steps are taken instead, and the factors are the differences of the
-    logs. seed is the start the constants in sd were computed from:
-    (x0, y0), or that times a power of two (see _scaled). Each term costs
-    the same, so running to term k costs k factors; rank2_solution stops
-    at the settle term of _float_terms instead of at n/2.
+    products. Every factor is a ratio of bounded positive quantities:
+    the eigenvalue powers are carried only through t**k with t = l2/l1,
+    |t| < 1, and the start only through ratios of the constants in sd,
+    which may come from the start times any power of two (see _scaled),
+    so nothing here can overflow. Each term costs the same, so running
+    to term k costs k factors; rank2_solution stops at the settle term
+    of _float_terms instead of at n/2.
     """
     t = sd.lambda2 / sd.lambda1
     l1, c1, c2, c3, c4 = sd.lambda1, sd.c1, sd.c2, sd.c3, sd.c4
     a0, b0, c0, d0 = wp.at(0)
     log = math.log
-    start = (s0[0], s1[0], s0[1], s1[1])
-    x_e, x_o, y_e, y_o = start if exact else map(log, start)
+    (x0, y0), (x1, y1), (x_e, y_e), (x_o, y_o) = anchors
+    yield (x0, x1, y0, y1), None
     yield (x_e, x_o, y_e, y_o), None
-    tk = Fraction(1) if exact else 1.0  # t**k
-    # u[2k], v[2k] / lambda1**k; at k = 0 that is the seed itself, which
-    # c1 - c2 and c3 - c4 lose to cancellation when x0/y0 is lopsided
-    num_u, num_v = seed
+    tk = t  # t**k
+    # u[2k], v[2k] / lambda1**k
+    num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
     q_cur = num_u / num_v
     s_cur = 1 / q_cur
-    first = not exact
     while True:
         tk *= t
         num_u_prev, num_v_prev, q_prev, s_prev = num_u, num_v, q_cur, s_cur
@@ -370,28 +364,19 @@ def _products(
             factors = (gx_even, gx_odd, gy_even, gy_odd)
             x_e, x_o = x_e * gx_even, x_o * gx_odd
             y_e, y_o = y_e * gy_even, y_o * gy_odd
-        elif first and not all(
-                0 < g < math.inf for g in (gx_even, gx_odd, gy_even, gy_odd)):
-            s2 = step(wp, 1, s1)
-            s3 = step(wp, 2, s2)
-            logs = tuple(map(log, (s2[0], s3[0], s2[1], s3[1])))
-            factors = (logs[0] - x_e, logs[1] - x_o, logs[2] - y_e, logs[3] - y_o)
-            x_e, x_o, y_e, y_o = logs
         else:
             factors = fxe, fxo, fye, fyo = (
                 log(gx_even), log(gx_odd), log(gy_even), log(gy_odd))
             x_e, x_o = x_e + fxe, x_o + fxo
             y_e, y_o = y_e + fye, y_o + fyo
-        first = False
         yield (x_e, x_o, y_e, y_o), factors
 
 
 def _scaled(start: tuple[float, float]) -> tuple[float, float]:
-    """A float start times the power of two nearest its geometric mean's
-    inverse: exact, and it keeps the expansion constants in float range
-    for starts near the ends of it. Starts within a factor of two or so
-    of 1 are returned unchanged."""
-    e = (math.frexp(start[0])[1] + math.frexp(start[1])[1]) // 2
+    """A float start times the power of two that brings its larger
+    component into [0.5, 1), so that the expansion constants stay in
+    float range for every start; only their ratios enter _products."""
+    e = max(math.frexp(start[0])[1], math.frexp(start[1])[1])
     return (math.ldexp(start[0], -e), math.ldexp(start[1], -e))
 
 
@@ -442,11 +427,12 @@ def _balanced(wp: PeriodicCoefficients, eps_rank: float) -> bool:
 
 
 def _float_terms(
-    system: System, start: tuple[float, float], s1: tuple[float, float]
+    system: System, start: tuple[float, float], anchors: list[tuple[float, float]]
 ) -> Iterator[tuple[Quad, _Settled | None]]:
     """Float logs (x[2k], x[2k+1], y[2k], y[2k+1]) up to the settle term.
 
-    Yields (logs, None) for k = 0, 1, ... and (logs, settle) at the
+    anchors are the logs of core.head from the checked start. Yields
+    (logs, None) for k = 0, 1, ... and (logs, settle) at the
     settle term k, then stops. The settle watches the log factors of
     _products. With r = |lambda2/lambda1| they approach their limits
     geometrically, so the change from one term to the next, times
@@ -472,8 +458,7 @@ def _float_terms(
     """
     system = _rank2(system, system.mode, system.eps_rank)
     wp = system.params
-    seed = _scaled(start)
-    sd = _expansion(_roots(system.matrix, False), system.matrix, seed)
+    sd = _expansion(_roots(system.matrix, False), system.matrix, _scaled(start))
     r = abs(sd.lambda2 / sd.lambda1)
     tail = r / (1.0 - r) if r < 1.0 else math.inf
     drift = 0.0 if r < 1.0 else math.inf
@@ -481,10 +466,11 @@ def _float_terms(
     if r < 1.0 and sd.c1 and sd.c3:
         b = max(abs(sd.c2 / sd.c1), abs(sd.c4 / sd.c3), 1.0)
         first = max(_MIN_SETTLE_TERM, math.log(b) / -math.log(r) if r else 0)
-    products = _products(wp, sd, seed, start, s1, exact=False)
-    yield next(products)[0], None
-    logs, (pxe, pxo, pye, pyo) = next(products)
+    products = _products(wp, sd, anchors, exact=False)
+    (logs0, _), (logs, _) = next(products), next(products)
+    yield logs0, None
     yield logs, None
+    pxe, pxo, pye, pyo = (k1 - k0 for k0, k1 in zip(logs0, logs))
     for k, (logs, factors) in enumerate(products, 2):
         fxe, fxo, fye, fyo = factors
         change = max(abs(fxe - pxe), abs(fxo - pxo),
@@ -530,32 +516,33 @@ def rank2_states(
 ) -> Iterator[tuple[Number, Number]]:
     """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
 
-    Exact mode multiplies in one ratio factor per product and two-step.
-    Float mode adds their logs up to the settle term k of _float_terms
-    (20 terms on typical sets, more as r = |lambda2/lambda1| nears 1,
-    independent of n); past it each log is the log at term k
-    plus (m - k) times the settled factor, one multiply-add and one
-    saturating_exp per component. Every index before 2k + 2 is the
-    running sum itself.
+    Indices 0 to 3 are core.head's, whose states (logs in float mode)
+    are the products at terms 0 and 1. Exact mode multiplies in one
+    ratio factor per product and two-step from there. Float mode adds
+    their logs up to the settle term k of _float_terms (20 terms on
+    typical sets, more as r = |lambda2/lambda1| nears 1, independent of
+    n) and past it takes the log at term k plus (m - k) times the
+    settled factor. Every index before 2k + 2 is the running sum itself.
 
     The spectral constants are computed on reaching index 1, so a rank-1
     System raises BranchError there, and an exact one with an irrational
     eigenvalue gap DomainError.
     """
     wp = system.params
+    states, anchors = head(wp, start, system.mode)
     yield start
-    s1 = step(wp, 0, start)
     if system.mode is ArithmeticMode.EXACT_RATIONAL:
         sd = spectral_constants(system, start, system.mode, system.eps_rank)
-        yield s1
-        products = _products(wp, sd, start, start, s1, exact=True)
-        for (x_e, x_o, y_e, y_o), _ in islice(products, 1, None):
+        yield from states[1:]
+        products = _products(wp, sd, anchors, exact=True)
+        for (x_e, x_o, y_e, y_o), _ in islice(products, 2, None):
             yield (x_e, y_e)
             yield (x_o, y_o)
     # float mode; the exact products above never end
-    terms = _float_terms(system, start, s1)
-    next(terms)
-    yield s1
+    terms = _float_terms(system, start, anchors)
+    next(terms)  # the constants, before index 1
+    yield from states[1:]
+    next(terms)  # term 1: states 2 and 3
     exp = saturating_exp
     for (x_e, x_o, y_e, y_o), settled in terms:
         yield (exp(x_e), exp(y_e))
@@ -575,19 +562,20 @@ def rank2_solution(
 ) -> tuple[Number, Number]:
     """(x[n], y[n]) through the telescoping ratio products.
 
-    Float mode runs the factors only to the settle term k of
-    _float_terms and jumps from there straight to index n, so a query
-    costs a number of terms set by r = |lambda2/lambda1| and the start
-    (20 on typical sets, some 4,000 at r = 0.99), not by n; before
-    index 2k + 2 it costs n/2 terms, as does every index of a set whose
-    factors never settle. The value is the n-th state of rank2_states,
-    bit for bit. Exact mode multiplies in all n/2 terms.
+    Indices 0 to 3 are core.head's direct steps. Past them float mode
+    runs the factors only to the settle term k of _float_terms and jumps
+    from there to index n, so a query costs a number of terms set by
+    r = |lambda2/lambda1| and the start (20 on typical sets, some 4,000
+    at r = 0.99), not by n; before index 2k + 2 it costs n/2 terms, as
+    does every index of a set whose factors never settle. The value and
+    any error are those of rank2_states at index n. Exact mode
+    multiplies in all n/2 terms.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
-    if mode is ArithmeticMode.EXACT_RATIONAL or n < 2:
+    if mode is ArithmeticMode.EXACT_RATIONAL or n < 4:
         return next(islice(rank2_states(system, start), n, None))
     m, odd = divmod(n, 2)
     logs, _ = _logs_at(system, start, m)
@@ -597,9 +585,9 @@ def rank2_solution(
 def _logs_at(
     system: System, start: tuple[float, float], m: int
 ) -> tuple[Quad, _Settled | None]:
-    """The float logs at term m >= 1, and the settle if it came first."""
-    terms = _float_terms(system, start, step(system.params, 0, start))
-    for k, (logs, settled) in enumerate(terms):
+    """The float logs at term m, and the settle if it came first."""
+    anchors = head(system.params, start, system.mode)[1]
+    for k, (logs, settled) in enumerate(_float_terms(system, start, anchors)):
         if settled is not None:
             return settled.logs_at(m), settled
         if k == m:
@@ -691,13 +679,17 @@ def limit_cycle(
 ) -> LimitCycle:
     """Limits of the four subsequences in the convergent rank-2 case.
 
-    Runs the product engine of the closed form in log space until the
-    per-term change |e_k| of the four logs and the geometric tail bound
-    |e_k|*r/(1 - r), with r = |lambda2/lambda1|, both drop below tol,
-    or until a term repeats the logs exactly, which also ends it where
-    the float eigenvalues coincide and r is 1. Raises BranchError when the coefficients are not in the convergent
-    case and ConvergenceError if max_terms factors do not reach
-    tolerance.
+    Runs the product engine of the closed form in log space, from the
+    logs of core.head, until the per-term change |e_k| of the four logs
+    and the geometric tail bound |e_k|*r/(1 - r), with
+    r = |lambda2/lambda1|, both drop below tol, or until a term repeats
+    the logs exactly, which also ends it where the float eigenvalues
+    coincide and r is 1. Raises BranchError when the coefficients are
+    not in the convergent case, and ConvergenceError if max_terms
+    factors do not reach tolerance, or at once where the limit of the
+    change, |log1p(delta/scale)|, is above the rounding of delta and
+    alone fails that test. Raises DomainError when the cycle from this
+    start lies outside float range.
     """
     system = _rank2(params, ArithmeticMode.FLOAT64, eps_rank)
     split, scale, delta = _criterion(system)
@@ -708,13 +700,17 @@ def limit_cycle(
             f"classification is {kind.value}"
         )
     wp = system.params
-    s0 = initial_state(init, ArithmeticMode.FLOAT64)
-    s1 = step(wp, 0, s0)
-    seed = _scaled(s0)
-    sd = _expansion(split, system.matrix, seed)
+    start = initial_state(init, ArithmeticMode.FLOAT64)
+    sd = _expansion(split, system.matrix, _scaled(start))
     r = abs(sd.lambda2 / sd.lambda1)
     tail = r / (1.0 - r) if r < 1.0 else math.inf
-    products = _products(wp, sd, seed, s0, s1, exact=False)
+    # every log factor tends to +-log1p(delta/scale), the least change
+    drift = abs(math.log1p(delta / scale))
+    if drift > _ROUNDING and (drift >= tol or drift * tail >= tol):
+        raise ConvergenceError(0, f"cycle products drift by {drift:.3g} "
+                                  f"per term and cannot meet tol={tol}")
+    products = _products(wp, sd, head(wp, start, ArithmeticMode.FLOAT64)[1],
+                         exact=False)
     p_xe, p_xo, p_ye, p_yo = next(products)[0]
     for (x_e, x_o, y_e, y_o), _ in islice(products, max_terms):
         worst = max(abs(x_e - p_xe), abs(x_o - p_xo),
@@ -727,7 +723,10 @@ def limit_cycle(
             max_terms,
             f"cycle products did not meet tol={tol} within {max_terms} terms",
         )
-    x_even, x_odd, y_even, y_odd = map(math.exp, (x_e, x_o, y_e, y_o))
+    x_even, x_odd, y_even, y_odd = cycle = [
+        saturating_exp(v) for v in (x_e, x_o, y_e, y_o)]
+    if not all(0 < v < math.inf for v in cycle):
+        raise DomainError("the limit cycle from this start lies outside float range")
     residual = max(
         abs(x_odd - (wp.a0 / x_even + wp.b0 / y_even)) / x_odd,
         abs(x_even - (wp.a1 / x_odd + wp.b1 / y_odd)) / x_even,

@@ -10,6 +10,7 @@ from ratsys import (
     ArithmeticMode,
     BitGrowthError,
     DomainError,
+    closed_form_sequence,
     OrbitPoint,
     PeriodicCoefficients,
     TruncationError,
@@ -27,7 +28,9 @@ from ratsys import (
 )
 from ratsys.core import initial_state
 
-from conftest import RANK1_GROWTH, RANK2_BALANCED, RANK2_GENERIC
+from ratsys.cli import main
+
+from conftest import RANK1_GROWTH, RANK2_BALANCED, RANK2_GENERIC, decimal_log_orbit
 
 rationals = st.fractions(
     min_value=Fraction(1, 10), max_value=Fraction(10), max_denominator=20
@@ -187,6 +190,44 @@ def test_log_simulate_all_ones_is_exact():
         expected = 0.0 if n % 2 == 0 else math.log(2.0)
         assert lx == expected
         assert ly == expected
+
+
+@pytest.mark.parametrize("coeffs", ["2,1,4,3,1,2,3,1", "1,1,1,1,1,1,2,2"])
+def test_log_simulate_stays_on_the_oracle_far_past_float_range(coeffs):
+    # both orbits leave float range near step 5,000; a log-sum-exp step
+    # rounds at the size of |log x| and was off by 8.5e-9 and 1.8e-8 here
+    p = PeriodicCoefficients(*map(float, coeffs.split(",")))
+    horizons = (10**3, 10**4, 10**5)
+    oracle = decimal_log_orbit(p, (1.0, 1.0), horizons)
+    logs = log_simulate(p, (1.0, 1.0), 10**5)
+    for n in horizons:
+        assert abs(logs[n][0]) > 1000 or n < 10**4  # not vacuous
+        assert max(abs(a - b) for a, b in zip(logs[n], oracle[n])) <= 1e-11
+
+
+HORIZON_ENTRY_POINTS = {
+    "simulate": lambda: simulate(RANK2_GENERIC, (1, 1), -1),
+    "log_simulate": lambda: log_simulate(RANK2_GENERIC, (1, 1), -1),
+    "closed_form_sequence": lambda: closed_form_sequence(RANK2_GENERIC, (1, 1), -1),
+    "rank1_solution": lambda: rank1_solution(RANK1_GROWTH, (1, 1), -1),
+    "rank2_solution": lambda: rank2_solution(RANK2_GENERIC, (1, 1), -1),
+    "rank2_solution_sequence":
+        lambda: rank2_solution_sequence(RANK2_GENERIC, (1, 1), -1),
+    "rank2_uv": lambda: rank2_uv(RANK2_GENERIC, (1, 1), -1),
+    "cli": lambda: main(["closed", "--all-ones", "-n", "-1"]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(HORIZON_ENTRY_POINTS))
+def test_every_horizon_check_rejects_a_negative_horizon(entry, capsys):
+    if entry == "cli":
+        with pytest.raises(SystemExit) as exc:
+            HORIZON_ENTRY_POINTS[entry]()
+        assert exc.value.code == 2
+        assert "n must be >= 0, got -1" in capsys.readouterr().err
+    else:
+        with pytest.raises(DomainError, match=r"must be >= 0, got -1$"):
+            HORIZON_ENTRY_POINTS[entry]()
 
 
 # Every entry point that takes a start, as (init, n) -> result. rank1_uv

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import assume, given, strategies as st
 from ratsys import (
     ArithmeticMode,
     BranchError,
+    ConvergenceError,
     DomainError,
     Kind,
     PeriodicCoefficients,
     SignedLog,
+    classify,
     classify_rank2,
     composed_matrix,
     criterion_delta,
@@ -200,6 +203,20 @@ def test_classified_blow_even_actually_grows():
 def test_limit_cycle_needs_the_convergent_case():
     with pytest.raises(BranchError, match="classification is VanishEvenBlowOdd"):
         limit_cycle(RANK2_GENERIC, (1.0, 1.0))
+
+
+def test_limit_cycle_fails_fast_where_the_products_drift():
+    # delta/scale = 1.19e-10 is inside tol_class, so the set is convergent,
+    # but every log factor tends to log1p(delta/scale): the change per term
+    # can never pass the cycle's tol of 1e-11, and 10**6 terms took 2.4 s
+    params = PeriodicCoefficients(2, 1, 4, 3, 1, 4.1715627063077, 3, 1)
+    verdict = classify(params, attach_cycle=False)
+    assert verdict.kind is Kind.CONVERGES_TO_TWO_PERIODIC
+    assert 1e-11 < verdict.witness.delta / verdict.witness.scale < 1e-9
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="cannot meet tol=1e-11"):
+        limit_cycle(params, (1.0, 1.0))
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_limit_cycle_matches_the_orbit():

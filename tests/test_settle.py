@@ -10,6 +10,7 @@ import pytest
 
 import ratsys.rank2
 from ratsys import (
+    ArithmeticMode,
     PeriodicCoefficients,
     eigenvalues,
     limit_cycle,
@@ -17,7 +18,7 @@ from ratsys import (
     rank2_solution,
     rank2_solution_sequence,
 )
-from ratsys.core import step
+from ratsys.core import head
 from ratsys.numeric import saturating_exp
 from ratsys.rank2 import _balanced, _logs_at, _products, rank2_states
 
@@ -106,10 +107,9 @@ def test_generic_set_at_1e5_is_far_closer_than_the_running_sum():
     # the running sum over every factor, as the closed form was evaluated
     # before the settle
     system = prepare(params)
-    seed = ratsys.rank2._scaled(start)
-    sd = ratsys.rank2.spectral_constants(system, seed)
-    s1 = step(params, 0, start)
-    products = _products(params, sd, seed, start, s1, exact=False)
+    sd = ratsys.rank2.spectral_constants(system, ratsys.rank2._scaled(start))
+    anchors = head(params, start, ArithmeticMode.FLOAT64)[1]
+    products = _products(params, sd, anchors, exact=False)
     summed_x = next(islice(products, m, None))[0][0]
     assert abs(summed_x - want) > 1e-9  # the running sum's n**2 rounding
     assert abs(settled_x - want) * 100 <= abs(summed_x - want)

@@ -39,7 +39,13 @@ from ratsys import (
 from ratsys.cli import main, render_json
 from ratsys.rank1 import growth_terms
 
-from conftest import RANK1_GROWTH, RANK2_SQUARE, random_float_params, random_rank1_params
+from conftest import (
+    RANK1_GROWTH,
+    RANK2_SQUARE,
+    decimal_log_orbit,
+    random_float_params,
+    random_rank1_params,
+)
 
 NAMES = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
 EXACT = ArithmeticMode.EXACT_RATIONAL
@@ -330,7 +336,8 @@ json.dump(codes, sys.stdout)
 
 LOPSIDED = [("1e78", "1e-78"), ("1e-78", "1e78"), ("1e160", "1e-160"),
             ("1e-160", "1e160"), ("1e300", "1e-300"), ("5e-324", "1"),
-            ("1.7e308", "1")]
+            ("1.7e308", "1"), ("1e-300", "1e300"), ("1e-310", "1e300"),
+            ("5e300", "5e-320")]
 
 
 def exit_code_argvs() -> list[list[str]]:
@@ -368,6 +375,50 @@ def test_every_subcommand_exits_with_a_documented_code():
     codes = json.loads(proc.stdout)
     bad = [(" ".join(a), c) for a, c in zip(argvs, codes) if c not in (0, 2, 3, 4)]
     assert bad == []
+
+
+@pytest.mark.parametrize("coeffs", [FAULT_RANK2, FAULT_RANK1, BALANCED, RANK1_EDGE])
+def test_closed_form_from_every_start_stays_on_the_oracle(coeffs):
+    # the closed forms take indices 0 to 3 from direct steps, and from
+    # log-space steps where those leave the normal float range
+    params = PeriodicCoefficients(*map(float, coeffs.split(",")))
+    for x0, y0 in [("1", "1")] + LOPSIDED:
+        argv = ["closed", *coeff_flags(coeffs), "--x0", x0, "--y0", y0,
+                "-n", "200", "--format", "csv"]
+        code, out = stdout_of(argv)
+        assert code == 0, argv
+        oracle = decimal_log_orbit(params, (float(x0), float(y0)), range(201))
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 201
+        for row in rows:
+            n = int(row[0])
+            for value, want in zip(map(float, row[1:]), oracle[n]):
+                if sys.float_info.min <= value < math.inf:
+                    assert abs(math.log(value) - want) <= 1e-11, (argv, n)
+
+
+@st.composite
+def far_starts(draw):
+    """Coefficients log-uniform in [0.1, 10], rank 1 on every third draw
+    through d0 = b0*c0/a0, and a start with components from
+    10**U(-322, 307)."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    a0, b0, c0, d0, a1, b1, c1, d1 = (10 ** rng.uniform(-1, 1) for _ in range(8))
+    if draw(st.integers(0, 2)) == 0:
+        d0 = b0 * c0 / a0
+    start = tuple(10 ** rng.uniform(-322, 307) for _ in range(2))
+    return PeriodicCoefficients(a0, b0, c0, d0, a1, b1, c1, d1), start
+
+
+@settings(max_examples=60)
+@given(far_starts())
+def test_closed_forms_take_any_positive_float_start(case):
+    params, start = case
+    assert len(list(islice(closed_form_states(params, start), 61))) == 61
+    try:
+        compare(params, start, 60)
+    except TruncationError:  # iteration leaves float range
+        pass
 
 
 def test_float_spectrum_of_entries_past_1e154_classifies():
