@@ -16,7 +16,7 @@ from itertools import count, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .classification import Classification, Kind
-from .core import Orbit, PeriodicCoefficients, initial_state, simulate
+from .core import Orbit, PeriodicCoefficients, horizon, initial_state, simulate
 from .errors import DomainError
 from .numeric import ArithmeticMode, Number, relative_gap
 from .rank1 import classify_rank1, growth_terms, rank1_kind, rank1_states
@@ -58,8 +58,7 @@ def closed_form_sequence(
     eps_rank: float = 1e-12,
 ) -> list[tuple[Number, Number]]:
     """Closed-form states for n = 0 .. n_max from the rank's branch."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    horizon(n_max)
     return list(islice(closed_form_states(params, init, mode, eps_rank), n_max + 1))
 
 
@@ -296,8 +295,7 @@ def compare(
     faithful. The closed-form states are streamed, never held as a list.
     The coefficients are prepared once for both sides.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    horizon(n_max)
     system = prepare(params, mode, eps_rank)
     orbit = simulate(system, init, n_max, mode)
     closed = closed_form_states(system, init, mode, eps_rank)

@@ -31,7 +31,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .analysis import classify, closed_form_states, compare, float_verdict
 from .classification import Classification
-from .core import COEFF_NAMES, PeriodicCoefficients, exact_orbit_text, simulate
+from .core import (COEFF_NAMES, PeriodicCoefficients, exact_orbit_text,
+                   horizon, simulate)
 from .errors import (
     BitGrowthError,
     BranchError,
@@ -40,10 +41,6 @@ from .errors import (
     TruncationError,
 )
 from .numeric import ArithmeticMode, exact_text, format_number, parse_number
-
-
-def _mode_of(args) -> ArithmeticMode:
-    return ArithmeticMode(getattr(args, "mode", "float"))
 
 
 def _parse_scalar(text: str, mode: ArithmeticMode, name: str, parser):
@@ -93,10 +90,12 @@ def _coefficients(args, parser, mode: ArithmeticMode) -> PeriodicCoefficients:
     return PeriodicCoefficients(**values)
 
 
-def _init(args, parser, mode: ArithmeticMode):
-    x0 = _parse_scalar(args.x0, mode, "x0", parser)
-    y0 = _parse_scalar(args.y0, mode, "y0", parser)
-    return (x0, y0)
+def _inputs(args, parser) -> tuple[ArithmeticMode, PeriodicCoefficients, tuple]:
+    """The mode, the coefficients and the start (x0, y0) of a command."""
+    mode = ArithmeticMode(args.mode)
+    return (mode, _coefficients(args, parser, mode),
+            tuple(_parse_scalar(getattr(args, name), mode, name, parser)
+                  for name in ("x0", "y0")))
 
 
 # ---------------------------------------------------------------- output
@@ -265,9 +264,7 @@ def _points(command: str, args, states: Iterable) -> _Rows:
 def _cmd_simulate(args, parser) -> _Rows:
     """The orbit's rows; an exact orbit comes as text, never as Fractions,
     since printing a wide int costs more than computing it."""
-    mode = _mode_of(args)
-    params = _coefficients(args, parser, mode)
-    init = _init(args, parser, mode)
+    mode, params, init = _inputs(args, parser)
     if mode is ArithmeticMode.EXACT_RATIONAL:
         states = exact_orbit_text(params, init, args.n_max)
     else:
@@ -276,9 +273,7 @@ def _cmd_simulate(args, parser) -> _Rows:
 
 
 def _cmd_closed(args, parser) -> _Rows:
-    mode = _mode_of(args)
-    params = _coefficients(args, parser, mode)
-    init = _init(args, parser, mode)
+    mode, params, init = _inputs(args, parser)
     states = closed_form_states(params, init, mode, args.eps_rank)
     return _points("closed", args, islice(states, args.n_max + 1))
 
@@ -302,9 +297,7 @@ _CYCLE_FIELDS = ("x_even", "x_odd", "y_even", "y_odd", "residual")
 
 
 def _cmd_classify(args, parser) -> _Rows | str:
-    mode = _mode_of(args)
-    params = _coefficients(args, parser, mode)
-    init = _init(args, parser, mode)
+    mode, params, init = _inputs(args, parser)
     verdict = classify(
         params,
         mode,
@@ -331,9 +324,7 @@ def _cmd_classify(args, parser) -> _Rows | str:
 
 
 def _cmd_compare(args, parser) -> _Rows | str:
-    mode = _mode_of(args)
-    params = _coefficients(args, parser, mode)
-    init = _init(args, parser, mode)
+    mode, params, init = _inputs(args, parser)
     report = compare(
         params,
         init,
@@ -457,9 +448,9 @@ _FLAGS = {
                    help="float64 arithmetic or exact rationals (default float)")],
     "eps": [_flag("--eps-rank", type=_NONNEGATIVE, default=1e-12, metavar="E",
                   help="relative determinant tolerance for the rank decision")],
+    "band": [_flag("--tol-class", type=_NONNEGATIVE, default=1e-9, metavar="T",
+                   help="relative width of the boundary band in float mode")],
     "classify": [
-        _flag("--tol-class", type=_NONNEGATIVE, default=1e-9, metavar="T",
-              help="relative width of the boundary band in float mode"),
         _flag("--tol-cycle", type=_tolerance(allow_zero=False), default=1e-11,
               metavar="T", help="tolerance for the limit-cycle products"),
         _flag("--no-cycle", action="store_true",
@@ -474,8 +465,6 @@ _FLAGS = {
               help="first sweep axis, evenly spaced including both endpoints"),
         _flag("--axis2", metavar="NAME:LO:HI:STEPS", help="optional second sweep axis"),
     ],
-    "band": [_flag("--tol-class", type=_NONNEGATIVE, default=1e-9, metavar="T",
-                   help="relative width of the boundary band")],
     "io": [
         _flag("--format", choices=("table", "csv", "json"), default="table",
               help="output format (default table)"),
@@ -489,7 +478,7 @@ _COMMANDS = (
     ("closed", "evaluate the closed form", _cmd_closed,
      ("init", "n", "mode", "eps", "io")),
     ("classify", "rank and asymptotic verdict", _cmd_classify,
-     ("init", "mode", "eps", "classify", "io")),
+     ("init", "mode", "eps", "band", "classify", "io")),
     ("compare", "closed form vs direct iteration", _cmd_compare,
      ("init", "n", "mode", "eps", "threshold", "io")),
     ("sweep", "classify across a coefficient grid", _cmd_sweep,
@@ -542,8 +531,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if getattr(args, "n_max", 0) < 0:
-        parser.error(f"n must be >= 0, got {args.n_max}")
+    try:
+        horizon(getattr(args, "n_max", 0), "n")
+    except DomainError as exc:
+        parser.error(str(exc))
     try:
         chunks = _serialize(args.func(args, parser), args.format)
     except (DomainError, BranchError) as exc:

@@ -17,7 +17,8 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from itertools import count
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import BitGrowthError, DomainError, TruncationError
 from .numeric import (
@@ -273,13 +274,10 @@ _EXACT_DECIMAL = decimal.Context(
 )
 
 
-def _checked(params: PeriodicCoefficients | System, n_max: int) -> PeriodicCoefficients:
-    """params, or a System's coefficients, once n_max is checked."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    if isinstance(params, PeriodicCoefficients):
-        return params
-    return params.params
+def horizon(n: int, name: str = "n_max") -> None:
+    """Raise DomainError for a negative index or horizon n."""
+    if n < 0:
+        raise DomainError(f"{name} must be >= 0, got {n}")
 
 
 def exact_orbit_text(
@@ -300,7 +298,8 @@ def exact_orbit_text(
     BitGrowthError is raised, as simulate raises it, when the rows reach
     the state past bit_cap. The thread's decimal context is not used.
     """
-    params = _checked(params, n_max).as_fractions()
+    horizon(n_max)
+    params = getattr(params, "params", params).as_fractions()
     state = initial_state(init, ArithmeticMode.EXACT_RATIONAL)
     return _decimal_rows(_exact_factors(params, state, n_max, bit_cap))
 
@@ -347,7 +346,8 @@ def simulate(
     params may be a System from transfer.prepare, whose coefficients are
     used.
     """
-    params = _checked(params, n_max)
+    horizon(n_max)
+    params = getattr(params, "params", params)  # a System's coefficients
     if mode is ArithmeticMode.EXACT_RATIONAL:
         factors = _exact_factors(params.as_fractions(),
                                  initial_state(init, mode), n_max, bit_cap)
@@ -387,8 +387,7 @@ def log_simulate(
     not of its log, so the error in log grows at most linearly in n
     (about 2e-12 at n = 10**5).
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    horizon(n_max)
     frexp, log, ln2 = math.frexp, math.log, math.log(2.0)
     quads = [tuple(map(frexp, params.as_floats().at(i))) for i in (0, 1)]
     (mx, ex), (my, ey) = map(frexp, initial_state(init, ArithmeticMode.FLOAT64))
@@ -433,3 +432,38 @@ def head(
     if exact:
         return states, states
     return states, [(math.log(x), math.log(y)) for x, y in states]
+
+
+class Tail(NamedTuple):
+    """Past term k, every two-step multiplies the products (x[2k],
+    x[2k+1], y[2k], y[2k+1]) by factors that no longer change; float
+    mode holds both as logs and saturates its states to inf or 0.0."""
+
+    products: tuple[Number, Number, Number, Number]
+    factors: tuple[Number, Number, Number, Number]
+    exact: bool
+
+    def at(self, j: int) -> tuple[Number, Number, Number, Number]:
+        """The four products at term k + j, as logs in float mode."""
+        (xe, xo, ye, yo), (fxe, fxo, fye, fyo) = self.products, self.factors
+        if self.exact:
+            return (xe * fxe ** j, xo * fxo ** j, ye * fye ** j, yo * fyo ** j)
+        return (xe + j * fxe, xo + j * fxo, ye + j * fye, yo + j * fyo)
+
+    def state(self, j: int, odd: int) -> tuple[Number, Number]:
+        """State 2(k + j) + odd."""
+        x, y = self.at(j)[odd::2]
+        return (x, y) if self.exact else (saturating_exp(x), saturating_exp(y))
+
+    def states(self) -> Iterator[tuple[Number, Number]]:
+        """States 2k + 2, 2k + 3, ..., lazily."""
+        (xe, xo, ye, yo), (fxe, fxo, fye, fyo) = self.products, self.factors
+        if self.exact:
+            while True:
+                xe, xo, ye, yo = xe * fxe, xo * fxo, ye * fye, yo * fyo
+                yield (xe, ye)
+                yield (xo, yo)
+        exp = saturating_exp
+        for j in count(1):
+            yield (exp(xe + j * fxe), exp(ye + j * fye))
+            yield (exp(xo + j * fxo), exp(yo + j * fyo))

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import islice
 from typing import Iterator
 
 from .classification import Classification, Kind, kind_from_sign
-from .core import SMALLEST_NORMAL, PeriodicCoefficients, head, initial_state
+from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, head,
+                   horizon, initial_state)
 from .errors import BranchError, DomainError
-from .numeric import ArithmeticMode, Number, saturating_exp
+from .numeric import ArithmeticMode, Number
 from .transfer import Parity, System, linear_step, parity_matrix, prepare
 
 K_CONSISTENCY_EPS = 1e-10
@@ -177,35 +178,14 @@ def rank1_uv(
     )
 
 
-def _geometric_law(anchors, rho: Number, mode: ArithmeticMode):
-    """The closed form past index 3, as a function n -> (x[n], y[n]).
-
-    Even indices follow x[2m] = x2 * rho**(m-1) and odd indices
-    x[2m+1] = x3 * rho**(1-m), same for y. The anchors are the second
-    list of core.head: in float mode logs, so the powers are evaluated
-    in log space, taking the log of rho once, and values past float
-    range saturate to inf or 0.0.
-    """
-    exact = mode is ArithmeticMode.EXACT_RATIONAL
-    s2, s3 = anchors[2], anchors[3]
-    if not exact:
-        log_rho = math.log(rho)
-
-    def term(n: int) -> tuple[Number, Number]:
-        if n % 2 == 0:
-            anchor, exponent = s2, n // 2 - 1
-        else:
-            anchor, exponent = s3, 1 - (n - 1) // 2
-        if exact:
-            factor = rho ** exponent
-            return (anchor[0] * factor, anchor[1] * factor)
-        log_factor = exponent * log_rho
-        return (
-            saturating_exp(anchor[0] + log_factor),
-            saturating_exp(anchor[1] + log_factor),
-        )
-
-    return term
+def _tail(system: System, anchors) -> Tail:
+    """rho per two-step on even indices, 1/rho on odd ones, from states
+    2 and 3 of core.head (anchors: its second list)."""
+    exact = system.mode is ArithmeticMode.EXACT_RATIONAL
+    rho = growth_and_ratio(system, system.mode, system.eps_rank).rho
+    even, odd = (rho, 1 / rho) if exact else (math.log(rho), -math.log(rho))
+    (xe, ye), (xo, yo) = anchors[2], anchors[3]
+    return Tail((xe, xo, ye, yo), (even, odd, even, odd), exact)
 
 
 def rank1_solution(
@@ -224,14 +204,12 @@ def rank1_solution(
     the first even factor differs from rho. Float mode evaluates the
     powers in log space.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    horizon(n, "n")
     system = prepare(params, mode, eps_rank)
     states, anchors = head(system.params, initial_state(init, mode), mode)
     if n <= 3:
         return states[n]
-    rho = growth_and_ratio(system, mode, eps_rank).rho
-    return _geometric_law(anchors, rho, mode)(n)
+    return _tail(system, anchors).state(n // 2 - 1, n % 2)
 
 
 def rank1_states(
@@ -239,14 +217,13 @@ def rank1_states(
 ) -> Iterator[tuple[Number, Number]]:
     """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
 
-    Indices 0 to 3 are core.head's direct steps, and its states 2 and 3
-    anchor the geometric law; K, mu and rho are computed on reaching
-    index 4, so a rank-2 System raises BranchError there.
+    Indices 0 to 3 are core.head's direct steps, and core.Tail carries
+    its states 2 and 3 on; K, mu and rho are computed on reaching index
+    4, so a rank-2 System raises BranchError there.
     """
     states, anchors = head(system.params, start, system.mode)
     yield from states
-    rho = growth_and_ratio(system, system.mode, system.eps_rank).rho
-    yield from map(_geometric_law(anchors, rho, system.mode), count(4))
+    yield from _tail(system, anchors).states()
 
 
 def rank1_solution_sequence(
@@ -259,12 +236,11 @@ def rank1_solution_sequence(
     """Closed-form states for n = 0 .. n_max, equal to rank1_solution(n).
 
     The coefficients are converted, K, mu and rho computed, and indices
-    1 to 3 stepped once per call; every further index costs one power of
-    rho (exact) or one exp per component (float). Raises BranchError
+    1 to 3 stepped once per call; every further index costs one product
+    (exact) or one exp (float) per component. Raises BranchError
     when n_max >= 4 and the composed matrix has rank 2.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    horizon(n_max)
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
     return list(islice(rank1_states(system, start), n_max + 1))

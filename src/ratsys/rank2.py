@@ -35,17 +35,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .classification import Classification, Kind, kind_from_sign
-from .core import PeriodicCoefficients, head, initial_state
+from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, head,
+                   horizon, initial_state)
 from .errors import BranchError, ConvergenceError, DomainError
 from .numeric import ArithmeticMode, Number, exact_sqrt, saturating_exp
 from .transfer import System, TransferMatrix, prepare
 
 DEFAULT_CYCLE_TOL = 1e-11
 DEFAULT_MAX_TERMS = 1_000_000
+# A difference below 1/_LOST of its terms has lost half its digits.
+_LOST = 2.0 ** 26
 
 Quad = tuple[Number, Number, Number, Number]
 
@@ -153,14 +156,20 @@ def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
     roots are scaled back. Raises DomainError when an entry is inf.
 
     The leads lambda - alpha are plain differences of the roots where
-    both keep their digits: lambda1 <= 64*(lambda1 - alpha) and
-    |lambda2| <= 64*|lambda2 - alpha|. Elsewhere beta*gamma is lost
-    against (alpha - delta)**2. With d = (delta - alpha)/2 and
-    h = hypot(d, sqrt(beta)*sqrt(gamma)), the leads are d + h and d - h:
-    the one whose sum adds is taken as it is, the other as -beta*gamma
-    over it, in a form that never rounds beta*gamma away, with its ratio
-    -(the first lead)/beta, which holds where it underflows. The gap
-    is 2h.
+    all keep their digits: lambda1 <= 64*(lambda1 - alpha),
+    |lambda2| <= 64*|lambda2 - alpha|, lambda1 <= _LOST*|lambda2|, and
+    the scaled discriminant is a normal float, so that neither of its
+    terms underflowed. Elsewhere beta*gamma is lost against
+    (alpha - delta)**2, lambda2 against lambda1, or both terms.
+    With d = (delta - alpha)/2 and h = hypot(d, sqrt(beta)*sqrt(gamma)),
+    the leads are d + h and d - h: the one whose sum adds is taken as it
+    is, the other as -beta*gamma over it, in a form that never rounds
+    beta*gamma away, with its ratio -(the first lead)/beta, which holds
+    where it underflows. The gap is 2h. Where the scaled discriminant
+    underflowed, lambda1 is alpha plus its lead; where it did, or
+    (trace - root)/2 lost half its digits, lambda2 is alpha plus its
+    lead if alpha <= delta, else delta minus lambda1's lead, which do
+    not cancel.
     """
     top = max(m11, m12, m21, m22)
     if top == math.inf:
@@ -169,11 +178,13 @@ def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
     ldexp = math.ldexp
     alpha, beta = ldexp(m11, -e), ldexp(m12, -e)
     gamma, delta = ldexp(m21, -e), ldexp(m22, -e)
-    root = math.sqrt((alpha - delta) ** 2 + 4 * beta * gamma)
+    disc = (alpha - delta) ** 2 + 4 * beta * gamma
+    root = math.sqrt(disc)
     trace = alpha + delta
     l1, l2 = ldexp((trace + root) * 0.5, e), ldexp((trace - root) * 0.5, e)
     lead1, lead2 = l1 - m11, l2 - m11
-    if l1 <= 64 * lead1 and abs(l2) <= 64 * abs(lead2):
+    if (disc >= SMALLEST_NORMAL and abs(l2) * _LOST >= l1
+            and l1 <= 64 * lead1 and abs(l2) <= 64 * abs(lead2)):
         return Split(l1, l2, m12 / lead1, lead1, lead2,
                      m21 / lead1, m21 / lead2, l1 - l2)
     d = (m22 - m11) * 0.5
@@ -181,6 +192,10 @@ def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
     h = math.hypot(d, sb * sg)
     lead = d + h if d >= 0 else d - h
     other = -(sb / lead * sg) * sb * sg
+    if disc < SMALLEST_NORMAL:
+        l1 = m11 + (lead if d >= 0 else other)
+    if disc < SMALLEST_NORMAL or abs(l2) * _LOST < l1:
+        l2 = m11 + other if d >= 0 else m22 - other
     if d >= 0:
         return Split(l1, l2, m12 / lead, lead, other, m21 / lead, -lead / m12, 2 * h)
     return Split(l1, l2, -lead / m21, other, lead, -lead / m12, m21 / lead, 2 * h)
@@ -286,8 +301,7 @@ def rank2_uv(
     and the lambda2 contribution alternates sign when lambda2 < 0); exact
     mode returns Fractions and needs a rational eigenvalue gap.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    horizon(n, "n")
     system = prepare(params, mode, eps_rank)
     wp = system.params
     sd = spectral_constants(system, init, mode, eps_rank)
@@ -329,10 +343,11 @@ def _products(
     products. Every factor is a ratio of bounded positive quantities:
     the eigenvalue powers are carried only through t**k with t = l2/l1,
     |t| < 1, and the start only through ratios of the constants in sd,
-    which may come from the start times any power of two (see _scaled),
-    so nothing here can overflow. Each term costs the same, so running
-    to term k costs k factors; rank2_solution stops at the settle term
-    of _float_terms instead of at n/2.
+    which may come from the start times any power of two (see _scaled).
+    Float mode scales those parts by powers of two, which round nothing,
+    so that none leaves float range where the factor does not. Each term
+    costs the same, so running to term k costs k factors; rank2_solution
+    stops at the settle term of _float_terms instead of at n/2.
     """
     t = sd.lambda2 / sd.lambda1
     l1, c1, c2, c3, c4 = sd.lambda1, sd.c1, sd.c2, sd.c3, sd.c4
@@ -344,6 +359,29 @@ def _products(
     tk = t  # t**k
     # u[2k], v[2k] / lambda1**k
     num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
+    if not exact:
+        # where one mode cancels the other at k = 1, q is x[2]/y[2]
+        if abs(num_u) * _LOST < abs(c2 * tk):
+            num_u = num_v * saturating_exp(x_e - y_e)
+        elif abs(num_v) * _LOST < abs(c4 * tk):
+            num_v = num_u * saturating_exp(y_e - x_e)
+        # u, v and the coefficients times the powers of two that bring q,
+        # b0*q + a0 and d0*q + c0 near 1: each factor is the same, bit
+        # for bit, and its parts stay in float range
+        frexp, ldexp = math.frexp, math.ldexp
+        eu, ev = frexp(c1)[1], frexp(c3)[1]
+        e = eu - ev
+        f = max(frexp(b0)[1] + e, frexp(a0)[1])
+        g = max(frexp(d0)[1] + e, frexp(c0)[1])
+        try:
+            c1, c2, num_u = ldexp(c1, -eu), ldexp(c2, -eu), ldexp(num_u, -eu)
+            c3, c4, num_v = ldexp(c3, -ev), ldexp(c4, -ev), ldexp(num_v, -ev)
+            l1 = ldexp(l1, e - f - g)
+        except OverflowError:
+            raise DomainError("the closed form's ratio factors pass float "
+                              "range") from None
+        a0, b0, c0, d0 = (ldexp(a0, -f), ldexp(b0, e - f),
+                          ldexp(c0, -g), ldexp(d0, e - g))
     q_cur = num_u / num_v
     s_cur = 1 / q_cur
     while True:
@@ -407,15 +445,33 @@ class _Settled(NamedTuple):
     base: float
     slope: float
 
-    def logs_at(self, m: int) -> Quad:
-        """The four logs at term m >= term."""
-        j = m - self.term
-        return tuple(v + j * f for v, f in zip(self.logs, self.factors))
+    @property
+    def tail(self) -> Tail:
+        return Tail(self.logs, self.factors, False)
 
     def error_bound(self, m: int) -> float:
-        """Bound on the error in log of every component of logs_at(m)."""
+        """Bound on the error in log of each of the logs at term m."""
         return (self.base + (m - self.term) * self.slope
-                + _EPS * max(map(abs, self.logs_at(m))))
+                + _EPS * max(map(abs, self.tail.at(m - self.term))))
+
+
+def _engine(system: System, split: Split, start, anchors) -> tuple:
+    """(r, r/(1 - r), constants, products) of a rank-2 System's float
+    engine: r = |lambda2/lambda1|, the expansion constants of the start
+    as _scaled gives it, and _products over anchors, core.head's logs.
+    Raises ConvergenceError where lambda2/lambda1 rounds to -1 and the
+    two modes cancel at one parity: only 1 + lambda2/lambda1, lost to
+    rounding, would tell the products there."""
+    sd = _expansion(split, system.matrix, _scaled(start))
+    if sd.lambda2 == -sd.lambda1 and any(
+            abs(c + sign * d) * _LOST < abs(d)
+            for c, d in ((sd.c1, sd.c2), (sd.c3, sd.c4)) for sign in (1, -1)):
+        raise ConvergenceError(0, "lambda2/lambda1 rounds to -1 in float "
+                                  "arithmetic; the closed form cannot "
+                                  "separate the two eigenvalue modes")
+    r = abs(sd.lambda2 / sd.lambda1)
+    tail = r / (1.0 - r) if r < 1.0 else math.inf
+    return r, tail, sd, _products(system.params, sd, anchors, exact=False)
 
 
 def _balanced(wp: PeriodicCoefficients, eps_rank: float) -> bool:
@@ -458,15 +514,13 @@ def _float_terms(
     """
     system = _rank2(system, system.mode, system.eps_rank)
     wp = system.params
-    sd = _expansion(_roots(system.matrix, False), system.matrix, _scaled(start))
-    r = abs(sd.lambda2 / sd.lambda1)
-    tail = r / (1.0 - r) if r < 1.0 else math.inf
+    r, tail, sd, products = _engine(
+        system, _roots(system.matrix, False), start, anchors)
     drift = 0.0 if r < 1.0 else math.inf
     first = math.inf
     if r < 1.0 and sd.c1 and sd.c3:
         b = max(abs(sd.c2 / sd.c1), abs(sd.c4 / sd.c3), 1.0)
         first = max(_MIN_SETTLE_TERM, math.log(b) / -math.log(r) if r else 0)
-    products = _products(wp, sd, anchors, exact=False)
     (logs0, _), (logs, _) = next(products), next(products)
     yield logs0, None
     yield logs, None
@@ -504,8 +558,7 @@ def rank2_solution_sequence(
     term and takes one multiply-add per component after it; values
     beyond float range saturate to inf or 0.0.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    horizon(n_max)
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
     return list(islice(rank2_states(system, start), n_max + 1))
@@ -547,10 +600,7 @@ def rank2_states(
     for (x_e, x_o, y_e, y_o), settled in terms:
         yield (exp(x_e), exp(y_e))
         yield (exp(x_o), exp(y_o))
-    (lxe, lxo, lye, lyo), (fxe, fxo, fye, fyo) = settled.logs, settled.factors
-    for j in count(1):
-        yield (exp(lxe + j * fxe), exp(lye + j * fye))
-        yield (exp(lxo + j * fxo), exp(lyo + j * fyo))
+    yield from settled.tail.states()
 
 
 def rank2_solution(
@@ -571,8 +621,7 @@ def rank2_solution(
     any error are those of rank2_states at index n. Exact mode
     multiplies in all n/2 terms.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    horizon(n, "n")
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
     if mode is ArithmeticMode.EXACT_RATIONAL or n < 4:
@@ -589,7 +638,7 @@ def _logs_at(
     anchors = head(system.params, start, system.mode)[1]
     for k, (logs, settled) in enumerate(_float_terms(system, start, anchors)):
         if settled is not None:
-            return settled.logs_at(m), settled
+            return settled.tail.at(m - settled.term), settled
         if k == m:
             return logs, None
 
@@ -701,16 +750,13 @@ def limit_cycle(
         )
     wp = system.params
     start = initial_state(init, ArithmeticMode.FLOAT64)
-    sd = _expansion(split, system.matrix, _scaled(start))
-    r = abs(sd.lambda2 / sd.lambda1)
-    tail = r / (1.0 - r) if r < 1.0 else math.inf
+    anchors = head(wp, start, ArithmeticMode.FLOAT64)[1]
+    _, tail, _, products = _engine(system, split, start, anchors)
     # every log factor tends to +-log1p(delta/scale), the least change
     drift = abs(math.log1p(delta / scale))
     if drift > _ROUNDING and (drift >= tol or drift * tail >= tol):
         raise ConvergenceError(0, f"cycle products drift by {drift:.3g} "
                                   f"per term and cannot meet tol={tol}")
-    products = _products(wp, sd, head(wp, start, ArithmeticMode.FLOAT64)[1],
-                         exact=False)
     p_xe, p_xo, p_ye, p_yo = next(products)[0]
     for (x_e, x_o, y_e, y_o), _ in islice(products, max_terms):
         worst = max(abs(x_e - p_xe), abs(x_o - p_xo),

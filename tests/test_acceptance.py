@@ -22,6 +22,7 @@ import pytest
 
 import ratsys as rs
 from ratsys import ArithmeticMode, Kind, ProductStatus
+from ratsys.cli import main
 
 from conftest import (
     RANK1_BOUNDARY,
@@ -338,3 +339,24 @@ def test_c10_cli_golden_outputs():
         if not problems
         else "; ".join(problems),
     )
+
+
+# Float closed forms past the settle term (index 42 on), with rows
+# saturated to inf and 0, and exact ones of both ranks, byte for byte.
+CLOSED_GOLDENS = {
+    "closed_rank1_float.csv": "--a0 1 --b0 1 --c0 1 --d0 1 --a1 0.001 "
+    "--b1 1000 --c1 0.01 --d1 500 --x0 0.3 --y0 7 -n 400",
+    "closed_rank2_float.csv": "--a0 2 --b0 1 --c0 4 --d0 3 --a1 0.001 "
+    "--b1 2000 --c1 3000 --d1 0.001 --x0 0.3 --y0 7 -n 400",
+    "closed_rank1_exact.csv": "--mode exact --a0 2 --b0 3 --c0 4 --d0 6 "
+    "--a1 1/3 --b1 5/2 --c1 7 --d1 2 --x0 2/3 --y0 5 -n 120",
+    "closed_rank2_square_exact.csv": "--mode exact --a0 1 --b0 1 --c0 1 "
+    "--d0 2 --a1 1 --b1 3 --c1 4 --d1 1 --x0 2/3 --y0 5 -n 44",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_GOLDENS))
+def test_closed_form_golden_outputs(name, capsys):
+    argv = ["closed", *CLOSED_GOLDENS[name].split(), "--format", "csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

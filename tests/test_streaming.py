@@ -2,6 +2,7 @@
 saturation past float range, lopsided starts, and exit codes."""
 
 import contextlib
+import decimal
 import csv
 import io
 import json
@@ -667,4 +668,73 @@ def test_exact_coefficients_past_float_range_are_a_domain_error(capsys):
                  ["classify", *flags],
                  ["sweep", *flags[2:], "--axis1", "a0:1e400:1e401:2"]):
         assert main(argv) in (0, 3)
+    capsys.readouterr()
+
+
+# The composed entries are about (3.4e270, 1.2e134, 1.9e112, 8.6e-18):
+# (trace - root)/2 cancels lambda2 to 0.0, and lambda1*Q passes float range
+LAMBDA2_CANCELS = [4.51268270996294, 1.2870153637851257e+137,
+                   2.0815102312331623e-13, 6.337335801901995e-198,
+                   0.2999739437862696, 2.6113153985151867e+133,
+                   4.1538463514350106e-05, 1.4886169564190676e-25]
+# about (6.9e-94, 2.0e-278, 2.4e127, 9.3e-72): scaled by 2**-423, beta
+# is 0 and the discriminant underflows, so the roots come out equal
+DISC_UNDERFLOWS = [3.6786635452984243e-178, 9.530839132916856e+20,
+                   1.9121824806729605e-144, 4.207075524160201e-12,
+                   1.0609454633426104e-134, 7.224627178396913e-115,
+                   1.1024957679223285e-178, 2.5311927128358866e+106]
+# the trace is far below sqrt(beta*gamma): lambda2/lambda1 rounds to -1
+RATIO_ROUNDS_TO_MINUS_ONE = [4.984204452566163, 1.2884481042817926e-171,
+                             1.718553253271239, 3.036275320356134e-20,
+                             0.12241712508203027, 2.674296399873867e+102,
+                             1.9087367514929694e-06, 7.57174519385091e-111]
+
+
+def decimal_roots(params):
+    """The eigenvalues of the float composed matrix, in 60-digit decimal."""
+    ctx = decimal.Context(prec=60, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+    a, b, c, d = map(decimal.Decimal, ratsys.prepare(params).matrix.entries)
+    root = ctx.sqrt(ctx.add(ctx.power(a - d, 2), ctx.multiply(4 * b, c)))
+    return tuple(float(ctx.divide(ctx.add(a + d, s * root), 2)) for s in (1, -1))
+
+
+@pytest.mark.parametrize("values", [LAMBDA2_CANCELS, DISC_UNDERFLOWS],
+                         ids=["lambda2-cancels", "discriminant-underflows"])
+def test_float_split_off_the_plain_path_stays_on_the_oracle(values):
+    params = PeriodicCoefficients(*values)
+    for got, want in zip(ratsys.eigenvalues(params), decimal_roots(params)):
+        assert got == pytest.approx(want, rel=1e-12)
+    code, out = stdout_of(["closed", *coeff_flags(values), "-n", "200",
+                           "--format", "csv"])
+    assert code == 0
+    oracle = decimal_log_orbit(params, (1.0, 1.0), range(201))
+    in_range = 0
+    for row in list(csv.reader(io.StringIO(out)))[1:]:
+        n = int(row[0])
+        for value, want in zip(map(float, row[1:]), oracle[n]):
+            if sys.float_info.min <= value < math.inf:
+                in_range += 1
+                assert abs(math.log(value) - want) <= 1e-9, n
+            else:  # saturated on the side of its log
+                assert (value == 0.0) == (want < 0), n
+    assert in_range >= 10
+
+
+def test_ratio_factors_past_float_range_are_a_domain_error(capsys):
+    # even coefficients some 1e-255 to 1e-46: x grows past float range in
+    # one two-step, so no float holds the factor
+    values = [5.6530269028523746e-65, 6.92669504409059e-122,
+              4.6066968425436804e-46, 7.805074826683493e-255,
+              3.636859991879736e-280, 4.715051039469458e+297,
+              9.272424754638151e+157, 2.737085348920887e+140]
+    assert main(["closed", *coeff_flags(values), "-n", "200"]) == 3
+    assert capsys.readouterr().err == (
+        "error: the closed form's ratio factors pass float range\n")
+
+
+def test_eigenvalue_ratio_rounding_to_minus_one_is_exit_four(capsys):
+    flags = coeff_flags(RATIO_ROUNDS_TO_MINUS_ONE)
+    assert main(["closed", *flags, "-n", "200"]) == 4
+    assert "lambda2/lambda1 rounds to -1" in capsys.readouterr().err
+    assert main(["closed", *flags, "-n", "0"]) == 0
     capsys.readouterr()
