@@ -15,10 +15,13 @@ from enum import Enum
 from itertools import count, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import rank1, rank2
 from .classification import Classification, Kind
-from .core import Orbit, PeriodicCoefficients, horizon, initial_state, simulate
+from .core import (DEFAULT_BIT_CAP, Orbit, PeriodicCoefficients, _exact_factors,
+                   closed_factors, decimal_rows, horizon, initial_state,
+                   simulate)
 from .errors import DomainError
-from .numeric import ArithmeticMode, Number, relative_gap
+from .numeric import ArithmeticMode, Number, coprime_fraction, relative_gap
 from .rank1 import classify_rank1, growth_terms, rank1_kind, rank1_states
 from .rank2 import (
     classify_rank2,
@@ -29,6 +32,8 @@ from .rank2 import (
     rank2_states,
 )
 from .transfer import System, composed_entries, float_rank, prepare
+
+EXACT = ArithmeticMode.EXACT_RATIONAL
 
 
 def closed_form_states(
@@ -48,6 +53,26 @@ def closed_form_states(
     start = initial_state(init, mode)
     states = rank1_states if system.rank == 1 else rank2_states
     return states(system, start)
+
+
+def _exact_closed(system: System, start: tuple[Number, Number]):
+    """The rank's exact closed form, as core.integer_steps yields it."""
+    ratios = (rank1 if system.rank == 1 else rank2)._exact_ratios
+    return closed_factors(system, start, ratios)
+
+
+def closed_form_text(
+    params: PeriodicCoefficients | System,
+    init: tuple[Number, Number],
+    n_max: int,
+    eps_rank: float = 1e-12,
+) -> Iterator[tuple[str, str]]:
+    """The exact closed form's rows 0 .. n_max, as core.exact_orbit_text
+    gives the orbit's; no Fraction is made."""
+    horizon(n_max)
+    system = prepare(params, EXACT, eps_rank)
+    states = _exact_closed(system, initial_state(init, EXACT))
+    return decimal_rows(islice(states, n_max + 1))
 
 
 def closed_form_sequence(
@@ -290,26 +315,37 @@ def compare(
     Uses the rank-appropriate closed form for every index 0..n_max and
     records the worst relative error in each component, plus the first
     index (if any) where either component's error exceeds
-    divergence_threshold or is NaN. In exact mode both sides are
-    rational and the errors are exactly zero whenever the closed form is
-    faithful. The closed-form states are streamed, never held as a list.
-    The coefficients are prepared once for both sides.
+    divergence_threshold or is NaN. The closed-form states are streamed,
+    never held as a list. The coefficients are prepared once for both
+    sides. In exact mode both are integer states of core.integer_steps,
+    never held: each component is compared as its ints (g, F, p, r), and
+    only one whose ints differ is made a Fraction for its error.
     """
     horizon(n_max)
     system = prepare(params, mode, eps_rank)
-    orbit = simulate(system, init, n_max, mode)
-    closed = closed_form_states(system, init, mode, eps_rank)
-    # relative_gap for the mode, chosen once; every state is positive
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        def gap(a, b):
-            return 0.0 if a == b else float(abs(a - b) / a)
+    if mode is EXACT:
+        start = initial_state(init, mode)
+
+        def sides(factors):  # x and y as (g, F, p, r): x = g*p/(F*r)
+            for (g, f, p1, p2, r1, r2), _ in factors:
+                yield (g, f, p1, r1), (g, f, p2, r2)
+
+        def gap(a, b):  # equal values with other ints still give 0.0
+            if a == b:
+                return 0.0
+            a, b = (coprime_fraction(g * p, f * r) for g, f, p, r in (a, b))
+            return float(abs(a - b) / a)
+        states = (sides(_exact_factors(system.params, start, n_max, DEFAULT_BIT_CAP)),
+                  sides(_exact_closed(system, start)))
     else:
-        def gap(a, b):
+        def gap(a, b):  # every state is positive
             return abs(a - b) / a
+        states = (simulate(system, init, n_max, mode).states,
+                  closed_form_states(system, init, mode, eps_rank))
     worst_x = 0.0
     worst_y = 0.0
     first: Optional[int] = None
-    for n, (x_it, y_it), (x_cf, y_cf) in zip(count(), orbit.states, closed):
+    for n, (x_it, y_it), (x_cf, y_cf) in zip(count(), *states):
         err_x = gap(x_it, x_cf)
         err_y = gap(y_it, y_cf)
         if err_x > worst_x:

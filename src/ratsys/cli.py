@@ -29,7 +29,8 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .analysis import classify, closed_form_states, compare, float_verdict
+from .analysis import (classify, closed_form_states, closed_form_text, compare,
+                       float_verdict)
 from .classification import Classification
 from .core import (COEFF_NAMES, PeriodicCoefficients, exact_orbit_text,
                    horizon, simulate)
@@ -273,9 +274,14 @@ def _cmd_simulate(args, parser) -> _Rows:
 
 
 def _cmd_closed(args, parser) -> _Rows:
+    """The closed form's rows; exact ones come as text, as in simulate."""
     mode, params, init = _inputs(args, parser)
-    states = closed_form_states(params, init, mode, args.eps_rank)
-    return _points("closed", args, islice(states, args.n_max + 1))
+    if mode is ArithmeticMode.EXACT_RATIONAL:
+        states = closed_form_text(params, init, args.n_max, args.eps_rank)
+    else:
+        states = islice(closed_form_states(params, init, mode, args.eps_rank),
+                        args.n_max + 1)
+    return _points("closed", args, states)
 
 
 def _witness_fields(verdict: Classification) -> tuple[list[tuple[str, object]], object, object]:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import BitGrowthError, DomainError, TruncationError
 from .numeric import (
@@ -177,83 +177,66 @@ def initial_state(
     return state
 
 
-def _exact_factors(
-    params: PeriodicCoefficients,
+def integer_steps(
     state: tuple[Fraction, Fraction],
-    n_max: int,
+    indices: Iterable[int],
+    step: Callable[..., tuple[int, int, int, int, int]],
     bit_cap: int,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...] | None]]:
-    """The exact orbit from state as factors, by integer steps that take
-    no gcd of two numbers the size of the state.
+    """Exact states from state, one for each n of indices, by integer
+    steps that take no gcd of two numbers the size of the state.
 
-    For each parity the coefficients are written as ints over one
-    denominator D: a = A/D, b = B/D, c = C/D, d = E/D. The state is
-    carried as
+    A state is carried as
 
         x = g*p1 / (F*r1),   y = g*p2 / (F*r2)
 
-    with gcd(p1, p2) = gcd(r1, r2) = 1 and both fractions reduced, so F
-    is coprime to g*p1*p2. The shared factors g and F hold the history
-    and grow with the orbit; p1, p2, r1, r2 stay small. One step gives
+    with gcd(p1, p2) = gcd(r1, r2) = 1 and both fractions reduced, so
+    gcd(g, F) = 1 and F is coprime to p1*p2. The shared factors g and F
+    hold the history and grow with the orbit; p1, p2, r1, r2 stay small.
+    step(n, p1, p2, r1, r2) gives small Nx, Mx, Ny, My and K with
 
-        x' = F*Nx / G,  Nx = A*r1*p2 + B*r2*p1
-        y' = F*Ny / G,  Ny = C*r1*p2 + E*r2*p1,  G = D*g*p1*p2.
+        x' = F*Nx / (g*Mx),   y' = F*Ny / (g*My),
 
-    Since gcd(ab, c) = gcd(a, c)*gcd(b, c/gcd(a, c)), x' reduces by
-    ex*fx, where ex = gcd(Nx, G) takes one division of G by the small
-    Nx, and fx = gcd(F, G/ex) = gcd(gcd(F, D), G/ex) because F is
-    coprime to g*p1*p2; likewise ey, fy for y'. The reduced numerators
-    are (F/fx)*(Nx/ex) and (F/fy)*(Ny/ey). With fl = lcm(fx, fy),
-    mx = (fl/fx)*(Nx/ex), my = (fl/fy)*(Ny/ey) and h = gcd(mx, my), the
-    next factors are
+    where every factor F shares with Mx or My divides K. Since
+    gcd(ab, c) = gcd(a, c)*gcd(b, c/gcd(a, c)), x' reduces by fx*ex with
+    fx = gcd(F, Mx) = gcd(ff, Mx), ff = gcd(F, K), and
+    ex = gcd(Nx, g*sx) = gcd(Nx, eg*sx), sx = Mx/fx, eg = gcd(Nx*Ny, g);
+    likewise y'. ff and eg are the only gcds with an operand the size of
+    the state. With fl = lcm(fx, fy) the numerators are (F/fl)*mx and
+    (F/fl)*my, mx = (fl/fx)*(Nx/ex), so h = gcd(mx, my) gives
+    g' = (F/fl)*h. The denominators are g*sx/ex and g*sy/ey: with
+    m = lcm(sx, sy) both are g*m over ux = ex*(m/sx) or uy = ey*(m/sy),
+    so F' = g*m/L with L = lcm(ux, uy), from gcd(N/u, N/v) = N/lcm(u, v).
+    Every other operation on g or F is a product or an exact division
+    by a small number.
 
-        g' = (F/fl)*h,  p1' = mx/h,  p2' = my/h,
-        F' = G/L,  r1' = L/(ex*fx),  r2' = L/(ey*fy),
-
-    with L = lcm(ex*fx, ey*fy), from gcd(N/u, N/v) = N/lcm(u, v). Every
-    gcd has a small operand, and every other operation on g, F or G is
-    a product or an exact division by a small number.
-
-    Yields ((g, F, p1, p2, r1, r2), moves) for n = 0 .. n_max, where
-    moves is None for the start and (fl, h, D*p1*p2, L) for a step: the
-    small numbers that took F to g' = (F/fl)*h and g to
-    F' = g*(D*p1*p2)/L, so a copy of g and F in another representation
-    can follow them. Raises BitGrowthError at the first state whose
-    numerator or denominator passes bit_cap bits. In the code D is den,
-    F is f, G is big and L is low.
+    Yields ((g, F, p1, p2, r1, r2), moves), where moves is None for
+    state and (fl, h, m, L) for a step: the small numbers that took F to
+    g' = (F/fl)*h and g to F' = g*m/L, so a copy of g and F in another
+    representation can follow them. Raises BitGrowthError at the first
+    state n + 1 whose numerator or denominator passes bit_cap bits. In
+    the code F is f and L is low.
     """
     gcd, lcm = math.gcd, math.lcm
-    coeffs = []
-    for a, b, c, d in (params.at(0), params.at(1)):
-        den = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        coeffs.append((den, *(v.numerator * (den // v.denominator)
-                              for v in (a, b, c, d))))
-    x, y = state
-    g = gcd(x.numerator, y.numerator)
-    f = gcd(x.denominator, y.denominator)
-    p1, p2 = x.numerator // g, y.numerator // g
-    r1, r2 = x.denominator // f, y.denominator // f
-    yield (g, f, p1, p2, r1, r2), None
-    for n in range(n_max):
-        den, a, b, c, e = coeffs[n & 1]
-        s, t = r1 * p2, r2 * p1
-        nx, ny = a * s + b * t, c * s + e * t
-        m = den * p1 * p2
-        big = g * m
-        ex, ey = gcd(nx, big), gcd(ny, big)
-        fd = gcd(f, den)
-        if fd == 1:  # always so for int coefficients
-            fx = fy = fl = 1
+    g, f, p1, p2, r1, r2 = factors = shared_factors(*state)
+    yield factors, None
+    for n in indices:
+        nx, mx, ny, my, k = step(n, p1, p2, r1, r2)
+        eg, ff = gcd(nx * ny, g), gcd(k, f)
+        if ff == 1:
+            fl = fx = fy = 1
         else:
-            fx, fy = gcd(fd, big // ex), gcd(fd, big // ey)
+            fx, fy = gcd(ff, mx), gcd(ff, my)
             fl = lcm(fx, fy)
             f //= fl
+        sx, sy = mx // fx, my // fy
+        ex, ey = gcd(nx, eg * sx), gcd(ny, eg * sy)
         mx, my = (fl // fx) * (nx // ex), (fl // fy) * (ny // ey)
         h = gcd(mx, my)
-        ux, uy = ex * fx, ey * fy
+        m = lcm(sx, sy)
+        ux, uy = ex * (m // sx), ey * (m // sy)
         low = lcm(ux, uy)
-        g = f * h
-        f = big // low
+        g, f = f * h, g * m // low
         p1, p2, r1, r2 = mx // h, my // h, low // ux, low // uy
         # a product has the bits of its factors summed, or one fewer
         if max(g.bit_length() + max(p1.bit_length(), p2.bit_length()),
@@ -263,6 +246,48 @@ def _exact_factors(
             if worst > bit_cap:
                 raise BitGrowthError(n + 1, worst, bit_cap)
         yield (g, f, p1, p2, r1, r2), (fl, h, m, low)
+
+
+def _exact_factors(
+    params: PeriodicCoefficients,
+    state: tuple[Fraction, Fraction],
+    n_max: int,
+    bit_cap: int,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...] | None]]:
+    """The exact orbit from state as integer_steps yields it, n = 0 ..
+    n_max. With each parity's coefficients written as ints over one
+    denominator D, a = A/D, b = B/D, c = C/D, d = E/D, one step of the map
+    has Nx = A*r1*p2 + B*r2*p1, Ny = C*r1*p2 + E*r2*p1, Mx = My = D*p1*p2
+    and K = D, as F is coprime to p1*p2."""
+    coeffs = [over_one_denominator(params.at(parity)) for parity in (0, 1)]
+
+    def step(n, p1, p2, r1, r2):
+        den, a, b, c, e = coeffs[n & 1]
+        s, t = r1 * p2, r2 * p1
+        m = den * p1 * p2
+        return a * s + b * t, m, c * s + e * t, m, den
+
+    return integer_steps(state, range(n_max), step, bit_cap)
+
+
+def over_one_denominator(values) -> tuple[int, ...]:
+    """(D, *numerators) of Fractions written over one denominator D."""
+    den = math.lcm(*(v.denominator for v in values))
+    return (den, *(v.numerator * (den // v.denominator) for v in values))
+
+
+def shared_factors(x: Fraction, y: Fraction) -> tuple[int, ...]:
+    """A state as integer_steps carries it: (g, F, p1, p2, r1, r2)."""
+    g = math.gcd(x.numerator, y.numerator)
+    f = math.gcd(x.denominator, y.denominator)
+    return (g, f, x.numerator // g, y.numerator // g,
+            x.denominator // f, y.denominator // f)
+
+
+def exact_pairs(factors) -> Iterator[tuple[Fraction, Fraction]]:
+    """The states of integer_steps' output as Fractions."""
+    for (g, f, p1, p2, r1, r2), _ in factors:
+        yield coprime_fraction(g * p1, f * r1), coprime_fraction(g * p2, f * r2)
 
 
 # Exact integer arithmetic in decimal: no operation may round, so one
@@ -286,25 +311,48 @@ def exact_orbit_text(
     n_max: int,
     bit_cap: int = DEFAULT_BIT_CAP,
 ) -> Iterator[tuple[str, str]]:
-    """The exact orbit as text: (exact_text(x), exact_text(y)) of each
-    state of simulate(params, init, n_max, EXACT_RATIONAL, bit_cap).
-
-    Each row costs time linear in its length. Printing an int in decimal
-    takes time quadratic in its length, so the shared factors g and F of
-    _exact_factors are carried as exact Decimals beside the ints: a step
-    moves them by products and exact divisions by small ints only, and
-    Decimal prints in linear time. The ints of a state are never built
-    and no Fraction is made. Arguments are checked at the call;
-    BitGrowthError is raised, as simulate raises it, when the rows reach
-    the state past bit_cap. The thread's decimal context is not used.
-    """
+    """The exact orbit as text: the rows of decimal_rows for the states
+    of simulate(params, init, n_max, EXACT_RATIONAL, bit_cap), with no
+    Fraction made. Arguments are checked at the call; BitGrowthError is
+    raised, as simulate raises it, when the rows reach the state past
+    bit_cap."""
     horizon(n_max)
     params = getattr(params, "params", params).as_fractions()
     state = initial_state(init, ArithmeticMode.EXACT_RATIONAL)
-    return _decimal_rows(_exact_factors(params, state, n_max, bit_cap))
+    return decimal_rows(_exact_factors(params, state, n_max, bit_cap))
 
 
-def _decimal_rows(factors) -> Iterator[tuple[str, str]]:
+def closed_factors(
+    system: "System",
+    start: tuple[Fraction, Fraction],
+    ratios: Callable[..., Iterator[tuple[int, int, int, int]]],
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...] | None]]:
+    """An exact closed form as integer_steps yields it: states 0 to 3
+    of head, then from state 3 on, for each (a, b, c, d) of
+    ratios(system, start), called on reaching index 1,
+    x[n]*x[n+1] = a/b and y[n]*y[n+1] = c/d, so that
+    x[n+1] = F*(a*r1) / (g*(b*p1)) and likewise y[n+1], with K = b*d.
+    Past DEFAULT_BIT_CAP bits it raises BitGrowthError, as simulate."""
+    states = head(system.params, start, system.mode)[0]
+    yield shared_factors(*start), None
+    products = ratios(system, start)
+    for state in states[1:3]:
+        yield shared_factors(*state), None
+
+    def step(n, p1, p2, r1, r2):
+        a, b, c, d = next(products)
+        return a * r1, b * p1, c * r2, d * p2, b * d
+
+    yield from integer_steps(states[3], count(3), step, DEFAULT_BIT_CAP)
+
+
+def decimal_rows(factors) -> Iterator[tuple[str, str]]:
+    """(exact_text(x), exact_text(y)) of each state of integer_steps'
+    output, in time linear in its length. Printing an int in decimal
+    takes time quadratic in its length, so g and F are carried as exact
+    Decimals beside the ints and follow the moves, products and exact
+    divisions by small ints; the ints of a state are never built, and
+    the thread's decimal context is not used."""
     ctx = _EXACT_DECIMAL
     mul, div, text = ctx.multiply, ctx.divide, ctx.to_sci_string
     for (g, f, p1, p2, r1, r2), moves in factors:
@@ -336,12 +384,8 @@ def simulate(
     TruncationError reporting n* is raised with the valid prefix attached.
     Exact mode requires rational coefficients and init, and raises
     BitGrowthError if a state's numerator or denominator outgrows bit_cap.
-    Its states equal those of Fraction iteration, but each step costs
-    products and divisions against small numbers, with no gcd of two
-    state-sized ints (see _exact_factors). Printing those states with
-    str() takes time quadratic in their length; exact_orbit_text gives
-    the same text in linear time per row, and the simulate command
-    prints through it.
+    Its states equal those of Fraction iteration, by integer_steps;
+    exact_orbit_text prints them in linear time per row.
     Each state is checked once, after it is produced; step is not called.
     params may be a System from transfer.prepare, whose coefficients are
     used.
@@ -351,10 +395,7 @@ def simulate(
     if mode is ArithmeticMode.EXACT_RATIONAL:
         factors = _exact_factors(params.as_fractions(),
                                  initial_state(init, mode), n_max, bit_cap)
-        return Orbit(tuple(
-            (coprime_fraction(g * p1, f * r1), coprime_fraction(g * p2, f * r2))
-            for (g, f, p1, p2, r1, r2), _ in factors
-        ), mode)
+        return Orbit(tuple(exact_pairs(factors)), mode)
     wp = params.as_floats()
     quads = (wp.at(0), wp.at(1))
     x, y = state = initial_state(init, mode)
@@ -435,34 +476,26 @@ def head(
 
 
 class Tail(NamedTuple):
-    """Past term k, every two-step multiplies the products (x[2k],
-    x[2k+1], y[2k], y[2k+1]) by factors that no longer change; float
-    mode holds both as logs and saturates its states to inf or 0.0."""
+    """Past term k, every two-step adds factors that no longer change to
+    the logs of the products (x[2k], x[2k+1], y[2k], y[2k+1]); the states
+    saturate to inf or 0.0."""
 
-    products: tuple[Number, Number, Number, Number]
-    factors: tuple[Number, Number, Number, Number]
-    exact: bool
+    products: tuple[float, float, float, float]
+    factors: tuple[float, float, float, float]
 
-    def at(self, j: int) -> tuple[Number, Number, Number, Number]:
-        """The four products at term k + j, as logs in float mode."""
+    def at(self, j: int) -> tuple[float, float, float, float]:
+        """The logs of the four products at term k + j."""
         (xe, xo, ye, yo), (fxe, fxo, fye, fyo) = self.products, self.factors
-        if self.exact:
-            return (xe * fxe ** j, xo * fxo ** j, ye * fye ** j, yo * fyo ** j)
         return (xe + j * fxe, xo + j * fxo, ye + j * fye, yo + j * fyo)
 
-    def state(self, j: int, odd: int) -> tuple[Number, Number]:
+    def state(self, j: int, odd: int) -> tuple[float, float]:
         """State 2(k + j) + odd."""
         x, y = self.at(j)[odd::2]
-        return (x, y) if self.exact else (saturating_exp(x), saturating_exp(y))
+        return (saturating_exp(x), saturating_exp(y))
 
-    def states(self) -> Iterator[tuple[Number, Number]]:
+    def states(self) -> Iterator[tuple[float, float]]:
         """States 2k + 2, 2k + 3, ..., lazily."""
         (xe, xo, ye, yo), (fxe, fxo, fye, fyo) = self.products, self.factors
-        if self.exact:
-            while True:
-                xe, xo, ye, yo = xe * fxe, xo * fxo, ye * fye, yo * fyo
-                yield (xe, ye)
-                yield (xo, yo)
         exp = saturating_exp
         for j in count(1):
             yield (exp(xe + j * fxe), exp(ye + j * fye))

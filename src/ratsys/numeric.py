@@ -9,6 +9,7 @@ dynamics modules never branch on representation details themselves.
 
 from __future__ import annotations
 
+import decimal
 import math
 from enum import Enum
 from fractions import Fraction
@@ -107,26 +108,15 @@ def exact_sqrt(value: Fraction) -> Fraction | None:
 
 
 def _decimal(value: int) -> str:
-    """Decimal digits of an int of any size.
-
-    str() refuses ints past the interpreter's digit limit (4300 digits by
-    default, a process-wide setting), so wider values are split by a
-    power of ten into halves that are rendered separately. Either way
-    the time is quadratic in the length: on 1,1,1,3,1,2,3,1 this took
-    longer than computing the states, 7.2 s for the 400 rows of
-    simulate -n 400. That command now prints through
-    core.exact_orbit_text, which keeps the states' large factors as
-    Decimals and never converts a wide int (0.5 s end to end).
-    """
+    """Decimal digits of an int of any size. str() refuses ints past the
+    interpreter's digit limit (4300 digits by default, a process-wide
+    setting); decimal.Decimal takes any int exactly. Either way the time
+    is quadratic in the length; core.decimal_rows prints exact orbits
+    in linear time."""
     try:
         return str(value)
     except ValueError:
-        pass
-    if value < 0:
-        return "-" + _decimal(-value)
-    half = value.bit_length() * 3 // 20  # about half the decimal digits
-    high, low = divmod(value, 10**half)
-    return _decimal(high) + _decimal(low).zfill(half)
+        return str(decimal.Decimal(value))
 
 
 def exact_text(value: Union[int, Fraction]) -> str:

@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from fractions import Fraction
+from itertools import cycle, islice
 from typing import Iterator
 
 from .classification import Classification, Kind, kind_from_sign
-from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, head,
-                   horizon, initial_state)
+from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, closed_factors,
+                   exact_pairs, head, horizon, initial_state)
 from .errors import BranchError, DomainError
 from .numeric import ArithmeticMode, Number
 from .transfer import Parity, System, linear_step, parity_matrix, prepare
@@ -91,12 +92,12 @@ def growth_terms(
 ) -> tuple[Number, Number, Number]:
     """(K, mu, rho) from the entries of a rank-1 composed matrix and the
     even coefficients, in the arithmetic of the inputs; row_ratio checks
-    K. Where the float product of the two row sums falls below the
-    smallest normal float, rho divides by them one at a time."""
+    K. Where the float product of the two row sums leaves the normal
+    float range, rho divides by them one at a time."""
     k = row_ratio(m11, m12, m21, m22, exact)
     mu = m11 + k * m12
     rows = (b0 + k * a0) * (d0 + k * c0)
-    if not exact and rows < SMALLEST_NORMAL:
+    if not exact and not SMALLEST_NORMAL <= rows < math.inf:
         return k, mu, k * mu / (b0 + k * a0) / (d0 + k * c0)
     return k, mu, k * mu / rows
 
@@ -179,13 +180,39 @@ def rank1_uv(
 
 
 def _tail(system: System, anchors) -> Tail:
-    """rho per two-step on even indices, 1/rho on odd ones, from states
-    2 and 3 of core.head (anchors: its second list)."""
-    exact = system.mode is ArithmeticMode.EXACT_RATIONAL
-    rho = growth_and_ratio(system, system.mode, system.eps_rank).rho
-    even, odd = (rho, 1 / rho) if exact else (math.log(rho), -math.log(rho))
+    """log rho per two-step on even indices, -log rho on odd ones, from
+    the logs of states 2 and 3 of core.head (anchors: its second list).
+    Where rho is not a normal float, log rho is summed from the logs of
+    K, mu and the row sums; DomainError where one of those is not a
+    normal float either."""
+    data = growth_and_ratio(system, system.mode, system.eps_rank)
+    if SMALLEST_NORMAL <= data.rho < math.inf:
+        even = math.log(data.rho)
+    else:
+        a0, b0, c0, d0 = system.params.at(0)
+        k, mu = data.k, data.mu
+        parts = (k, mu, b0 + k * a0, d0 + k * c0)
+        if not all(SMALLEST_NORMAL <= v < math.inf for v in parts):
+            raise DomainError("the rank-1 ratio rho and its parts pass "
+                              "float range")
+        log = math.log
+        even = log(k) + log(mu) - log(parts[2]) - log(parts[3])
     (xe, ye), (xo, yo) = anchors[2], anchors[3]
-    return Tail((xe, xo, ye, yo), (even, odd, even, odd), exact)
+    return Tail((xe, xo, ye, yo), (even, -even, even, -even))
+
+
+def _exact_ratios(
+    system: System, start: tuple[Fraction, Fraction]
+) -> Iterator[tuple[int, int, int, int]]:
+    """The ratios of core.closed_factors, exact: from index 2 on v = K*u,
+    so x[n]*x[n+1] = u[n+1]/v[n] and y[n]*y[n+1] = v[n+1]/u[n] take two
+    values in turn. K and mu are computed on the first one, at index 4."""
+    data = growth_and_ratio(system, system.mode, system.eps_rank)
+    k, mu = data.k, data.mu
+    a0, b0, c0, d0 = system.params.at(0)
+    ew, ow = b0 + k * a0, d0 + k * c0  # u[2m+1]/u[2m], v[2m+1]/u[2m]
+    yield from cycle([(r.numerator, r.denominator, s.numerator, s.denominator)
+                      for r, s in ((mu / ow, k * mu / ew), (ew / k, ow))])
 
 
 def rank1_solution(
@@ -209,7 +236,12 @@ def rank1_solution(
     states, anchors = head(system.params, initial_state(init, mode), mode)
     if n <= 3:
         return states[n]
-    return _tail(system, anchors).state(n // 2 - 1, n % 2)
+    j, odd = n // 2 - 1, n % 2
+    if mode is ArithmeticMode.EXACT_RATIONAL:
+        rho = growth_and_ratio(system, mode, eps_rank).rho ** (-j if odd else j)
+        x, y = states[2 + odd]
+        return (x * rho, y * rho)
+    return _tail(system, anchors).state(j, odd)
 
 
 def rank1_states(
@@ -217,10 +249,14 @@ def rank1_states(
 ) -> Iterator[tuple[Number, Number]]:
     """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
 
-    Indices 0 to 3 are core.head's direct steps, and core.Tail carries
-    its states 2 and 3 on; K, mu and rho are computed on reaching index
-    4, so a rank-2 System raises BranchError there.
+    Indices 0 to 3 are core.head's direct steps. Exact mode goes on from
+    state 3 by the integer ratios of _exact_ratios, float mode by
+    core.Tail from states 2 and 3; K, mu and rho are computed on
+    reaching index 4, so a rank-2 System raises BranchError there.
     """
+    if system.mode is ArithmeticMode.EXACT_RATIONAL:
+        yield from exact_pairs(closed_factors(system, start, _exact_ratios))
+        return
     states, anchors = head(system.params, start, system.mode)
     yield from states
     yield from _tail(system, anchors).states()

@@ -39,8 +39,9 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .classification import Classification, Kind, kind_from_sign
-from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, head,
-                   horizon, initial_state)
+from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, closed_factors,
+                   exact_pairs, head, horizon, initial_state,
+                   over_one_denominator)
 from .errors import BranchError, ConvergenceError, DomainError
 from .numeric import ArithmeticMode, Number, exact_sqrt, saturating_exp
 from .transfer import System, TransferMatrix, prepare
@@ -249,8 +250,13 @@ def criterion_terms(
 
 def rank2_kind(delta: Number, scale: Number, tol_class: float) -> Kind:
     """The rank-2 verdict from delta: convergent within tol_class times
-    the positive scale of zero (tol_class 0 for an exact delta or its
-    sign), otherwise the sign says which parity vanishes."""
+    the positive scale of zero (tol_class 0 for an exact delta),
+    otherwise the sign says which parity vanishes. Raises DomainError
+    where a float scale is inf, so that delta is -inf or nan and its
+    sign against the scale is lost."""
+    if scale == math.inf or delta != delta:
+        raise DomainError("the rank-2 criterion passes float range; "
+                          "exact mode decides its sign")
     return kind_from_sign(delta, tol_class * scale,
                           Kind.CONVERGES_TO_TWO_PERIODIC)
 
@@ -329,25 +335,26 @@ def rank2_uv(
 def _products(
     wp: PeriodicCoefficients,
     sd: SpectralData,
-    anchors: list[tuple[Number, Number]],
-    exact: bool,
+    anchors: list[tuple[float, float]],
 ) -> Iterator[tuple[Quad, Quad | None]]:
-    """Running (x[2k], x[2k+1], y[2k], y[2k+1]) and their factors, k >= 0.
+    """Logs of the running (x[2k], x[2k+1], y[2k], y[2k+1]) and of their
+    factors, k >= 0.
 
-    Exact mode yields the products themselves, float mode their natural
-    logs. The products at k = 0 and 1 are states 0 to 3 from anchors,
-    the second list of core.head, and their factors are None. From
-    k = 2 on each step multiplies in one factor per product,
+    The products at k = 0 and 1 are states 0 to 3 from anchors, the
+    second list of core.head, and their factors are None. From k = 2 on
+    each step multiplies in one factor per product,
     x[2k] = x[2k-2] * gx_even[k] and likewise for the other three, and
-    yields those four factors (their logs in float mode) next to the
-    products. Every factor is a ratio of bounded positive quantities:
-    the eigenvalue powers are carried only through t**k with t = l2/l1,
-    |t| < 1, and the start only through ratios of the constants in sd,
-    which may come from the start times any power of two (see _scaled).
-    Float mode scales those parts by powers of two, which round nothing,
-    so that none leaves float range where the factor does not. Each term
-    costs the same, so running to term k costs k factors; rank2_solution
-    stops at the settle term of _float_terms instead of at n/2.
+    yields the logs of those four factors next to the products. Every
+    factor is a ratio of bounded positive quantities: the eigenvalue
+    powers are carried only through t**k with t = l2/l1, |t| < 1, and the
+    start only through ratios of the constants in sd, which may come
+    from the start times any power of two (see _scaled). Those parts are
+    scaled by powers of two, which round nothing, so that none leaves
+    float range where the factor does not; DomainError says where one
+    does, or where c1 or c3 is 0, so that Q = lim c1/c3 passed float
+    range. Each term costs the same, so running to term k costs k
+    factors; rank2_solution stops at the settle term of _float_terms
+    instead of at n/2.
     """
     t = sd.lambda2 / sd.lambda1
     l1, c1, c2, c3, c4 = sd.lambda1, sd.c1, sd.c2, sd.c3, sd.c4
@@ -359,29 +366,30 @@ def _products(
     tk = t  # t**k
     # u[2k], v[2k] / lambda1**k
     num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
-    if not exact:
-        # where one mode cancels the other at k = 1, q is x[2]/y[2]
-        if abs(num_u) * _LOST < abs(c2 * tk):
-            num_u = num_v * saturating_exp(x_e - y_e)
-        elif abs(num_v) * _LOST < abs(c4 * tk):
-            num_v = num_u * saturating_exp(y_e - x_e)
-        # u, v and the coefficients times the powers of two that bring q,
-        # b0*q + a0 and d0*q + c0 near 1: each factor is the same, bit
-        # for bit, and its parts stay in float range
-        frexp, ldexp = math.frexp, math.ldexp
-        eu, ev = frexp(c1)[1], frexp(c3)[1]
-        e = eu - ev
-        f = max(frexp(b0)[1] + e, frexp(a0)[1])
-        g = max(frexp(d0)[1] + e, frexp(c0)[1])
-        try:
-            c1, c2, num_u = ldexp(c1, -eu), ldexp(c2, -eu), ldexp(num_u, -eu)
-            c3, c4, num_v = ldexp(c3, -ev), ldexp(c4, -ev), ldexp(num_v, -ev)
-            l1 = ldexp(l1, e - f - g)
-        except OverflowError:
-            raise DomainError("the closed form's ratio factors pass float "
-                              "range") from None
-        a0, b0, c0, d0 = (ldexp(a0, -f), ldexp(b0, e - f),
-                          ldexp(c0, -g), ldexp(d0, e - g))
+    # where one mode cancels the other at k = 1, q is x[2]/y[2]
+    if abs(num_u) * _LOST < abs(c2 * tk):
+        num_u = num_v * saturating_exp(x_e - y_e)
+    elif abs(num_v) * _LOST < abs(c4 * tk):
+        num_v = num_u * saturating_exp(y_e - x_e)
+    # u, v and the coefficients times the powers of two that bring q,
+    # b0*q + a0 and d0*q + c0 near 1: each factor is the same, bit
+    # for bit, and its parts stay in float range
+    frexp, ldexp = math.frexp, math.ldexp
+    eu, ev = frexp(c1)[1], frexp(c3)[1]
+    e = eu - ev
+    f = max(frexp(b0)[1] + e, frexp(a0)[1])
+    g = max(frexp(d0)[1] + e, frexp(c0)[1])
+    try:
+        if not (c1 and c3):
+            raise OverflowError
+        c1, c2, num_u = ldexp(c1, -eu), ldexp(c2, -eu), ldexp(num_u, -eu)
+        c3, c4, num_v = ldexp(c3, -ev), ldexp(c4, -ev), ldexp(num_v, -ev)
+        l1 = ldexp(l1, e - f - g)
+    except OverflowError:
+        raise DomainError("the closed form's ratio factors pass float "
+                          "range") from None
+    a0, b0, c0, d0 = (ldexp(a0, -f), ldexp(b0, e - f),
+                      ldexp(c0, -g), ldexp(d0, e - g))
     q_cur = num_u / num_v
     s_cur = 1 / q_cur
     while True:
@@ -398,16 +406,42 @@ def _products(
         gx_odd = (b0 * q_cur + a0) * dq / p_cur
         gy_even = r_cur / ((d0 + c0 * s_prev) * bs)
         gy_odd = (d0 + c0 * s_cur) * bs / r_cur
-        if exact:
-            factors = (gx_even, gx_odd, gy_even, gy_odd)
-            x_e, x_o = x_e * gx_even, x_o * gx_odd
-            y_e, y_o = y_e * gy_even, y_o * gy_odd
-        else:
-            factors = fxe, fxo, fye, fyo = (
-                log(gx_even), log(gx_odd), log(gy_even), log(gy_odd))
-            x_e, x_o = x_e + fxe, x_o + fxo
-            y_e, y_o = y_e + fye, y_o + fyo
+        factors = fxe, fxo, fye, fyo = (
+            log(gx_even), log(gx_odd), log(gy_even), log(gy_odd))
+        x_e, x_o = x_e + fxe, x_o + fxo
+        y_e, y_o = y_e + fye, y_o + fyo
         yield (x_e, x_o, y_e, y_o), factors
+
+
+def _exact_ratios(
+    system: System, start: tuple[Fraction, Fraction]
+) -> Iterator[tuple[int, int, int, int]]:
+    """The ratios of core.closed_factors, exact: x[n]*x[n+1] = u[n+1]/v[n]
+    and y[n]*y[n+1] = v[n+1]/u[n] from n = 3 on, from the eigenvalue
+    powers as ints; the spectral constants are computed on the call.
+    With lambda_i = e_i/q and c_i = C_i/C over common denominators, and
+    a0 = A/D, b0 = B/D, c0 = E/D, d0 = G/D, the ints
+    U_k = C1*e1**k - C2*e2**k, V_k = C3*e1**k - C4*e2**k,
+    W_k = B*U_k + A*V_k and Z_k = G*U_k + E*V_k are u[2k], v[2k],
+    u[2k+1] and v[2k+1] times C*q**k, the last two times D too. So
+    n = 2k + 1 takes D*U_{k+1}/(q*Z_k) and D*V_{k+1}/(q*W_k), and n = 2k
+    takes W_k/(D*V_k) and Z_k/(D*U_k).
+    """
+    sd = spectral_constants(system, start, system.mode, system.eps_rank)
+    q, e1, e2 = over_one_denominator((sd.lambda1, sd.lambda2))
+    _, k1, k2, k3, k4 = over_one_denominator((sd.c1, sd.c2, sd.c3, sd.c4))
+    den, ca, cb, cc, cd = over_one_denominator(system.params.at(0))
+
+    def ratios(pw1, pw2):
+        u, v = k1 * pw1 - k2 * pw2, k3 * pw1 - k4 * pw2
+        w, z = cb * u + ca * v, cd * u + cc * v
+        while True:
+            pw1, pw2 = pw1 * e1, pw2 * e2
+            u, v = den * (k1 * pw1 - k2 * pw2), den * (k3 * pw1 - k4 * pw2)
+            yield u, q * z, v, q * w
+            w, z = (cb * u + ca * v) // den, (cd * u + cc * v) // den
+            yield w, v, z, u
+    return ratios(e1, e2)
 
 
 def _scaled(start: tuple[float, float]) -> tuple[float, float]:
@@ -447,7 +481,7 @@ class _Settled(NamedTuple):
 
     @property
     def tail(self) -> Tail:
-        return Tail(self.logs, self.factors, False)
+        return Tail(self.logs, self.factors)
 
     def error_bound(self, m: int) -> float:
         """Bound on the error in log of each of the logs at term m."""
@@ -471,7 +505,7 @@ def _engine(system: System, split: Split, start, anchors) -> tuple:
                                   "separate the two eigenvalue modes")
     r = abs(sd.lambda2 / sd.lambda1)
     tail = r / (1.0 - r) if r < 1.0 else math.inf
-    return r, tail, sd, _products(system.params, sd, anchors, exact=False)
+    return r, tail, sd, _products(system.params, sd, anchors)
 
 
 def _balanced(wp: PeriodicCoefficients, eps_rank: float) -> bool:
@@ -570,28 +604,23 @@ def rank2_states(
     """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
 
     Indices 0 to 3 are core.head's, whose states (logs in float mode)
-    are the products at terms 0 and 1. Exact mode multiplies in one
-    ratio factor per product and two-step from there. Float mode adds
-    their logs up to the settle term k of _float_terms (20 terms on
-    typical sets, more as r = |lambda2/lambda1| nears 1, independent of
-    n) and past it takes the log at term k plus (m - k) times the
-    settled factor. Every index before 2k + 2 is the running sum itself.
+    are the products at terms 0 and 1. Exact mode goes on by the integer
+    ratios of _exact_ratios, one Fraction per component and state. Float
+    mode adds the logs of the ratio factors of _products up to the settle
+    term k of _float_terms (20 terms on typical sets, more as
+    r = |lambda2/lambda1| nears 1, independent of n) and past it takes
+    the log at term k plus (m - k) times the settled factor. Every index
+    before 2k + 2 is the running sum itself.
 
     The spectral constants are computed on reaching index 1, so a rank-1
     System raises BranchError there, and an exact one with an irrational
     eigenvalue gap DomainError.
     """
-    wp = system.params
-    states, anchors = head(wp, start, system.mode)
-    yield start
     if system.mode is ArithmeticMode.EXACT_RATIONAL:
-        sd = spectral_constants(system, start, system.mode, system.eps_rank)
-        yield from states[1:]
-        products = _products(wp, sd, anchors, exact=True)
-        for (x_e, x_o, y_e, y_o), _ in islice(products, 2, None):
-            yield (x_e, y_e)
-            yield (x_o, y_o)
-    # float mode; the exact products above never end
+        yield from exact_pairs(closed_factors(system, start, _exact_ratios))
+        return
+    states, anchors = head(system.params, start, system.mode)
+    yield start
     terms = _float_terms(system, start, anchors)
     next(terms)  # the constants, before index 1
     yield from states[1:]
@@ -618,13 +647,16 @@ def rank2_solution(
     r = |lambda2/lambda1| and the start (20 on typical sets, some 4,000
     at r = 0.99), not by n; before index 2k + 2 it costs n/2 terms, as
     does every index of a set whose factors never settle. The value and
-    any error are those of rank2_states at index n. Exact mode
-    multiplies in all n/2 terms.
+    any error are those of rank2_states at index n. Exact mode takes all
+    n integer ratio steps and makes Fractions of state n only.
     """
     horizon(n, "n")
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
-    if mode is ArithmeticMode.EXACT_RATIONAL or n < 4:
+    if mode is ArithmeticMode.EXACT_RATIONAL:
+        states = closed_factors(system, start, _exact_ratios)
+        return next(exact_pairs(islice(states, n, None)))
+    if n < 4:
         return next(islice(rank2_states(system, start), n, None))
     m, odd = divmod(n, 2)
     logs, _ = _logs_at(system, start, m)
@@ -707,12 +739,13 @@ def classify_rank2(
     if floats is None:
         floats = prepare(system, ArithmeticMode.FLOAT64, eps_rank)
     split, scale, delta = _criterion(floats)
-    value, tol = delta, tol_class
     if mode is ArithmeticMode.EXACT_RATIONAL:
-        value, tol = delta_sign_exact(system, eps_rank), 0
-        if value == 0:
+        sign = delta_sign_exact(system, eps_rank)
+        kind = kind_from_sign(sign, 0, Kind.CONVERGES_TO_TWO_PERIODIC)
+        if sign == 0:
             delta = 0.0
-    kind = rank2_kind(value, scale, tol)
+    else:
+        kind = rank2_kind(delta, scale, tol_class)
     witness = Rank2Witness(lambda1=split.lambda1, lambda2=split.lambda2,
                            q=split.q, delta=delta, scale=scale)
     return Classification(kind=kind, rank=2, witness=witness)

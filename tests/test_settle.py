@@ -109,7 +109,7 @@ def test_generic_set_at_1e5_is_far_closer_than_the_running_sum():
     system = prepare(params)
     sd = ratsys.rank2.spectral_constants(system, ratsys.rank2._scaled(start))
     anchors = head(params, start, ArithmeticMode.FLOAT64)[1]
-    products = _products(params, sd, anchors, exact=False)
+    products = _products(params, sd, anchors)
     summed_x = next(islice(products, m, None))[0][0]
     assert abs(summed_x - want) > 1e-9  # the running sum's n**2 rounding
     assert abs(settled_x - want) * 100 <= abs(summed_x - want)
