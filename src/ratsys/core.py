@@ -225,15 +225,16 @@ def integer_steps(
         eg, ff = gcd(nx * ny, g), gcd(k, f)
         if ff == 1:
             fl = fx = fy = 1
+            sx, sy = mx, my
         else:
             fx, fy = gcd(ff, mx), gcd(ff, my)
             fl = lcm(fx, fy)
             f //= fl
-        sx, sy = mx // fx, my // fy
+            sx, sy = mx // fx, my // fy
         ex, ey = gcd(nx, eg * sx), gcd(ny, eg * sy)
         mx, my = (fl // fx) * (nx // ex), (fl // fy) * (ny // ey)
         h = gcd(mx, my)
-        m = lcm(sx, sy)
+        m = sx if sx == sy else lcm(sx, sy)
         ux, uy = ex * (m // sx), ey * (m // sy)
         low = lcm(ux, uy)
         g, f = f * h, g * m // low

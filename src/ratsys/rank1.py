@@ -105,7 +105,11 @@ def growth_terms(
 def rank1_kind(rho: Number, tol_class: float) -> Kind:
     """The rank-1 verdict from rho: two-periodic within tol_class of 1
     (tol_class 0 for an exact rho), otherwise the side of 1 says which
-    parity vanishes."""
+    parity vanishes. Raises DomainError for a nan rho, whose parts
+    passed float range."""
+    if rho != rho:
+        raise DomainError("the rank-1 ratio rho passes float range; "
+                          "exact mode decides its side of 1")
     return kind_from_sign(rho - 1, tol_class, Kind.EXACT_TWO_PERIODIC)
 
 

@@ -351,10 +351,10 @@ def _products(
     from the start times any power of two (see _scaled). Those parts are
     scaled by powers of two, which round nothing, so that none leaves
     float range where the factor does not; DomainError says where one
-    does, or where c1 or c3 is 0, so that Q = lim c1/c3 passed float
-    range. Each term costs the same, so running to term k costs k
-    factors; rank2_solution stops at the settle term of _float_terms
-    instead of at n/2.
+    does, or where a constant of sd left float range (c1 or c3 is 0
+    where Q = lim c1/c3 passed it). Each term costs the same, so running
+    to term k costs k factors; rank2_solution stops at the settle term
+    of _float_terms instead of at n/2.
     """
     t = sd.lambda2 / sd.lambda1
     l1, c1, c2, c3, c4 = sd.lambda1, sd.c1, sd.c2, sd.c3, sd.c4
@@ -380,7 +380,8 @@ def _products(
     f = max(frexp(b0)[1] + e, frexp(a0)[1])
     g = max(frexp(d0)[1] + e, frexp(c0)[1])
     try:
-        if not (c1 and c3):
+        if not (0 < c1 < math.inf and 0 < c3 < math.inf
+                and abs(c2) < math.inf and abs(c4) < math.inf):
             raise OverflowError
         c1, c2, num_u = ldexp(c1, -eu), ldexp(c2, -eu), ldexp(num_u, -eu)
         c3, c4, num_v = ldexp(c3, -ev), ldexp(c4, -ev), ldexp(num_v, -ev)

@@ -210,7 +210,26 @@ def test_rank1_rho_below_float_range_comes_from_its_parts():
         assert tail_logs(params, n) == pytest.approx(logs, rel=1e-13)
 
 
-def test_q_past_float_range_is_a_domain_error():
-    code, out, err = run(["closed", *coeff_flags(Q_PAST_RANGE), "-n", "200"])
-    assert (code, out) == (3, "")
-    assert "ratio factors pass float range" in err
+@pytest.mark.parametrize("command, values, message", [
+    # Q = inf, so c3 = 0
+    ("closed", Q_PAST_RANGE, "ratio factors pass float range"),
+    # Split.ratio1 = inf, so c1 = nan
+    ("closed", "4.995178125978079e-187,6.155382638941536e+140,2.4896953449622337e-116,"
+               "2.637114809526673e+49,9.362999612053529e-110,3.945642674551481e+91,"
+               "140952411873.41794,7.518178896088163e-97",
+     "ratio factors pass float range"),
+    # Split.ratio2 = -inf, so c2 = -inf
+    ("closed", "7.170900840946942e-175,6.714890435685193e+22,3.916011617450546e+75,"
+               "3.1663414406320188e-105,7.063927230307528e-170,5.436400127992731e-83,"
+               "1.9185833631226532e+141,2.2199490945138656e+68",
+     "ratio factors pass float range"),
+    # K*mu and the row sums pass float range, so rho = nan
+    ("classify", "5.505951615067215e+33,8.444703987751623e-31,1.3680198956123016e-128,"
+                 "4.356670961292381e-123,7.5484771109797425e-177,1.8045750388235344e-167,"
+                 "3.966852175544471e-31,1.8995737942945712e+117",
+     "rank-1 ratio rho passes float range"),
+])
+def test_constants_past_float_range_are_a_domain_error(command, values, message):
+    argv = [command, *coeff_flags(values)] + (["-n", "200"] if command == "closed" else [])
+    code, out, err = run(argv)
+    assert (code, out) == (3, "") and message in err
