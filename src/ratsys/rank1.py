@@ -73,8 +73,11 @@ def row_ratio(
 
     The same ratio from the second columns, m22/m12, is evaluated as a
     consistency check: exactly equal in exact mode, within a relative
-    K_CONSISTENCY_EPS in float mode. Raises BranchError otherwise.
+    K_CONSISTENCY_EPS in float mode. Raises BranchError otherwise, and
+    DomainError where a float m11 or m12 underflowed to 0.
     """
+    if not (m11 and m12):
+        raise DomainError("matrix entries underflow float range")
     k = m21 / m11
     k_check = m22 / m12
     band = 0 if exact else K_CONSISTENCY_EPS * max(abs(k), abs(k_check))

@@ -223,6 +223,11 @@ def test_rank1_rho_below_float_range_comes_from_its_parts():
                "3.1663414406320188e-105,7.063927230307528e-170,5.436400127992731e-83,"
                "1.9185833631226532e+141,2.2199490945138656e+68",
      "ratio factors pass float range"),
+    # m11 underflows to 0, so K = m21/m11 has no float value
+    ("classify", "9.546851187450316e-101,8.06586513598597e-188,1.0627907539068409e-108,"
+                 "8.979219137776095e-196,3.441451570415161e-158,3.4272255020168205e-172,"
+                 "3.4934214851281973e-113,2.109367673554793e-70",
+     "matrix entries underflow float range"),
     # K*mu and the row sums pass float range, so rho = nan
     ("classify", "5.505951615067215e+33,8.444703987751623e-31,1.3680198956123016e-128,"
                  "4.356670961292381e-123,7.5484771109797425e-177,1.8045750388235344e-167,"
