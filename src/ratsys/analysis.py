@@ -104,24 +104,17 @@ def classify(
     depends on where the orbit starts; the cycle values are always
     reported as floats). probe_init is checked on every branch, so a
     non-positive or non-finite probe raises DomainError whether or not a
-    cycle is attached. The coefficients are prepared once per mode, and
-    the Systems are handed to the branch functions: exact mode's float
-    System serves both the witness and the cycle.
+    cycle is attached. The coefficients are prepared once; that System
+    goes to the branch function and to limit_cycle, the one place that
+    builds a float System from an exact one.
     """
     probe_init = initial_state(probe_init, mode)
     system = prepare(params, mode, eps_rank)
-    if system.rank == 1:
-        return classify_rank1(system, mode, tol_class, eps_rank)
-    floats = prepare(system, ArithmeticMode.FLOAT64, eps_rank)
-    verdict = classify_rank2(system, mode, tol_class, eps_rank, floats)
+    branch = classify_rank1 if system.rank == 1 else classify_rank2
+    verdict = branch(system, mode, tol_class, eps_rank)
     if attach_cycle and verdict.kind is Kind.CONVERGES_TO_TWO_PERIODIC:
-        cycle = limit_cycle(
-            floats,
-            probe_init,
-            tol=cycle_tol,
-            tol_class=tol_class,
-            eps_rank=eps_rank,
-        )
+        cycle = limit_cycle(system, probe_init, cycle_tol,
+                            tol_class=tol_class, eps_rank=eps_rank)
         verdict = replace(verdict, cycle=cycle)
     return verdict
 

@@ -44,7 +44,7 @@ from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, closed_factors,
                    over_one_denominator)
 from .errors import BranchError, ConvergenceError, DomainError
 from .numeric import ArithmeticMode, Number, exact_sqrt, saturating_exp
-from .transfer import System, TransferMatrix, prepare
+from .transfer import System, TransferMatrix, composed_entries, prepare
 
 DEFAULT_CYCLE_TOL = 1e-11
 DEFAULT_MAX_TERMS = 1_000_000
@@ -726,25 +726,28 @@ def classify_rank2(
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     tol_class: float = 1e-9,
     eps_rank: float = 1e-12,
-    floats: System | None = None,
 ) -> Classification:
     """Trichotomy by the sign of delta_crit.
 
     Float mode calls the case convergent when |delta_crit| is within
     tol_class times the positive scale (b0*Q + a0)*(d0*Q + c0). Exact
     mode decides the sign exactly. The witness always reports float
-    approximations of the spectral quantities, from floats when the
-    caller has already prepared the float System of these coefficients.
+    approximations, from the float coefficients through composed_entries,
+    float_split and criterion_terms; in exact mode its delta is 0.0 where
+    the sign is 0, and inf with the sign where the float delta is not
+    finite.
     """
     system = _rank2(params, mode, eps_rank)
-    if floats is None:
-        floats = prepare(system, ArithmeticMode.FLOAT64, eps_rank)
-    split, scale, delta = _criterion(floats)
+    wp = system.params.as_floats()
+    split = float_split(*composed_entries(*wp.at(0), *wp.at(1)))
+    scale, delta = criterion_terms(split.lambda1, split.q, *wp.at(0))
     if mode is ArithmeticMode.EXACT_RATIONAL:
         sign = delta_sign_exact(system, eps_rank)
         kind = kind_from_sign(sign, 0, Kind.CONVERGES_TO_TWO_PERIODIC)
         if sign == 0:
             delta = 0.0
+        elif not math.isfinite(delta):
+            delta = math.copysign(math.inf, sign)
     else:
         kind = rank2_kind(delta, scale, tol_class)
     witness = Rank2Witness(lambda1=split.lambda1, lambda2=split.lambda2,

@@ -5,6 +5,7 @@ closed form leaves float range."""
 
 import contextlib
 import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -169,13 +170,20 @@ Q_PAST_RANGE = ("1.8862509368576556e+120,1.0531374290508011e-93,2.42675041728494
 
 def test_a_criterion_past_float_range_is_refused():
     """scale = inf and delta = nan: float mode cannot tell the sign, so
-    classify and sweep exit 3; exact mode decides it."""
+    classify and sweep exit 3; exact mode decides it, and prints delta
+    as inf with that sign."""
     code, out, err = run(["classify", *coeff_flags(NAN_DELTA)])
     assert (code, out) == (3, "") and "criterion passes float range" in err
     code, out, _ = run(["sweep", *coeff_flags(NAN_DELTA), "--axis1", "a0:1e20:2e20:2"])
     assert (code, out) == (3, "")
     code, out, _ = run(["classify", *coeff_flags(NAN_DELTA), "--mode", "exact"])
     assert code == 0 and "kind: VanishEvenBlowOdd" in out
+    # the witness's delta takes the exact sign where the float one is nan
+    assert "delta: -inf\n" in out and "nan" not in out
+    code, out, _ = run(["classify", *coeff_flags(NAN_DELTA), "--mode", "exact",
+                        "--format", "json"])
+    witness = json.loads(out)["witness"]
+    assert code == 0 and (witness["delta"], witness["scale"]) == ("-inf", "inf")
 
 
 def tail_logs(params, n):

@@ -163,12 +163,12 @@ def test_float_classify_prepares_once(monkeypatch, params, kind):
 
 def test_float_convergent_classify_solves_the_criterion_twice(monkeypatch):
     verdicts = count_calls(monkeypatch, ratsys.rank2.classify_rank2)
-    roots = count_calls(monkeypatch, ratsys.rank2._roots)
+    splits = count_calls(monkeypatch, ratsys.rank2.float_split)
     verdict = classify(RANK2_BALANCED.as_floats(), probe_init=(1.5, 0.5))
     assert verdict.cycle is not None
     # classify_rank2 solves once, limit_cycle once more for its constants
     assert len(verdicts) == 1
-    assert len(roots) == 2
+    assert len(splits) == 2
 
 
 def test_sweep_validates_each_cell_once(monkeypatch, capsys):
@@ -232,10 +232,18 @@ def test_exact_convergent_classify_builds_each_matrix_once(monkeypatch):
     verdict = classify(RANK2_BALANCED, EXACT,
                        probe_init=(Fraction(3, 2), Fraction(1, 2)))
     assert verdict.cycle is not None
-    # once exact, once float; the float System serves witness and cycle
+    # once exact, once float for limit_cycle's System
     assert len(matrices) == 2
     assert sorted(type(args[0].a0).__name__ for args in matrices) == [
         "Fraction", "float"]
+
+
+def test_exact_verdict_builds_no_float_system(monkeypatch):
+    matrices = count_calls(monkeypatch, ratsys.transfer.composed_matrix)
+    verdict = classify(RANK2_GENERIC, EXACT)
+    assert verdict.kind is Kind.VANISH_EVEN_BLOW_ODD
+    # the float witness comes from the entries, not from a float System
+    assert [type(args[0].a0) for args in matrices] == [Fraction]
 
 
 def outcome(fn, *args):

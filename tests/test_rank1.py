@@ -1,5 +1,6 @@
 """Geometric closed forms when the composed matrix is singular."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -79,6 +80,17 @@ def test_growth_and_ratio_frozen_values():
 def test_rank1_uv_rejects_index_zero():
     with pytest.raises(ValueError):
         rank1_uv(RANK1_BOUNDARY, (Fraction(1), Fraction(2)), 0, EXACT)
+
+
+def test_float_rank1_uv_gives_the_logs_of_the_exact_values():
+    # the set and start of the closed_rank1_exact.csv golden file
+    params = PeriodicCoefficients(2, 3, 4, 6, Fraction(1, 3), Fraction(5, 2), 7, 2)
+    init = (Fraction(2, 3), Fraction(5))
+    for m in (1, 2, 5, 30):
+        logs = rank1_uv(params.as_floats(), (2 / 3, 5.0), m)
+        exact = rank1_uv(params, init, m, EXACT)
+        want = [math.log(v.numerator) - math.log(v.denominator) for v in exact]
+        assert logs == pytest.approx(want, rel=1e-15)
 
 
 @given(params=rank1_sets, init=inits)
