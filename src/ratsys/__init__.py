@@ -16,15 +16,12 @@ two-cycle.
 
 from .analysis import (
     ComparisonReport,
-    PeriodReport,
-    PeriodStatus,
     ProductReport,
     ProductStatus,
     classify,
     closed_form_sequence,
     closed_form_states,
     compare,
-    detect_period,
     product_converges,
 )
 from .classification import Classification, Kind
@@ -49,15 +46,12 @@ from .rank1 import (
     Rank1Data,
     classify_rank1,
     growth_and_ratio,
-    k_constant,
     rank1_solution,
     rank1_solution_sequence,
-    rank1_uv,
 )
 from .rank2 import (
     LimitCycle,
     Rank2Witness,
-    SignedLog,
     SpectralData,
     classify_rank2,
     criterion_delta,
@@ -66,17 +60,13 @@ from .rank2 import (
     limit_cycle,
     rank2_solution,
     rank2_solution_sequence,
-    rank2_uv,
     spectral_constants,
 )
 from .transfer import (
-    Parity,
     System,
     TransferMatrix,
     UVPoint,
     composed_matrix,
-    linear_step,
-    parity_matrix,
     prepare,
     rank_decision,
     uv_from_orbit,
@@ -95,16 +85,12 @@ __all__ = [
     "Number",
     "Orbit",
     "OrbitPoint",
-    "Parity",
-    "PeriodReport",
-    "PeriodStatus",
     "PeriodicCoefficients",
     "ProductReport",
     "ProductStatus",
     "Rank1Data",
     "Rank2Witness",
     "RatsysError",
-    "SignedLog",
     "SpectralData",
     "System",
     "TransferMatrix",
@@ -119,24 +105,18 @@ __all__ = [
     "composed_matrix",
     "criterion_delta",
     "delta_sign_exact",
-    "detect_period",
     "eigenvalues",
     "format_number",
     "growth_and_ratio",
-    "k_constant",
     "limit_cycle",
-    "linear_step",
     "log_simulate",
-    "parity_matrix",
     "parse_number",
     "prepare",
     "product_converges",
     "rank1_solution",
     "rank1_solution_sequence",
-    "rank1_uv",
     "rank2_solution",
     "rank2_solution_sequence",
-    "rank2_uv",
     "rank_decision",
     "simulate",
     "spectral_constants",

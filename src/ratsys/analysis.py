@@ -1,10 +1,9 @@
 """Orbit-level diagnostics on top of the closed forms.
 
 This module hosts the one-call classification entry point, plus the
-checks used to validate verdicts against raw trajectories: detecting
-eventual periodicity of an orbit, deciding convergence of infinite
-products from their per-factor deviations, and comparing closed-form
-values against direct iteration index by index.
+checks used to validate verdicts against raw trajectories: deciding
+convergence of infinite products from their per-factor deviations, and
+comparing closed-form values against direct iteration index by index.
 """
 
 from __future__ import annotations
@@ -17,11 +16,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import rank1, rank2
 from .classification import Classification, Kind
-from .core import (DEFAULT_BIT_CAP, Orbit, PeriodicCoefficients, _exact_factors,
+from .core import (DEFAULT_BIT_CAP, PeriodicCoefficients, _exact_factors,
                    closed_factors, decimal_rows, horizon, initial_state,
                    simulate)
 from .errors import DomainError
-from .numeric import ArithmeticMode, Number, coprime_fraction, relative_gap
+from .numeric import ArithmeticMode, Number, coprime_fraction
 from .rank1 import classify_rank1, growth_terms, rank1_kind, rank1_states
 from .rank2 import (
     classify_rank2,
@@ -142,66 +141,6 @@ def float_verdict(
     split = float_split(*m)
     scale, delta = criterion_terms(split.lambda1, split.q, *even)
     return 2, split.q, delta, rank2_kind(delta, scale, tol_class)
-
-
-class PeriodStatus(Enum):
-    PERIODIC = "periodic"
-    EVENTUALLY_PERIODIC = "eventually-periodic"
-    NOT_PERIODIC = "not-periodic"
-
-
-@dataclass(frozen=True, slots=True)
-class PeriodReport:
-    """Verdict of detect_period: status and the first periodic index."""
-
-    status: PeriodStatus
-    start_index: Optional[int]
-
-
-def detect_period(
-    orbit: Orbit,
-    period: int = 2,
-    tol: float = 1e-9,
-    require_from_start: bool = False,
-) -> PeriodReport:
-    """Smallest index from which the orbit repeats with the given period.
-
-    A comparison at index n checks state(n + period) against state(n),
-    exactly in rational mode and within relative tolerance tol in float
-    mode. The report carries the smallest n1 such that every comparison
-    from n1 through the end of the orbit matches: status PERIODIC when
-    n1 == 0, EVENTUALLY_PERIODIC when n1 > 0 (demoted to NOT_PERIODIC
-    when require_from_start is set), NOT_PERIODIC when even the final
-    comparison fails. Needs at least two comparisons' worth of points.
-    """
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-    if len(orbit) < period + 2:
-        raise ValueError(
-            f"orbit with {len(orbit)} points is too short to test "
-            f"period {period}; need at least {period + 2}"
-        )
-    exact = orbit.mode is ArithmeticMode.EXACT_RATIONAL
-
-    def matches(n: int) -> bool:
-        x_a, y_a = orbit.state(n)
-        x_b, y_b = orbit.state(n + period)
-        if exact:
-            return x_a == x_b and y_a == y_b
-        return relative_gap(x_a, x_b) <= tol and relative_gap(y_a, y_b) <= tol
-
-    start = None
-    for n in range(len(orbit) - period - 1, -1, -1):
-        if not matches(n):
-            break
-        start = n
-    if start is None:
-        return PeriodReport(PeriodStatus.NOT_PERIODIC, None)
-    if start == 0:
-        return PeriodReport(PeriodStatus.PERIODIC, 0)
-    if require_from_start:
-        return PeriodReport(PeriodStatus.NOT_PERIODIC, None)
-    return PeriodReport(PeriodStatus.EVENTUALLY_PERIODIC, start)
 
 
 class ProductStatus(Enum):

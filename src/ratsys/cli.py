@@ -26,7 +26,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .analysis import (classify, closed_form_states, closed_form_text, compare,
@@ -387,11 +387,7 @@ def _cmd_sweep(args, parser) -> _Rows:
     base = _coefficients(args, parser, ArithmeticMode.FLOAT64)
     cell = [*base.at(0), *base.at(1)]
     slots = [COEFF_NAMES.index(name) for name in axis_names]
-    combos = (
-        [(v1,) for v1 in axes[0][1]]
-        if len(axes) == 1
-        else [(v1, v2) for v1 in axes[0][1] for v2 in axes[1][1]]
-    )
+    combos = product(*(values for _, values in axes))
     eps_rank, tol_class, inf = args.eps_rank, args.tol_class, math.inf
 
     def rows():

@@ -38,13 +38,21 @@ SMALLEST_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
 COEFF_NAMES = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
 
 
+def _float(value: Number) -> float:
+    """float(value), raising OverflowError also where a positive Fraction
+    rounds to 0.0, so both ends of float range read alike."""
+    f = float(value)
+    if f == 0 and isinstance(value, Fraction) and value > 0:
+        raise OverflowError
+    return f
+
+
 @dataclass(frozen=True, slots=True)
 class PeriodicCoefficients:
     """The eight coefficients, even-step quadruple then odd-step quadruple.
 
     All values must be positive and finite. Equal values across parities
-    are allowed; ``strictly_alternating`` reports whether every sequence
-    genuinely takes two distinct values.
+    are allowed.
     """
 
     a0: Number
@@ -66,22 +74,12 @@ class PeriodicCoefficients:
             return (self.a0, self.b0, self.c0, self.d0)
         return (self.a1, self.b1, self.c1, self.d1)
 
-    @property
-    def strictly_alternating(self) -> bool:
-        """True when a0 != a1, b0 != b1, c0 != c1, d0 != d1 all hold."""
-        return (
-            self.a0 != self.a1
-            and self.b0 != self.b1
-            and self.c0 != self.c1
-            and self.d0 != self.d1
-        )
-
     def as_floats(self) -> "PeriodicCoefficients":
         """Float copy, or self when every coefficient is already a float.
 
         Sharing is safe: the value is frozen and was validated when it
         was built. Raises DomainError naming a rational coefficient too
-        large for a float.
+        large or too small for a float.
         """
         values = [getattr(self, f) for f in COEFF_NAMES]
         if all(type(v) is float for v in values):
@@ -89,7 +87,7 @@ class PeriodicCoefficients:
         floats = []
         for name, v in zip(COEFF_NAMES, values):
             try:
-                floats.append(float(v))
+                floats.append(_float(v))
             except OverflowError:
                 raise DomainError(
                     f"coefficient {name} must lie within float range"
@@ -163,13 +161,14 @@ def initial_state(
 ) -> tuple[Number, Number]:
     """The start (x0, y0) as floats, or as Fractions in exact mode.
 
-    Raises DomainError unless both are finite and positive.
+    Raises DomainError unless both are finite and positive, and in
+    float mode where a positive rational lies outside float range.
     """
     if mode is ArithmeticMode.EXACT_RATIONAL:
         state = (to_fraction(init[0], "x0"), to_fraction(init[1], "y0"))
     else:
         try:
-            state = (float(init[0]), float(init[1]))
+            state = (_float(init[0]), _float(init[1]))
         except OverflowError:
             raise DomainError("x0 and y0 must lie within float range") from None
     require_positive(state[0], "x0")

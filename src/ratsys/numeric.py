@@ -138,9 +138,3 @@ def format_number(value: Number) -> str:
         return f"{value:.17g}"
     return exact_text(value)
 
-
-def relative_gap(a: Number, b: Number) -> float:
-    """|a - b| relative to |a|, as a float. a must be nonzero."""
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return float(abs(Fraction(a) - Fraction(b)) / abs(Fraction(a)))
-    return abs(a - b) / abs(a)

@@ -38,7 +38,7 @@ from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, closed_factors,
                    exact_pairs, head, horizon, initial_state)
 from .errors import BranchError, DomainError
 from .numeric import ArithmeticMode, Number
-from .transfer import Parity, System, linear_step, parity_matrix, prepare
+from .transfer import System, prepare
 
 K_CONSISTENCY_EPS = 1e-10
 
@@ -116,22 +116,6 @@ def rank1_kind(rho: Number, tol_class: float) -> Kind:
     return kind_from_sign(rho - 1, tol_class, Kind.EXACT_TWO_PERIODIC)
 
 
-def k_constant(
-    params: PeriodicCoefficients | System,
-    mode: ArithmeticMode = ArithmeticMode.FLOAT64,
-    eps_rank: float = 1e-12,
-) -> Number:
-    """Row ratio K of the composed matrix.
-
-    Computed as (b0*d1 + c1*d0) / (a1*d0 + b0*b1); the same ratio from the
-    second columns is evaluated as a consistency check. Raises BranchError
-    when the composed matrix has rank 2 and K does not exist.
-    """
-    system = _rank1(params, mode, eps_rank)
-    return row_ratio(*system.matrix.entries,
-                     mode is ArithmeticMode.EXACT_RATIONAL)
-
-
 def growth_and_ratio(
     params: PeriodicCoefficients | System,
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
@@ -142,48 +126,6 @@ def growth_and_ratio(
     return Rank1Data(*growth_terms(*system.matrix.entries,
                                    *system.params.at(0),
                                    mode is ArithmeticMode.EXACT_RATIONAL))
-
-
-def rank1_uv(
-    params: PeriodicCoefficients | System,
-    init: tuple[Number, Number],
-    m: int,
-    mode: ArithmeticMode = ArithmeticMode.FLOAT64,
-    eps_rank: float = 1e-12,
-) -> tuple[Number, Number, Number, Number]:
-    """Transformed values (u[2m], v[2m], u[2m+1], v[2m+1]) for m >= 1.
-
-    Anchored at u[2], obtained by two linear steps from (x0, y0):
-    u[2m] = mu**(m-1) * u[2], v[2m] = K*u[2m], and the odd pair follows
-    by one even-parity step. Exact mode returns Fractions; float mode
-    returns the natural logs of the four values, since they outgrow
-    float range quickly.
-
-    m = 0 is rejected: v[0] = y0 is not K*x0 in general, so the closed
-    form starts one two-step later.
-    """
-    if m < 1:
-        raise DomainError(f"closed form for transformed pairs needs m >= 1, got {m}")
-    system = prepare(params, mode, eps_rank)
-    wp = system.params
-    data = growth_and_ratio(system, mode, eps_rank)
-    k, mu = data.k, data.mu
-    uv0 = initial_state(init, mode)
-    u1v1 = linear_step(parity_matrix(wp, Parity.EVEN), uv0)
-    u2 = linear_step(parity_matrix(wp, Parity.ODD), u1v1)[0]
-
-    ew = wp.b0 + k * wp.a0  # u[2m+1] / u[2m]
-    ow = wp.d0 + k * wp.c0  # v[2m+1] / u[2m]
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        u_even = mu ** (m - 1) * u2
-        return (u_even, k * u_even, ew * u_even, ow * u_even)
-    log_u_even = (m - 1) * math.log(mu) + math.log(u2)
-    return (
-        log_u_even,
-        math.log(k) + log_u_even,
-        math.log(ew) + log_u_even,
-        math.log(ow) + log_u_even,
-    )
 
 
 def _tail(system: System, anchors) -> Tail:

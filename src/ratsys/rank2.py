@@ -100,25 +100,6 @@ class LimitCycle:
     residual: float
 
 
-class SignedLog(NamedTuple):
-    """A real number as (sign, log of magnitude); sign 0 encodes zero."""
-
-    sign: int
-    log_abs: float
-
-    @property
-    def value(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_abs)
-
-
-def _signed_log(x: float) -> SignedLog:
-    if x == 0:
-        return SignedLog(0, float("-inf"))
-    return SignedLog(1 if x > 0 else -1, math.log(abs(x)))
-
-
 def _rank2(
     params: PeriodicCoefficients | System,
     mode: ArithmeticMode,
@@ -292,44 +273,6 @@ def _expansion(
     c3 = (gamma * u0 + lead1 * v0) / gap
     c4 = (gamma * u0 + lead2 * v0) / gap
     return SpectralData(lambda1=l1, lambda2=l2, c1=c1, c2=c2, c3=c3, c4=c4, q=q)
-
-
-def rank2_uv(
-    params: PeriodicCoefficients | System,
-    init: tuple[Number, Number],
-    n: int,
-    mode: ArithmeticMode = ArithmeticMode.FLOAT64,
-    eps_rank: float = 1e-12,
-) -> tuple[Number, Number] | tuple[SignedLog, SignedLog]:
-    """Transformed pair (u[n], v[n]) from the eigenvalue powers.
-
-    Float mode returns SignedLog values (the powers outgrow float range,
-    and the lambda2 contribution alternates sign when lambda2 < 0); exact
-    mode returns Fractions and needs a rational eigenvalue gap.
-    """
-    horizon(n, "n")
-    system = prepare(params, mode, eps_rank)
-    wp = system.params
-    sd = spectral_constants(system, init, mode, eps_rank)
-    m, odd = divmod(n, 2)
-    if odd:
-        e1 = wp.b0 * sd.c1 + wp.a0 * sd.c3
-        e2 = wp.b0 * sd.c2 + wp.a0 * sd.c4
-        f1 = wp.d0 * sd.c1 + wp.c0 * sd.c3
-        f2 = wp.d0 * sd.c2 + wp.c0 * sd.c4
-    else:
-        e1, e2, f1, f2 = sd.c1, sd.c2, sd.c3, sd.c4
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        pow1, pow2 = sd.lambda1 ** m, sd.lambda2 ** m
-        return (e1 * pow1 - e2 * pow2, f1 * pow1 - f2 * pow2)
-    t_m = (sd.lambda2 / sd.lambda1) ** m
-    base = m * math.log(sd.lambda1)
-    su = _signed_log(e1 - e2 * t_m)
-    sv = _signed_log(f1 - f2 * t_m)
-    return (
-        SignedLog(su.sign, su.log_abs + base),
-        SignedLog(sv.sign, sv.log_abs + base),
-    )
 
 
 def _products(

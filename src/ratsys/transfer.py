@@ -16,17 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 from fractions import Fraction
 
 from .core import Orbit, PeriodicCoefficients
 from .errors import DomainError
 from .numeric import ArithmeticMode, Number, is_exact, number_log, saturating_exp
-
-
-class Parity(IntEnum):
-    EVEN = 0
-    ODD = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,12 +62,6 @@ class UVPoint:
     log_v: float
 
 
-def parity_matrix(params: PeriodicCoefficients, parity: Parity) -> TransferMatrix:
-    """The one-step matrix [[b, a], [d, c]] for the given parity."""
-    a, b, c, d = params.at(int(parity))
-    return TransferMatrix(b, a, d, c)
-
-
 def composed_entries(
     a0: Number, b0: Number, c0: Number, d0: Number,
     a1: Number, b1: Number, c1: Number, d1: Number,
@@ -93,13 +81,6 @@ def composed_entries(
 def composed_matrix(params: PeriodicCoefficients) -> TransferMatrix:
     """The two-step matrix of composed_entries, as a TransferMatrix."""
     return TransferMatrix(*composed_entries(*params.at(0), *params.at(1)))
-
-
-def linear_step(
-    matrix: TransferMatrix, uv: tuple[Number, Number]
-) -> tuple[Number, Number]:
-    u, v = uv
-    return (matrix.m11 * u + matrix.m12 * v, matrix.m21 * u + matrix.m22 * v)
 
 
 def uv_from_orbit(orbit: Orbit) -> list[UVPoint]:

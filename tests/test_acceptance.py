@@ -87,7 +87,7 @@ def test_c2_two_periodic_from_index_zero_literal():
 
 
 def test_c2_two_periodic_after_one_step():
-    k = rs.k_constant(RANK1_BOUNDARY, EXACT)
+    k = rs.growth_and_ratio(RANK1_BOUNDARY, EXACT).k
     ok = True
     for init in _c2_inits(20):
         orbit = rs.simulate(RANK1_BOUNDARY, init, 202, EXACT)

@@ -1,4 +1,4 @@
-"""Classification entry point, periodicity detection, product limits."""
+"""Classification entry point, product limits, closed form against iteration."""
 
 import math
 from fractions import Fraction
@@ -12,14 +12,12 @@ from ratsys import (
     DomainError,
     Kind,
     LimitCycle,
-    PeriodStatus,
     ProductStatus,
     Rank1Data,
     Rank2Witness,
     classify,
     closed_form_sequence,
     compare,
-    detect_period,
     product_converges,
     simulate,
 )
@@ -60,45 +58,6 @@ def test_classify_attaches_cycle_in_the_convergent_case():
     assert bare.cycle is None
     other = classify(RANK2_BALANCED, probe_init=(3.0, 0.5))
     assert abs(other.cycle.x_even - verdict.cycle.x_even) > 1e-6
-
-
-def test_detect_period_from_the_start():
-    p = RANK1_BOUNDARY
-    k_init = (Fraction(2), Fraction(2))  # on the ray y0 = K*x0 with K = 1
-    orbit = simulate(p, k_init, 12, EXACT)
-    report = detect_period(orbit)
-    assert report.status is PeriodStatus.PERIODIC
-    assert report.start_index == 0
-
-
-def test_detect_period_eventual():
-    orbit = simulate(RANK1_BOUNDARY, (Fraction(1), Fraction(2)), 12, EXACT)
-    report = detect_period(orbit)
-    assert report.status is PeriodStatus.EVENTUALLY_PERIODIC
-    assert report.start_index == 1
-    strict = detect_period(orbit, require_from_start=True)
-    assert strict.status is PeriodStatus.NOT_PERIODIC
-    assert strict.start_index is None
-
-
-def test_detect_period_float_tolerance():
-    orbit = simulate(RANK2_BALANCED.as_floats(), (1.0, 1.0), 60)
-    report = detect_period(orbit, tol=1e-9)
-    assert report.status is PeriodStatus.EVENTUALLY_PERIODIC
-    assert 0 < report.start_index < 40
-
-
-def test_detect_period_rejects_aperiodic_orbits():
-    orbit = simulate(RANK2_GENERIC.as_floats(), (1.0, 1.0), 30)
-    report = detect_period(orbit)
-    assert report.status is PeriodStatus.NOT_PERIODIC
-    assert report.start_index is None
-
-
-def test_detect_period_needs_enough_points():
-    orbit = simulate(RANK1_BOUNDARY.as_floats(), (1.0, 1.0), 2)
-    with pytest.raises(ValueError):
-        detect_period(orbit, period=2)
 
 
 def test_product_converges_geometric():

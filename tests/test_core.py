@@ -10,7 +10,10 @@ from ratsys import (
     ArithmeticMode,
     BitGrowthError,
     DomainError,
+    classify,
     closed_form_sequence,
+    closed_form_states,
+    compare,
     OrbitPoint,
     PeriodicCoefficients,
     TruncationError,
@@ -18,10 +21,8 @@ from ratsys import (
     log_simulate,
     rank1_solution,
     rank1_solution_sequence,
-    rank1_uv,
     rank2_solution,
     rank2_solution_sequence,
-    rank2_uv,
     simulate,
     spectral_constants,
     step,
@@ -30,7 +31,8 @@ from ratsys.core import initial_state
 
 from ratsys.cli import main
 
-from conftest import RANK1_GROWTH, RANK2_BALANCED, RANK2_GENERIC, decimal_log_orbit
+from conftest import (RANK1_GROWTH, RANK2_BALANCED, RANK2_GENERIC, RANK2_SQUARE,
+                      decimal_log_orbit)
 
 rationals = st.fractions(
     min_value=Fraction(1, 10), max_value=Fraction(10), max_denominator=20
@@ -53,12 +55,6 @@ def test_at_cycles_with_period_two():
     assert p.at(1) == (5, 6, 7, 8)
     assert p.at(2) == p.at(0)
     assert p.at(17) == p.at(1)
-
-
-def test_strictly_alternating_flag():
-    assert PeriodicCoefficients(1, 2, 3, 4, 5, 6, 7, 8).strictly_alternating
-    assert not PeriodicCoefficients(1, 2, 3, 4, 1, 6, 7, 8).strictly_alternating
-    assert not PeriodicCoefficients(1, 1, 1, 1, 1, 1, 1, 1).strictly_alternating
 
 
 def test_step_uses_the_parity_of_the_index():
@@ -213,7 +209,6 @@ HORIZON_ENTRY_POINTS = {
     "rank2_solution": lambda: rank2_solution(RANK2_GENERIC, (1, 1), -1),
     "rank2_solution_sequence":
         lambda: rank2_solution_sequence(RANK2_GENERIC, (1, 1), -1),
-    "rank2_uv": lambda: rank2_uv(RANK2_GENERIC, (1, 1), -1),
     "cli": lambda: main(["closed", "--all-ones", "-n", "-1"]),
 }
 
@@ -230,18 +225,25 @@ def test_every_horizon_check_rejects_a_negative_horizon(entry, capsys):
             HORIZON_ENTRY_POINTS[entry]()
 
 
-# Every entry point that takes a start, as (init, n) -> result. rank1_uv
-# indexes two-steps from m = 1, so it gets n + 1; spectral_constants and
-# limit_cycle take no index.
+# Every entry point that takes a start, as (init, n) -> result;
+# spectral_constants, limit_cycle and classify take no index.
 START_ENTRY_POINTS = {
+    "closed_form_states":
+        lambda init, n: closed_form_states(RANK2_GENERIC, init),
+    "compare": lambda init, n: compare(RANK2_GENERIC, init, n),
+    "compare_exact": lambda init, n: compare(
+        RANK2_SQUARE, init, n, ArithmeticMode.EXACT_RATIONAL),
+    "classify_rank1": lambda init, n: classify(RANK1_GROWTH, probe_init=init),
+    "classify_rank2": lambda init, n: classify(
+        RANK2_GENERIC, probe_init=init, attach_cycle=False),
+    "classify_exact": lambda init, n: classify(
+        RANK2_SQUARE, ArithmeticMode.EXACT_RATIONAL, probe_init=init),
     "rank1_solution": lambda init, n: rank1_solution(RANK1_GROWTH, init, n),
     "rank1_solution_sequence":
         lambda init, n: rank1_solution_sequence(RANK1_GROWTH, init, n),
-    "rank1_uv": lambda init, n: rank1_uv(RANK1_GROWTH, init, n + 1),
     "rank2_solution": lambda init, n: rank2_solution(RANK2_GENERIC, init, n),
     "rank2_solution_sequence":
         lambda init, n: rank2_solution_sequence(RANK2_GENERIC, init, n),
-    "rank2_uv": lambda init, n: rank2_uv(RANK2_GENERIC, init, n),
     "spectral_constants": lambda init, n: spectral_constants(RANK2_GENERIC, init),
     "limit_cycle": lambda init, n: limit_cycle(RANK2_BALANCED, init),
     "simulate": lambda init, n: simulate(RANK2_GENERIC, init, n),
@@ -272,3 +274,6 @@ def test_initial_state_coerces_to_the_mode():
     # a rational too wide for a double is out of float range, not a crash
     with pytest.raises(DomainError):
         initial_state((Fraction(10) ** 400, 1), ArithmeticMode.FLOAT64)
+    # and so is one too small for a double, though it rounds to 0.0
+    with pytest.raises(DomainError, match="within float range"):
+        initial_state((Fraction(1, 10**400), 1), ArithmeticMode.FLOAT64)

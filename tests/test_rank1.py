@@ -1,6 +1,5 @@
 """Geometric closed forms when the composed matrix is singular."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -15,11 +14,10 @@ from ratsys import (
     PeriodicCoefficients,
     classify_rank1,
     growth_and_ratio,
-    k_constant,
     rank1_solution,
     rank1_solution_sequence,
-    rank1_uv,
     simulate,
+    uv_from_orbit,
 )
 
 from conftest import (
@@ -58,14 +56,14 @@ def singular_sets(draw):
 
 
 def test_k_constant_frozen_values():
-    assert k_constant(RANK1_BOUNDARY, EXACT) == 1
-    assert k_constant(RANK1_GROWTH, EXACT) == 2
-    assert k_constant(RANK1_DECAY, EXACT) == Fraction(1, 4)
+    assert growth_and_ratio(RANK1_BOUNDARY, EXACT).k == 1
+    assert growth_and_ratio(RANK1_GROWTH, EXACT).k == 2
+    assert growth_and_ratio(RANK1_DECAY, EXACT).k == Fraction(1, 4)
 
 
 def test_k_constant_needs_rank_one():
     with pytest.raises(BranchError):
-        k_constant(RANK2_GENERIC, EXACT)
+        growth_and_ratio(RANK2_GENERIC, EXACT)
 
 
 def test_growth_and_ratio_frozen_values():
@@ -77,43 +75,13 @@ def test_growth_and_ratio_frozen_values():
     assert (d.k, d.mu, d.rho) == (Fraction(1, 4), Fraction(5, 2), Fraction(2, 5))
 
 
-def test_rank1_uv_rejects_index_zero():
-    with pytest.raises(ValueError):
-        rank1_uv(RANK1_BOUNDARY, (Fraction(1), Fraction(2)), 0, EXACT)
-
-
-def test_float_rank1_uv_gives_the_logs_of_the_exact_values():
-    # the set and start of the closed_rank1_exact.csv golden file
-    params = PeriodicCoefficients(2, 3, 4, 6, Fraction(1, 3), Fraction(5, 2), 7, 2)
-    init = (Fraction(2, 3), Fraction(5))
-    for m in (1, 2, 5, 30):
-        logs = rank1_uv(params.as_floats(), (2 / 3, 5.0), m)
-        exact = rank1_uv(params, init, m, EXACT)
-        want = [math.log(v.numerator) - math.log(v.denominator) for v in exact]
-        assert logs == pytest.approx(want, rel=1e-15)
-
-
 @given(params=rank1_sets, init=inits)
 def test_transformed_pairs_lock_onto_the_ray(params, init):
     # from the first two-step on, v = K*u no matter where the orbit starts
-    k = k_constant(params, EXACT)
-    orbit = simulate(params, init, 9, EXACT)
-    for m in range(1, 4):
-        u_even, v_even, u_odd, v_odd = rank1_uv(params, init, m, EXACT)
-        assert v_even == k * u_even
-        # cross-check all four against the defining orbit products
-        xs = [orbit.state(i)[0] for i in range(2 * m + 2)]
-        ys = [orbit.state(i)[1] for i in range(2 * m + 2)]
-        u_direct = Fraction(1)
-        for value in xs[: 2 * m + 1] + ys[: 2 * m]:
-            u_direct *= value
-        v_direct = Fraction(1)
-        for value in xs[: 2 * m] + ys[: 2 * m + 1]:
-            v_direct *= value
-        assert u_even == u_direct
-        assert v_even == v_direct
-        assert u_odd == u_direct * xs[2 * m + 1] * ys[2 * m]
-        assert v_odd == v_direct * ys[2 * m + 1] * xs[2 * m]
+    k = growth_and_ratio(params, EXACT).k
+    uv = uv_from_orbit(simulate(params, init, 8, EXACT))
+    for m in range(1, 5):
+        assert uv[2 * m].v == k * uv[2 * m].u
 
 
 @given(params=rank1_sets, init=inits)
@@ -146,7 +114,7 @@ def test_generic_start_is_not_periodic_from_index_zero():
 
 def test_proportional_start_is_periodic_from_index_zero():
     # on the ray y0 = K*x0 the closed form holds from the very start
-    k = k_constant(RANK1_BOUNDARY, EXACT)
+    k = growth_and_ratio(RANK1_BOUNDARY, EXACT).k
     init = (Fraction(3, 2), k * Fraction(3, 2))
     orbit = simulate(RANK1_BOUNDARY, init, 8, EXACT)
     for n in range(7):
@@ -196,7 +164,8 @@ def test_sequence_equals_point_queries(params, start, on_locus, exact):
     mode = EXACT if exact else ArithmeticMode.FLOAT64
     if not exact:
         params, start = params.as_floats(), tuple(map(float, start))
-    init = (start[0], k_constant(params, mode) * start[0]) if on_locus else start
+    k = growth_and_ratio(params, mode).k
+    init = (start[0], k * start[0]) if on_locus else start
     seq = rank1_solution_sequence(params, init, 300, mode)
     assert len(seq) == 301
     for n, state in enumerate(seq):

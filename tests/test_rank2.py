@@ -15,7 +15,6 @@ from ratsys import (
     DomainError,
     Kind,
     PeriodicCoefficients,
-    SignedLog,
     classify,
     classify_rank2,
     composed_matrix,
@@ -25,7 +24,6 @@ from ratsys import (
     limit_cycle,
     rank2_solution,
     rank2_solution_sequence,
-    rank2_uv,
     rank_decision,
     simulate,
     spectral_constants,
@@ -101,31 +99,36 @@ def test_spectral_constants_reproduce_the_start_float(params, init):
 
 
 def test_exact_transformed_pairs_match_orbit_products():
+    # u[2m] = c1*lambda1**m - c2*lambda2**m, v[2m] = c3*lambda1**m - c4*lambda2**m
     init = (Fraction(2), Fraction(3))
-    orbit = simulate(RANK2_SQUARE, init, 12, EXACT)
-    uv = uv_from_orbit(orbit)
-    for n in range(13):
-        u, v = rank2_uv(RANK2_SQUARE, init, n, EXACT)
-        assert u == uv[n].u
-        assert v == uv[n].v
+    sd = spectral_constants(RANK2_SQUARE, init, EXACT)
+    uv = uv_from_orbit(simulate(RANK2_SQUARE, init, 12, EXACT))
+    for m in range(7):
+        pow1, pow2 = sd.lambda1 ** m, sd.lambda2 ** m
+        assert uv[2 * m].u == sd.c1 * pow1 - sd.c2 * pow2
+        assert uv[2 * m].v == sd.c3 * pow1 - sd.c4 * pow2
 
 
 @given(params=float_sets, init=float_inits)
 def test_float_transformed_pairs_track_orbit_logs(params, init):
+    # the same expansion in logs, lambda1**m factored out
     assume(rank_decision(composed_matrix(params)) == 2)
-    orbit = simulate(params, init, 24)
-    uv = uv_from_orbit(orbit)
-    for n in (0, 1, 5, 12, 24):
-        su, sv = rank2_uv(params, init, n)
-        assert isinstance(su, SignedLog) and su.sign == 1
-        assert isinstance(sv, SignedLog) and sv.sign == 1
-        assert abs(su.log_abs - uv[n].log_u) <= 1e-10 * (1 + abs(uv[n].log_u))
-        assert abs(sv.log_abs - uv[n].log_v) <= 1e-10 * (1 + abs(uv[n].log_v))
+    sd = spectral_constants(params, init)
+    uv = uv_from_orbit(simulate(params, init, 24))
+    for m in (0, 1, 6, 12):
+        t = (sd.lambda2 / sd.lambda1) ** m
+        base = m * math.log(sd.lambda1)
+        log_u = base + math.log(sd.c1 - sd.c2 * t)
+        log_v = base + math.log(sd.c3 - sd.c4 * t)
+        assert abs(log_u - uv[2 * m].log_u) <= 1e-10 * (1 + abs(uv[2 * m].log_u))
+        assert abs(log_v - uv[2 * m].log_v) <= 1e-10 * (1 + abs(uv[2 * m].log_v))
 
 
 def test_ratio_of_transformed_pairs_approaches_q():
-    sd = spectral_constants(RANK2_SQUARE, (Fraction(2), Fraction(3)), EXACT)
-    u, v = rank2_uv(RANK2_SQUARE, (Fraction(2), Fraction(3)), 40, EXACT)
+    init = (Fraction(2), Fraction(3))
+    sd = spectral_constants(RANK2_SQUARE, init, EXACT)
+    uv = uv_from_orbit(simulate(RANK2_SQUARE, init, 40, EXACT))[40]
+    u, v = uv.u, uv.v
     # the deviation decays like (lambda2/lambda1)**m = (-1/11)**20
     assert abs(float(u / v) - float(sd.q)) < 1e-14
     # and q does not depend on the start
@@ -270,12 +273,6 @@ def test_limit_cycle_depends_on_the_start(balanced_instance):
     b = limit_cycle(params, (3.0, 0.5))
     assert a.residual < 1e-9 and b.residual < 1e-9
     assert abs(a.x_even - b.x_even) > 1e-6 * a.x_even
-
-
-def test_signed_log_value_round_trip():
-    assert SignedLog(0, float("-inf")).value == 0.0
-    assert SignedLog(1, 0.0).value == 1.0
-    assert SignedLog(-1, math.log(2.0)).value == -2.0
 
 
 @pytest.mark.parametrize("case", ["frozen", "seeded"])

@@ -647,28 +647,30 @@ def test_float_compare_holds_where_beta_gamma_is_lost_against_the_diagonal(
     assert report.max_rel_error_y <= 1e-10
 
 
-EXACT_PAST_RANGE = ["1e400", 1, 4, 3, 1, 2, 3, 1]
+# a0 too large and too small for a double; the small one rounds to 0.0
+EXACT_PAST_RANGE = {"1e400": Fraction(10**400), "1e-400": Fraction(1, 10**400)}
 
 
 def test_exact_coefficients_past_float_range_are_a_domain_error(capsys):
-    params = PeriodicCoefficients(Fraction(10**400), 1, 4, 3, 1, 2, 3, 1)
-    with pytest.raises(DomainError,
-                       match=r"^coefficient a0 must lie within float range$"):
-        params.as_floats()
-    flags = coeff_flags(EXACT_PAST_RANGE)
-    for fmt in ("table", "csv", "json"):
-        assert main(["classify", *flags, "--mode", "exact", "--format", fmt]) == 3
-        assert capsys.readouterr().err == (
-            "error: coefficient a0 must lie within float range\n")
-    # every other subcommand the input reaches ends in a documented code
-    for argv in (["simulate", *flags, "--mode", "exact", "-n", "5"],
-                 ["closed", *flags, "--mode", "exact", "-n", "5"],
-                 ["compare", *flags, "--mode", "exact", "-n", "5"],
-                 ["classify", *flags, "--mode", "exact", "--no-cycle"],
-                 ["classify", *flags],
-                 ["sweep", *flags[2:], "--axis1", "a0:1e400:1e401:2"]):
-        assert main(argv) in (0, 3)
-    capsys.readouterr()
+    for text, a0 in EXACT_PAST_RANGE.items():
+        params = PeriodicCoefficients(a0, 1, 4, 3, 1, 2, 3, 1)
+        with pytest.raises(DomainError,
+                           match=r"^coefficient a0 must lie within float range$"):
+            params.as_floats()
+        flags = coeff_flags([text, 1, 4, 3, 1, 2, 3, 1])
+        for fmt in ("table", "csv", "json"):
+            assert main(["classify", *flags, "--mode", "exact", "--format", fmt]) == 3
+            assert capsys.readouterr().err == (
+                "error: coefficient a0 must lie within float range\n")
+        # every other subcommand the input reaches ends in a documented code
+        for argv in (["simulate", *flags, "--mode", "exact", "-n", "5"],
+                     ["closed", *flags, "--mode", "exact", "-n", "5"],
+                     ["compare", *flags, "--mode", "exact", "-n", "5"],
+                     ["classify", *flags, "--mode", "exact", "--no-cycle"],
+                     ["classify", *flags],
+                     ["sweep", *flags[2:], "--axis1", f"a0:{text}:1e401:2"]):
+            assert main(argv) in (0, 3)
+        capsys.readouterr()
 
 
 # The composed entries are about (3.4e270, 1.2e134, 1.9e112, 8.6e-18):

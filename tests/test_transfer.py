@@ -9,11 +9,9 @@ from hypothesis import given, strategies as st
 from ratsys import (
     ArithmeticMode,
     DomainError,
-    Parity,
     PeriodicCoefficients,
+    TransferMatrix,
     composed_matrix,
-    linear_step,
-    parity_matrix,
     rank_decision,
     simulate,
     uv_from_orbit,
@@ -30,12 +28,10 @@ coefficient_sets = st.tuples(*([rationals] * 8)).map(
 inits = st.tuples(rationals, rationals)
 
 
-def test_parity_matrix_entries():
-    p = PeriodicCoefficients(1, 2, 3, 4, 5, 6, 7, 8)
-    even = parity_matrix(p, Parity.EVEN)
-    assert (even.m11, even.m12, even.m21, even.m22) == (2, 1, 4, 3)
-    odd = parity_matrix(p, Parity.ODD)
-    assert (odd.m11, odd.m12, odd.m21, odd.m22) == (6, 5, 8, 7)
+def one_step(params, n):
+    """The one-step matrix [[b, a], [d, c]] of index n."""
+    a, b, c, d = params.at(n)
+    return TransferMatrix(b, a, d, c)
 
 
 def test_composed_matrix_frozen_instance():
@@ -46,8 +42,7 @@ def test_composed_matrix_frozen_instance():
 
 def test_composed_equals_odd_times_even_product():
     p = RANK2_GENERIC.as_floats()
-    even = parity_matrix(p, Parity.EVEN)
-    odd = parity_matrix(p, Parity.ODD)
+    even, odd = one_step(p, 0), one_step(p, 1)
     m = composed_matrix(p)
     # bit-for-bit: the composed entries are the same sums of the same
     # products, and IEEE multiplication and addition commute
@@ -59,14 +54,8 @@ def test_composed_equals_odd_times_even_product():
 
 @given(params=coefficient_sets)
 def test_composed_determinant_factors(params):
-    even = parity_matrix(params, Parity.EVEN)
-    odd = parity_matrix(params, Parity.ODD)
+    even, odd = one_step(params, 0), one_step(params, 1)
     assert composed_matrix(params).det() == even.det() * odd.det()
-
-
-def test_linear_step_applies_matrix():
-    m = parity_matrix(PeriodicCoefficients(1, 2, 3, 4, 5, 6, 7, 8), Parity.EVEN)
-    assert linear_step(m, (1, 1)) == (3, 7)
 
 
 @given(params=coefficient_sets, init=inits)
