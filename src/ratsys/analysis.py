@@ -17,18 +17,17 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import rank1, rank2
 from .classification import Classification, Kind
 from .core import (DEFAULT_BIT_CAP, PeriodicCoefficients, _exact_factors,
-                   closed_factors, decimal_rows, horizon, initial_state,
-                   simulate)
+                   closed_factors, closed_states, decimal_rows, horizon,
+                   initial_state, simulate)
 from .errors import DomainError
 from .numeric import ArithmeticMode, Number, coprime_fraction
-from .rank1 import classify_rank1, growth_terms, rank1_kind, rank1_states
+from .rank1 import classify_rank1, growth_terms, rank1_kind
 from .rank2 import (
     classify_rank2,
     criterion_terms,
     float_split,
     limit_cycle,
     rank2_kind,
-    rank2_states,
 )
 from .transfer import System, composed_entries, float_rank, prepare
 
@@ -50,14 +49,13 @@ def closed_form_states(
     """
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
-    states = rank1_states if system.rank == 1 else rank2_states
-    return states(system, start)
+    return closed_states(system, start, *_hooks(system))
 
 
-def _exact_closed(system: System, start: tuple[Number, Number]):
-    """The rank's exact closed form, as core.integer_steps yields it."""
-    ratios = (rank1 if system.rank == 1 else rank2)._exact_ratios
-    return closed_factors(system, start, ratios)
+def _hooks(system: System):
+    """The rank's (float_terms, exact_ratios) for core.closed_states."""
+    branch = rank1 if system.rank == 1 else rank2
+    return branch._float_terms, branch._exact_ratios
 
 
 def closed_form_text(
@@ -70,7 +68,7 @@ def closed_form_text(
     gives the orbit's; no Fraction is made."""
     horizon(n_max)
     system = prepare(params, EXACT, eps_rank)
-    states = _exact_closed(system, initial_state(init, EXACT))
+    states = closed_factors(system, initial_state(init, EXACT), _hooks(system)[1])
     return decimal_rows(islice(states, n_max + 1))
 
 
@@ -268,7 +266,7 @@ def compare(
             a, b = (coprime_fraction(g * p, f * r) for g, f, p, r in (a, b))
             return float(abs(a - b) / a)
         states = (sides(_exact_factors(system.params, start, n_max, DEFAULT_BIT_CAP)),
-                  sides(_exact_closed(system, start)))
+                  sides(closed_factors(system, start, _hooks(system)[1])))
     else:
         def gap(a, b):  # every state is positive
             return abs(a - b) / a

@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage error, 3 invalid domain or branch
 (DomainError, BranchError), 4 numeric blow-up or non-convergence
-(TruncationError, BitGrowthError, ConvergenceError).
+(TruncationError, BitGrowthError, ConvergenceError). A reader that
+closes stdout early ends the run quietly, with exit 0.
 
 All floats print with 17 significant digits; exact rationals print as
 'p/q'. Output is plain text with no escape sequences and
@@ -24,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import chain, islice, product, repeat
@@ -245,12 +247,27 @@ def _chunks(opening, line, blocks, widths, closing) -> Iterator[str]:
     yield closing
 
 
-def _write_output(chunks: Iterable[str], path: Optional[str]) -> None:
+def _write_output(chunks: Iterable[str], path: Optional[str], parser) -> None:
+    """Write the chunks to stdout, or to path, opened only now, so that
+    an error before this leaves an existing file as it was. A path that
+    cannot be opened is a usage error. A reader that closes stdout early
+    ends the output quietly."""
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the flush at exit would raise again on the closed pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc}")
+    with fh:
+        fh.writelines(chunks)
 
 
 # ------------------------------------------------------------- commands
@@ -361,10 +378,8 @@ def _parse_axis(raw: str, parser):
         parser.error(f"axis {raw!r}: {exc}")
     if steps < 1:
         parser.error(f"axis {raw!r} needs steps >= 1")
-    if steps == 1:
-        values = [lo]
-    else:
-        values = [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
+    # cell 0 is lo itself: lo + 0*(hi - lo) is nan where an endpoint is inf
+    values = [lo] + [lo + i * (hi - lo) / (steps - 1) for i in range(1, steps)]
     return (name, values)
 
 
@@ -545,7 +560,7 @@ def main(argv=None) -> int:
     except (TruncationError, BitGrowthError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    _write_output(chunks, args.output)
+    _write_output(chunks, args.output, parser)
     return 0
 
 

@@ -17,7 +17,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import BitGrowthError, DomainError, TruncationError
@@ -35,6 +35,7 @@ if TYPE_CHECKING:
 
 DEFAULT_BIT_CAP = 1_000_000
 SMALLEST_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
+EPSILON = 2.0 ** -52  # sys.float_info.epsilon
 COEFF_NAMES = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
 
 
@@ -476,27 +477,93 @@ def head(
 
 
 class Tail(NamedTuple):
-    """Past term k, every two-step adds factors that no longer change to
-    the logs of the products (x[2k], x[2k+1], y[2k], y[2k+1]); the states
-    saturate to inf or 0.0."""
+    """Past term k = term, the logs of the products (x[2m], x[2m+1],
+    y[2m], y[2m+1]) are logs + (m - k)*factors, one multiply-add each;
+    the states saturate to inf or 0.0. base bounds the error of logs in
+    log, the rounding of every earlier term and the factors' remaining
+    tail included; slope, one term's rounding plus drift, is what each
+    later term adds to it."""
 
-    products: tuple[float, float, float, float]
+    term: int
+    logs: tuple[float, float, float, float]
     factors: tuple[float, float, float, float]
+    base: float = 0.0
+    slope: float = 0.0
 
-    def at(self, j: int) -> tuple[float, float, float, float]:
-        """The logs of the four products at term k + j."""
-        (xe, xo, ye, yo), (fxe, fxo, fye, fyo) = self.products, self.factors
+    def at(self, m: int) -> tuple[float, float, float, float]:
+        """The logs of the four products at term m."""
+        j = m - self.term
+        (xe, xo, ye, yo), (fxe, fxo, fye, fyo) = self.logs, self.factors
         return (xe + j * fxe, xo + j * fxo, ye + j * fye, yo + j * fyo)
-
-    def state(self, j: int, odd: int) -> tuple[float, float]:
-        """State 2(k + j) + odd."""
-        x, y = self.at(j)[odd::2]
-        return (saturating_exp(x), saturating_exp(y))
 
     def states(self) -> Iterator[tuple[float, float]]:
         """States 2k + 2, 2k + 3, ..., lazily."""
-        (xe, xo, ye, yo), (fxe, fxo, fye, fyo) = self.products, self.factors
+        (xe, xo, ye, yo), (fxe, fxo, fye, fyo) = self.logs, self.factors
         exp = saturating_exp
         for j in count(1):
             yield (exp(xe + j * fxe), exp(ye + j * fye))
             yield (exp(xo + j * fxo), exp(yo + j * fyo))
+
+    def error_bound(self, m: int) -> float:
+        """Bound on the error in log of each of the logs at term m."""
+        return (self.base + (m - self.term) * self.slope
+                + EPSILON * max(map(abs, self.at(m))))
+
+
+def closed_states(
+    system: "System", start: tuple[Number, Number], float_terms, exact_ratios
+) -> Iterator[tuple[Number, Number]]:
+    """Closed-form states n = 0, 1, 2, ... of a rank from its two hooks,
+    lazily, from a checked start.
+
+    Exact mode is closed_factors on exact_ratios. In float mode
+    float_terms(system, start, anchors), anchors the logs of head,
+    yields the logs of the products at terms k = 0, 1, ... as
+    (logs, None), and as (logs, Tail) at the term the Tail takes over
+    from, then stops. The states are head's, those of terms 2 up to that
+    term, then the Tail's. Term 0 is drawn before index 1 and term 1
+    after index 3, so a rank's hook raises its errors there.
+    """
+    if system.mode is ArithmeticMode.EXACT_RATIONAL:
+        yield from exact_pairs(closed_factors(system, start, exact_ratios))
+        return
+    states, anchors = head(system.params, start, system.mode)
+    yield start
+    terms = float_terms(system, start, anchors)
+    next(terms)
+    yield from states[1:]
+    _, tail = next(terms)
+    while tail is None:
+        (x_e, x_o, y_e, y_o), tail = next(terms)
+        yield (saturating_exp(x_e), saturating_exp(y_e))
+        yield (saturating_exp(x_o), saturating_exp(y_o))
+    yield from tail.states()
+
+
+def closed_logs(
+    system: "System", start: tuple[float, float], m: int, float_terms
+) -> tuple[tuple[float, float, float, float], Tail | None]:
+    """The float logs at term m, and the Tail if it came first."""
+    anchors = head(system.params, start, system.mode)[1]
+    for k, (logs, tail) in enumerate(float_terms(system, start, anchors)):
+        if tail is not None:
+            return tail.at(m), tail
+        if k == m:
+            return logs, None
+
+
+def closed_point(
+    system: "System", start: tuple[Number, Number], n: int, float_terms, exact_ratios
+) -> tuple[Number, Number]:
+    """State n of closed_states. Exact mode takes all n integer steps
+    and makes Fractions of state n only; float mode past index 3 runs
+    the terms only up to the Tail and jumps from there to index n."""
+    if system.mode is ArithmeticMode.EXACT_RATIONAL:
+        factors = closed_factors(system, start, exact_ratios)
+        return next(exact_pairs(islice(factors, n, None)))
+    if n < 4:
+        states = closed_states(system, start, float_terms, exact_ratios)
+        return next(islice(states, n, None))
+    m, odd = divmod(n, 2)
+    logs = closed_logs(system, start, m, float_terms)[0]
+    return (saturating_exp(logs[odd]), saturating_exp(logs[2 + odd]))

@@ -34,8 +34,8 @@ from itertools import cycle, islice
 from typing import Iterator
 
 from .classification import Classification, Kind, kind_from_sign
-from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, closed_factors,
-                   exact_pairs, head, horizon, initial_state)
+from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, closed_point,
+                   closed_states, head, horizon, initial_state)
 from .errors import BranchError, DomainError
 from .numeric import ArithmeticMode, Number
 from .transfer import System, prepare
@@ -128,12 +128,17 @@ def growth_and_ratio(
                                    mode is ArithmeticMode.EXACT_RATIONAL))
 
 
-def _tail(system: System, anchors) -> Tail:
-    """log rho per two-step on even indices, -log rho on odd ones, from
-    the logs of states 2 and 3 of core.head (anchors: its second list).
-    Where rho is not a normal float, log rho is summed from the logs of
-    K, mu and the row sums; DomainError where one of those is not a
-    normal float either."""
+def _float_terms(
+    system: System, start: tuple[float, float], anchors
+) -> Iterator[tuple[tuple[float, ...], Tail | None]]:
+    """The float hook of core.closed_states: term 0, then term 1 with
+    the Tail that adds log rho per two-step on even indices and -log rho
+    on odd ones. K, mu and rho are computed on term 1, so a rank-2
+    System raises BranchError there. Where rho is not a normal float,
+    log rho is summed from the logs of K, mu and the row sums;
+    DomainError where one of those is not a normal float either."""
+    (x0, y0), (x1, y1), (xe, ye), (xo, yo) = anchors
+    yield (x0, x1, y0, y1), None
     data = growth_and_ratio(system, system.mode, system.eps_rank)
     if SMALLEST_NORMAL <= data.rho < math.inf:
         even = math.log(data.rho)
@@ -146,8 +151,8 @@ def _tail(system: System, anchors) -> Tail:
                               "float range")
         log = math.log
         even = log(k) + log(mu) - log(parts[2]) - log(parts[3])
-    (xe, ye), (xo, yo) = anchors[2], anchors[3]
-    return Tail((xe, xo, ye, yo), (even, -even, even, -even))
+    logs = (xe, xo, ye, yo)
+    yield logs, Tail(1, logs, (even, -even, even, -even))
 
 
 def _exact_ratios(
@@ -178,37 +183,17 @@ def rank1_solution(
     x[2m+1] = x3 * rho**(1-m), same for y; this matches direct iteration
     for all initial values, including those off the y0 = K*x0 locus where
     the first even factor differs from rho. Float mode evaluates the
-    powers in log space.
+    powers in log space, by core.closed_point.
     """
     horizon(n, "n")
     system = prepare(params, mode, eps_rank)
-    states, anchors = head(system.params, initial_state(init, mode), mode)
-    if n <= 3:
-        return states[n]
+    start = initial_state(init, mode)
+    if n <= 3 or mode is not ArithmeticMode.EXACT_RATIONAL:
+        return closed_point(system, start, n, _float_terms, _exact_ratios)
     j, odd = n // 2 - 1, n % 2
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        rho = growth_and_ratio(system, mode, eps_rank).rho ** (-j if odd else j)
-        x, y = states[2 + odd]
-        return (x * rho, y * rho)
-    return _tail(system, anchors).state(j, odd)
-
-
-def rank1_states(
-    system: System, start: tuple[Number, Number]
-) -> Iterator[tuple[Number, Number]]:
-    """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
-
-    Indices 0 to 3 are core.head's direct steps. Exact mode goes on from
-    state 3 by the integer ratios of _exact_ratios, float mode by
-    core.Tail from states 2 and 3; K, mu and rho are computed on
-    reaching index 4, so a rank-2 System raises BranchError there.
-    """
-    if system.mode is ArithmeticMode.EXACT_RATIONAL:
-        yield from exact_pairs(closed_factors(system, start, _exact_ratios))
-        return
-    states, anchors = head(system.params, start, system.mode)
-    yield from states
-    yield from _tail(system, anchors).states()
+    rho = growth_and_ratio(system, mode, eps_rank).rho ** (-j if odd else j)
+    x, y = head(system.params, start, mode)[0][2 + odd]
+    return (x * rho, y * rho)
 
 
 def rank1_solution_sequence(
@@ -218,17 +203,14 @@ def rank1_solution_sequence(
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> list[tuple[Number, Number]]:
-    """Closed-form states for n = 0 .. n_max, equal to rank1_solution(n).
-
-    The coefficients are converted, K, mu and rho computed, and indices
-    1 to 3 stepped once per call; every further index costs one product
-    (exact) or one exp (float) per component. Raises BranchError
-    when n_max >= 4 and the composed matrix has rank 2.
-    """
+    """Closed-form states for n = 0 .. n_max, equal to rank1_solution(n),
+    by core.closed_states at one set of constants per call. Raises
+    BranchError when n_max >= 4 and the composed matrix has rank 2."""
     horizon(n_max)
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
-    return list(islice(rank1_states(system, start), n_max + 1))
+    return list(islice(closed_states(system, start, _float_terms,
+                                     _exact_ratios), n_max + 1))
 
 
 def classify_rank1(

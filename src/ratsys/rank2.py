@@ -39,8 +39,8 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .classification import Classification, Kind, kind_from_sign
-from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, closed_factors,
-                   exact_pairs, head, horizon, initial_state,
+from .core import (EPSILON, SMALLEST_NORMAL, PeriodicCoefficients, Tail,
+                   closed_point, closed_states, head, horizon, initial_state,
                    over_one_denominator)
 from .errors import BranchError, ConvergenceError, DomainError
 from .numeric import ArithmeticMode, Number, exact_sqrt, saturating_exp
@@ -396,41 +396,14 @@ def _scaled(start: tuple[float, float]) -> tuple[float, float]:
     return (math.ldexp(start[0], -e), math.ldexp(start[1], -e))
 
 
-_EPS = 2.0 ** -52
 # The rounding of a float log factor, relative to its size (at least 1),
 # whose constants float_split forms without cancellation: the settle
 # waits for the factors to change by less than this.
-_ROUNDING = 16 * _EPS
+_ROUNDING = 16 * EPSILON
 # The settle comes at this term at the earliest, so that every index
 # below 42, the horizons the golden outputs pin digit for digit, is the
 # running sum itself.
 _MIN_SETTLE_TERM = 20
-
-
-class _Settled(NamedTuple):
-    """Where the float log factors stop changing, and the tail after it.
-
-    Past term k the logs of the four products are logs + (m - k)*factors,
-    one multiply-add each. base bounds the error of logs in log, the
-    rounding of every earlier term and the factors' remaining tail
-    included; slope, one term's rounding plus drift, is what each later
-    term adds to it.
-    """
-
-    term: int
-    logs: Quad
-    factors: Quad
-    base: float
-    slope: float
-
-    @property
-    def tail(self) -> Tail:
-        return Tail(self.logs, self.factors)
-
-    def error_bound(self, m: int) -> float:
-        """Bound on the error in log of each of the logs at term m."""
-        return (self.base + (m - self.term) * self.slope
-                + _EPS * max(map(abs, self.tail.at(m - self.term))))
 
 
 def _engine(system: System, split: Split, start, anchors) -> tuple:
@@ -462,25 +435,24 @@ def _balanced(wp: PeriodicCoefficients, eps_rank: float) -> bool:
 
 def _float_terms(
     system: System, start: tuple[float, float], anchors: list[tuple[float, float]]
-) -> Iterator[tuple[Quad, _Settled | None]]:
-    """Float logs (x[2k], x[2k+1], y[2k], y[2k+1]) up to the settle term.
+) -> Iterator[tuple[Quad, Tail | None]]:
+    """The float hook of core.closed_states: logs up to the settle term
+    k, where a Tail takes over whose base and slope bound their error.
 
-    anchors are the logs of core.head from the checked start. Yields
-    (logs, None) for k = 0, 1, ... and (logs, settle) at the
-    settle term k, then stops. The settle watches the log factors of
-    _products. With r = |lambda2/lambda1| they approach their limits
-    geometrically, so the change from one term to the next, times
-    r/(1 - r), estimates how far a factor still is from its limit;
-    drift keeps the largest such estimate, shrunk by r per term, so that
-    a change that rounds to 0 early settles nothing. k is the first
-    term where change plus drift, at least the change times
-    1 + r/(1 - r), is down to the factors' rounding, from term
-    max(_MIN_SETTLE_TERM, log(B)/log(1/r)) on, B = max(|c2/c1|, |c4/c3|):
-    before it the lambda2 mode can outweigh the lambda1 mode and hold
-    the factors on a plateau. k depends on r and the start, never on a
-    horizon: about log(rounding)/log(r) terms, so 20 on typical sets,
-    some 400 at r = 0.9 and 4,000 at r = 0.99. If r rounds to 1, or c1
-    or c3 is 0, the factors never settle and the iterator never stops.
+    The settle watches the log factors of _products. With
+    r = |lambda2/lambda1| they approach their limits geometrically, so
+    the change from one term to the next, times r/(1 - r), estimates how
+    far a factor still is from its limit; drift keeps the largest such
+    estimate, shrunk by r per term, so that a change that rounds to 0
+    early settles nothing. k is the first term where change plus drift,
+    at least the change times 1 + r/(1 - r), is down to the factors'
+    rounding, from term max(_MIN_SETTLE_TERM, log(B)/log(1/r)) on,
+    B = max(|c2/c1|, |c4/c3|): before it the lambda2 mode can outweigh
+    the lambda1 mode and hold the factors on a plateau. k depends on r
+    and the start, never on a horizon: about log(rounding)/log(r) terms,
+    so 20 on typical sets, some 400 at r = 0.9 and 4,000 at r = 0.99. If
+    r rounds to 1, or c1 or c3 is 0, the factors never settle and the
+    iterator never stops.
 
     Factors settled within rounding of 0 belong to a set on the
     convergence boundary. If delta_sign_exact finds delta exactly 0 for
@@ -516,11 +488,11 @@ def _float_terms(
         yield logs, None
         pxe, pxo, pye, pyo = factors
     rounding = _ROUNDING * max(1.0, abs(fxe))
-    base = k * (rounding + _EPS * max(map(abs, logs))) + drift * tail
+    base = k * (rounding + EPSILON * max(map(abs, logs))) + drift * tail
     slope = rounding + drift
     if max(map(abs, factors)) <= rounding and _balanced(wp, system.eps_rank):
         factors, slope = (0.0, 0.0, 0.0, 0.0), 0.0
-    yield logs, _Settled(k, logs, factors, base, slope)
+    yield logs, Tail(k, logs, factors, base, slope)
 
 
 def rank2_solution_sequence(
@@ -530,50 +502,21 @@ def rank2_solution_sequence(
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> list[tuple[Number, Number]]:
-    """Closed-form states for n = 0 .. n_max, as rank2_states yields them.
+    """Closed-form states for n = 0 .. n_max, by core.closed_states.
 
-    Float mode accumulates the products in log space up to the settle
-    term and takes one multiply-add per component after it; values
-    beyond float range saturate to inf or 0.0.
+    Exact mode goes on from index 3 by the integer ratios of
+    _exact_ratios. Float mode adds the logs of the ratio factors of
+    _products up to the settle term k of _float_terms and takes the
+    core.Tail after it; values beyond float range saturate to inf or
+    0.0. The spectral constants are computed on reaching index 1, so a
+    rank-1 System raises BranchError there, and an exact one with an
+    irrational eigenvalue gap DomainError.
     """
     horizon(n_max)
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
-    return list(islice(rank2_states(system, start), n_max + 1))
-
-
-def rank2_states(
-    system: System, start: tuple[Number, Number]
-) -> Iterator[tuple[Number, Number]]:
-    """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
-
-    Indices 0 to 3 are core.head's, whose states (logs in float mode)
-    are the products at terms 0 and 1. Exact mode goes on by the integer
-    ratios of _exact_ratios, one Fraction per component and state. Float
-    mode adds the logs of the ratio factors of _products up to the settle
-    term k of _float_terms (20 terms on typical sets, more as
-    r = |lambda2/lambda1| nears 1, independent of n) and past it takes
-    the log at term k plus (m - k) times the settled factor. Every index
-    before 2k + 2 is the running sum itself.
-
-    The spectral constants are computed on reaching index 1, so a rank-1
-    System raises BranchError there, and an exact one with an irrational
-    eigenvalue gap DomainError.
-    """
-    if system.mode is ArithmeticMode.EXACT_RATIONAL:
-        yield from exact_pairs(closed_factors(system, start, _exact_ratios))
-        return
-    states, anchors = head(system.params, start, system.mode)
-    yield start
-    terms = _float_terms(system, start, anchors)
-    next(terms)  # the constants, before index 1
-    yield from states[1:]
-    next(terms)  # term 1: states 2 and 3
-    exp = saturating_exp
-    for (x_e, x_o, y_e, y_o), settled in terms:
-        yield (exp(x_e), exp(y_e))
-        yield (exp(x_o), exp(y_o))
-    yield from settled.tail.states()
+    return list(islice(closed_states(system, start, _float_terms,
+                                     _exact_ratios), n_max + 1))
 
 
 def rank2_solution(
@@ -583,40 +526,19 @@ def rank2_solution(
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> tuple[Number, Number]:
-    """(x[n], y[n]) through the telescoping ratio products.
-
-    Indices 0 to 3 are core.head's direct steps. Past them float mode
-    runs the factors only to the settle term k of _float_terms and jumps
-    from there to index n, so a query costs a number of terms set by
-    r = |lambda2/lambda1| and the start (20 on typical sets, some 4,000
-    at r = 0.99), not by n; before index 2k + 2 it costs n/2 terms, as
-    does every index of a set whose factors never settle. The value and
-    any error are those of rank2_states at index n. Exact mode takes all
-    n integer ratio steps and makes Fractions of state n only.
+    """(x[n], y[n]) through the telescoping ratio products, by
+    core.closed_point: the value and any error of
+    rank2_solution_sequence at index n. Past index 3 float mode runs the
+    factors only to the settle term k of _float_terms, so a query costs
+    a number of terms set by r = |lambda2/lambda1| and the start (20 on
+    typical sets, some 4,000 at r = 0.99), not by n; before index
+    2k + 2 it costs n/2 terms, as does every index of a set whose
+    factors never settle.
     """
     horizon(n, "n")
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        states = closed_factors(system, start, _exact_ratios)
-        return next(exact_pairs(islice(states, n, None)))
-    if n < 4:
-        return next(islice(rank2_states(system, start), n, None))
-    m, odd = divmod(n, 2)
-    logs, _ = _logs_at(system, start, m)
-    return (saturating_exp(logs[odd]), saturating_exp(logs[2 + odd]))
-
-
-def _logs_at(
-    system: System, start: tuple[float, float], m: int
-) -> tuple[Quad, _Settled | None]:
-    """The float logs at term m, and the settle if it came first."""
-    anchors = head(system.params, start, system.mode)[1]
-    for k, (logs, settled) in enumerate(_float_terms(system, start, anchors)):
-        if settled is not None:
-            return settled.tail.at(m - settled.term), settled
-        if k == m:
-            return logs, None
+    return closed_point(system, start, n, _float_terms, _exact_ratios)
 
 
 def criterion_delta(

@@ -188,9 +188,8 @@ def test_a_criterion_past_float_range_is_refused():
 
 def tail_logs(params, n):
     """The logs of state n of the float rank-1 closed form, n >= 4."""
-    system = prepare(params)
-    anchors = ratsys.core.head(system.params, (1.0, 1.0), system.mode)[1]
-    logs = ratsys.rank1._tail(system, anchors).at(n // 2 - 1)
+    logs = ratsys.core.closed_logs(prepare(params), (1.0, 1.0), n // 2,
+                                   ratsys.rank1._float_terms)[0]
     return logs[n % 2], logs[2 + n % 2]
 
 

@@ -4,10 +4,12 @@ grow with n, checked against a 34-digit decimal iteration."""
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import islice
 
 import pytest
 
+import ratsys.rank1
 import ratsys.rank2
 from ratsys import (
     ArithmeticMode,
@@ -15,20 +17,31 @@ from ratsys import (
     eigenvalues,
     limit_cycle,
     prepare,
+    rank1_solution,
+    rank1_solution_sequence,
     rank2_solution,
     rank2_solution_sequence,
 )
-from ratsys.core import head
+from ratsys.core import closed_logs, closed_states, head
 from ratsys.numeric import saturating_exp
-from ratsys.rank2 import _balanced, _logs_at, _products, rank2_states
+from ratsys.rank2 import _balanced, _float_terms, _products
 
 from conftest import (
+    RANK1_GROWTH,
     RANK2_BALANCED,
     RANK2_GENERIC,
+    RANK2_SQUARE,
     decimal_log_orbit,
     log_uniform,
     random_float_params,
+    random_rank1_params,
 )
+
+
+def logs_at(params, start, m):
+    """The float rank-2 logs at term m, and the settle's Tail if it came
+    first."""
+    return closed_logs(prepare(params), start, m, _float_terms)
 
 
 def with_ratio(r, negative, tweak=1.5):
@@ -87,7 +100,7 @@ def test_logs_agree_with_the_decimal_oracle_within_the_settle_bound(case):
     oracle = decimal_log_orbit(params, start, HORIZONS)
     for n in HORIZONS:
         m, odd = divmod(n, 2)
-        logs, settled = _logs_at(prepare(params), start, m)
+        logs, settled = logs_at(params, start, m)
         assert settled is not None and settled.term < m
         bound = settled.error_bound(m)
         want_x, want_y = oracle[n]
@@ -103,7 +116,7 @@ def test_generic_set_at_1e5_is_far_closer_than_the_running_sum():
     params, start, n = RANK2_GENERIC.as_floats(), (1.0, 1.0), 10**5
     m = n // 2
     want = decimal_log_orbit(params, start, [n])[n][0]
-    settled_x = _logs_at(prepare(params), start, m)[0][0]
+    settled_x = logs_at(params, start, m)[0][0]
     # the running sum over every factor, as the closed form was evaluated
     # before the settle
     system = prepare(params)
@@ -116,14 +129,33 @@ def test_generic_set_at_1e5_is_far_closer_than_the_running_sum():
     assert abs(settled_x - want) < 8.5e-11
 
 
-@pytest.mark.parametrize("negative", [False, True])
-def test_stream_equals_point_queries_across_the_settle(negative):
-    params, start = with_ratio(0.3, negative), (1.3, 0.8)
-    _, settled = _logs_at(prepare(params), start, 10**6)
-    assert 0 < 2 * settled.term < 5000
-    stream = list(islice(rank2_states(prepare(params), start), 5001))
-    assert stream == [rank2_solution(params, start, n) for n in range(5001)]
-    assert stream == rank2_solution_sequence(params, start, 5000)
+@pytest.mark.parametrize("case", [False, True, "rank1", "exact1", "exact2"])
+def test_stream_equals_point_queries_across_the_settle(case):
+    """Float rank 2 with either sign of lambda2 past its settle term,
+    float rank 1 past its Tail at term 1, and an exact set of each rank:
+    the stream, the point queries and the sequence agree at every index,
+    across indices 3 and 4 too."""
+    mode, n_max = ArithmeticMode.FLOAT64, 5000
+    if case in (False, True):
+        params, start = with_ratio(0.3, case), (1.3, 0.8)
+        _, settled = logs_at(params, start, 10**6)
+        assert 0 < 2 * settled.term < n_max
+    elif case == "rank1":
+        params, start = random_rank1_params(random.Random(5)), (1.3, 0.8)
+    else:
+        params = RANK1_GROWTH if case == "exact1" else RANK2_SQUARE
+        start, n_max = (Fraction(3, 7), Fraction(5, 2)), 60
+        mode = ArithmeticMode.EXACT_RATIONAL
+    system = prepare(params, mode)
+    rank = 1 if case in ("rank1", "exact1") else 2
+    assert system.rank == rank
+    module = ratsys.rank1 if rank == 1 else ratsys.rank2
+    point = rank1_solution if rank == 1 else rank2_solution
+    sequence = rank1_solution_sequence if rank == 1 else rank2_solution_sequence
+    stream = list(islice(closed_states(system, start, module._float_terms,
+                                       module._exact_ratios), n_max + 1))
+    assert stream == [point(params, start, n, mode) for n in range(n_max + 1)]
+    assert stream == sequence(params, start, n_max, mode)
 
 
 @pytest.mark.parametrize("negative", [False, True])
@@ -149,7 +181,7 @@ def test_factors_drawn_do_not_grow_with_n(monkeypatch, r, negative):
 
 def test_balanced_set_holds_its_cycle_at_1e9():
     params, start = RANK2_BALANCED, (1.5, 0.5)
-    _, settled = _logs_at(prepare(params), start, 10**9)
+    _, settled = logs_at(params, start, 10**9)
     assert settled.factors == (0.0, 0.0, 0.0, 0.0) and settled.slope == 0.0
     cycle = limit_cycle(params, start)
     x_even, y_even = rank2_solution(params, start, 10**9)
@@ -165,7 +197,7 @@ def test_nearly_balanced_float_set_is_not_snapped(balanced_instance):
     # bisected to the float boundary: delta is tiny, but not exactly 0
     params = balanced_instance[0]
     assert not _balanced(params, 1e-12)
-    _, settled = _logs_at(prepare(params), (1.5, 0.5), 10**6)
+    _, settled = logs_at(params, (1.5, 0.5), 10**6)
     assert settled.factors != (0.0, 0.0, 0.0, 0.0)
 
 

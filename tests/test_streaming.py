@@ -229,13 +229,22 @@ def test_state_iterator_checks_the_start_on_the_call():
 
 def test_sequence_errors_stay_tied_to_the_horizon():
     # a rank-2 set takes direct steps up to index 3 on the rank-1 path
-    assert len(rank1_solution_sequence(RANK2_SQUARE, (1, 1), 3, EXACT)) == 4
-    with pytest.raises(ratsys.BranchError):
-        rank1_solution_sequence(RANK2_SQUARE, (1, 1), 4, EXACT)
+    for mode in (EXACT, FLOAT):
+        states = rank1_solution_sequence(RANK2_SQUARE, (1, 1), 3, mode)
+        assert len(states) == 4
+        assert rank1_solution(RANK2_SQUARE, (1, 1), 3, mode) == states[3]
+        with pytest.raises(ratsys.BranchError):
+            rank1_solution_sequence(RANK2_SQUARE, (1, 1), 4, mode)
+        with pytest.raises(ratsys.BranchError):
+            rank1_solution(RANK2_SQUARE, (1, 1), 4, mode)
     # and the rank-2 path needs a rank-2 set from index 1 on
     assert rank2_solution_sequence(RANK1_GROWTH, (1, 1), 0) == [(1.0, 1.0)]
+    assert rank2_solution(RANK1_GROWTH, (1, 1), 0) == (1.0, 1.0)
     with pytest.raises(ratsys.BranchError):
         rank2_solution_sequence(RANK1_GROWTH, (1, 1), 1)
+    for n in (1, 4, 10**6):
+        with pytest.raises(ratsys.BranchError):
+            rank2_solution(RANK1_GROWTH, (1, 1), n)
 
 
 # ------------------------------------------------ saturation and starts
@@ -358,6 +367,10 @@ def exit_code_argvs() -> list[list[str]]:
             argvs.append(["classify", *flags, *start, "--format", "json"])
         argvs.append(["sweep", *flags, "--axis1", "d1:0.5:2:9",
                       "--axis2", "a0:1e-300:1e300:9"])
+    # an output path that cannot be opened: missing directory, directory
+    here = Path(__file__).resolve().parent
+    for path in (here / "missing" / "x.csv", here):
+        argvs.append(["simulate", "--all-ones", "-n", "2", "-o", str(path)])
     return argvs
 
 
@@ -376,6 +389,18 @@ def test_every_subcommand_exits_with_a_documented_code():
     codes = json.loads(proc.stdout)
     bad = [(" ".join(a), c) for a, c in zip(argvs, codes) if c not in (0, 2, 3, 4)]
     assert bad == []
+
+
+def test_a_reader_that_stops_early_ends_the_run_quietly():
+    src = str(Path(ratsys.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ratsys", "simulate", "--all-ones", "-n", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": src})
+    assert proc.stdout.readline().split() == [b"n", b"x", b"y"]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 @pytest.mark.parametrize("coeffs", [FAULT_RANK2, FAULT_RANK1, BALANCED, RANK1_EDGE])

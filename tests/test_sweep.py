@@ -108,8 +108,8 @@ BASE = ["--a0", "2", "--b0", "1", "--c0", "4", "--d0", "3",
     (["--axis1", "d1:-1:2:7"], "coefficient d1 must be positive, got -1.0"),
     (["--axis1", "d1:0:2:7"], "coefficient d1 must be positive, got 0.0"),
     (["--axis1", "d1:nan:2:4"], "coefficient d1 must be finite, got nan"),
-    # 1 + 0*(inf - 1)/3 is nan
-    (["--axis1", "d1:1:inf:4"], "coefficient d1 must be finite, got nan"),
+    # cell 0 is 1 itself, not 1 + 0*inf = nan; cell 1 is inf
+    (["--axis1", "d1:1:inf:4"], "coefficient d1 must be finite, got inf"),
     # the bad value comes at the third cell, after valid ones
     (["--axis1", "c1:1:2:4", "--axis2", "d1:2:-1:3"],
      "coefficient d1 must be positive, got -1.0"),
@@ -121,6 +121,9 @@ BASE = ["--a0", "2", "--b0", "1", "--c0", "4", "--d0", "3",
      "matrix entries overflow float range"),
     (["--axis1", "d1:0.5:2:9", "--eps-rank", "1e300"],
      "rank-1 row ratios disagree beyond tolerance: 1.9 vs 1.625"),
+    # an inf endpoint is named as inf, at either end
+    (["--axis1", "a0:1:inf:3"], "coefficient a0 must be finite, got inf"),
+    (["--axis1", "a0:inf:1:3"], "coefficient a0 must be finite, got inf"),
 ])
 def test_error_grids_keep_their_exit_code_and_message(extra, message, capsys):
     assert main(["sweep", *BASE, *extra]) == 3
