@@ -20,7 +20,7 @@ from .core import (DEFAULT_BIT_CAP, PeriodicCoefficients, _exact_factors,
                    closed_factors, closed_states, decimal_rows, horizon,
                    initial_state, simulate)
 from .errors import DomainError
-from .numeric import ArithmeticMode, Number, coprime_fraction
+from .numeric import ArithmeticMode, Number, coprime_fraction, require_tolerance
 from .rank1 import classify_rank1, growth_terms, rank1_kind
 from .rank2 import (
     classify_rank2,
@@ -103,8 +103,11 @@ def classify(
     non-positive or non-finite probe raises DomainError whether or not a
     cycle is attached. The coefficients are prepared once; that System
     goes to the branch function and to limit_cycle, the one place that
-    builds a float System from an exact one.
+    builds a float System from an exact one. Raises DomainError for a
+    tol_class below 0 (from the branch function) or a cycle_tol at or
+    below 0, or either not finite.
     """
+    require_tolerance(cycle_tol, "cycle_tol", positive=True)
     probe_init = initial_state(probe_init, mode)
     system = prepare(params, mode, eps_rank)
     branch = classify_rank1 if system.rank == 1 else classify_rank2
@@ -249,9 +252,11 @@ def compare(
     never held as a list. The coefficients are prepared once for both
     sides. In exact mode both are integer states of core.integer_steps,
     never held: each component is compared as its ints (g, F, p, r), and
-    only one whose ints differ is made a Fraction for its error.
+    only one whose ints differ is made a Fraction for its error. Raises
+    DomainError for a divergence_threshold that is not finite and >= 0.
     """
     horizon(n_max)
+    require_tolerance(divergence_threshold, "divergence_threshold")
     system = prepare(params, mode, eps_rank)
     if mode is EXACT:
         start = initial_state(init, mode)

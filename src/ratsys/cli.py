@@ -43,7 +43,8 @@ from .errors import (
     DomainError,
     TruncationError,
 )
-from .numeric import ArithmeticMode, exact_text, format_number, parse_number
+from .numeric import (ArithmeticMode, exact_text, format_number, parse_number,
+                      require_tolerance)
 
 
 def _parse_scalar(text: str, mode: ArithmeticMode, name: str, parser):
@@ -108,33 +109,27 @@ def _jstr(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _jfloat(v: float) -> str:
+    return f"{v:.17g}" if math.isfinite(v) else _jstr(repr(v))
+
+
 def _jval(v, level: int) -> str:
     pad = "  " * (level + 1)
     end = "  " * level
     if v is None:
         return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
     if isinstance(v, str):
         return _jstr(v)
     if isinstance(v, Fraction):
         return _jstr(exact_text(v))
     if isinstance(v, float):
-        if not math.isfinite(v):
-            return _jstr(repr(v))
-        return f"{v:.17g}"
+        return _jfloat(v)
     if isinstance(v, int):
         return str(v)
     if isinstance(v, dict):
-        if not v:
-            return "{}"
         items = [f"{pad}{_jstr(k)}: {_jval(x, level + 1)}" for k, x in v.items()]
         return "{\n" + ",\n".join(items) + "\n" + end + "}"
     if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
         items = [f"{pad}{_jval(x, level + 1)}" for x in v]
         return "[\n" + ",\n".join(items) + "\n" + end + "]"
     raise TypeError(f"cannot render {type(v).__name__} as JSON")
@@ -149,10 +144,6 @@ def _kv_text(pairs) -> str:
     def text(v):
         return "none" if v is None else v if isinstance(v, str) else format_number(v)
     return "".join(f"{key}: {text(value)}\n" for key, value in pairs)
-
-
-def _jfloat(v: float) -> str:
-    return f"{v:.17g}" if math.isfinite(v) else _jstr(repr(v))
 
 
 # How a column of values of one type becomes cells, for table and csv and
@@ -221,8 +212,6 @@ def _serialize(out: _Rows | str, fmt: str) -> Iterator[str]:
     opening = "{\n" + "".join(
         f"  {_jstr(k)}: {_jval(v, 1)},\n" for k, v in out.head
     ) + f"  {_jstr(out.key)}: ["
-    if not blocks:
-        return iter((opening + "]\n}\n",))
     fields = ",\n".join(f"      {_jstr(h)}: {{}}" for h in out.header)
     line = "    {{\n" + fields + "\n    }},\n"
     return _chunks(opening + "\n", line, blocks, widths, "\n  ]\n}\n")
@@ -432,18 +421,12 @@ def _tolerance(allow_zero: bool):
 
     def parse(text: str) -> float:
         try:
-            value = float(text)
+            return require_tolerance(float(text), "", not allow_zero, repr(text))
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"invalid float value: {text!r}"
-            ) from None
-        in_range = value > 0 or (allow_zero and value == 0)
-        if not (math.isfinite(value) and in_range):
-            bound = ">= 0" if allow_zero else "> 0"
-            raise argparse.ArgumentTypeError(
-                f"must be finite and {bound}, got {text!r}"
-            )
-        return value
+                f"invalid float value: {text!r}") from None
 
     return parse
 

@@ -72,15 +72,23 @@ def require_positive(value: Number, name: str) -> None:
         raise DomainError(f"{name} must be positive, got {value!r}")
 
 
-def number_log(value: Number) -> float:
-    """Natural log of a positive scalar, safe for huge Fractions.
+def require_tolerance(
+    value: Number, name: str, positive: bool = False, shown: str = ""
+) -> Number:
+    """value, if it is finite and >= 0, or > 0 where positive is set;
+    else DomainError "<name> must be finite and >= 0, got <shown>",
+    shown repr(value) unless given."""
+    if math.isfinite(value) and (value > 0 or not positive and value == 0):
+        return value
+    bound = "> 0" if positive else ">= 0"
+    raise DomainError(
+        f"{name} must be finite and {bound}, got {shown or repr(value)}".lstrip())
 
-    math.log on a wide Fraction would overflow converting to float first,
-    so numerator and denominator are logged separately.
-    """
-    if isinstance(value, Fraction):
-        return math.log(value.numerator) - math.log(value.denominator)
-    return math.log(value)
+
+def number_log(value: Fraction) -> float:
+    """Natural log of a positive Fraction of any size: numerator and
+    denominator are logged apart, since float() of it may overflow."""
+    return math.log(value.numerator) - math.log(value.denominator)
 
 
 def saturating_exp(x: float) -> float:
@@ -92,13 +100,11 @@ def saturating_exp(x: float) -> float:
 
 
 def exact_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a non-negative rational, or None.
+    """Exact square root of a positive rational, or None.
 
     Returns a Fraction r with r*r == value when one exists; otherwise the
     root is irrational and None is returned.
     """
-    if value < 0:
-        return None
     num, den = value.numerator, value.denominator
     rn = math.isqrt(num)
     rd = math.isqrt(den)

@@ -37,8 +37,8 @@ from .classification import Classification, Kind, kind_from_sign
 from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, closed_point,
                    closed_states, head, horizon, initial_state)
 from .errors import BranchError, DomainError
-from .numeric import ArithmeticMode, Number
-from .transfer import System, prepare
+from .numeric import ArithmeticMode, Number, require_tolerance
+from .transfer import System, _prepare_rank, prepare
 
 K_CONSISTENCY_EPS = 1e-10
 
@@ -50,20 +50,6 @@ class Rank1Data:
     k: Number
     mu: Number
     rho: Number
-
-
-def _rank1(
-    params: PeriodicCoefficients | System,
-    mode: ArithmeticMode,
-    eps_rank: float,
-) -> System:
-    system = prepare(params, mode, eps_rank)
-    if system.rank != 1:
-        raise BranchError(
-            "composed matrix has rank 2; the row ratio K is undefined "
-            f"(det = {system.matrix.det()!r})"
-        )
-    return system
 
 
 def row_ratio(
@@ -122,7 +108,7 @@ def growth_and_ratio(
     eps_rank: float = 1e-12,
 ) -> Rank1Data:
     """K, the two-step growth mu, and the orbit-space ratio rho."""
-    system = _rank1(params, mode, eps_rank)
+    system = _prepare_rank(params, mode, eps_rank, 1)
     return Rank1Data(*growth_terms(*system.matrix.entries,
                                    *system.params.at(0),
                                    mode is ArithmeticMode.EXACT_RATIONAL))
@@ -223,8 +209,10 @@ def classify_rank1(
     blow up; above 1, the reverse; equal to 1, the orbit is two-periodic
     (from the start on the y0 = K*x0 locus, after at most two steps
     otherwise). Exact mode compares rho with 1 exactly; float mode uses
-    a relative band of width tol_class around 1.
+    a relative band of width tol_class around 1. Raises DomainError for
+    a tol_class that is not finite and >= 0.
     """
+    require_tolerance(tol_class, "tol_class")
     data = growth_and_ratio(params, mode, eps_rank)
     tol = 0 if mode is ArithmeticMode.EXACT_RATIONAL else tol_class
     kind = rank1_kind(data.rho, tol)

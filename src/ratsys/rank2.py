@@ -33,6 +33,7 @@ as a System from transfer.prepare, as in the rank-1 module.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -43,8 +44,10 @@ from .core import (EPSILON, SMALLEST_NORMAL, PeriodicCoefficients, Tail,
                    closed_point, closed_states, head, horizon, initial_state,
                    over_one_denominator)
 from .errors import BranchError, ConvergenceError, DomainError
-from .numeric import ArithmeticMode, Number, exact_sqrt, saturating_exp
-from .transfer import System, TransferMatrix, composed_entries, prepare
+from .numeric import (ArithmeticMode, Number, exact_sqrt, require_tolerance,
+                      saturating_exp)
+from .transfer import (System, TransferMatrix, _prepare_rank, composed_entries,
+                       prepare)
 
 DEFAULT_CYCLE_TOL = 1e-11
 DEFAULT_MAX_TERMS = 1_000_000
@@ -98,20 +101,6 @@ class LimitCycle:
     y_even: float
     y_odd: float
     residual: float
-
-
-def _rank2(
-    params: PeriodicCoefficients | System,
-    mode: ArithmeticMode,
-    eps_rank: float,
-) -> System:
-    system = prepare(params, mode, eps_rank)
-    if system.rank != 2:
-        raise BranchError(
-            "composed matrix has rank 1; the spectral split is degenerate, "
-            "use the rank-1 closed forms"
-        )
-    return system
 
 
 class Split(NamedTuple):
@@ -215,7 +204,7 @@ def eigenvalues(
     Exact mode needs the discriminant to be a perfect rational square;
     otherwise the eigenvalues are irrational and a DomainError says so.
     """
-    system = _rank2(params, mode, eps_rank)
+    system = _prepare_rank(params, mode, eps_rank, 2)
     return _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)[:2]
 
 
@@ -256,7 +245,7 @@ def spectral_constants(
     eps_rank: float = 1e-12,
 ) -> SpectralData:
     """Expansion constants for the start (u0, v0) = (x0, y0)."""
-    system = _rank2(params, mode, eps_rank)
+    system = _prepare_rank(params, mode, eps_rank, 2)
     split = _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)
     return _expansion(split, system.matrix, initial_state(init, mode))
 
@@ -336,20 +325,23 @@ def _products(
                       ldexp(c0, -g), ldexp(d0, e - g))
     q_cur = num_u / num_v
     s_cur = 1 / q_cur
+    # b0*q + a0 and d0 + c0*s at the current term, reused at the next
+    bq, ds = b0 * q_cur + a0, d0 + c0 * s_cur
     while True:
         tk *= t
-        num_u_prev, num_v_prev, q_prev, s_prev = num_u, num_v, q_cur, s_cur
+        num_u_prev, num_v_prev = num_u, num_v
         num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
+        dq = d0 * q_cur + c0
+        bs = b0 + a0 * s_cur
         q_cur = num_u / num_v
         s_cur = 1 / q_cur
         p_cur = l1 * num_u / num_v_prev
         r_cur = l1 * num_v / num_u_prev
-        dq = d0 * q_prev + c0
-        bs = b0 + a0 * s_prev
-        gx_even = p_cur / ((b0 * q_prev + a0) * dq)
-        gx_odd = (b0 * q_cur + a0) * dq / p_cur
-        gy_even = r_cur / ((d0 + c0 * s_prev) * bs)
-        gy_odd = (d0 + c0 * s_cur) * bs / r_cur
+        gx_even = p_cur / (bq * dq)
+        gy_even = r_cur / (ds * bs)
+        bq, ds = b0 * q_cur + a0, d0 + c0 * s_cur
+        gx_odd = bq * dq / p_cur
+        gy_odd = ds * bs / r_cur
         factors = fxe, fxo, fye, fyo = (
             log(gx_even), log(gx_odd), log(gy_even), log(gy_odd))
         x_e, x_o = x_e + fxe, x_o + fxo
@@ -406,25 +398,6 @@ _ROUNDING = 16 * EPSILON
 _MIN_SETTLE_TERM = 20
 
 
-def _engine(system: System, split: Split, start, anchors) -> tuple:
-    """(r, r/(1 - r), constants, products) of a rank-2 System's float
-    engine: r = |lambda2/lambda1|, the expansion constants of the start
-    as _scaled gives it, and _products over anchors, core.head's logs.
-    Raises ConvergenceError where lambda2/lambda1 rounds to -1 and the
-    two modes cancel at one parity: only 1 + lambda2/lambda1, lost to
-    rounding, would tell the products there."""
-    sd = _expansion(split, system.matrix, _scaled(start))
-    if sd.lambda2 == -sd.lambda1 and any(
-            abs(c + sign * d) * _LOST < abs(d)
-            for c, d in ((sd.c1, sd.c2), (sd.c3, sd.c4)) for sign in (1, -1)):
-        raise ConvergenceError(0, "lambda2/lambda1 rounds to -1 in float "
-                                  "arithmetic; the closed form cannot "
-                                  "separate the two eigenvalue modes")
-    r = abs(sd.lambda2 / sd.lambda1)
-    tail = r / (1.0 - r) if r < 1.0 else math.inf
-    return r, tail, sd, _products(system.params, sd, anchors)
-
-
 def _balanced(wp: PeriodicCoefficients, eps_rank: float) -> bool:
     """True when delta is exactly 0 for the binary values of the floats."""
     exact = prepare(
@@ -433,44 +406,49 @@ def _balanced(wp: PeriodicCoefficients, eps_rank: float) -> bool:
     return exact.rank == 2 and delta_sign_exact(exact, eps_rank) == 0
 
 
-def _float_terms(
-    system: System, start: tuple[float, float], anchors: list[tuple[float, float]]
-) -> Iterator[tuple[Quad, Tail | None]]:
-    """The float hook of core.closed_states: logs up to the settle term
-    k, where a Tail takes over whose base and slope bound their error.
+def _rate(split: Split) -> tuple[float, float]:
+    """r = |lambda2/lambda1| of a float Split and r/(1 - r), inf where r
+    rounds to 1."""
+    r = abs(split.lambda2 / split.lambda1)
+    return r, (r / (1.0 - r) if r < 1.0 else math.inf)
 
-    The settle watches the log factors of _products. With
-    r = |lambda2/lambda1| they approach their limits geometrically, so
-    the change from one term to the next, times r/(1 - r), estimates how
-    far a factor still is from its limit; drift keeps the largest such
-    estimate, shrunk by r per term, so that a change that rounds to 0
-    early settles nothing. k is the first term where change plus drift,
-    at least the change times 1 + r/(1 - r), is down to the factors'
-    rounding, from term max(_MIN_SETTLE_TERM, log(B)/log(1/r)) on,
-    B = max(|c2/c1|, |c4/c3|): before it the lambda2 mode can outweigh
-    the lambda1 mode and hold the factors on a plateau. k depends on r
-    and the start, never on a horizon: about log(rounding)/log(r) terms,
-    so 20 on typical sets, some 400 at r = 0.9 and 4,000 at r = 0.99. If
-    r rounds to 1, or c1 or c3 is 0, the factors never settle and the
-    iterator never stops.
 
-    Factors settled within rounding of 0 belong to a set on the
-    convergence boundary. If delta_sign_exact finds delta exactly 0 for
-    the coefficients' binary values, their limit is exactly 0 and they
-    are snapped to it, so the orbit does not drift off its cycle.
+def _settle(
+    system: System, split: Split, start: tuple[float, float],
+    anchors: list[tuple[float, float]], tol: float, floor: int,
+) -> Iterator[tuple[Quad, tuple | None]]:
+    """The logs of _products at terms k = 0, 1, ... as (logs, None) up
+    to the settle term k, then (logs, (k, factors, drift, tail)), from
+    the start as _scaled gives it and anchors, core.head's logs.
 
-    The spectral constants are computed on the first term; a rank-1
-    System raises BranchError there.
+    With r = |lambda2/lambda1| < 1 the log factors approach their limits
+    geometrically: their change from one term to the next, times
+    tail = r/(1 - r), estimates how far they still are from them. drift
+    keeps the largest such estimate, shrunk by r per term, so that a
+    change that rounds to 0 early settles nothing. k is the first term
+    from max(floor, log(B)/log(1/r)), B = max(|c2/c1|, |c4/c3|), where
+    change plus drift is down to tol times max(1, |log gx_even|); before
+    it the lambda2 mode can hold the factors on a plateau. Where r
+    rounds to 1, drift and tail are inf, and k is the first term from
+    floor whose four factors repeat the previous four exactly.
+
+    Raises ConvergenceError where lambda2/lambda1 rounds to -1 and the
+    two modes cancel at one parity: only 1 + lambda2/lambda1, lost to
+    rounding, would tell the products there.
     """
-    system = _rank2(system, system.mode, system.eps_rank)
-    wp = system.params
-    r, tail, sd, products = _engine(
-        system, _roots(system.matrix, False), start, anchors)
-    drift = 0.0 if r < 1.0 else math.inf
-    first = math.inf
-    if r < 1.0 and sd.c1 and sd.c3:
+    sd = _expansion(split, system.matrix, _scaled(start))
+    if sd.lambda2 == -sd.lambda1 and any(
+            abs(c + sign * d) * _LOST < abs(d)
+            for c, d in ((sd.c1, sd.c2), (sd.c3, sd.c4)) for sign in (1, -1)):
+        raise ConvergenceError(0, "lambda2/lambda1 rounds to -1 in float "
+                                  "arithmetic; the closed form cannot "
+                                  "separate the two eigenvalue modes")
+    r, tail = _rate(split)
+    first, drift = floor, 0.0 if r < 1.0 else math.inf
+    if 0.0 < r < 1.0 and sd.c1 and sd.c3:  # c1 or c3 of 0 fails in _products
         b = max(abs(sd.c2 / sd.c1), abs(sd.c4 / sd.c3), 1.0)
-        first = max(_MIN_SETTLE_TERM, math.log(b) / -math.log(r) if r else 0)
+        first = max(floor, math.log(b) / -math.log(r))
+    products = _products(system.params, sd, anchors)
     (logs0, _), (logs, _) = next(products), next(products)
     yield logs0, None
     yield logs, None
@@ -482,15 +460,43 @@ def _float_terms(
         drift *= r
         if change * tail > drift:
             drift = change * tail
-        if (k >= first
-                and change + drift <= _ROUNDING * max(1.0, abs(fxe))):
-            break
+        if k >= first and (change + drift <= tol
+                           or change + drift <= tol * abs(fxe)
+                           or not change and r >= 1.0):
+            yield logs, (k, factors, drift, tail)
+            return
         yield logs, None
         pxe, pxo, pye, pyo = factors
-    rounding = _ROUNDING * max(1.0, abs(fxe))
+
+
+def _float_terms(
+    system: System, start: tuple[float, float], anchors: list[tuple[float, float]]
+) -> Iterator[tuple[Quad, Tail | None]]:
+    """The float hook of core.closed_states: the logs of _settle at the
+    factors' rounding, from term _MIN_SETTLE_TERM, up to the settle term
+    k, where a Tail takes over whose base and slope bound their error,
+    inf where r = |lambda2/lambda1| rounds to 1.
+
+    Factors settled within rounding of 0 belong to a set on the
+    convergence boundary. If delta_sign_exact finds delta exactly 0 for
+    the coefficients' binary values, their limit is exactly 0 and they
+    are snapped to it, so the orbit does not drift off its cycle.
+
+    The spectral constants are computed on the first term; a rank-1
+    System raises BranchError there.
+    """
+    system = _prepare_rank(system, system.mode, system.eps_rank, 2)
+    for logs, end in _settle(system, _roots(system.matrix, False), start,
+                             anchors, _ROUNDING, _MIN_SETTLE_TERM):
+        if end:
+            break
+        yield logs, None
+    k, factors, drift, tail = end
+    rounding = _ROUNDING * max(1.0, abs(factors[0]))
     base = k * (rounding + EPSILON * max(map(abs, logs))) + drift * tail
     slope = rounding + drift
-    if max(map(abs, factors)) <= rounding and _balanced(wp, system.eps_rank):
+    if (max(map(abs, factors)) <= rounding
+            and _balanced(system.params, system.eps_rank)):
         factors, slope = (0.0, 0.0, 0.0, 0.0), 0.0
     yield logs, Tail(k, logs, factors, base, slope)
 
@@ -531,9 +537,10 @@ def rank2_solution(
     rank2_solution_sequence at index n. Past index 3 float mode runs the
     factors only to the settle term k of _float_terms, so a query costs
     a number of terms set by r = |lambda2/lambda1| and the start (20 on
-    typical sets, some 4,000 at r = 0.99), not by n; before index
-    2k + 2 it costs n/2 terms, as does every index of a set whose
-    factors never settle.
+    typical sets, some 4,000 at r = 0.99, and about 20 where r rounds to
+    1 and the factors come to repeat), not by n; before index 2k + 2 it
+    costs n/2 terms, as does every index of a set whose factors never
+    settle.
     """
     horizon(n, "n")
     system = prepare(params, mode, eps_rank)
@@ -551,7 +558,7 @@ def criterion_delta(
     Depends only on coefficients. Exact mode needs a rational eigenvalue
     gap; delta_sign_exact decides the sign without that restriction.
     """
-    return _criterion(_rank2(params, mode, eps_rank))[2]
+    return _criterion(_prepare_rank(params, mode, eps_rank, 2))[2]
 
 
 def delta_sign_exact(
@@ -565,7 +572,7 @@ def delta_sign_exact(
     X**2 against Y**2*disc. Works whether or not disc is a perfect
     square. Returns -1, 0, or 1.
     """
-    system = _rank2(params, ArithmeticMode.EXACT_RATIONAL, eps_rank)
+    system = _prepare_rank(params, ArithmeticMode.EXACT_RATIONAL, eps_rank, 2)
     wp, m = system.params, system.matrix
     alpha, beta, gamma, delta = m.m11, m.m12, m.m21, m.m22
     disc = (alpha - delta) ** 2 + 4 * beta * gamma
@@ -600,9 +607,11 @@ def classify_rank2(
     approximations, from the float coefficients through composed_entries,
     float_split and criterion_terms; in exact mode its delta is 0.0 where
     the sign is 0, and inf with the sign where the float delta is not
-    finite.
+    finite. Raises DomainError for a tol_class that is not finite and
+    >= 0.
     """
-    system = _rank2(params, mode, eps_rank)
+    require_tolerance(tol_class, "tol_class")
+    system = _prepare_rank(params, mode, eps_rank, 2)
     wp = system.params.as_floats()
     split = float_split(*composed_entries(*wp.at(0), *wp.at(1)))
     scale, delta = criterion_terms(split.lambda1, split.q, *wp.at(0))
@@ -630,19 +639,23 @@ def limit_cycle(
 ) -> LimitCycle:
     """Limits of the four subsequences in the convergent rank-2 case.
 
-    Runs the product engine of the closed form in log space, from the
-    logs of core.head, until the per-term change |e_k| of the four logs
-    and the geometric tail bound |e_k|*r/(1 - r), with
-    r = |lambda2/lambda1|, both drop below tol, or until a term repeats
-    the logs exactly, which also ends it where the float eigenvalues
-    coincide and r is 1. Raises BranchError when the coefficients are
-    not in the convergent case, and ConvergenceError if max_terms
-    factors do not reach tolerance, or at once where the limit of the
-    change, |log1p(delta/scale)|, is above the rounding of delta and
-    alone fails that test. Raises DomainError when the cycle from this
+    Runs _settle, the settle of the closed form, and reports the logs
+    where it ends. They lie within drift*r/(1 - r) of their limits,
+    r = |lambda2/lambda1|, so the settle runs at tol over r/(1 - r)
+    where that is above 1; where r rounds to 1 it ends on factors that
+    repeat exactly. Raises DomainError for a tol that is not finite and
+    > 0, a tol_class that is not finite and >= 0, or a max_terms below
+    1, and BranchError when the coefficients are not in the convergent
+    case. Raises ConvergenceError if the first max_terms terms do not
+    settle, or at once where the limit of the factors,
+    |log1p(delta/scale)|, is above the rounding of delta and alone fails
+    the settle's tolerance. Raises DomainError when the cycle from this
     start lies outside float range.
     """
-    system = _rank2(params, ArithmeticMode.FLOAT64, eps_rank)
+    require_tolerance(tol, "tol", positive=True)
+    require_tolerance(max_terms, "max_terms", positive=True)
+    require_tolerance(tol_class, "tol_class")
+    system = _prepare_rank(params, ArithmeticMode.FLOAT64, eps_rank, 2)
     split, scale, delta = _criterion(system)
     kind = rank2_kind(delta, scale, tol_class)
     if kind is not Kind.CONVERGES_TO_TWO_PERIODIC:
@@ -653,26 +666,20 @@ def limit_cycle(
     wp = system.params
     start = initial_state(init, ArithmeticMode.FLOAT64)
     anchors = head(wp, start, ArithmeticMode.FLOAT64)[1]
-    _, tail, _, products = _engine(system, split, start, anchors)
+    factor_tol = tol / max(1.0, _rate(split)[1])
     # every log factor tends to +-log1p(delta/scale), the least change
     drift = abs(math.log1p(delta / scale))
-    if drift > _ROUNDING and (drift >= tol or drift * tail >= tol):
+    if drift > _ROUNDING and drift >= factor_tol:
         raise ConvergenceError(0, f"cycle products drift by {drift:.3g} "
                                   f"per term and cannot meet tol={tol}")
-    p_xe, p_xo, p_ye, p_yo = next(products)[0]
-    for (x_e, x_o, y_e, y_o), _ in islice(products, max_terms):
-        worst = max(abs(x_e - p_xe), abs(x_o - p_xo),
-                    abs(y_e - p_ye), abs(y_o - p_yo))
-        if not worst or (worst < tol and worst * tail < tol):
-            break
-        p_xe, p_xo, p_ye, p_yo = x_e, x_o, y_e, y_o
-    else:
+    terms = _settle(system, split, start, anchors, factor_tol, 0)
+    logs, end = deque(islice(terms, max_terms + 1), maxlen=1)[0]
+    if end is None:
         raise ConvergenceError(
             max_terms,
             f"cycle products did not meet tol={tol} within {max_terms} terms",
         )
-    x_even, x_odd, y_even, y_odd = cycle = [
-        saturating_exp(v) for v in (x_e, x_o, y_e, y_o)]
+    x_even, x_odd, y_even, y_odd = cycle = [saturating_exp(v) for v in logs]
     if not all(0 < v < math.inf for v in cycle):
         raise DomainError("the limit cycle from this start lies outside float range")
     residual = max(
@@ -681,7 +688,4 @@ def limit_cycle(
         abs(y_odd - (wp.c0 / x_even + wp.d0 / y_even)) / y_odd,
         abs(y_even - (wp.c1 / x_odd + wp.d1 / y_odd)) / y_even,
     )
-    return LimitCycle(
-        x_even=x_even, x_odd=x_odd, y_even=y_even, y_odd=y_odd,
-        residual=residual,
-    )
+    return LimitCycle(x_even, x_odd, y_even, y_odd, residual)

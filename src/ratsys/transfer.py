@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Orbit, PeriodicCoefficients
-from .errors import DomainError
-from .numeric import ArithmeticMode, Number, is_exact, number_log, saturating_exp
+from .errors import BranchError, DomainError
+from .numeric import (ArithmeticMode, Number, is_exact, number_log,
+                      require_tolerance, saturating_exp)
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,10 +186,7 @@ def prepare(
         if params.mode is ArithmeticMode.EXACT_RATIONAL:
             rank = params.rank
         params = params.params
-    if not (math.isfinite(eps_rank) and eps_rank >= 0):
-        raise DomainError(
-            f"eps_rank must be finite and >= 0, got {eps_rank!r}"
-        )
+    require_tolerance(eps_rank, "eps_rank")
     if mode is ArithmeticMode.EXACT_RATIONAL:
         wp = params.as_fractions()
     else:
@@ -197,3 +195,18 @@ def prepare(
     if rank is None:
         rank = rank_decision(matrix, eps_rank)
     return System(wp, mode, eps_rank, matrix, rank)
+
+
+def _prepare_rank(
+    params: PeriodicCoefficients | System, mode: ArithmeticMode,
+    eps_rank: float, rank: int,
+) -> System:
+    """prepare, for a branch that serves one rank: BranchError where the
+    composed matrix has the other."""
+    system = prepare(params, mode, eps_rank)
+    if system.rank != rank:
+        raise BranchError(f"composed matrix has rank {system.rank}; " + (
+            "the spectral split is degenerate, use the rank-1 closed forms"
+            if rank == 2 else
+            f"the row ratio K is undefined (det = {system.matrix.det()!r})"))
+    return system

@@ -118,25 +118,35 @@ def find_balanced(rng, r_lo=1e-3, r_hi=0.9):
             return params, r
 
 
-def decimal_log_orbit(params, init, indices):
-    """{n: (log x[n], log y[n])} by direct iteration in 34-digit decimal.
+# 34 digits, and an exponent range of 10**18, which no orbit of interest
+# leaves
+DECIMAL = decimal.Context(prec=34, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def decimal_orbit(params, init, indices):
+    """{n: (x[n], y[n])} as Decimals, by direct iteration in DECIMAL.
 
     The test suite's reference for float closed forms at long horizons.
     Coefficients and start enter as the exact values of their floats, so
-    it iterates the very system the float code does; the exponent range
-    reaches 10**18, so no orbit of interest leaves it. About 4 us a step.
+    it iterates the very system the float code does. About 4 us a step.
     """
-    ctx = decimal.Context(prec=34, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    ctx = DECIMAL
     quads = [tuple(decimal.Decimal(float(v)) for v in params.at(i)) for i in (0, 1)]
     x, y = (decimal.Decimal(float(v)) for v in init)
     wanted, out = set(indices), {}
     for n in range(max(indices) + 1):
         if n in wanted:
-            out[n] = (float(x.ln(ctx)), float(y.ln(ctx)))
+            out[n] = (x, y)
         a, b, c, d = quads[n & 1]
         x, y = (ctx.add(ctx.divide(a, x), ctx.divide(b, y)),
                 ctx.add(ctx.divide(c, x), ctx.divide(d, y)))
     return out
+
+
+def decimal_log_orbit(params, init, indices):
+    """{n: (log x[n], log y[n])} of decimal_orbit, as floats."""
+    return {n: (float(x.ln(DECIMAL)), float(y.ln(DECIMAL)))
+            for n, (x, y) in decimal_orbit(params, init, indices).items()}
 
 
 @pytest.fixture

@@ -16,8 +16,11 @@ from ratsys import (
     Rank1Data,
     Rank2Witness,
     classify,
+    classify_rank1,
+    classify_rank2,
     closed_form_sequence,
     compare,
+    limit_cycle,
     product_converges,
     simulate,
 )
@@ -162,3 +165,39 @@ def test_closed_form_sequence_dispatches_on_rank():
         assert closed_form_sequence(params, init, 12, EXACT) == [
             orbit.state(n) for n in range(13)
         ]
+
+
+# Values each checked parameter refuses: tol_class and
+# divergence_threshold must be finite and >= 0, cycle_tol and tol finite
+# and > 0, max_terms an int above 0.
+BAD_VALUES = {
+    "tol_class": (-1.0, math.nan, math.inf),
+    "cycle_tol": (0.0, -1.0, math.nan, math.inf),
+    "tol": (0.0, -1.0, math.nan, math.inf),
+    "max_terms": (0, -1),
+    "divergence_threshold": (-1.0, math.nan, math.inf),
+}
+ENTRY_POINTS = {
+    # a negative or nan band gave VanishEvenBlowOdd on this convergent set
+    "classify": (lambda **kw: classify(RANK2_BALANCED, **kw),
+                 ("tol_class", "cycle_tol")),
+    # and BlowEvenVanishOdd on this two-periodic one
+    "classify_rank1": (lambda **kw: classify_rank1(RANK1_BOUNDARY, **kw),
+                       ("tol_class",)),
+    "classify_rank2": (lambda **kw: classify_rank2(RANK2_BALANCED, **kw),
+                       ("tol_class",)),
+    "limit_cycle": (lambda **kw: limit_cycle(RANK2_BALANCED, (1.0, 1.0), **kw),
+                    ("tol", "max_terms", "tol_class")),
+    "compare": (lambda **kw: compare(RANK2_GENERIC, (1.0, 1.0), 10, **kw),
+                ("divergence_threshold",)),
+}
+
+
+@pytest.mark.parametrize("entry, name, value", [
+    (entry, name, value)
+    for entry, (_, names) in ENTRY_POINTS.items()
+    for name in names for value in BAD_VALUES[name]])
+def test_entry_points_refuse_the_tolerances_the_cli_refuses(entry, name, value):
+    call = ENTRY_POINTS[entry][0]
+    with pytest.raises(DomainError, match=f"^{name} must be finite and "):
+        call(**{name: value})

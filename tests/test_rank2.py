@@ -286,3 +286,14 @@ def test_closed_form_tail_agrees_with_the_limit_cycle(case, balanced_instance):
     for got, want in ((x_even, cycle.x_even), (x_odd, cycle.x_odd),
                       (y_even, cycle.y_even), (y_odd, cycle.y_odd)):
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_limit_cycle_that_does_not_settle_within_max_terms():
+    with pytest.raises(ConvergenceError, match="within 3 terms"):
+        limit_cycle(RANK2_BALANCED, (1.0, 1.0), max_terms=3)
+    assert limit_cycle(RANK2_BALANCED, (1.0, 1.0), max_terms=200).residual < 1e-12
+
+
+def test_limit_cycle_outside_float_range():
+    with pytest.raises(DomainError, match="outside float range"):
+        limit_cycle(RANK2_BALANCED, (5e-324, 1.0))

@@ -22,7 +22,7 @@ from ratsys import (
     rank2_solution,
     rank2_solution_sequence,
 )
-from ratsys.core import closed_logs, closed_states, head
+from ratsys.core import closed_logs, closed_states, head, log_simulate
 from ratsys.numeric import saturating_exp
 from ratsys.rank2 import _balanced, _float_terms, _products
 
@@ -32,6 +32,7 @@ from conftest import (
     RANK2_GENERIC,
     RANK2_SQUARE,
     decimal_log_orbit,
+    find_balanced,
     log_uniform,
     random_float_params,
     random_rank1_params,
@@ -91,6 +92,11 @@ def seeded_mix():
     return cases + [NEAR_ALPHA]
 
 
+# the float r = |lambda2/lambda1| rounds to 1 and delta is exactly 0: the
+# factors repeat exactly, and the settle ends on them
+R_ONE = PeriodicCoefficients(1e-20, 1, 1, 1e-20, 1e-20, 1, 1, 1e-20)
+
+
 HORIZONS = (10**3, 10**4, 10**5)
 
 
@@ -129,15 +135,16 @@ def test_generic_set_at_1e5_is_far_closer_than_the_running_sum():
     assert abs(settled_x - want) < 8.5e-11
 
 
-@pytest.mark.parametrize("case", [False, True, "rank1", "exact1", "exact2"])
+@pytest.mark.parametrize("case", [False, True, "r-one", "rank1", "exact1", "exact2"])
 def test_stream_equals_point_queries_across_the_settle(case):
-    """Float rank 2 with either sign of lambda2 past its settle term,
-    float rank 1 past its Tail at term 1, and an exact set of each rank:
-    the stream, the point queries and the sequence agree at every index,
-    across indices 3 and 4 too."""
+    """Float rank 2 with either sign of lambda2, or with r rounding to 1,
+    past its settle term, float rank 1 past its Tail at term 1, and an
+    exact set of each rank: the stream, the point queries and the
+    sequence agree at every index, across indices 3 and 4 too."""
     mode, n_max = ArithmeticMode.FLOAT64, 5000
-    if case in (False, True):
-        params, start = with_ratio(0.3, case), (1.3, 0.8)
+    if case in (False, True, "r-one"):
+        params = R_ONE if case == "r-one" else with_ratio(0.3, case)
+        start = (1.3, 0.8)
         _, settled = logs_at(params, start, 10**6)
         assert 0 < 2 * settled.term < n_max
     elif case == "rank1":
@@ -158,10 +165,12 @@ def test_stream_equals_point_queries_across_the_settle(case):
     assert stream == sequence(params, start, n_max, mode)
 
 
-@pytest.mark.parametrize("negative", [False, True])
-@pytest.mark.parametrize("r", [0.01, 0.1, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("r, negative", [
+    *((r, negative) for r in (0.01, 0.1, 0.5, 0.9, 0.99) for negative in (False, True)),
+    pytest.param(1.0, False, id="r-one"),
+])
 def test_factors_drawn_do_not_grow_with_n(monkeypatch, r, negative):
-    params = with_ratio(r, negative)
+    params = R_ONE if r == 1.0 else with_ratio(r, negative)
     drawn = []
 
     def counting(*args, **kwargs):
@@ -210,3 +219,16 @@ def test_point_query_at_1e9_takes_under_a_millisecond():
         rank2_solution(params, (1.0, 1.0), 10**9)
         best = min(best, time.perf_counter() - t0)
     assert best < 1e-3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_limit_cycle_stays_on_long_iteration(seed):
+    """The cycle of a set on the float boundary lies within 1e-11 in log
+    of 20,000 and 20,001 log-space steps."""
+    params, _ = find_balanced(random.Random(seed))
+    start = (1.3, 0.8)
+    cycle = limit_cycle(params, start)
+    (x_even, y_even), (x_odd, y_odd) = log_simulate(params, start, 20_001)[-2:]
+    for got, want in ((cycle.x_even, x_even), (cycle.y_even, y_even),
+                      (cycle.x_odd, x_odd), (cycle.y_odd, y_odd)):
+        assert abs(math.log(got) - want) < 1e-11
