@@ -36,7 +36,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator, NamedTuple
 
 from .classification import Classification, Kind, kind_from_sign
@@ -124,7 +124,9 @@ def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
     The eigenvalues come from the matrix scaled by the power of two that
     brings its largest entry into [0.5, 1), so the discriminant cannot
     overflow while every entry is finite; the scaling is exact, and the
-    roots are scaled back. Raises DomainError when an entry is inf.
+    roots are scaled back. Raises DomainError when an entry is inf, or
+    where the leads without cancellation below would divide by beta,
+    gamma or a lead that underflowed to 0.
 
     The leads lambda - alpha are plain differences of the roots where
     all keep their digits: lambda1 <= 64*(lambda1 - alpha),
@@ -162,6 +164,8 @@ def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
     sb, sg = math.sqrt(m12), math.sqrt(m21)
     h = math.hypot(d, sb * sg)
     lead = d + h if d >= 0 else d - h
+    if not (m12 and (m21 or d >= 0) and lead):
+        raise DomainError("matrix entries underflow float range")
     other = -(sb / lead * sg) * sb * sg
     if disc < SMALLEST_NORMAL:
         l1 = m11 + (lead if d >= 0 else other)
@@ -264,91 +268,6 @@ def _expansion(
     return SpectralData(lambda1=l1, lambda2=l2, c1=c1, c2=c2, c3=c3, c4=c4, q=q)
 
 
-def _products(
-    wp: PeriodicCoefficients,
-    sd: SpectralData,
-    anchors: list[tuple[float, float]],
-) -> Iterator[tuple[Quad, Quad | None]]:
-    """Logs of the running (x[2k], x[2k+1], y[2k], y[2k+1]) and of their
-    factors, k >= 0.
-
-    The products at k = 0 and 1 are states 0 to 3 from anchors, the
-    second list of core.head, and their factors are None. From k = 2 on
-    each step multiplies in one factor per product,
-    x[2k] = x[2k-2] * gx_even[k] and likewise for the other three, and
-    yields the logs of those four factors next to the products. Every
-    factor is a ratio of bounded positive quantities: the eigenvalue
-    powers are carried only through t**k with t = l2/l1, |t| < 1, and the
-    start only through ratios of the constants in sd, which may come
-    from the start times any power of two (see _scaled). Those parts are
-    scaled by powers of two, which round nothing, so that none leaves
-    float range where the factor does not; DomainError says where one
-    does, or where a constant of sd left float range (c1 or c3 is 0
-    where Q = lim c1/c3 passed it). Each term costs the same, so running
-    to term k costs k factors; rank2_solution stops at the settle term
-    of _float_terms instead of at n/2.
-    """
-    t = sd.lambda2 / sd.lambda1
-    l1, c1, c2, c3, c4 = sd.lambda1, sd.c1, sd.c2, sd.c3, sd.c4
-    a0, b0, c0, d0 = wp.at(0)
-    log = math.log
-    (x0, y0), (x1, y1), (x_e, y_e), (x_o, y_o) = anchors
-    yield (x0, x1, y0, y1), None
-    yield (x_e, x_o, y_e, y_o), None
-    tk = t  # t**k
-    # u[2k], v[2k] / lambda1**k
-    num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
-    # where one mode cancels the other at k = 1, q is x[2]/y[2]
-    if abs(num_u) * _LOST < abs(c2 * tk):
-        num_u = num_v * saturating_exp(x_e - y_e)
-    elif abs(num_v) * _LOST < abs(c4 * tk):
-        num_v = num_u * saturating_exp(y_e - x_e)
-    # u, v and the coefficients times the powers of two that bring q,
-    # b0*q + a0 and d0*q + c0 near 1: each factor is the same, bit
-    # for bit, and its parts stay in float range
-    frexp, ldexp = math.frexp, math.ldexp
-    eu, ev = frexp(c1)[1], frexp(c3)[1]
-    e = eu - ev
-    f = max(frexp(b0)[1] + e, frexp(a0)[1])
-    g = max(frexp(d0)[1] + e, frexp(c0)[1])
-    try:
-        if not (0 < c1 < math.inf and 0 < c3 < math.inf
-                and abs(c2) < math.inf and abs(c4) < math.inf):
-            raise OverflowError
-        c1, c2, num_u = ldexp(c1, -eu), ldexp(c2, -eu), ldexp(num_u, -eu)
-        c3, c4, num_v = ldexp(c3, -ev), ldexp(c4, -ev), ldexp(num_v, -ev)
-        l1 = ldexp(l1, e - f - g)
-    except OverflowError:
-        raise DomainError("the closed form's ratio factors pass float "
-                          "range") from None
-    a0, b0, c0, d0 = (ldexp(a0, -f), ldexp(b0, e - f),
-                      ldexp(c0, -g), ldexp(d0, e - g))
-    q_cur = num_u / num_v
-    s_cur = 1 / q_cur
-    # b0*q + a0 and d0 + c0*s at the current term, reused at the next
-    bq, ds = b0 * q_cur + a0, d0 + c0 * s_cur
-    while True:
-        tk *= t
-        num_u_prev, num_v_prev = num_u, num_v
-        num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
-        dq = d0 * q_cur + c0
-        bs = b0 + a0 * s_cur
-        q_cur = num_u / num_v
-        s_cur = 1 / q_cur
-        p_cur = l1 * num_u / num_v_prev
-        r_cur = l1 * num_v / num_u_prev
-        gx_even = p_cur / (bq * dq)
-        gy_even = r_cur / (ds * bs)
-        bq, ds = b0 * q_cur + a0, d0 + c0 * s_cur
-        gx_odd = bq * dq / p_cur
-        gy_odd = ds * bs / r_cur
-        factors = fxe, fxo, fye, fyo = (
-            log(gx_even), log(gx_odd), log(gy_even), log(gy_odd))
-        x_e, x_o = x_e + fxe, x_o + fxo
-        y_e, y_o = y_e + fye, y_o + fyo
-        yield (x_e, x_o, y_e, y_o), factors
-
-
 def _exact_ratios(
     system: System, start: tuple[Fraction, Fraction]
 ) -> Iterator[tuple[int, int, int, int]]:
@@ -383,7 +302,7 @@ def _exact_ratios(
 def _scaled(start: tuple[float, float]) -> tuple[float, float]:
     """A float start times the power of two that brings its larger
     component into [0.5, 1), so that the expansion constants stay in
-    float range for every start; only their ratios enter _products."""
+    float range for every start; only their ratios enter _settle."""
     e = max(math.frexp(start[0])[1], math.frexp(start[1])[1])
     return (math.ldexp(start[0], -e), math.ldexp(start[1], -e))
 
@@ -417,9 +336,22 @@ def _settle(
     system: System, split: Split, start: tuple[float, float],
     anchors: list[tuple[float, float]], tol: float, floor: int,
 ) -> Iterator[tuple[Quad, tuple | None]]:
-    """The logs of _products at terms k = 0, 1, ... as (logs, None) up
-    to the settle term k, then (logs, (k, factors, drift, tail)), from
-    the start as _scaled gives it and anchors, core.head's logs.
+    """Logs of the running (x[2k], x[2k+1], y[2k], y[2k+1]), k >= 0,
+    from the start as _scaled gives it and anchors, core.head's logs:
+    (logs, None) up to the settle term k, then
+    (logs, (k, factors, drift, tail)) with the logs of term k's factors.
+
+    The products at k = 0 and 1 are states 0 to 3 from anchors. From
+    k = 2 on each term multiplies in one factor per product,
+    x[2k] = x[2k-2] * gx_even[k] and likewise for the other three. Every
+    factor is a ratio of bounded positive quantities: the eigenvalue
+    powers are carried only through t**k with t = l2/l1, |t| < 1, and the
+    start only through ratios of the expansion constants. Those parts are
+    scaled by powers of two, which round nothing, so that none leaves
+    float range where the factor does not; DomainError says where a
+    constant left float range (c1 or c3 is 0 where Q = lim c1/c3 passed
+    it) or a factor's part over- or underflows. Each term costs the
+    same, so running to term k costs k factors.
 
     With r = |lambda2/lambda1| < 1 the log factors approach their limits
     geometrically: their change from one term to the next, times
@@ -445,28 +377,79 @@ def _settle(
                                   "separate the two eigenvalue modes")
     r, tail = _rate(split)
     first, drift = floor, 0.0 if r < 1.0 else math.inf
-    if 0.0 < r < 1.0 and sd.c1 and sd.c3:  # c1 or c3 of 0 fails in _products
+    if 0.0 < r < 1.0 and sd.c1 and sd.c3:  # c1 or c3 of 0 is refused below
         b = max(abs(sd.c2 / sd.c1), abs(sd.c4 / sd.c3), 1.0)
         first = max(floor, math.log(b) / -math.log(r))
-    products = _products(system.params, sd, anchors)
-    (logs0, _), (logs, _) = next(products), next(products)
-    yield logs0, None
-    yield logs, None
-    pxe, pxo, pye, pyo = (k1 - k0 for k0, k1 in zip(logs0, logs))
-    for k, (logs, factors) in enumerate(products, 2):
-        fxe, fxo, fye, fyo = factors
-        change = max(abs(fxe - pxe), abs(fxo - pxo),
-                     abs(fye - pye), abs(fyo - pyo))
-        drift *= r
-        if change * tail > drift:
-            drift = change * tail
-        if k >= first and (change + drift <= tol
-                           or change + drift <= tol * abs(fxe)
-                           or not change and r >= 1.0):
-            yield logs, (k, factors, drift, tail)
-            return
-        yield logs, None
-        pxe, pxo, pye, pyo = factors
+    l1, c1, c2, c3, c4 = sd.lambda1, sd.c1, sd.c2, sd.c3, sd.c4
+    tk = t = sd.lambda2 / l1  # t**k
+    a0, b0, c0, d0 = system.params.at(0)
+    log = math.log
+    (x0, y0), (x1, y1), (x_e, y_e), (x_o, y_o) = anchors
+    yield (x0, x1, y0, y1), None
+    yield (x_e, x_o, y_e, y_o), None
+    pxe, pxo, pye, pyo = x_e - x0, x_o - x1, y_e - y0, y_o - y1
+    # u[2k], v[2k] / lambda1**k
+    num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
+    # where one mode cancels the other at k = 1, q is x[2]/y[2]
+    if abs(num_u) * _LOST < abs(c2 * tk):
+        num_u = num_v * saturating_exp(x_e - y_e)
+    elif abs(num_v) * _LOST < abs(c4 * tk):
+        num_v = num_u * saturating_exp(y_e - x_e)
+    # u, v and the coefficients times the powers of two that bring q,
+    # b0*q + a0 and d0*q + c0 near 1: each factor is the same, bit
+    # for bit, and its parts stay in float range
+    frexp, ldexp = math.frexp, math.ldexp
+    eu, ev = frexp(c1)[1], frexp(c3)[1]
+    e = eu - ev
+    f = max(frexp(b0)[1] + e, frexp(a0)[1])
+    g = max(frexp(d0)[1] + e, frexp(c0)[1])
+    try:
+        if not (0 < c1 < math.inf and 0 < c3 < math.inf
+                and abs(c2) < math.inf and abs(c4) < math.inf):
+            raise OverflowError
+        c1, c2, num_u = ldexp(c1, -eu), ldexp(c2, -eu), ldexp(num_u, -eu)
+        c3, c4, num_v = ldexp(c3, -ev), ldexp(c4, -ev), ldexp(num_v, -ev)
+        l1 = ldexp(l1, e - f - g)
+        a0, b0, c0, d0 = (ldexp(a0, -f), ldexp(b0, e - f),
+                          ldexp(c0, -g), ldexp(d0, e - g))
+        q_cur = num_u / num_v
+        s_cur = 1 / q_cur
+        # b0*q + a0 and d0 + c0*s at the current term, reused at the next
+        bq, ds = b0 * q_cur + a0, d0 + c0 * s_cur
+        for k in count(2):
+            tk *= t
+            num_u_prev, num_v_prev = num_u, num_v
+            num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
+            dq = d0 * q_cur + c0
+            bs = b0 + a0 * s_cur
+            q_cur = num_u / num_v
+            s_cur = 1 / q_cur
+            p_cur = l1 * num_u / num_v_prev
+            r_cur = l1 * num_v / num_u_prev
+            gx_even = p_cur / (bq * dq)
+            gy_even = r_cur / (ds * bs)
+            bq, ds = b0 * q_cur + a0, d0 + c0 * s_cur
+            gx_odd = bq * dq / p_cur
+            gy_odd = ds * bs / r_cur
+            factors = fxe, fxo, fye, fyo = (
+                log(gx_even), log(gx_odd), log(gy_even), log(gy_odd))
+            x_e, x_o = x_e + fxe, x_o + fxo
+            y_e, y_o = y_e + fye, y_o + fyo
+            change = max(abs(fxe - pxe), abs(fxo - pxo),
+                         abs(fye - pye), abs(fyo - pyo))
+            drift *= r
+            if change * tail > drift:
+                drift = change * tail
+            if k >= first and (change + drift <= tol
+                               or change + drift <= tol * abs(fxe)
+                               or not change and r >= 1.0):
+                yield (x_e, x_o, y_e, y_o), (k, factors, drift, tail)
+                return
+            yield (x_e, x_o, y_e, y_o), None
+            pxe, pxo, pye, pyo = factors
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError("the closed form's ratio factors pass float "
+                          "range") from None
 
 
 def _float_terms(
@@ -512,7 +495,7 @@ def rank2_solution_sequence(
 
     Exact mode goes on from index 3 by the integer ratios of
     _exact_ratios. Float mode adds the logs of the ratio factors of
-    _products up to the settle term k of _float_terms and takes the
+    _settle up to the settle term k of _float_terms and takes the
     core.Tail after it; values beyond float range saturate to inf or
     0.0. The spectral constants are computed on reaching index 1, so a
     rank-1 System raises BranchError there, and an exact one with an

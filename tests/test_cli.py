@@ -111,6 +111,21 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert payload["witness"]["rho"] == "4/3"
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config"),  # no such file
+    ("{", "cannot read config"),
+    ("[1, 2]", "must be a JSON object"),
+])
+def test_bad_config_is_usage_error(tmp_path, content, message, capsys):
+    config = tmp_path / "params.json"
+    if content is not None:
+        config.write_text(content)
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--config", str(config)])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "orbit.csv"
     code, out, _ = run_cli(
@@ -134,6 +149,20 @@ def test_compare_json(capsys):
     assert payload["max_rel_error_x"] < 1e-9
     assert payload["max_rel_error_y"] < 1e-9
     assert payload["first_divergence_index"] is None
+
+
+def test_compare_csv(capsys):
+    code, out, _ = run_cli(
+        ["compare", *RANK2_ARGS, "-n", "40", "--format", "csv"], capsys
+    )
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert list(row) == ["n_max", "max_rel_error_x", "max_rel_error_y",
+                         "first_divergence_index"]
+    assert row["n_max"] == "40"
+    assert float(row["max_rel_error_x"]) < 1e-9
+    assert float(row["max_rel_error_y"]) < 1e-9
+    assert row["first_divergence_index"] == ""  # no divergence
 
 
 def test_sweep_grid_and_order(capsys):
@@ -169,6 +198,19 @@ def test_sweep_rejects_duplicate_axes(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("axis, message", [
+    ("d1:1:2", "axis 'd1:1:2' must look like name:lo:hi:steps"),
+    ("e1:1:2:2", "axis name 'e1' is not one of a0, b0"),
+    ("d1:a:2:2", "axis 'd1:a:2:2': could not convert string to float: 'a'"),
+    ("d1:1:2:0", "axis 'd1:1:2:0' needs steps >= 1"),
+])
+def test_sweep_rejects_malformed_axes(axis, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--all-ones", "--axis1", axis])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_coefficients_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["classify", "--a0", "1"])
@@ -180,6 +222,13 @@ def test_unparseable_number_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["classify", "--all-ones", "--a0", "abc"])
     assert info.value.code == 2
+
+
+def test_unparseable_tolerance_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--all-ones", "--tol-class", "abc"])
+    assert info.value.code == 2
+    assert "argument --tol-class: invalid float value: 'abc'" in capsys.readouterr().err
 
 
 def test_nonpositive_coefficient_exits_three(capsys):

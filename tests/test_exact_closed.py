@@ -1,7 +1,7 @@
 """Exact closed forms on integer states: core.ratio_factors against
 one-step Fraction iteration, the closed command's text, the integer
-equality of exact compare, and three sets whose float criterion or
-closed form leaves float range."""
+equality of exact compare, and sets whose float criterion, spectral
+split or closed form leaves float range."""
 
 import contextlib
 import io
@@ -240,6 +240,21 @@ def test_rank1_rho_below_float_range_comes_from_its_parts():
                  "4.356670961292381e-123,7.5484771109797425e-177,1.8045750388235344e-167,"
                  "3.966852175544471e-31,1.8995737942945712e+117",
      "rank-1 ratio rho passes float range"),
+    # a factor's p = lambda1*u[2k]/v[2k-2] underflows to 0
+    ("closed", "6.487994248597522e+136,5.08202864086445e+120,4.1392046030408377e-140,"
+               "1.76037428299502e+187,2.7744989398763455e-71,1.4019091769622886e-222,"
+               "3.608504156742189e-261,4.146224291634577e-199",
+     "ratio factors pass float range"),
+    # the scaled u[2]/lambda1 underflows to 0, so q = 0 has no inverse
+    ("closed", "3.0594246476692736e-174,2.80306665501285e-62,4.817947821749009e-229,"
+               "4.597819951687994e-214,6.463813613821227e+62,2.6455174735375173e-120,"
+               "1.7214828943435176e+249,7.316858962383482e+276",
+     "ratio factors pass float range"),
+    # m12 underflows to 0 on float_split's path without cancellation
+    ("classify", "1.0924105245822408e-150,2.386284877995969e-224,1.417419591271957e-214,"
+                 "8.615076834215615e+146,8.320979958354953e-185,1.392967284834819e-200,"
+                 "8.612770921629606e+71,2.0450286718784054e-222",
+     "matrix entries underflow float range"),
 ])
 def test_constants_past_float_range_are_a_domain_error(command, values, message):
     argv = [command, *coeff_flags(values)] + (["-n", "200"] if command == "closed" else [])

@@ -24,7 +24,7 @@ from ratsys import (
 )
 from ratsys.core import closed_logs, closed_states, head, log_simulate
 from ratsys.numeric import saturating_exp
-from ratsys.rank2 import _balanced, _float_terms, _products
+from ratsys.rank2 import _balanced, _float_terms, _roots, _settle
 
 from conftest import (
     RANK1_GROWTH,
@@ -124,12 +124,12 @@ def test_generic_set_at_1e5_is_far_closer_than_the_running_sum():
     want = decimal_log_orbit(params, start, [n])[n][0]
     settled_x = logs_at(params, start, m)[0][0]
     # the running sum over every factor, as the closed form was evaluated
-    # before the settle
+    # before the settle: _settle with a floor above m
     system = prepare(params)
-    sd = ratsys.rank2.spectral_constants(system, ratsys.rank2._scaled(start))
     anchors = head(params, start, ArithmeticMode.FLOAT64)[1]
-    products = _products(params, sd, anchors)
-    summed_x = next(islice(products, m, None))[0][0]
+    terms = _settle(system, _roots(system.matrix, False), start, anchors,
+                    0.0, m + 1)
+    summed_x = next(islice(terms, m, None))[0][0]
     assert abs(summed_x - want) > 1e-9  # the running sum's n**2 rounding
     assert abs(settled_x - want) * 100 <= abs(summed_x - want)
     assert abs(settled_x - want) < 8.5e-11
@@ -174,11 +174,11 @@ def test_factors_drawn_do_not_grow_with_n(monkeypatch, r, negative):
     drawn = []
 
     def counting(*args, **kwargs):
-        for item in _products(*args, **kwargs):
+        for item in _settle(*args, **kwargs):
             drawn.append(None)
             yield item
 
-    monkeypatch.setattr(ratsys.rank2, "_products", counting)
+    monkeypatch.setattr(ratsys.rank2, "_settle", counting)
     counts = []
     for n in (10**4, 10**9):
         drawn.clear()
