@@ -9,10 +9,9 @@ comparing closed-form values against direct iteration index by index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import count, islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import rank1, rank2
 from .classification import Classification, Kind
@@ -115,7 +114,7 @@ def classify(
     if attach_cycle and verdict.kind is Kind.CONVERGES_TO_TWO_PERIODIC:
         cycle = limit_cycle(system, probe_init, cycle_tol,
                             tol_class=tol_class, eps_rank=eps_rank)
-        verdict = replace(verdict, cycle=cycle)
+        verdict = verdict._replace(cycle=cycle)
     return verdict
 
 
@@ -151,8 +150,7 @@ class ProductStatus(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True, slots=True)
-class ProductReport:
+class ProductReport(NamedTuple):
     """Outcome of product_converges.
 
     limit is the product value when status is CONVERGES, else None.
@@ -225,8 +223,7 @@ def product_converges(
     return ProductReport(ProductStatus.UNDECIDED, None, used, log_sum)
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Worst relative disagreement between closed form and iteration."""
 
     n_max: int

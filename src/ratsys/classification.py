@@ -8,9 +8,8 @@ case holds depends only on the coefficients, never on the initial values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .numeric import Number
@@ -36,8 +35,7 @@ def kind_from_sign(value: Number, band: Number, boundary: Kind) -> Kind:
     return Kind.VANISH_EVEN_BLOW_ODD if value < 0 else Kind.BLOW_EVEN_VANISH_ODD
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
+class Classification(NamedTuple):
     """Verdict plus the numbers that justify it.
 
     rank is the rank of the composed transfer matrix. The witness carries

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -66,6 +65,7 @@ def _coefficients(args, parser, mode: ArithmeticMode) -> PeriodicCoefficients:
         for name in COEFF_NAMES:
             values[name] = one
     if getattr(args, "config", None):
+        import json  # only a config file needs it, so a plain call skips it
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -294,18 +294,8 @@ def _witness_fields(verdict: Classification) -> tuple[list[tuple[str, object]], 
     """(ordered witness key/value pairs, K-or-Q, rho-or-delta)."""
     w = verdict.witness
     if verdict.rank == 1:
-        return ([("K", w.k), ("mu", w.mu), ("rho", w.rho)], w.k, w.rho)
-    pairs = [
-        ("lambda1", w.lambda1),
-        ("lambda2", w.lambda2),
-        ("Q", w.q),
-        ("delta", w.delta),
-        ("scale", w.scale),
-    ]
-    return (pairs, w.q, w.delta)
-
-
-_CYCLE_FIELDS = ("x_even", "x_odd", "y_even", "y_odd", "residual")
+        return (list(zip(("K", "mu", "rho"), w)), w.k, w.rho)
+    return (list(zip(("lambda1", "lambda2", "Q", "delta", "scale"), w)), w.q, w.delta)
 
 
 def _cmd_classify(args, parser) -> _Rows | str:
@@ -320,8 +310,7 @@ def _cmd_classify(args, parser) -> _Rows | str:
         attach_cycle=not args.no_cycle,
     )
     pairs, k_or_q, rho_or_delta = _witness_fields(verdict)
-    c = verdict.cycle
-    cycle = c and {k: getattr(c, k) for k in _CYCLE_FIELDS}
+    cycle = verdict.cycle and verdict.cycle._asdict()
     head = [("rank", verdict.rank), ("kind", verdict.kind.value)]
     if args.format == "json":
         return render_json(
@@ -345,12 +334,11 @@ def _cmd_compare(args, parser) -> _Rows | str:
         divergence_threshold=args.threshold,
         eps_rank=args.eps_rank,
     )
-    keys = ("n_max", "max_rel_error_x", "max_rel_error_y", "first_divergence_index")
-    fields = {k: getattr(report, k) for k in keys}
+    fields = report._asdict()
     if args.format == "json":
         return render_json({"command": "compare", "mode": mode.value, **fields})
     if args.format == "csv":
-        return _Rows(keys, [tuple("" if v is None else v for v in fields.values())])
+        return _Rows(report._fields, [tuple("" if v is None else v for v in report)])
     return _kv_text(fields.items())
 
 
@@ -389,7 +377,7 @@ def _cmd_sweep(args, parser) -> _Rows:
             parser.error(f"axis1 and axis2 both sweep {axes[0][0]!r}")
     args._axis_names = axis_names = tuple(name for name, _ in axes)
     base = _coefficients(args, parser, ArithmeticMode.FLOAT64)
-    cell = [*base.at(0), *base.at(1)]
+    cell = list(base)
     slots = [COEFF_NAMES.index(name) for name in axis_names]
     combos = product(*(values for _, values in axes))
     eps_rank, tol_class, inf = args.eps_rank, args.tol_class, math.inf
@@ -487,6 +475,8 @@ _COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser; its commands attribute maps each subcommand's
+    name to that subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="ratsys",
         description=(
@@ -497,8 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    parser.commands = {}
     for name, help_text, func, groups in _COMMANDS:
-        command = sub.add_parser(name, help=help_text)
+        command = parser.commands[name] = sub.add_parser(name, help=help_text)
         coefficients = command.add_argument_group("coefficients")
         for coeff in COEFF_NAMES:
             coefficients.add_argument(
@@ -529,7 +520,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; argv defaults to sys.argv[1:]. It is parsed once:
+    by the subcommand's parser when argv[0] names a subcommand, which the
+    handler then gets, so that its usage errors name the subcommand; by
+    the full parser otherwise."""
     parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in parser.commands:
+        parser, argv = parser.commands[argv[0]], argv[1:]
     args = parser.parse_args(argv)
     try:
         horizon(getattr(args, "n_max", 0), "n")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import count, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
@@ -48,45 +48,44 @@ def _float(value: Number) -> float:
     return f
 
 
-@dataclass(frozen=True, slots=True)
-class PeriodicCoefficients:
+class PeriodicCoefficients(namedtuple("PeriodicCoefficients", COEFF_NAMES)):
     """The eight coefficients, even-step quadruple then odd-step quadruple.
 
     All values must be positive and finite. Equal values across parities
-    are allowed.
+    are allowed. Every way to build one validates: a call, _make and
+    _replace all run __post_init__.
     """
 
-    a0: Number
-    b0: Number
-    c0: Number
-    d0: Number
-    a1: Number
-    b1: Number
-    c1: Number
-    d1: Number
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __post_init__(self):
-        for name in COEFF_NAMES:
-            require_positive(getattr(self, name), f"coefficient {name}")
+        for name, value in zip(COEFF_NAMES, self):
+            require_positive(value, f"coefficient {name}")
 
     def at(self, n: int) -> tuple[Number, Number, Number, Number]:
         """Coefficient quadruple (a, b, c, d) used by the step at index n."""
-        if n % 2 == 0:
-            return (self.a0, self.b0, self.c0, self.d0)
-        return (self.a1, self.b1, self.c1, self.d1)
+        return self[4:] if n % 2 else self[:4]
 
     def as_floats(self) -> "PeriodicCoefficients":
         """Float copy, or self when every coefficient is already a float.
 
-        Sharing is safe: the value is frozen and was validated when it
+        Sharing is safe: the value is immutable and was validated when it
         was built. Raises DomainError naming a rational coefficient too
         large or too small for a float.
         """
-        values = [getattr(self, f) for f in COEFF_NAMES]
-        if all(type(v) is float for v in values):
+        if all(type(v) is float for v in self):
             return self
         floats = []
-        for name, v in zip(COEFF_NAMES, values):
+        for name, v in zip(COEFF_NAMES, self):
             try:
                 floats.append(_float(v))
             except OverflowError:
@@ -98,17 +97,15 @@ class PeriodicCoefficients:
     def as_fractions(self) -> "PeriodicCoefficients":
         """Exact copy, or self when every coefficient is already a Fraction;
         rejects float-valued coefficients."""
-        values = [getattr(self, f) for f in COEFF_NAMES]
-        if all(type(v) is Fraction for v in values):
+        if all(type(v) is Fraction for v in self):
             return self
         return PeriodicCoefficients(
             *(to_fraction(v, f"coefficient {f}")
-              for f, v in zip(COEFF_NAMES, values))
+              for f, v in zip(COEFF_NAMES, self))
         )
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitPoint:
+class OrbitPoint(NamedTuple):
     """One orbit state with its index, built on demand by Orbit.__iter__."""
 
     n: int
@@ -116,12 +113,22 @@ class OrbitPoint:
     y: Number
 
 
-@dataclass(frozen=True, slots=True)
 class Orbit:
     """A finite orbit prefix: states[n] is (x[n], y[n]) for n = 0 .. n_max."""
 
-    states: tuple[tuple[Number, Number], ...]
-    mode: ArithmeticMode
+    __slots__ = ("states", "mode")
+
+    def __init__(self, states: tuple[tuple[Number, Number], ...],
+                 mode: ArithmeticMode):
+        self.states, self.mode = states, mode
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Orbit:
+            return NotImplemented
+        return self.mode is other.mode and self.states == other.states
+
+    def __repr__(self) -> str:
+        return f"Orbit(states={self.states!r}, mode={self.mode!r})"
 
     def __len__(self) -> int:
         return len(self.states)

@@ -28,10 +28,9 @@ prepared once pays for none of that again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .classification import Classification, Kind, kind_from_sign
 from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, closed_point,
@@ -43,8 +42,7 @@ from .transfer import System, _prepare_rank, prepare
 K_CONSISTENCY_EPS = 1e-10
 
 
-@dataclass(frozen=True, slots=True)
-class Rank1Data:
+class Rank1Data(NamedTuple):
     """Row ratio K, two-step growth mu, orbit-space ratio rho."""
 
     k: Number
@@ -82,13 +80,15 @@ def growth_terms(
     """(K, mu, rho) from the entries of a rank-1 composed matrix and the
     even coefficients, in the arithmetic of the inputs; row_ratio checks
     K. Where the float product of the two row sums leaves the normal
-    float range, rho divides by them one at a time."""
+    float range, rho divides by them one at a time. A K below the normal
+    range keeps few bits, so there K*mu is formed as m21*(mu/m11)."""
     k = row_ratio(m11, m12, m21, m22, exact)
     mu = m11 + k * m12
+    k_mu = m21 * (mu / m11) if k < SMALLEST_NORMAL else k * mu
     rows = (b0 + k * a0) * (d0 + k * c0)
     if not exact and not SMALLEST_NORMAL <= rows < math.inf:
-        return k, mu, k * mu / (b0 + k * a0) / (d0 + k * c0)
-    return k, mu, k * mu / rows
+        return k, mu, k_mu / (b0 + k * a0) / (d0 + k * c0)
+    return k, mu, k_mu / rows
 
 
 def rank1_kind(rho: Number, tol_class: float) -> Kind:

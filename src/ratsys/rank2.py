@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator, NamedTuple
@@ -57,8 +56,7 @@ _LOST = 2.0 ** 26
 Quad = tuple[Number, Number, Number, Number]
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Eigenvalues and the init-dependent expansion constants.
 
     u[2m] = c1*lambda1**m - c2*lambda2**m and
@@ -75,8 +73,7 @@ class SpectralData:
     q: Number
 
 
-@dataclass(frozen=True, slots=True)
-class Rank2Witness:
+class Rank2Witness(NamedTuple):
     """Initial-value-free quantities that justify a rank-2 verdict."""
 
     lambda1: float
@@ -86,8 +83,7 @@ class Rank2Witness:
     scale: float
 
 
-@dataclass(frozen=True, slots=True)
-class LimitCycle:
+class LimitCycle(NamedTuple):
     """Limits of the four subsequences in the convergent case.
 
     The pairs satisfy the two-periodic fixed-point equations
@@ -320,7 +316,7 @@ _MIN_SETTLE_TERM = 20
 def _balanced(wp: PeriodicCoefficients, eps_rank: float) -> bool:
     """True when delta is exactly 0 for the binary values of the floats."""
     exact = prepare(
-        PeriodicCoefficients(*map(Fraction, wp.at(0) + wp.at(1))),
+        PeriodicCoefficients(*map(Fraction, wp)),
         ArithmeticMode.EXACT_RATIONAL, eps_rank)
     return exact.rank == 2 and delta_sign_exact(exact, eps_rank) == 0
 
@@ -596,7 +592,7 @@ def classify_rank2(
     require_tolerance(tol_class, "tol_class")
     system = _prepare_rank(params, mode, eps_rank, 2)
     wp = system.params.as_floats()
-    split = float_split(*composed_entries(*wp.at(0), *wp.at(1)))
+    split = float_split(*composed_entries(*wp))
     scale, delta = criterion_terms(split.lambda1, split.q, *wp.at(0))
     if mode is ArithmeticMode.EXACT_RATIONAL:
         sign = delta_sign_exact(system, eps_rank)

@@ -15,8 +15,8 @@ Everything spectral in this package is about that composed matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import Orbit, PeriodicCoefficients
 from .errors import BranchError, DomainError
@@ -24,8 +24,7 @@ from .numeric import (ArithmeticMode, Number, is_exact, number_log,
                       require_tolerance, saturating_exp)
 
 
-@dataclass(frozen=True, slots=True)
-class TransferMatrix:
+class TransferMatrix(NamedTuple):
     """2x2 positive matrix acting on (u, v), row-major entries."""
 
     m11: Number
@@ -38,15 +37,14 @@ class TransferMatrix:
 
     @property
     def entries(self) -> tuple[Number, Number, Number, Number]:
-        return (self.m11, self.m12, self.m21, self.m22)
+        return tuple(self)
 
     @property
     def is_exact(self) -> bool:
-        return all(is_exact(e) for e in self.entries)
+        return all(map(is_exact, self))
 
 
-@dataclass(frozen=True, slots=True)
-class UVPoint:
+class UVPoint(NamedTuple):
     """Cumulative-product pair at one index.
 
     In float mode log_u and log_v are authoritative; u and v are their
@@ -81,7 +79,7 @@ def composed_entries(
 
 def composed_matrix(params: PeriodicCoefficients) -> TransferMatrix:
     """The two-step matrix of composed_entries, as a TransferMatrix."""
-    return TransferMatrix(*composed_entries(*params.at(0), *params.at(1)))
+    return TransferMatrix(*composed_entries(*params))
 
 
 def uv_from_orbit(orbit: Orbit) -> list[UVPoint]:
@@ -147,8 +145,7 @@ def rank_decision(matrix: TransferMatrix, eps: float = 1e-12) -> int:
     return float_rank(*matrix.entries, eps)
 
 
-@dataclass(frozen=True, slots=True)
-class System:
+class System(NamedTuple):
     """A coefficient set prepared for one arithmetic mode.
 
     params holds the validated coefficients in the mode's representation

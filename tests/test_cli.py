@@ -123,7 +123,9 @@ def test_bad_config_is_usage_error(tmp_path, content, message, capsys):
     with pytest.raises(SystemExit) as info:
         main(["classify", "--config", str(config)])
     assert info.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ratsys classify ")
+    assert message in err
 
 
 def test_output_file(tmp_path, capsys):
@@ -208,14 +210,18 @@ def test_sweep_rejects_malformed_axes(axis, message, capsys):
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--all-ones", "--axis1", axis])
     assert info.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ratsys sweep ")
+    assert message in err
 
 
 def test_missing_coefficients_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["classify", "--a0", "1"])
     assert info.value.code == 2
-    assert "missing coefficients" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ratsys classify ")
+    assert "missing coefficients" in err
 
 
 def test_unparseable_number_is_usage_error(capsys):

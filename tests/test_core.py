@@ -43,10 +43,16 @@ coefficient_sets = st.tuples(*([rationals] * 8)).map(
 inits = st.tuples(rationals, rationals)
 
 
-@pytest.mark.parametrize("bad", [0, -1, -0.5, float("inf"), float("nan")])
+@pytest.mark.parametrize("bad", [0, -1, -1.0, -0.5, float("inf"), float("nan")])
 def test_coefficients_must_be_positive_finite(bad):
-    with pytest.raises(DomainError):
-        PeriodicCoefficients(1, 1, 1, bad, 1, 1, 1, 1)
+    values = (1, 1, 1, bad, 1, 1, 1, 1)
+    p = PeriodicCoefficients(*[1.0] * 8)
+    # a call, _make and _replace all validate
+    for build in (lambda: PeriodicCoefficients(*values),
+                  lambda: PeriodicCoefficients._make(values),
+                  lambda: p._replace(a0=bad)):
+        with pytest.raises(DomainError):
+            build()
 
 
 def test_at_cycles_with_period_two():
@@ -93,13 +99,13 @@ def test_orbit_accessors():
 
 def test_simulate_builds_no_orbit_points(monkeypatch):
     built = []
-    original = OrbitPoint.__init__
+    original = OrbitPoint.__new__
 
-    def counting(self, *args):
+    def counting(cls, *args):
         built.append(args)
-        original(self, *args)
+        return original(cls, *args)
 
-    monkeypatch.setattr(OrbitPoint, "__init__", counting)
+    monkeypatch.setattr(OrbitPoint, "__new__", counting)
     orbit = simulate(RANK2_GENERIC, (1.5, 0.5), 500)
     assert built == []
     # iteration builds them on demand, one per state

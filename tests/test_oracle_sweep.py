@@ -47,6 +47,13 @@ RANGES = {"standard": (-200.0, 154.0), "wide": (-300.0, 300.0)}
 NAMES = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
 SUBNORMAL_ULP = 5e-324  # rounds to 2**-1074
 LOG_MAX = math.log(sys.float_info.max)
+# Sets judged beside each slice: wide seed 5's set 456 has a rank-1
+# matrix whose row ratio K = m21/m11 is subnormal, so rho must not be
+# formed from K.
+PINNED = {"wide": [(2040825327594706.0, 1.0744827841997084e-25,
+                    4.1959777179270787e+24, 1.275348522467242e-140,
+                    9.004268672916565, 4.269140509860717e+273,
+                    4.159958625602705e-174, 1.5581532094501296e-49)]}
 
 
 def draw_sets(seed: int, count: int, variant: str = "standard") -> list[tuple]:
@@ -115,7 +122,7 @@ def sweep(sets: list[tuple]) -> dict:
 
 @pytest.mark.parametrize("variant, count", [("standard", 80), ("wide", 20)])
 def test_slice_has_no_traceback_nan_or_miss(variant, count):
-    tally = sweep(draw_sets(5, count, variant))
+    tally = sweep(draw_sets(5, count, variant) + PINNED.get(variant, []))
     assert {code for _, code in tally["exits"]} <= {0, 3, 4}, tally["exits"]
     assert not tally["nans"]
     # the whole of seed 5 misses on 8 sets, each with lambda2/lambda1

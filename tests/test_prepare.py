@@ -3,7 +3,6 @@ classification, with results equal to the branch functions."""
 
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -203,7 +202,7 @@ def expected_verdict(params, mode, init):
         return classify_rank1(params, mode)
     verdict = classify_rank2(params, mode)
     if verdict.kind is Kind.CONVERGES_TO_TWO_PERIODIC:
-        verdict = replace(verdict, cycle=limit_cycle(params, init))
+        verdict = verdict._replace(cycle=limit_cycle(params, init))
     return verdict
 
 
@@ -215,7 +214,7 @@ def test_classify_equals_the_branch_functions(params, init, exact):
     if not exact:
         params, init = params.as_floats(), tuple(map(float, init))
     verdict = classify(params, mode, probe_init=init)
-    # dataclass equality: floats are bit-identical
+    # record equality: floats are bit-identical
     assert verdict == expected_verdict(params, mode, init)
 
 
