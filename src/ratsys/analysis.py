@@ -20,14 +20,8 @@ from .core import (DEFAULT_BIT_CAP, PeriodicCoefficients, _exact_factors,
                    initial_state, simulate)
 from .errors import DomainError
 from .numeric import ArithmeticMode, Number, coprime_fraction, require_tolerance
-from .rank1 import classify_rank1, growth_terms, rank1_kind
-from .rank2 import (
-    classify_rank2,
-    criterion_terms,
-    float_split,
-    limit_cycle,
-    rank2_kind,
-)
+from .rank1 import classify_rank1, growth_terms
+from .rank2 import classify_rank2, float_criterion, limit_cycle
 from .transfer import System, composed_entries, float_rank, prepare
 
 EXACT = ArithmeticMode.EXACT_RATIONAL
@@ -121,26 +115,19 @@ def classify(
 def float_verdict(
     values: Sequence[float], eps_rank: float = 1e-12, tol_class: float = 1e-9
 ) -> tuple[int, float, float, Kind]:
-    """(rank, K or Q, rho or delta, kind) of eight float coefficients.
-
-    values are a0, b0, c0, d0, a1, b1, c1, d1, already checked finite
-    and positive. The formulas and the verdict bands are the ones
-    classify reaches through its branch functions (composed_entries,
-    float_rank, growth_terms, float_split, criterion_terms, rank1_kind,
-    rank2_kind), so the numbers and the kind equal those of
-    classify(..., attach_cycle=False) bit for bit, cancelling leads
-    included; no coefficient set, matrix, System or witness is built.
-    Raises DomainError when the composed matrix leaves float range and
-    BranchError when the rank-1 row ratios disagree.
-    """
+    """(rank, K or Q, rho or delta, kind) of eight float coefficients,
+    a0 .. d1, already checked finite and positive: classify's numbers
+    and verdict (attach_cycle=False) bit for bit, by the same functions
+    (composed_entries, float_rank, growth_terms, float_criterion), with
+    no coefficient set, matrix, System or witness built. Raises
+    DomainError when a composed entry is inf or, in rank 1, 0, and
+    BranchError when the rank-1 row ratios disagree."""
     m = composed_entries(*values)
-    even = values[:4]
     if float_rank(*m, eps_rank) == 1:
-        k, _, rho = growth_terms(*m, *even)
-        return 1, k, rho, rank1_kind(rho, tol_class)
-    split = float_split(*m)
-    scale, delta = criterion_terms(split.lambda1, split.q, *even)
-    return 2, split.q, delta, rank2_kind(delta, scale, tol_class)
+        k, _, rho, _, kind = growth_terms(*m, *values[:4], tol_class=tol_class)
+        return 1, k, rho, kind
+    split, _, delta, _, kind = float_criterion(m, values[:4], tol_class)
+    return 2, split.q, delta, kind
 
 
 class ProductStatus(Enum):

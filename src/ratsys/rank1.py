@@ -27,14 +27,14 @@ prepared once pays for none of that again.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import cycle, islice
 from typing import Iterator, NamedTuple
 
-from .classification import Classification, Kind, kind_from_sign
-from .core import (SMALLEST_NORMAL, PeriodicCoefficients, Tail, closed_point,
-                   closed_states, head, horizon, initial_state)
+from .classification import (Classification, Kind, float_decision,
+                             kind_from_sign, scaled_ratio, scaled_sum)
+from .core import (PeriodicCoefficients, Tail, closed_point, closed_states,
+                   head, horizon, initial_state)
 from .errors import BranchError, DomainError
 from .numeric import ArithmeticMode, Number, require_tolerance
 from .transfer import System, _prepare_rank, prepare
@@ -50,56 +50,42 @@ class Rank1Data(NamedTuple):
     rho: Number
 
 
-def row_ratio(
-    m11: Number, m12: Number, m21: Number, m22: Number, exact: bool = False
-) -> Number:
-    """Row ratio K = m21/m11 of a rank-1 matrix from its entries.
-
-    The same ratio from the second columns, m22/m12, is evaluated as a
-    consistency check: exactly equal in exact mode, within a relative
-    K_CONSISTENCY_EPS in float mode. Raises BranchError otherwise, and
-    DomainError where a float m11 or m12 underflowed to 0.
-    """
-    if not (m11 and m12):
-        raise DomainError("matrix entries underflow float range")
-    k = m21 / m11
-    k_check = m22 / m12
-    band = 0 if exact else K_CONSISTENCY_EPS * max(abs(k), abs(k_check))
-    if abs(k - k_check) > band:
-        raise BranchError(
-            f"rank-1 row ratios disagree beyond tolerance: {k} vs {k_check}"
-        )
-    return k
-
-
 def growth_terms(
     m11: Number, m12: Number, m21: Number, m22: Number,
     a0: Number, b0: Number, c0: Number, d0: Number,
-    exact: bool = False,
-) -> tuple[Number, Number, Number]:
-    """(K, mu, rho) from the entries of a rank-1 composed matrix and the
-    even coefficients, in the arithmetic of the inputs; row_ratio checks
-    K. Where the float product of the two row sums leaves the normal
-    float range, rho divides by them one at a time. A K below the normal
-    range keeps few bits, so there K*mu is formed as m21*(mu/m11)."""
-    k = row_ratio(m11, m12, m21, m22, exact)
+    exact: bool = False, tol_class: float = 0.0,
+) -> tuple[Number, Number, Number, float | None, Kind]:
+    """(K, mu, rho, log rho, kind) from the entries of a rank-1 composed
+    matrix and the even coefficients. K = m21/m11 must equal m22/m12,
+    exactly in exact mode, within a relative K_CONSISTENCY_EPS in float
+    mode, or BranchError says so; DomainError where a float entry is 0.
+    Exact mode takes plain arithmetic, float mode float_decision."""
+    if not (m11 and m12 and m21 and m22):
+        raise DomainError("matrix entries underflow float range")
+    k, k_check = m21 / m11, m22 / m12
+    if abs(k - k_check) > (0 if exact else K_CONSISTENCY_EPS * max(k, k_check)):
+        raise BranchError(
+            f"rank-1 row ratios disagree beyond tolerance: {k} vs {k_check}")
     mu = m11 + k * m12
-    k_mu = m21 * (mu / m11) if k < SMALLEST_NORMAL else k * mu
-    rows = (b0 + k * a0) * (d0 + k * c0)
-    if not exact and not SMALLEST_NORMAL <= rows < math.inf:
-        return k, mu, k_mu / (b0 + k * a0) / (d0 + k * c0)
-    return k, mu, k_mu / rows
+    r0, r1 = b0 + k * a0, d0 + k * c0
+    if exact:
+        rho = k * mu / (r0 * r1)
+        return k, mu, rho, None, kind_from_sign(rho - 1, 0, Kind.EXACT_TWO_PERIODIC)
+    rho, log_rho, kind = float_decision(1, k * mu, r0 * r1, (k, mu, r0, r1), tol_class,
+                                        _scaled_growth, m11, m12, m21, a0, b0, c0, d0)
+    return k, mu, rho, log_rho, kind
 
 
-def rank1_kind(rho: Number, tol_class: float) -> Kind:
-    """The rank-1 verdict from rho: two-periodic within tol_class of 1
-    (tol_class 0 for an exact rho), otherwise the side of 1 says which
-    parity vanishes. Raises DomainError for a nan rho, whose parts
-    passed float range."""
-    if rho != rho:
-        raise DomainError("the rank-1 ratio rho passes float range; "
-                          "exact mode decides its side of 1")
-    return kind_from_sign(rho - 1, tol_class, Kind.EXACT_TWO_PERIODIC)
+def _scaled_growth(m11, m12, m21, a0, b0, c0, d0):
+    """K = m21/m11, mu and the row sums b0 + K*a0, d0 + K*c0, scaled."""
+    t = scaled_ratio(m21, m11)
+    return t, *(scaled_sum(a, t, b) for a, b in ((m11, m12), (b0, a0), (d0, c0)))
+
+
+def _growth(system: System, tol_class: float = 0.0):
+    """growth_terms of a rank-1 System, in its mode."""
+    return growth_terms(*system.matrix.entries, *system.params.at(0),
+                        system.mode is ArithmeticMode.EXACT_RATIONAL, tol_class)
 
 
 def growth_and_ratio(
@@ -108,10 +94,7 @@ def growth_and_ratio(
     eps_rank: float = 1e-12,
 ) -> Rank1Data:
     """K, the two-step growth mu, and the orbit-space ratio rho."""
-    system = _prepare_rank(params, mode, eps_rank, 1)
-    return Rank1Data(*growth_terms(*system.matrix.entries,
-                                   *system.params.at(0),
-                                   mode is ArithmeticMode.EXACT_RATIONAL))
+    return Rank1Data(*_growth(_prepare_rank(params, mode, eps_rank, 1))[:3])
 
 
 def _float_terms(
@@ -119,24 +102,11 @@ def _float_terms(
 ) -> Iterator[tuple[tuple[float, ...], Tail | None]]:
     """The float hook of core.closed_states: term 0, then term 1 with
     the Tail that adds log rho per two-step on even indices and -log rho
-    on odd ones. K, mu and rho are computed on term 1, so a rank-2
-    System raises BranchError there. Where rho is not a normal float,
-    log rho is summed from the logs of K, mu and the row sums;
-    DomainError where one of those is not a normal float either."""
+    on odd ones. log rho comes from growth_terms on term 1, so a rank-2
+    System raises BranchError there."""
     (x0, y0), (x1, y1), (xe, ye), (xo, yo) = anchors
     yield (x0, x1, y0, y1), None
-    data = growth_and_ratio(system, system.mode, system.eps_rank)
-    if SMALLEST_NORMAL <= data.rho < math.inf:
-        even = math.log(data.rho)
-    else:
-        a0, b0, c0, d0 = system.params.at(0)
-        k, mu = data.k, data.mu
-        parts = (k, mu, b0 + k * a0, d0 + k * c0)
-        if not all(SMALLEST_NORMAL <= v < math.inf for v in parts):
-            raise DomainError("the rank-1 ratio rho and its parts pass "
-                              "float range")
-        log = math.log
-        even = log(k) + log(mu) - log(parts[2]) - log(parts[3])
+    even = _growth(_prepare_rank(system, system.mode, system.eps_rank, 1))[3]
     logs = (xe, xo, ye, yo)
     yield logs, Tail(1, logs, (even, -even, even, -even))
 
@@ -147,8 +117,7 @@ def _exact_ratios(
     """The ratios of core.closed_factors, exact: from index 2 on v = K*u,
     so x[n]*x[n+1] = u[n+1]/v[n] and y[n]*y[n+1] = v[n+1]/u[n] take two
     values in turn. K and mu are computed on the first one, at index 4."""
-    data = growth_and_ratio(system, system.mode, system.eps_rank)
-    k, mu = data.k, data.mu
+    k, mu = growth_and_ratio(system, system.mode, system.eps_rank)[:2]
     a0, b0, c0, d0 = system.params.at(0)
     ew, ow = b0 + k * a0, d0 + k * c0  # u[2m+1]/u[2m], v[2m+1]/u[2m]
     yield from cycle([(r.numerator, r.denominator, s.numerator, s.denominator)
@@ -213,7 +182,5 @@ def classify_rank1(
     a tol_class that is not finite and >= 0.
     """
     require_tolerance(tol_class, "tol_class")
-    data = growth_and_ratio(params, mode, eps_rank)
-    tol = 0 if mode is ArithmeticMode.EXACT_RATIONAL else tol_class
-    kind = rank1_kind(data.rho, tol)
-    return Classification(kind=kind, rank=1, witness=data)
+    k, mu, rho, _, kind = _growth(_prepare_rank(params, mode, eps_rank, 1), tol_class)
+    return Classification(kind=kind, rank=1, witness=Rank1Data(k, mu, rho))

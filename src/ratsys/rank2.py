@@ -38,7 +38,8 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator, NamedTuple
 
-from .classification import Classification, Kind, kind_from_sign
+from .classification import (Classification, Kind, float_decision,
+                             kind_from_sign, scaled_ratio, scaled_sum)
 from .core import (EPSILON, SMALLEST_NORMAL, PeriodicCoefficients, Tail,
                    closed_point, closed_states, head, horizon, initial_state,
                    over_one_denominator)
@@ -208,34 +209,36 @@ def eigenvalues(
     return _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)[:2]
 
 
-def criterion_terms(
-    l1: Number, q: Number, a0: Number, b0: Number, c0: Number, d0: Number,
-) -> tuple[Number, Number]:
-    """(scale, delta) from lambda1, the slope Q of the Split and the even
-    coefficients, in the arithmetic of the inputs: the positive
-    scale = (b0*Q + a0)*(d0*Q + c0) and delta = lambda1*Q - scale."""
-    scale = (b0 * q + a0) * (d0 * q + c0)
-    return scale, l1 * q - scale
+def float_criterion(
+    m: Quad, even: Quad, tol_class: float = 0.0, sign: int | None = None,
+) -> tuple[Split, float, float, float, Kind]:
+    """(Split, scale, delta, log g, kind) of a float matrix m and the even
+    coefficients: scale = (b0*Q + a0)*(d0*Q + c0), delta = lambda1*Q -
+    scale, decided by classification.float_decision, or by sign, delta's
+    exact sign, where given (0 makes delta 0.0). A delta that is not
+    finite is inf with the kind's sign, 0.0 on the boundary."""
+    split = float_split(*m)
+    a0, b0, c0, d0 = even
+    l1, q = split.lambda1, split.q
+    r0, r1 = b0 * q + a0, d0 * q + c0
+    top, scale = l1 * q, r0 * r1
+    delta = top - scale
+    _, log_g, kind = float_decision(2, top, scale, (l1, q, r0, r1), tol_class,
+                                    _scaled_criterion, split, m, *even)
+    if sign is not None:
+        kind = kind_from_sign(sign, 0, Kind.CONVERGES_TO_TWO_PERIODIC)
+        delta = delta if sign else 0.0
+    if not -math.inf < delta < math.inf:
+        delta = {Kind.BLOW_EVEN_VANISH_ODD: math.inf,
+                 Kind.VANISH_EVEN_BLOW_ODD: -math.inf}.get(kind, 0.0)
+    return split, scale, delta, log_g, kind
 
 
-def rank2_kind(delta: Number, scale: Number, tol_class: float) -> Kind:
-    """The rank-2 verdict from delta: convergent within tol_class times
-    the positive scale of zero (tol_class 0 for an exact delta),
-    otherwise the sign says which parity vanishes. Raises DomainError
-    where a float scale is inf, so that delta is -inf or nan and its
-    sign against the scale is lost."""
-    if scale == math.inf or delta != delta:
-        raise DomainError("the rank-2 criterion passes float range; "
-                          "exact mode decides its sign")
-    return kind_from_sign(delta, tol_class * scale,
-                          Kind.CONVERGES_TO_TWO_PERIODIC)
-
-
-def _criterion(system: System) -> tuple[Split, Number, Number]:
-    """(Split, scale, delta) of a rank-2 System, in the System's
-    arithmetic; see criterion_terms."""
-    split = _roots(system.matrix, system.mode is ArithmeticMode.EXACT_RATIONAL)
-    return (split, *criterion_terms(split.lambda1, split.q, *system.params.at(0)))
+def _scaled_criterion(split, m, a0, b0, c0, d0):
+    """lambda1, Q from the larger lead and the row sums of g, scaled."""
+    lead1, lead2 = split.lead1, split.lead2
+    t = scaled_ratio(m[1], lead1) if lead1 >= -lead2 else scaled_ratio(-lead2, m[2])
+    return math.frexp(split.lambda1), t, scaled_sum(a0, t, b0), scaled_sum(c0, t, d0)
 
 
 def spectral_constants(
@@ -443,7 +446,7 @@ def _settle(
                 return
             yield (x_e, x_o, y_e, y_o), None
             pxe, pxo, pye, pyo = factors
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, ValueError):
         raise DomainError("the closed form's ratio factors pass float "
                           "range") from None
 
@@ -532,12 +535,16 @@ def criterion_delta(
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> Number:
-    """The trichotomy quantity lambda1*Q - (b0*Q + a0)*(d0*Q + c0).
+    """The trichotomy quantity lambda1*Q - (b0*Q + a0)*(d0*Q + c0), in
+    the arithmetic of the mode.
 
     Depends only on coefficients. Exact mode needs a rational eigenvalue
     gap; delta_sign_exact decides the sign without that restriction.
     """
-    return _criterion(_prepare_rank(params, mode, eps_rank, 2))[2]
+    system = _prepare_rank(params, mode, eps_rank, 2)
+    l1, _, q = _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)[:3]
+    a0, b0, c0, d0 = system.params.at(0)
+    return l1 * q - (b0 * q + a0) * (d0 * q + c0)
 
 
 def delta_sign_exact(
@@ -578,33 +585,19 @@ def classify_rank2(
     tol_class: float = 1e-9,
     eps_rank: float = 1e-12,
 ) -> Classification:
-    """Trichotomy by the sign of delta_crit.
-
-    Float mode calls the case convergent when |delta_crit| is within
-    tol_class times the positive scale (b0*Q + a0)*(d0*Q + c0). Exact
-    mode decides the sign exactly. The witness always reports float
-    approximations, from the float coefficients through composed_entries,
-    float_split and criterion_terms; in exact mode its delta is 0.0 where
-    the sign is 0, and inf with the sign where the float delta is not
-    finite. Raises DomainError for a tol_class that is not finite and
-    >= 0.
+    """Trichotomy by the sign of delta_crit: float mode by float_criterion,
+    exact mode by delta_sign_exact. The witness always holds the float
+    values float_criterion forms from the float coefficients. Raises
+    DomainError for a tol_class that is not finite and >= 0.
     """
     require_tolerance(tol_class, "tol_class")
     system = _prepare_rank(params, mode, eps_rank, 2)
     wp = system.params.as_floats()
-    split = float_split(*composed_entries(*wp))
-    scale, delta = criterion_terms(split.lambda1, split.q, *wp.at(0))
-    if mode is ArithmeticMode.EXACT_RATIONAL:
-        sign = delta_sign_exact(system, eps_rank)
-        kind = kind_from_sign(sign, 0, Kind.CONVERGES_TO_TWO_PERIODIC)
-        if sign == 0:
-            delta = 0.0
-        elif not math.isfinite(delta):
-            delta = math.copysign(math.inf, sign)
-    else:
-        kind = rank2_kind(delta, scale, tol_class)
-    witness = Rank2Witness(lambda1=split.lambda1, lambda2=split.lambda2,
-                           q=split.q, delta=delta, scale=scale)
+    sign = (delta_sign_exact(system, eps_rank)
+            if mode is ArithmeticMode.EXACT_RATIONAL else None)
+    split, scale, delta, _, kind = float_criterion(
+        composed_entries(*wp), wp.at(0), tol_class, sign)
+    witness = Rank2Witness(*split[:3], delta, scale)
     return Classification(kind=kind, rank=2, witness=witness)
 
 
@@ -626,8 +619,8 @@ def limit_cycle(
     > 0, a tol_class that is not finite and >= 0, or a max_terms below
     1, and BranchError when the coefficients are not in the convergent
     case. Raises ConvergenceError if the first max_terms terms do not
-    settle, or at once where the limit of the factors,
-    |log1p(delta/scale)|, is above the rounding of delta and alone fails
+    settle, or at once where the limit of the factors, |log g| of
+    float_criterion, is above the rounding of delta and alone fails
     the settle's tolerance. Raises DomainError when the cycle from this
     start lies outside float range.
     """
@@ -635,19 +628,18 @@ def limit_cycle(
     require_tolerance(max_terms, "max_terms", positive=True)
     require_tolerance(tol_class, "tol_class")
     system = _prepare_rank(params, ArithmeticMode.FLOAT64, eps_rank, 2)
-    split, scale, delta = _criterion(system)
-    kind = rank2_kind(delta, scale, tol_class)
+    wp = system.params
+    split, _, _, log_g, kind = float_criterion(system.matrix, wp.at(0), tol_class)
     if kind is not Kind.CONVERGES_TO_TWO_PERIODIC:
         raise BranchError(
             f"limit cycle exists only in the convergent case, "
             f"classification is {kind.value}"
         )
-    wp = system.params
     start = initial_state(init, ArithmeticMode.FLOAT64)
     anchors = head(wp, start, ArithmeticMode.FLOAT64)[1]
     factor_tol = tol / max(1.0, _rate(split)[1])
-    # every log factor tends to +-log1p(delta/scale), the least change
-    drift = abs(math.log1p(delta / scale))
+    # every log factor tends to +-log g, the least change
+    drift = abs(log_g)
     if drift > _ROUNDING and drift >= factor_tol:
         raise ConvergenceError(0, f"cycle products drift by {drift:.3g} "
                                   f"per term and cannot meet tol={tol}")

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import Orbit, PeriodicCoefficients
+from .core import SMALLEST_NORMAL, Orbit, PeriodicCoefficients
 from .errors import BranchError, DomainError
 from .numeric import (ArithmeticMode, Number, is_exact, number_log,
                       require_tolerance, saturating_exp)
@@ -120,18 +120,20 @@ def uv_from_orbit(orbit: Orbit) -> list[UVPoint]:
 def float_rank(
     m11: float, m12: float, m21: float, m22: float, eps: float = 1e-12
 ) -> int:
-    """Rank of a positive 2x2 float matrix from its entries.
-
-    The matrix counts as singular when |det| <= eps times the magnitude
-    of the products that formed it, which keeps the test meaningful
-    across scales. Raises DomainError when the determinant is not
-    finite.
-    """
-    det = m11 * m22 - m12 * m21
-    scale = abs(m11 * m22) + abs(m12 * m21)
-    if not math.isfinite(det):
-        raise DomainError("matrix entries overflow float range")
-    return 1 if abs(det) <= eps * scale else 2
+    """Rank of a positive 2x2 float matrix: 1 where |det| <= eps times
+    m11*m22 + m12*m21. Where a product is not a normal float, both are
+    mantissa products at the larger binary exponent. Raises DomainError
+    where an entry is inf."""
+    p, s = m11 * m22, m12 * m21
+    if not (SMALLEST_NORMAL <= p < math.inf and SMALLEST_NORMAL <= s < math.inf):
+        if max(m11, m12, m21, m22) == math.inf:
+            raise DomainError("matrix entries overflow float range")
+        (f11, e11), (f12, e12), (f21, e21), (f22, e22) = map(
+            math.frexp, (m11, m12, m21, m22))
+        fp, ep, fs, es = f11 * f22, e11 + e22, f12 * f21, e12 + e21
+        top = max(ep if fp else es, es if fs else ep)
+        p, s = math.ldexp(fp, ep - top), math.ldexp(fs, es - top)
+    return 1 if abs(p - s) <= eps * (p + s) else 2
 
 
 def rank_decision(matrix: TransferMatrix, eps: float = 1e-12) -> int:

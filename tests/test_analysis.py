@@ -146,13 +146,13 @@ def test_compare_rejects_negative_horizon():
 
 def test_rank1_compare_computes_the_constants_once(monkeypatch):
     calls = []
-    original = ratsys.rank1.growth_and_ratio
+    original = ratsys.rank1.growth_terms
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ratsys.rank1, "growth_and_ratio", counting)
+    monkeypatch.setattr(ratsys.rank1, "growth_terms", counting)
     report = compare(RANK1_BOUNDARY.as_floats(), (1.0, 2.0), 1000)
     assert report.first_divergence_index is None
     assert len(calls) == 1  # once per call, not once per index

@@ -21,6 +21,7 @@ from ratsys import (
     ArithmeticMode,
     BitGrowthError,
     PeriodicCoefficients,
+    classify,
     closed_form_states,
     compare,
     prepare,
@@ -168,22 +169,58 @@ Q_PAST_RANGE = ("1.8862509368576556e+120,1.0531374290508011e-93,2.42675041728494
                 "6.159043847547952e-190,8.338723020098333e-160")
 
 
-def test_a_criterion_past_float_range_is_refused():
-    """scale = inf and delta = nan: float mode cannot tell the sign, so
-    classify and sweep exit 3; exact mode decides it, and prints delta
-    as inf with that sign."""
-    code, out, err = run(["classify", *coeff_flags(NAN_DELTA)])
-    assert (code, out) == (3, "") and "criterion passes float range" in err
-    code, out, _ = run(["sweep", *coeff_flags(NAN_DELTA), "--axis1", "a0:1e20:2e20:2"])
-    assert (code, out) == (3, "")
-    code, out, _ = run(["classify", *coeff_flags(NAN_DELTA), "--mode", "exact"])
-    assert code == 0 and "kind: VanishEvenBlowOdd" in out
-    # the witness's delta takes the exact sign where the float one is nan
-    assert "delta: -inf\n" in out and "nan" not in out
-    code, out, _ = run(["classify", *coeff_flags(NAN_DELTA), "--mode", "exact",
-                        "--format", "json"])
-    witness = json.loads(out)["witness"]
-    assert code == 0 and (witness["delta"], witness["scale"]) == ("-inf", "inf")
+def test_a_criterion_past_float_range_is_decided():
+    """scale = inf and lambda1*Q = inf: g = 1 + delta/scale comes from the
+    scaled parts, so classify and sweep give the exact verdict, and the
+    witness's delta, inf - inf in floats, is inf with the verdict's sign
+    in both modes."""
+    for mode in ("float", "exact"):
+        code, out, _ = run(["classify", *coeff_flags(NAN_DELTA), "--mode", mode])
+        assert code == 0 and "kind: VanishEvenBlowOdd" in out
+        assert "delta: -inf\n" in out and "nan" not in out
+        code, out, _ = run(["classify", *coeff_flags(NAN_DELTA), "--mode", mode,
+                            "--format", "json"])
+        witness = json.loads(out)["witness"]
+        assert code == 0 and (witness["delta"], witness["scale"]) == ("-inf", "inf")
+    assert exact_kind(NAN_DELTA) == "VanishEvenBlowOdd"
+    code, out, _ = run(["sweep", *coeff_flags(NAN_DELTA), "--axis1", "a0:1e20:2e20:2",
+                        "--format", "csv"])
+    assert code == 0
+    assert [row.split(",")[-2:] for row in out.splitlines()[1:]] == [
+        ["-inf", "VanishEvenBlowOdd"]] * 2
+
+
+def exact_kind(values: str) -> str:
+    """The verdict of the floats' binary values, decided exactly."""
+    params = PeriodicCoefficients(*(Fraction(float(v)) for v in values.split(",")))
+    return classify(params, EXACT, attach_cycle=False).kind.value
+
+
+@pytest.mark.parametrize("values", [
+    # rank 1, rho = 1/5: K*mu overflows, so rho was inf
+    "1,1,1,1,0.1,0.1,1,1e200",
+    # rank 1: K*mu and the row sums pass float range, so rho was nan
+    "5.505951615067215e+33,8.444703987751623e-31,1.3680198956123016e-128,"
+    "4.356670961292381e-123,7.5484771109797425e-177,1.8045750388235344e-167,"
+    "3.966852175544471e-31,1.8995737942945712e+117",
+    # rank 1: K*mu overflows while rho is 4e20
+    "2.424118589965616e+116,5.9056790386351304e-95,7.265021296637259e-73,"
+    "5.6033044998093446e-142,3.788575770116737e-149,1.1467230308473386e-177,"
+    "4.798678700831158e-94,31691229048088.504",
+    # rank 2: Q = m12/lead1 underflows
+    "1.2064226107492176e-184,6.775375122081661e-24,5.849871031286832e-104,"
+    "1.6765340783020918e-14,1.393502811484423e-184,2.3746505435525196e-121,"
+    "1.3248081026535818e+150,9.311540546856632e+78",
+    # rank 2: m11 underflows to 0 and m12*m21 with it, so the unscaled
+    # rank test said rank 1
+    "9.546851187450316e-101,8.06586513598597e-188,1.0627907539068409e-108,"
+    "8.979219137776095e-196,3.441451570415161e-158,3.4272255020168205e-172,"
+    "3.4934214851281973e-113,2.109367673554793e-70",
+])
+def test_a_float_verdict_past_float_range_is_the_exact_one(values):
+    code, out, err = run(["classify", *coeff_flags(values)])
+    assert (code, err) == (0, "") and "nan" not in out
+    assert f"kind: {exact_kind(values)}\n" in out
 
 
 def tail_logs(params, n):
@@ -194,8 +231,8 @@ def tail_logs(params, n):
 
 
 def test_rank1_rho_past_float_range_follows_the_orbit():
-    """The row sums multiply past float range: rho divides by them one at
-    a time, and the closed form matches the 34-digit iteration."""
+    """The row sums multiply past float range: rho comes from the scaled
+    parts, and the closed form matches the 34-digit iteration."""
     code, out, err = run(["closed", *coeff_flags(RHO_PAST_RANGE), "-n", "200"])
     assert (code, err) == (0, "")
     code, out, _ = run(["classify", *coeff_flags(RHO_PAST_RANGE)])
@@ -230,16 +267,17 @@ def test_rank1_rho_below_float_range_comes_from_its_parts():
                "3.1663414406320188e-105,7.063927230307528e-170,5.436400127992731e-83,"
                "1.9185833631226532e+141,2.2199490945138656e+68",
      "ratio factors pass float range"),
-    # m11 underflows to 0, so K = m21/m11 has no float value
-    ("classify", "9.546851187450316e-101,8.06586513598597e-188,1.0627907539068409e-108,"
-                 "8.979219137776095e-196,3.441451570415161e-158,3.4272255020168205e-172,"
-                 "3.4934214851281973e-113,2.109367673554793e-70",
+    # m21 and m22 underflow to 0, so the float matrix has rank 1 and
+    # K = 0, while the exact one has rank 2
+    ("classify", "1.3727757083400228e-197,2.643635880662209e-194,9.459155769199622e-244,"
+                 "4.5316491610244154e-188,6.381221922900184e+228,3.7933092247282836e-240,"
+                 "5.498370682444654e-212,6.68941535970682e-187",
      "matrix entries underflow float range"),
-    # K*mu and the row sums pass float range, so rho = nan
-    ("classify", "5.505951615067215e+33,8.444703987751623e-31,1.3680198956123016e-128,"
-                 "4.356670961292381e-123,7.5484771109797425e-177,1.8045750388235344e-167,"
-                 "3.966852175544471e-31,1.8995737942945712e+117",
-     "rank-1 ratio rho passes float range"),
+    # a factor's part underflows to 0, whose log has no value
+    ("closed", "1.3927239511577423e-18,35220714420.397804,1.5017770366801362e-237,"
+               "2.2172025226031573e+86,3.01602987237776e+127,2.420255621030475e-15,"
+               "4.672633175410835e+50,1.2884337948567129e+245",
+     "ratio factors pass float range"),
     # a factor's p = lambda1*u[2k]/v[2k-2] underflows to 0
     ("closed", "6.487994248597522e+136,5.08202864086445e+120,4.1392046030408377e-140,"
                "1.76037428299502e+187,2.7744989398763455e-71,1.4019091769622886e-222,"

@@ -4,14 +4,16 @@ bit, and grids with a bad cell fail as they always have."""
 import contextlib
 import csv
 import io
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratsys import PeriodicCoefficients, classify
+from ratsys import ArithmeticMode, PeriodicCoefficients, classify
 from ratsys.cli import main
 from ratsys.core import COEFF_NAMES
 
+EXACT = ArithmeticMode.EXACT_RATIONAL
 values = st.floats(min_value=0.1, max_value=10.0)
 # delta changes sign at b1 = 1
 BALANCED = [1.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 1.0]
@@ -116,8 +118,10 @@ BASE = ["--a0", "2", "--b0", "1", "--c0", "4", "--d0", "3",
     # both swept values are bad: the first in coefficient order is named
     (["--axis1", "d1:-1:2:4", "--axis2", "c1:-1:1:3"],
      "coefficient c1 must be positive, got -1.0"),
-    (["--axis1", "a0:1e300:1e308:5"], "matrix entries overflow float range"),
-    (["--axis1", "a0:1e150:1e160:5", "--axis2", "d0:1e150:1e160:3"],
+    # at a0 = 1e308, m12 = a0*b1 + a1*c0 is inf
+    (["--axis1", "a0:1e300:1e308:2"], "matrix entries overflow float range"),
+    # at b1 = 5e159, m12 is inf
+    (["--axis1", "a0:1e150:1e160:5", "--axis2", "b1:1e150:1e160:3"],
      "matrix entries overflow float range"),
     (["--axis1", "d1:0.5:2:9", "--eps-rank", "1e300"],
      "rank-1 row ratios disagree beyond tolerance: 1.9 vs 1.625"),
@@ -130,6 +134,21 @@ def test_error_grids_keep_their_exit_code_and_message(extra, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_a_grid_of_products_past_float_range_gets_the_exact_verdicts(capsys):
+    """m11*m22 and m12*m21 overflow on every cell, while every entry is
+    finite: each cell is decided, as the floats' binary values decide it
+    exactly."""
+    assert main(["sweep", *BASE, "--axis1", "a0:1e150:1e160:5",
+                 "--axis2", "d0:1e150:1e160:3", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert len(rows) == 15
+    cell = [float(v) for v in BASE[1::2]]
+    for a0, d0, *_, kind in rows:
+        cell[0], cell[3] = float(a0), float(d0)
+        exact = PeriodicCoefficients(*map(Fraction, cell))
+        assert kind == classify(exact, EXACT, attach_cycle=False).kind.value
 
 
 def test_a_bad_base_fails_even_where_it_is_swept(capsys):
