@@ -36,9 +36,9 @@ def closed_form_states(
     """Closed-form states n = 0, 1, 2, ... from the rank's branch, lazily.
 
     The coefficients are prepared and the start checked on the call. An
-    error tied to an index, such as the DomainError of an exact rank-2
-    set with an irrational eigenvalue gap at index 1, is raised when the
-    iterator reaches it. Float values saturate to inf or 0.0.
+    error tied to an index, such as the BitGrowthError of an exact state
+    past the bit cap, is raised when the iterator reaches it. Float
+    values saturate to inf or 0.0.
     """
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)

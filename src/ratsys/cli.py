@@ -355,8 +355,14 @@ def _parse_axis(raw: str, parser):
         parser.error(f"axis {raw!r}: {exc}")
     if steps < 1:
         parser.error(f"axis {raw!r} needs steps >= 1")
-    # cell 0 is lo itself: lo + 0*(hi - lo) is nan where an endpoint is inf
-    values = [lo] + [lo + i * (hi - lo) / (steps - 1) for i in range(1, steps)]
+    # cell 0 is lo itself: lo + 0*(hi - lo) is nan where an endpoint is
+    # inf. Where i*(hi - lo) overflows, i/(steps - 1) is taken first, so
+    # that cells between finite endpoints stay finite.
+    span, values = hi - lo, [lo]
+    for i in range(1, steps):
+        part = i * span
+        values.append(lo + (part / (steps - 1) if abs(part) < math.inf
+                            else span * (i / (steps - 1))))
     return (name, values)
 
 

@@ -307,10 +307,16 @@ _EXACT_DECIMAL = decimal.Context(
 )
 
 
-def horizon(n: int, name: str = "n_max") -> None:
-    """Raise DomainError for a negative index or horizon n."""
-    if n < 0:
-        raise DomainError(f"{name} must be >= 0, got {n}")
+def horizon(n: int, name: str = "n_max", least: int = 0, bound: str = "") -> None:
+    """The one check of an integer argument, an index, horizon or count:
+    DomainError unless n is an int (a bool is not one) >= least, saying
+    "<name> must be >= <least>, got <n>" of an int below it and "must be
+    an int >= <least>" of anything else; bound, where given, is said in
+    place of either."""
+    whole = isinstance(n, int) and not isinstance(n, bool)
+    if not (whole and n >= least):
+        bound = bound or (">= " if whole else "an int >= ") + str(least)
+        raise DomainError(f"{name} must be {bound}, got {n!r}")
 
 
 def exact_orbit_text(

@@ -99,20 +99,6 @@ def saturating_exp(x: float) -> float:
         return math.inf
 
 
-def exact_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a positive rational, or None.
-
-    Returns a Fraction r with r*r == value when one exists; otherwise the
-    root is irrational and None is returned.
-    """
-    num, den = value.numerator, value.denominator
-    rn = math.isqrt(num)
-    rd = math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 def _decimal(value: int) -> str:
     """Decimal digits of an int of any size. str() refuses ints past the
     interpreter's digit limit (4300 digits by default, a process-wide

@@ -44,7 +44,7 @@ from .core import (EPSILON, SMALLEST_NORMAL, PeriodicCoefficients, Tail,
                    closed_point, closed_states, head, horizon, initial_state,
                    over_one_denominator)
 from .errors import BranchError, ConvergenceError, DomainError
-from .numeric import (ArithmeticMode, Number, exact_sqrt, require_tolerance,
+from .numeric import (ArithmeticMode, Number, require_tolerance,
                       saturating_exp)
 from .transfer import (System, TransferMatrix, _prepare_rank, composed_entries,
                        prepare)
@@ -173,23 +173,28 @@ def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
     return Split(l1, l2, -lead / m21, other, lead, -lead / m12, m21 / lead, 2 * h)
 
 
+def _integer_spectrum(m: TransferMatrix) -> tuple[int, int, int, int]:
+    """(L, T, N, M) of an exact matrix written over one denominator L as
+    [[A, B], [G, E]]/L: T = A + E, N = (A - E)**2 + 4*B*G and
+    M = A*E - B*G, so that its eigenvalues are (T +- sqrt(N))/(2*L)."""
+    l, a, b, g, e = over_one_denominator(m)
+    return l, a + e, (a - e) ** 2 + 4 * b * g, a * e - b * g
+
+
 def _roots(m: TransferMatrix, exact: bool) -> Split:
-    """The Split of a positive 2x2 matrix: exact rationals by plain
-    subtraction, or float_split in float mode."""
+    """The Split of a positive 2x2 matrix: exact rationals from the
+    isqrt of N of _integer_spectrum, or float_split in float mode."""
     if not exact:
         return float_split(*m.entries)
-    alpha, beta, gamma, delta = m.entries
-    disc = (alpha - delta) ** 2 + 4 * beta * gamma
-    root = exact_sqrt(Fraction(disc))
-    if root is None:
+    alpha, beta, gamma, _ = m.entries
+    l, t, n, _ = _integer_spectrum(m)
+    root = math.isqrt(n)
+    if root * root != n:
         raise DomainError(
-            f"discriminant {disc} has no rational square root; "
-            "exact spectral evaluation is unavailable for these "
-            "coefficients, use float mode"
-        )
-    trace = alpha + delta
-    half = Fraction(1, 2)
-    l1, l2 = (trace + root) * half, (trace - root) * half
+            f"discriminant {Fraction(n, l * l)} has no rational square root; "
+            "exact spectral evaluation is unavailable for these coefficients, "
+            "use float mode")
+    l1, l2 = Fraction(t + root, 2 * l), Fraction(t - root, 2 * l)
     lead1, lead2 = l1 - alpha, l2 - alpha
     return Split(l1, l2, beta / lead1, lead1, lead2,
                  gamma / lead1, gamma / lead2, l1 - l2)
@@ -271,31 +276,41 @@ def _exact_ratios(
     system: System, start: tuple[Fraction, Fraction]
 ) -> Iterator[tuple[int, int, int, int]]:
     """The ratios of core.closed_factors, exact: x[n]*x[n+1] = u[n+1]/v[n]
-    and y[n]*y[n+1] = v[n+1]/u[n] from n = 3 on, from the eigenvalue
-    powers as ints; the spectral constants are computed on the call.
-    With lambda_i = e_i/q and c_i = C_i/C over common denominators, and
-    a0 = A/D, b0 = B/D, c0 = E/D, d0 = G/D, the ints
-    U_k = C1*e1**k - C2*e2**k, V_k = C3*e1**k - C4*e2**k,
-    W_k = B*U_k + A*V_k and Z_k = G*U_k + E*V_k are u[2k], v[2k],
-    u[2k+1] and v[2k+1] times C*q**k, the last two times D too. So
-    n = 2k + 1 takes D*U_{k+1}/(q*Z_k) and D*V_{k+1}/(q*W_k), and n = 2k
-    takes W_k/(D*V_k) and Z_k/(D*U_k).
+    and y[n]*y[n+1] = v[n+1]/u[n] from n = 3 on, as ints, rational
+    eigenvalues or not. With (L, T, N, M) of _integer_spectrum and theta
+    = (T + sqrt(N))/2 = L*lambda1, a root of theta**2 = T*theta - M:
+    c2 = -conj(c1) and, as sqrt(N) = 2*theta - T, 2*N*c1 = N*u0 - T*s1 +
+    2*s1*theta with s1 = L*(2*beta*v0 + (alpha - delta)*u0); likewise c3,
+    c4 and s3. So u[2k], v[2k] are twice the rational parts of
+    c1*theta**k, c3*theta**k over L**k. Over one denominator C and
+    divided by their gcd, c1 and c3 are x + y*theta, which theta maps to
+    -M*y + (x + T*y)*theta; U_k = 2*x + T*y of c1 and V_k of c3 are u[2k]
+    and v[2k] times C*L**k. With a0 = a/D, b0 = b/D, c0 = c/D, d0 = d/D,
+    W_k = b*U_k + a*V_k and Z_k = d*U_k + c*V_k are u[2k+1] and v[2k+1]
+    times C*L**k*D. So n = 2k takes W_k/(D*V_k) and Z_k/(D*U_k), and
+    n = 2k + 1 takes D*U_{k+1}/(L*Z_k) and D*V_{k+1}/(L*W_k).
     """
-    sd = spectral_constants(system, start, system.mode, system.eps_rank)
-    q, e1, e2 = over_one_denominator((sd.lambda1, sd.lambda2))
-    _, k1, k2, k3, k4 = over_one_denominator((sd.c1, sd.c2, sd.c3, sd.c4))
+    l, t, n, det = _integer_spectrum(system.matrix)
+    alpha, beta, gamma, delta = system.matrix
+    u0, v0 = start
+    s1 = l * (2 * beta * v0 + (alpha - delta) * u0)
+    s3 = l * (2 * gamma * u0 + (delta - alpha) * v0)
+    _, *parts = over_one_denominator(
+        (n * u0 - t * s1, 2 * s1, n * v0 - t * s3, 2 * s3))
+    common = math.gcd(*parts)
     den, ca, cb, cc, cd = over_one_denominator(system.params.at(0))
 
-    def ratios(pw1, pw2):
-        u, v = k1 * pw1 - k2 * pw2, k3 * pw1 - k4 * pw2
-        w, z = cb * u + ca * v, cd * u + cc * v
+    def ratios(x1, y1, x3, y3):
+        u, v = 2 * x1 + t * y1, 2 * x3 + t * y3
+        du, dv = den * u, den * v
         while True:
-            pw1, pw2 = pw1 * e1, pw2 * e2
-            u, v = den * (k1 * pw1 - k2 * pw2), den * (k3 * pw1 - k4 * pw2)
-            yield u, q * z, v, q * w
-            w, z = (cb * u + ca * v) // den, (cd * u + cc * v) // den
-            yield w, v, z, u
-    return ratios(e1, e2)
+            w, z = cb * u + ca * v, cd * u + cc * v
+            yield w, dv, z, du
+            x1, y1, x3, y3 = -det * y1, u - x1, -det * y3, v - x3
+            u, v = 2 * x1 + t * y1, 2 * x3 + t * y3
+            du, dv = den * u, den * v
+            yield du, l * z, dv, l * w
+    return islice(ratios(*(p // common for p in parts)), 3, None)
 
 
 def _scaled(start: tuple[float, float]) -> tuple[float, float]:
@@ -497,8 +512,7 @@ def rank2_solution_sequence(
     _settle up to the settle term k of _float_terms and takes the
     core.Tail after it; values beyond float range saturate to inf or
     0.0. The spectral constants are computed on reaching index 1, so a
-    rank-1 System raises BranchError there, and an exact one with an
-    irrational eigenvalue gap DomainError.
+    rank-1 System raises BranchError there.
     """
     horizon(n_max)
     system = prepare(params, mode, eps_rank)
@@ -616,16 +630,16 @@ def limit_cycle(
     r = |lambda2/lambda1|, so the settle runs at tol over r/(1 - r)
     where that is above 1; where r rounds to 1 it ends on factors that
     repeat exactly. Raises DomainError for a tol that is not finite and
-    > 0, a tol_class that is not finite and >= 0, or a max_terms below
-    1, and BranchError when the coefficients are not in the convergent
-    case. Raises ConvergenceError if the first max_terms terms do not
-    settle, or at once where the limit of the factors, |log g| of
-    float_criterion, is above the rounding of delta and alone fails
-    the settle's tolerance. Raises DomainError when the cycle from this
+    > 0, a tol_class that is not finite and >= 0, or a max_terms that is
+    not an int >= 1, and BranchError when the coefficients are not in the
+    convergent case. Raises ConvergenceError if the first max_terms terms
+    do not settle, or at once where the limit of the factors, |log g| of
+    float_criterion, is above the rounding of delta and alone fails the
+    settle's tolerance. Raises DomainError when the cycle from this
     start lies outside float range.
     """
     require_tolerance(tol, "tol", positive=True)
-    require_tolerance(max_terms, "max_terms", positive=True)
+    horizon(max_terms, "max_terms", 1, "finite and an int >= 1")
     require_tolerance(tol_class, "tol_class")
     system = _prepare_rank(params, ArithmeticMode.FLOAT64, eps_rank, 2)
     wp = system.params

@@ -174,7 +174,7 @@ BAD_VALUES = {
     "tol_class": (-1.0, math.nan, math.inf),
     "cycle_tol": (0.0, -1.0, math.nan, math.inf),
     "tol": (0.0, -1.0, math.nan, math.inf),
-    "max_terms": (0, -1),
+    "max_terms": (0, -1, 1.5),
     "divergence_threshold": (-1.0, math.nan, math.inf),
 }
 ENTRY_POINTS = {

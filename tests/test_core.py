@@ -1,6 +1,7 @@
 """Direct iteration: parameter validation, stepping, orbits, log orbits."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -208,14 +209,15 @@ def test_log_simulate_stays_on_the_oracle_far_past_float_range(coeffs):
 
 
 HORIZON_ENTRY_POINTS = {
-    "simulate": lambda: simulate(RANK2_GENERIC, (1, 1), -1),
-    "log_simulate": lambda: log_simulate(RANK2_GENERIC, (1, 1), -1),
-    "closed_form_sequence": lambda: closed_form_sequence(RANK2_GENERIC, (1, 1), -1),
-    "rank1_solution": lambda: rank1_solution(RANK1_GROWTH, (1, 1), -1),
-    "rank2_solution": lambda: rank2_solution(RANK2_GENERIC, (1, 1), -1),
+    "simulate": lambda n: simulate(RANK2_GENERIC, (1, 1), n),
+    "log_simulate": lambda n: log_simulate(RANK2_GENERIC, (1, 1), n),
+    "closed_form_sequence": lambda n: closed_form_sequence(RANK2_GENERIC, (1, 1), n),
+    "compare": lambda n: compare(RANK2_GENERIC, (1, 1), n),
+    "rank1_solution": lambda n: rank1_solution(RANK1_GROWTH, (1, 1), n),
+    "rank2_solution": lambda n: rank2_solution(RANK2_GENERIC, (1, 1), n),
     "rank2_solution_sequence":
-        lambda: rank2_solution_sequence(RANK2_GENERIC, (1, 1), -1),
-    "cli": lambda: main(["closed", "--all-ones", "-n", "-1"]),
+        lambda n: rank2_solution_sequence(RANK2_GENERIC, (1, 1), n),
+    "cli": lambda n: main(["closed", "--all-ones", "-n", str(n)]),
 }
 
 
@@ -223,12 +225,24 @@ HORIZON_ENTRY_POINTS = {
 def test_every_horizon_check_rejects_a_negative_horizon(entry, capsys):
     if entry == "cli":
         with pytest.raises(SystemExit) as exc:
-            HORIZON_ENTRY_POINTS[entry]()
+            HORIZON_ENTRY_POINTS[entry](-1)
         assert exc.value.code == 2
         assert "n must be >= 0, got -1" in capsys.readouterr().err
     else:
         with pytest.raises(DomainError, match=r"must be >= 0, got -1$"):
-            HORIZON_ENTRY_POINTS[entry]()
+            HORIZON_ENTRY_POINTS[entry](-1)
+
+
+@pytest.mark.parametrize("entry", sorted(set(HORIZON_ENTRY_POINTS) - {"cli"}))
+@pytest.mark.parametrize("value", [2.5, 3.0, 1e3, True, Fraction(2)])
+def test_every_horizon_check_rejects_what_is_not_an_int(entry, value):
+    """A float, a bool or a Fraction is refused with DomainError, not left
+    to end in TypeError or ValueError or, for True, in a one-step orbit.
+    The CLI parses -n as an int."""
+    message = f"must be an int >= 0, got {re.escape(repr(value))}$"
+    with pytest.raises(DomainError, match=message):
+        HORIZON_ENTRY_POINTS[entry](value)
+    HORIZON_ENTRY_POINTS[entry](2)
 
 
 # Every entry point that takes a start, as (init, n) -> result;

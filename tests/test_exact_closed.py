@@ -6,7 +6,6 @@ split or closed form leaves float range."""
 import contextlib
 import io
 import json
-import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -49,14 +48,12 @@ def fraction_orbit(params, start, n_max):
     return states
 
 
-def square_disc_set(rng):
-    """A rank-2 integer set in 1..6 whose composed matrix has a
-    perfect-square discriminant, by rejection sampling."""
+def rank2_set(rng):
+    """A rank-2 integer set in 1..6, by rejection sampling; its
+    eigenvalues are irrational unless the discriminant is a square."""
     while True:
         p = PeriodicCoefficients(*(Fraction(rng.randint(1, 6)) for _ in range(8)))
-        m = prepare(p, EXACT).matrix
-        disc = (m.m11 - m.m22) ** 2 + 4 * m.m12 * m.m21
-        if m.det() != 0 and math.isqrt(int(disc)) ** 2 == disc:
+        if prepare(p, EXACT).rank == 2:
             return p
 
 
@@ -69,9 +66,9 @@ def rank1_set(rng):
 
 @st.composite
 def exact_cases(draw):
-    """(coefficients, start, rank): a square-discriminant set seen through
-    x -> s*x, y -> r*y, so that its coefficients are rationals and its
-    eigenvalues stay rational, or a rank-1 set; a rational start."""
+    """(coefficients, start, rank): a rank-2 integer set seen through
+    x -> s*x, y -> r*y, so that its coefficients are rationals, or a
+    rank-1 set; a rational start."""
     rng = random.Random(draw(st.integers(0, 10**6)))
     rank = draw(st.sampled_from([1, 2]))
     if rank == 1:
@@ -79,7 +76,7 @@ def exact_cases(draw):
     else:
         s, r = (Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(2))
         scale = (s * s, s * r, s * r, r * r) * 2
-        base = square_disc_set(rng)
+        base = rank2_set(rng)
         params = PeriodicCoefficients(
             *(getattr(base, f) * k for f, k in zip(COEFF_NAMES, scale)))
     start = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2))

@@ -1,8 +1,10 @@
 """Spectral closed forms when the composed matrix is invertible."""
 
+import decimal
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,8 @@ from ratsys import (
     spectral_constants,
     uv_from_orbit,
 )
+from ratsys.cli import main
+from ratsys.core import COEFF_NAMES
 
 from conftest import (
     RANK1_BOUNDARY,
@@ -169,6 +173,28 @@ def test_delta_sign_exact_frozen_values():
     assert delta_sign_exact(RANK2_GENERIC) == -1
     assert delta_sign_exact(RANK2_BLOW) == 1
     assert delta_sign_exact(RANK2_BALANCED) == 0
+
+
+def test_delta_sign_exact_where_its_rational_part_is_zero(capsys):
+    """On 1,3,2,1,1,2,1,1 delta clears to X + Y*sqrt(disc) with X = 0
+    and Y = -16, disc = 80, not a square: the sign is Y's. Exact compare
+    runs its closed form all the same, equal to the orbit."""
+    params = PeriodicCoefficients(*map(Fraction, (1, 3, 2, 1, 1, 2, 1, 1)))
+    assert delta_sign_exact(params) == -1
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        alpha, beta, gamma, delta = map(Decimal, map(int, composed_matrix(params)))
+        l1 = (alpha + delta + ((alpha - delta) ** 2 + 4 * beta * gamma).sqrt()) / 2
+        q = beta / (l1 - alpha)
+        a0, b0, c0, d0 = map(Decimal, map(int, params.at(0)))
+        crit = l1 * q - (b0 * q + a0) * (d0 * q + c0)
+    want = Decimal("-5.85410196624968454461376050309691435316")
+    assert abs(crit - want) < Decimal("1e-38")
+    argv = [a for name, v in zip(COEFF_NAMES, params) for a in (f"--{name}", str(v))]
+    assert main(["compare", *argv, "--mode", "exact", "-n", "100"]) == 0
+    out = capsys.readouterr().out
+    assert "max_rel_error_x: 0\nmax_rel_error_y: 0\n" in out
+    assert "first_divergence_index: none" in out
 
 
 def test_delta_sign_exact_agrees_with_float():

@@ -4,6 +4,7 @@ bit, and grids with a bad cell fail as they always have."""
 import contextlib
 import csv
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -128,12 +129,27 @@ BASE = ["--a0", "2", "--b0", "1", "--c0", "4", "--d0", "3",
     # an inf endpoint is named as inf, at either end
     (["--axis1", "a0:1:inf:3"], "coefficient a0 must be finite, got inf"),
     (["--axis1", "a0:inf:1:3"], "coefficient a0 must be finite, got inf"),
+    # m12 is inf at a0 = 1e308, the last of five cells, whose i*(hi - lo)
+    # overflows from cell 2 on
+    (["--axis1", "a0:1e300:1e308:5"], "matrix entries overflow float range"),
 ])
 def test_error_grids_keep_their_exit_code_and_message(extra, message, capsys):
     assert main(["sweep", *BASE, *extra]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_cells_between_finite_endpoints_stay_finite(capsys):
+    """i*(hi - lo) overflows from cell 2 on: those cells divide first, and
+    every cell lies between the endpoints."""
+    assert main(["sweep", *BASE, "--c0", "1e-10", "--a1", "1e-10", "--b1", "1e-10",
+                 "--axis1", "a0:1e300:1e308:5", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    cells = [float(row[0]) for row in rows]
+    assert len(cells) == 5 and cells[0] == 1e300 and cells[-1] == 1e308
+    assert cells == sorted(cells) and all(math.isfinite(float(v))
+                                          for row in rows for v in row[:4])
 
 
 def test_a_grid_of_products_past_float_range_gets_the_exact_verdicts(capsys):
