@@ -33,7 +33,6 @@ as a System from transfer.prepare, as in the rank-1 module.
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator, NamedTuple
@@ -221,7 +220,8 @@ def float_criterion(
     coefficients: scale = (b0*Q + a0)*(d0*Q + c0), delta = lambda1*Q -
     scale, decided by classification.float_decision, or by sign, delta's
     exact sign, where given (0 makes delta 0.0). A delta that is not
-    finite is inf with the kind's sign, 0.0 on the boundary."""
+    finite is inf with the kind's sign, one that underflows to 0 is
+    5e-324 with it, and either is 0.0 on the boundary."""
     split = float_split(*m)
     a0, b0, c0, d0 = even
     l1, q = split.lambda1, split.q
@@ -233,9 +233,9 @@ def float_criterion(
     if sign is not None:
         kind = kind_from_sign(sign, 0, Kind.CONVERGES_TO_TWO_PERIODIC)
         delta = delta if sign else 0.0
-    if not -math.inf < delta < math.inf:
-        delta = {Kind.BLOW_EVEN_VANISH_ODD: math.inf,
-                 Kind.VANISH_EVEN_BLOW_ODD: -math.inf}.get(kind, 0.0)
+    if not (delta and -math.inf < delta < math.inf):
+        side = (kind is Kind.BLOW_EVEN_VANISH_ODD) - (kind is Kind.VANISH_EVEN_BLOW_ODD)
+        delta = math.copysign(math.inf if delta else 5e-324, side) if side else 0.0
     return split, scale, delta, log_g, kind
 
 
@@ -353,7 +353,9 @@ def _settle(
     """Logs of the running (x[2k], x[2k+1], y[2k], y[2k+1]), k >= 0,
     from the start as _scaled gives it and anchors, core.head's logs:
     (logs, None) up to the settle term k, then
-    (logs, (k, factors, drift, tail)) with the logs of term k's factors.
+    (logs, (k, factors, drift, tail, nomes)) with the logs of term k's
+    factors and the nomes z of u[2j], v[2j], u[2j+1] and v[2j+1], each a
+    constant times lambda1**j*(1 - z*t**j): z_u = c2/c1, z_v = c4/c3.
 
     The products at k = 0 and 1 are states 0 to 3 from anchors. From
     k = 2 on each term multiplies in one factor per product,
@@ -376,7 +378,10 @@ def _settle(
     change plus drift is down to tol times max(1, |log gx_even|); before
     it the lambda2 mode can hold the factors on a plateau. Where r
     rounds to 1, drift and tail are inf, and k is the first term from
-    floor whose four factors repeat the previous four exactly.
+    floor whose four factors repeat the previous four exactly. With tol
+    None, k is the first term from floor with max|z_a|*r**k <= r/2 (z_w
+    and z_z lie between z_u and z_v), or where r rounds to 1 the first
+    from max(floor, 2) whose factors repeat.
 
     Raises ConvergenceError where lambda2/lambda1 rounds to -1 and the
     two modes cancel at one parity: only 1 + lambda2/lambda1, lost to
@@ -391,17 +396,18 @@ def _settle(
                                   "separate the two eigenvalue modes")
     r, tail = _rate(split)
     first, drift = floor, 0.0 if r < 1.0 else math.inf
+    log = math.log
+    series = tol is None  # the limit cycle's end: the series, or repeats
+    tol = (math.inf if r < 1.0 else 0.0) if series else tol
     if 0.0 < r < 1.0 and sd.c1 and sd.c3:  # c1 or c3 of 0 is refused below
-        b = max(abs(sd.c2 / sd.c1), abs(sd.c4 / sd.c3), 1.0)
-        first = max(floor, math.log(b) / -math.log(r))
+        b, lr = max(abs(sd.c2 / sd.c1), abs(sd.c4 / sd.c3), 0.5), -log(r)
+        first = max(floor, (lr + log(2 * b) if series else log(max(b, 1.0))) / lr)
     l1, c1, c2, c3, c4 = sd.lambda1, sd.c1, sd.c2, sd.c3, sd.c4
     tk = t = sd.lambda2 / l1  # t**k
     a0, b0, c0, d0 = system.params.at(0)
-    log = math.log
     (x0, y0), (x1, y1), (x_e, y_e), (x_o, y_o) = anchors
     yield (x0, x1, y0, y1), None
-    yield (x_e, x_o, y_e, y_o), None
-    pxe, pxo, pye, pyo = x_e - x0, x_o - x1, y_e - y0, y_o - y1
+    factors = pxe, pxo, pye, pyo = x_e - x0, x_o - x1, y_e - y0, y_o - y1
     # u[2k], v[2k] / lambda1**k
     num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
     # where one mode cancels the other at k = 1, q is x[2]/y[2]
@@ -428,6 +434,10 @@ def _settle(
                           ldexp(c0, -g), ldexp(d0, e - g))
         q_cur = num_u / num_v
         s_cur = 1 / q_cur
+        nomes = (c2 / c1, c4 / c3, (b0 * c2 + a0 * c4) / (b0 * c1 + a0 * c3),
+                 (d0 * c2 + c0 * c4) / (d0 * c1 + c0 * c3))
+        yield (x_e, x_o, y_e, y_o), (
+            (1, factors, drift, tail, nomes) if first <= 1 and drift <= tol else None)
         # b0*q + a0 and d0 + c0*s at the current term, reused at the next
         bq, ds = b0 * q_cur + a0, d0 + c0 * s_cur
         for k in count(2):
@@ -457,7 +467,7 @@ def _settle(
             if k >= first and (change + drift <= tol
                                or change + drift <= tol * abs(fxe)
                                or not change and r >= 1.0):
-                yield (x_e, x_o, y_e, y_o), (k, factors, drift, tail)
+                yield (x_e, x_o, y_e, y_o), (k, factors, drift, tail, nomes)
                 return
             yield (x_e, x_o, y_e, y_o), None
             pxe, pxo, pye, pyo = factors
@@ -488,7 +498,7 @@ def _float_terms(
         if end:
             break
         yield logs, None
-    k, factors, drift, tail = end
+    k, factors, drift, tail, _ = end
     rounding = _ROUNDING * max(1.0, abs(factors[0]))
     base = k * (rounding + EPSILON * max(map(abs, logs))) + drift * tail
     slope = rounding + drift
@@ -496,6 +506,28 @@ def _float_terms(
             and _balanced(system.params, system.eps_rank)):
         factors, slope = (0.0, 0.0, 0.0, 0.0), 0.0
     yield logs, Tail(k, logs, factors, base, slope)
+
+
+def _euler_tails(t: float, xs: Quad) -> list[float]:
+    """The sum of log(1 - z*t**i) over i >= K for each x = z*t**K in xs,
+    |x| < 1: Euler's series -sum_{n >= 1} x**n/(n*(1 - t**n)) to the first
+    N terms whose truncation bound m**(N+1)/((N+1)*(1 - m)*(1 - |t|)),
+    m = max|x|, is at most EPSILON/4. 1 - t**n = (1 - t**2) + t**2*(1 -
+    t**(n-2)) adds positive terms, so it keeps its digits near |t| = 1."""
+    m = max(map(abs, xs))
+    cut = EPSILON / 4 * (1.0 - m) * (1.0 - abs(t))
+    s, d2 = t * t, (1.0 - t) * (1.0 + t)
+    coeffs, n, mn, p, q = [], 1, m, 0.0, 1.0 - t  # q = 1 - t**n, p = 1 - t**(n-1)
+    while mn > cut * n:
+        coeffs.insert(0, 1.0 / (n * q))
+        n, mn, p, q = n + 1, mn * m, q, d2 + s * p
+    sums = []
+    for x in xs:  # by Horner's rule
+        acc = 0.0
+        for c in coeffs:
+            acc = (acc + c) * x
+        sums.append(-acc)
+    return sums
 
 
 def rank2_solution_sequence(
@@ -625,18 +657,18 @@ def limit_cycle(
 ) -> LimitCycle:
     """Limits of the four subsequences in the convergent rank-2 case.
 
-    Runs _settle, the settle of the closed form, and reports the logs
-    where it ends. They lie within drift*r/(1 - r) of their limits,
-    r = |lambda2/lambda1|, so the settle runs at tol over r/(1 - r)
-    where that is above 1; where r rounds to 1 it ends on factors that
-    repeat exactly. Raises DomainError for a tol that is not finite and
-    > 0, a tol_class that is not finite and >= 0, or a max_terms that is
-    not an int >= 1, and BranchError when the coefficients are not in the
-    convergent case. Raises ConvergenceError if the first max_terms terms
-    do not settle, or at once where the limit of the factors, |log g| of
-    float_criterion, is above the rounding of delta and alone fails the
-    settle's tolerance. Raises DomainError when the cycle from this
-    start lies outside float range.
+    Runs _settle to the first term K >= 1 where Euler's series applies,
+    max|z_a|*r**K <= r/2 over its nomes, r = |lambda2/lambda1|, and adds
+    each log's exact remainder past K from the tails S_a(K) of _euler_tails
+    and S_a(K + 1) = S_a(K) - log(1 - z_a*t**K): K, not tol, sets the cost.
+    Where r rounds to 1 the logs are those where the factors first repeat.
+    Raises ConvergenceError where that term passes max_terms, where EPSILON
+    times the largest tail passes tol, or at once where |log g| of
+    float_criterion, the factors' limit, is above the rounding of delta and
+    at least tol over max(1, r/(1 - r)); DomainError for a tol that is not
+    finite and > 0, a tol_class that is not finite and >= 0, a max_terms
+    that is not an int >= 1, or a cycle from this start outside float range;
+    BranchError off the convergent case.
     """
     require_tolerance(tol, "tol", positive=True)
     horizon(max_terms, "max_terms", 1, "finite and an int >= 1")
@@ -651,19 +683,27 @@ def limit_cycle(
         )
     start = initial_state(init, ArithmeticMode.FLOAT64)
     anchors = head(wp, start, ArithmeticMode.FLOAT64)[1]
-    factor_tol = tol / max(1.0, _rate(split)[1])
-    # every log factor tends to +-log g, the least change
-    drift = abs(log_g)
-    if drift > _ROUNDING and drift >= factor_tol:
+    drift = abs(log_g)  # every log factor tends to +-log g, the least change
+    if drift > _ROUNDING and drift >= tol / max(1.0, _rate(split)[1]):
         raise ConvergenceError(0, f"cycle products drift by {drift:.3g} "
                                   f"per term and cannot meet tol={tol}")
-    terms = _settle(system, split, start, anchors, factor_tol, 0)
-    logs, end = deque(islice(terms, max_terms + 1), maxlen=1)[0]
-    if end is None:
-        raise ConvergenceError(
-            max_terms,
-            f"cycle products did not meet tol={tol} within {max_terms} terms",
-        )
+    terms = _settle(system, split, start, anchors, tol=None, floor=1)
+    for logs, end in islice(terms, max_terms + 1):
+        if end:
+            break
+    else:
+        raise ConvergenceError(max_terms, f"cycle products did not settle "
+                                          f"within {max_terms} terms")
+    t = split.lambda2 / split.lambda1
+    if abs(t) < 1.0:
+        k, *_, nomes = end
+        xs = [z * t**k for z in nomes]
+        su, sv, sw, sz = tails = _euler_tails(t, xs)
+        if EPSILON * max(map(abs, tails)) > tol:  # the tails' rounding
+            raise ConvergenceError(k, f"cycle remainders round by more than tol={tol}")
+        nu, nv, nw, nz = [s - math.log1p(-x) for s, x in zip(tails, xs)]
+        logs = [v + d for v, d in zip(logs, (nu + sv - sw - sz, nw + sz - nu - nv,
+                                             nv + su - sw - sz, nz + sw - nu - nv))]
     x_even, x_odd, y_even, y_odd = cycle = [saturating_exp(v) for v in logs]
     if not all(0 < v < math.inf for v in cycle):
         raise DomainError("the limit cycle from this start lies outside float range")

@@ -53,6 +53,17 @@ RANK2_BLOW = PeriodicCoefficients(1, 1, 1, 2, 1, 1, 2, 1)
 # converges to a positive two-cycle; rational witness for the exact path
 RANK2_BALANCED = PeriodicCoefficients(1, 1, 1, 2, 2, 1, 1, 1)
 
+# convergent float sets near the boundary whose lambda2/lambda1 is
+# -0.9015 and -0.9905: the orbit contracts onto its cycle slowly
+RANK2_SLOW_90 = PeriodicCoefficients(
+    8.012604121001472, 0.2996268934941071, 0.19461131698189862,
+    9.524807846982636, 0.17163735862173485, 12.795996152647415,
+    6.121847759096592, 0.16880281577528497)
+RANK2_SLOW_99 = PeriodicCoefficients(
+    36.6752588828984, 0.02313408774694166, 0.022032818964099758,
+    20.95598358974343, 0.13250871729194508, 172.40691922036302,
+    4.462764837919797, 0.013015970498373433)
+
 
 def log_uniform(rng, lo=0.1, hi=10.0):
     return 10 ** rng.uniform(math.log10(lo), math.log10(hi))

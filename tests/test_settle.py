@@ -4,6 +4,7 @@ grow with n, checked against a 34-digit decimal iteration."""
 import math
 import random
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 
@@ -13,6 +14,7 @@ import ratsys.rank1
 import ratsys.rank2
 from ratsys import (
     ArithmeticMode,
+    ConvergenceError,
     PeriodicCoefficients,
     eigenvalues,
     limit_cycle,
@@ -21,15 +23,18 @@ from ratsys import (
     rank1_solution_sequence,
     rank2_solution,
     rank2_solution_sequence,
+    simulate,
 )
 from ratsys.core import closed_logs, closed_states, head, log_simulate
 from ratsys.numeric import saturating_exp
-from ratsys.rank2 import _balanced, _float_terms, _roots, _settle
+from ratsys.rank2 import _balanced, _euler_tails, _float_terms, _roots, _settle
 
 from conftest import (
     RANK1_GROWTH,
     RANK2_BALANCED,
     RANK2_GENERIC,
+    RANK2_SLOW_90,
+    RANK2_SLOW_99,
     RANK2_SQUARE,
     decimal_log_orbit,
     find_balanced,
@@ -186,6 +191,73 @@ def test_factors_drawn_do_not_grow_with_n(monkeypatch, r, negative):
         assert not (math.isnan(x) or math.isnan(y))
         counts.append(len(drawn))
     assert counts[0] == counts[1] < 10**4 // 2
+
+
+@pytest.mark.parametrize("t", [0.05, -0.05, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99])
+@pytest.mark.parametrize("z", [-3.0, -0.8, 0.5, 3.0])
+def test_euler_series_is_the_sum_of_the_log_factors(t, z):
+    # the first term k >= 1 where the series applies, as limit_cycle takes it
+    k = 1
+    while abs(z) * abs(t) ** k > abs(t) / 2:
+        k += 1
+    x = z * t**k
+    got = _euler_tails(t, [x])[0]
+    ulp = math.ulp(max(1.0, abs(got)))
+    terms = [math.log1p(-z * t**i) for i in range(k, k + 10_000)]
+    assert abs(got - math.fsum(terms)) <= 4 * ulp
+    # the whole series, in 60 digits: within the truncation bound EPSILON/4
+    # and the rounding of the float sum
+    with localcontext() as ctx:
+        ctx.prec = 60
+        big_x, big_t, series, n = Decimal(x), Decimal(t), Decimal(0), 1
+        while abs(big_x) ** n > Decimal("1e-45"):
+            series -= big_x**n / (n * (1 - big_t**n))
+            n += 1
+        assert abs(Decimal(got) - series) <= Decimal(2.0**-54 + 2 * ulp)
+
+
+@pytest.mark.parametrize("params", [RANK2_SLOW_90, RANK2_SLOW_99])
+@pytest.mark.parametrize("start", [(1.0, 1.0), (1.3, 0.8)])
+def test_limit_cycle_where_the_orbit_contracts_slowly(params, start):
+    l1, l2 = eigenvalues(params)
+    cycle = limit_cycle(params, start)
+    assert cycle.residual < 1e-14
+    # r**m is below 1e-15 at the index compared
+    m = math.ceil(math.log(1e-15) / math.log(abs(l2 / l1)))
+    orbit = simulate(params, start, 2 * m + 1)
+    (x_even, y_even), (x_odd, y_odd) = orbit.state(2 * m), orbit.state(2 * m + 1)
+    for got, want in ((x_even, cycle.x_even), (x_odd, cycle.x_odd),
+                      (y_even, cycle.y_even), (y_odd, cycle.y_odd)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_limit_cycle_refuses_tails_whose_rounding_passes_tol():
+    # (t, 1, 1, t, t, 1, 1, t) is balanced with r = ((1 - t)/(1 + t))**2:
+    # the tails grow like 1/(1 - r), and so does their rounding
+    near_one = PeriodicCoefficients(1e-7, 1, 1, 1e-7, 1e-7, 1, 1, 1e-7)
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="round by more than tol=1e-11"):
+        limit_cycle(near_one, (1.3, 0.8))
+    assert time.perf_counter() - t0 < 0.5
+    assert limit_cycle(near_one, (1.3, 0.8), tol=1e-9).residual < 1e-9
+    # r = 1 - 4e-5: the tails reach 1.5e4, and their rounding stays in tol
+    farther = PeriodicCoefficients(1e-5, 1, 1, 1e-5, 1e-5, 1, 1, 1e-5)
+    assert limit_cycle(farther, (2.0, 0.5)).residual < 1e-11
+
+
+def test_limit_cycle_draws_few_terms_where_r_is_099(monkeypatch):
+    drawn = []
+
+    def counting(*args, **kwargs):
+        for item in _settle(*args, **kwargs):
+            drawn.append(None)
+            yield item
+
+    monkeypatch.setattr(ratsys.rank2, "_settle", counting)
+    for start in ((1.0, 1.0), (1.3, 0.8), (1e-8, 1e8)):
+        drawn.clear()
+        limit_cycle(RANK2_SLOW_99, start)
+        assert len(drawn) < 100
 
 
 def test_balanced_set_holds_its_cycle_at_1e9():

@@ -592,6 +592,30 @@ def test_coinciding_float_eigenvalues_classify_on_the_boundary(tiny, capsys):
         "1", "2", "1", "0", "ConvergesToTwoPeriodic"]
 
 
+# Q, scale and delta underflow to 0; log g of the scaled parts gives the
+# exact verdict (wide oracle-sweep seed 2, set 485)
+DELTA_UNDERFLOW = [
+    "2.399561835622176e-130", "6.199068936544247e+37",
+    "3.1757234734310614e-221", "1.3003219515980176e-16",
+    "7.999474678005418e-83", "1.1986920568984294e-190",
+    "6.185479050400371e-50", "1.0953959860965916e+244"]
+
+
+def test_witness_delta_that_underflows_keeps_the_verdicts_sign():
+    flags = coeff_flags(DELTA_UNDERFLOW)
+    for mode in ("float", "exact"):
+        code, out = stdout_of(["classify", *flags, "--mode", mode])
+        fields = dict(line.split(": ") for line in out.splitlines())
+        assert code == 0 and fields["kind"] == "BlowEvenVanishOdd"
+        assert float(fields["Q"]) == 0 and float(fields["delta"]) == 5e-324
+    code, out = stdout_of(["sweep", *flags[2:], "--axis1",
+                           f"a0:{DELTA_UNDERFLOW[0]}:{DELTA_UNDERFLOW[0]}:2",
+                           "--format", "csv"])
+    assert code == 0
+    for row in list(csv.reader(io.StringIO(out)))[1:]:
+        assert row[3:] == ["4.9406564584124654e-324", "BlowEvenVanishOdd"]
+
+
 @pytest.mark.parametrize("values", [
     *(UNDERFLOW[:5] + [b1] + UNDERFLOW[6:] for b1 in ("1", "1.5", "2")),
     symmetric("1e-20"),
