@@ -482,7 +482,9 @@ _COMMANDS = (
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser; its commands attribute maps each subcommand's
-    name to that subcommand's parser."""
+    name to that subcommand's parser, and its plain attribute to what
+    _plain_args reads a plain argv with: each option string's Action, as
+    add_argument returned it, and the defaults with func."""
     parser = argparse.ArgumentParser(
         prog="ratsys",
         description=(
@@ -493,27 +495,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    parser.commands = {}
+    parser.commands, parser.plain = {}, {}
     for name, help_text, func, groups in _COMMANDS:
         command = parser.commands[name] = sub.add_parser(name, help=help_text)
-        coefficients = command.add_argument_group("coefficients")
-        for coeff in COEFF_NAMES:
-            coefficients.add_argument(
-                f"--{coeff}", metavar="V", help=f"coefficient {coeff}"
-            )
-        coefficients.add_argument(
-            "--all-ones",
-            action="store_true",
-            help="use 1 for every coefficient not given otherwise",
-        )
-        coefficients.add_argument(
-            "--config",
-            metavar="PATH",
-            help="JSON object with coefficient values; explicit flags win",
-        )
-        for names, options in (flag for group in groups for flag in _FLAGS[group]):
-            command.add_argument(*names, **options)
+        coefficient = command.add_argument_group("coefficients").add_argument
+        actions = [coefficient(f"--{coeff}", metavar="V", help=f"coefficient {coeff}")
+                   for coeff in COEFF_NAMES]
+        actions.append(coefficient(
+            "--all-ones", action="store_true",
+            help="use 1 for every coefficient not given otherwise"))
+        actions.append(coefficient(
+            "--config", metavar="PATH",
+            help="JSON object with coefficient values; explicit flags win"))
+        actions += [command.add_argument(*names, **options)
+                    for group in groups for names, options in _FLAGS[group]]
         command.set_defaults(func=func)
+        parser.plain[name] = (
+            {option: a for a in actions for option in a.option_strings},
+            {a.dest: a.default for a in actions} | {"func": func},
+        )
     return parser
 
 
@@ -525,17 +525,55 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _plain_args(flags: dict, defaults: dict, argv) -> Optional[argparse.Namespace]:
+    """The namespace the subcommand's parser makes of a plain argv, one
+    of flags' option strings after another, each followed by one value
+    that does not start with '-' and passes the action's type and
+    choices, or by none for a store_true flag, and every required option
+    given; None for any other argv."""
+    args, seen, items = argparse.Namespace(), set(), iter(argv)
+    # not Namespace(**defaults): with the setattr calls below, CPython 3.11
+    # keeps some 200 bytes alive per call, up to 0.4 MB
+    vars(args).update(defaults)
+    for item in items:
+        action = flags.get(item)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            value = action.const
+        else:
+            value = next(items, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = action.type(value) if action.type else value
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        setattr(args, action.dest, value)
+        seen.add(action)
+    return None if any(a.required and a not in seen for a in flags.values()) else args
+
+
 def main(argv=None) -> int:
-    """Run one command; argv defaults to sys.argv[1:]. It is parsed once:
-    by the subcommand's parser when argv[0] names a subcommand, which the
-    handler then gets, so that its usage errors name the subcommand; by
-    the full parser otherwise."""
+    """Run one command; argv defaults to sys.argv[1:]. It is parsed once.
+    When argv[0] names a subcommand and the rest is plain, as _plain_args
+    reads it, main reads it itself; any other argv (-h, an abbreviated or
+    unknown flag, --flag=value, --, a value such as -1 or -, one that
+    fails its type or choices, a missing --axis1) goes to that
+    subcommand's parser, so that help, usage and errors are argparse's
+    and name the subcommand. The handler gets that parser either way.
+    Without a subcommand the full parser reads argv."""
     parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
+    args = None
     if argv and argv[0] in parser.commands:
+        args = _plain_args(*parser.plain[argv[0]], argv[1:])
         parser, argv = parser.commands[argv[0]], argv[1:]
-    args = parser.parse_args(argv)
+    if args is None:
+        args = parser.parse_args(argv)
     try:
         horizon(getattr(args, "n_max", 0), "n")
     except DomainError as exc:

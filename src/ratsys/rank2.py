@@ -348,14 +348,14 @@ def _rate(split: Split) -> tuple[float, float]:
 
 def _settle(
     system: System, split: Split, start: tuple[float, float],
-    anchors: list[tuple[float, float]], tol: float, floor: int,
+    anchors: list[tuple[float, float]], tol: float | None, floor: int,
+    plan=None,
 ) -> Iterator[tuple[Quad, tuple | None]]:
     """Logs of the running (x[2k], x[2k+1], y[2k], y[2k+1]), k >= 0,
     from the start as _scaled gives it and anchors, core.head's logs:
     (logs, None) up to the settle term k, then
-    (logs, (k, factors, drift, tail, nomes)) with the logs of term k's
-    factors and the nomes z of u[2j], v[2j], u[2j+1] and v[2j+1], each a
-    constant times lambda1**j*(1 - z*t**j): z_u = c2/c1, z_v = c4/c3.
+    (logs, (k, factors, drift, tail, planned)) with the logs of term k's
+    factors and what plan returned, or None.
 
     The products at k = 0 and 1 are states 0 to 3 from anchors. From
     k = 2 on each term multiplies in one factor per product,
@@ -381,7 +381,12 @@ def _settle(
     floor whose four factors repeat the previous four exactly. With tol
     None, k is the first term from floor with max|z_a|*r**k <= r/2 (z_w
     and z_z lie between z_u and z_v), or where r rounds to 1 the first
-    from max(floor, 2) whose factors repeat.
+    from max(floor, 2) whose factors repeat. Where tol is None and r < 1,
+    plan(first, nomes) is called before term 1 is yielded, so that it can
+    refuse before any factor is drawn: the settle term is 1 if first <= 1,
+    else max(2, ceil(first)), and the nomes are those of u[2j], v[2j],
+    u[2j+1] and v[2j+1], each a constant times lambda1**j*(1 - z*t**j):
+    z_u = c2/c1, z_v = c4/c3.
 
     Raises ConvergenceError where lambda2/lambda1 rounds to -1 and the
     two modes cancel at one parity: only 1 + lambda2/lambda1, lost to
@@ -436,8 +441,9 @@ def _settle(
         s_cur = 1 / q_cur
         nomes = (c2 / c1, c4 / c3, (b0 * c2 + a0 * c4) / (b0 * c1 + a0 * c3),
                  (d0 * c2 + c0 * c4) / (d0 * c1 + c0 * c3))
+        planned = plan(first, nomes) if series and r < 1.0 else None
         yield (x_e, x_o, y_e, y_o), (
-            (1, factors, drift, tail, nomes) if first <= 1 and drift <= tol else None)
+            (1, factors, drift, tail, planned) if first <= 1 and drift <= tol else None)
         # b0*q + a0 and d0 + c0*s at the current term, reused at the next
         bq, ds = b0 * q_cur + a0, d0 + c0 * s_cur
         for k in count(2):
@@ -467,7 +473,7 @@ def _settle(
             if k >= first and (change + drift <= tol
                                or change + drift <= tol * abs(fxe)
                                or not change and r >= 1.0):
-                yield (x_e, x_o, y_e, y_o), (k, factors, drift, tail, nomes)
+                yield (x_e, x_o, y_e, y_o), (k, factors, drift, tail, planned)
                 return
             yield (x_e, x_o, y_e, y_o), None
             pxe, pxo, pye, pyo = factors
@@ -663,7 +669,8 @@ def limit_cycle(
     and S_a(K + 1) = S_a(K) - log(1 - z_a*t**K): K, not tol, sets the cost.
     Where r rounds to 1 the logs are those where the factors first repeat.
     Raises ConvergenceError where that term passes max_terms, where EPSILON
-    times the largest tail passes tol, or at once where |log g| of
+    times the largest tail passes tol (both before the first term is drawn
+    where r < 1), or at once where |log g| of
     float_criterion, the factors' limit, is above the rounding of delta and
     at least tol over max(1, r/(1 - r)); DomainError for a tol that is not
     finite and > 0, a tol_class that is not finite and >= 0, a max_terms
@@ -687,20 +694,29 @@ def limit_cycle(
     if drift > _ROUNDING and drift >= tol / max(1.0, _rate(split)[1]):
         raise ConvergenceError(0, f"cycle products drift by {drift:.3g} "
                                   f"per term and cannot meet tol={tol}")
-    terms = _settle(system, split, start, anchors, tol=None, floor=1)
+    unsettled = f"cycle products did not settle within {max_terms} terms"
+    t = split.lambda2 / split.lambda1
+
+    def plan(first, nomes):  # the series at its term K, or a refusal
+        k = max(2, first) if first > 1 else 1
+        if k > max_terms:  # as ceil(k) > max_terms
+            raise ConvergenceError(max_terms, unsettled)
+        k = math.ceil(k)
+        xs = [z * t**k for z in nomes]
+        tails = _euler_tails(t, xs)
+        if EPSILON * max(map(abs, tails)) > tol:
+            raise ConvergenceError(k, f"cycle remainders round by more than tol={tol}")
+        return xs, tails
+
+    terms = _settle(system, split, start, anchors, None, 1, plan)
     for logs, end in islice(terms, max_terms + 1):
         if end:
             break
     else:
-        raise ConvergenceError(max_terms, f"cycle products did not settle "
-                                          f"within {max_terms} terms")
-    t = split.lambda2 / split.lambda1
+        raise ConvergenceError(max_terms, unsettled)
     if abs(t) < 1.0:
-        k, *_, nomes = end
-        xs = [z * t**k for z in nomes]
-        su, sv, sw, sz = tails = _euler_tails(t, xs)
-        if EPSILON * max(map(abs, tails)) > tol:  # the tails' rounding
-            raise ConvergenceError(k, f"cycle remainders round by more than tol={tol}")
+        xs, tails = end[-1]
+        su, sv, sw, sz = tails
         nu, nv, nw, nz = [s - math.log1p(-x) for s, x in zip(tails, xs)]
         logs = [v + d for v, d in zip(logs, (nu + sv - sw - sz, nw + sz - nu - nv,
                                              nv + su - sw - sz, nz + sw - nu - nv))]

@@ -1,15 +1,20 @@
 """Command-line behavior: parsing, formats, files, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ratsys
 from ratsys import ArithmeticMode, PeriodicCoefficients, simulate
@@ -389,7 +394,7 @@ def test_exact_simulate_prints_states_past_the_digit_limit(fmt):
         (["classify", "--a0", "1", "--b0", "1", "--c0", "1", "--d0", "2",
           "--a1", "2", "--b1", "1", "--c1", "1", "--d1", "1",
           "--tol-class", "-1"], "--tol-class"),
-        # zero never meets the cycle test and runs to the term cap
+        # zero: every nonzero remainder of the cycle rounds by more
         (["classify", "--all-ones", "--tol-cycle", "0"], "--tol-cycle"),
         (["compare", "--all-ones", "--threshold", "inf"], "--threshold"),
     ],
@@ -437,3 +442,109 @@ def test_reused_parser_matches_a_fresh_one(monkeypatch, capsys):
     monkeypatch.setattr(ratsys.cli, "_parser", ratsys.cli.build_parser)
     assert outputs() == reused
     assert ratsys.cli.build_parser() is not ratsys.cli.build_parser()
+
+
+# ------------------------------------------- main's own reading of argv
+
+COMMANDS = ("simulate", "closed", "classify", "compare", "sweep")
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def parse_both(argv):
+    """(main's own namespace or None, argparse's or None) for a subcommand's
+    argv; argparse's output is swallowed."""
+    parser = ratsys.cli._parser()
+    plain = ratsys.cli._plain_args(*parser.plain[argv[0]], argv[1:])
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            parsed = parser.commands[argv[0]].parse_args(argv[1:])
+    except SystemExit:
+        parsed = None
+    return plain, parsed
+
+
+def argv_strategy(command):
+    options = list(ratsys.cli._parser().plain[command][0])
+    odd = ["--form", "--a0=1", "-n5", "--", "-h"]
+    values = ["-1", "", "-", "nan", "2.5", "1e-9", "3/2", "7", "d1:1:2:3",
+              "float", "exact", "table", "csv", "json"]
+    # an option and at most one value, so that plain argvs are common
+    pair = st.tuples(st.sampled_from(options + odd),
+                     st.lists(st.sampled_from(values), max_size=1))
+    # sweep's required --axis1, given or not
+    axis = [[], [("--axis1", ["d1:1:2:3"])]] if command == "sweep" else [[]]
+    return st.tuples(st.sampled_from(axis), st.lists(pair, max_size=8)).map(
+        lambda drawn: [command, *(item for o, v in drawn[0] + drawn[1]
+                                  for item in (o, *v))])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_reads_only_what_argparse_reads_the_same(command):
+    @settings(max_examples=300)
+    @given(argv_strategy(command))
+    def check(argv):
+        plain, parsed = parse_both(argv)
+        if plain is not None:
+            assert parsed is not None, argv
+            assert vars(plain) == vars(parsed), argv
+
+    check()
+
+
+def readme_step_argvs():
+    """Every ratsys argv of the shell part of CI's console-script step.
+    The step is read line by line: NAME="..." sets a variable, a for loop
+    gives its variable the items on its line or the quoted items on the
+    lines below it, and each call takes every filling of its $NAME and
+    ${NAME#*:}. A call that names a variable the step does not set, such
+    as a path under $RUNNER_TEMP, is left out."""
+    step = WORKFLOW.read_text(encoding="utf-8").split(
+        "name: README examples")[1].split("python -c")[0]
+    env, loop, calls = {}, None, []
+    for line in map(str.strip, step.splitlines()):
+        if m := re.fullmatch(r'(\w+)="([^"$]*)"', line):
+            env[m[1]] = [m[2]]
+        elif m := re.match(r"for (\w+) in ([^\\;]*)", line):
+            loop, env[m[1]] = m[1], m[2].split()
+        elif loop and (m := re.match(r'"([^"]*)"', line)):
+            env[loop].append(m[1])
+        if "; do" in line:
+            loop = None
+        for call in re.findall(r"(?<![\w\"])ratsys ([^|)\n]*)", line):
+            call = re.split(r"\s+\d?>", call)[0].rstrip(" \\")
+            names = list(dict.fromkeys(
+                a or b for a, b in re.findall(r"\$\{(\w+)#\*:\}|\$(\w+)", call)))
+            for filling in product(*(env.get(name, ()) for name in names)):
+                fill = dict(zip(names, filling))
+                filled = re.sub(r"\$\{(\w+)#\*:\}|\$(\w+)", lambda m: (
+                    fill[m[1]].split(":", 1)[1] if m[1] else fill[m[2]]), call)
+                if not re.search(r'["$]', filled):
+                    calls.append(shlex.split(filled))
+    return calls
+
+
+def test_main_reads_every_argv_of_the_readme_step_as_argparse_does():
+    argvs = readme_step_argvs()
+    assert len(argvs) >= 30
+    for argv in argvs:
+        plain, parsed = parse_both(argv)
+        assert plain is not None, argv  # every one is plain
+        assert vars(plain) == vars(parsed), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--all-ones", "-n", "4", "--format", "csv"],
+    ["closed", *RANK2_ARGS, "--n-max", "10", "--mode", "exact"],
+    ["classify", *RANK2_ARGS, "--x0", "3/2", "--mode", "exact", "--no-cycle"],
+    ["compare", *RANK2_ARGS, "-n", "40", "--threshold", "1e-3"],
+    ["sweep", "--all-ones", "--axis1", "d1:1:2:5", "--axis2", "c1:1:3:2"],
+])
+def test_plain_argv_never_reaches_argparse(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_args called on a plain argv")
+
+    monkeypatch.setattr(ratsys.cli._parser().commands[argv[0]], "parse_args", refuse)
+    assert run_cli(argv, capsys)[0] == 0
+    with pytest.raises(AssertionError, match="parse_args called"):
+        main([*argv, "-h"])  # help is argparse's

@@ -260,6 +260,26 @@ def test_limit_cycle_draws_few_terms_where_r_is_099(monkeypatch):
         assert len(drawn) < 100
 
 
+@pytest.mark.parametrize("t, message", [
+    # r = 1 - 4e-7: K is some 455,000, and the tails round by more than tol
+    (1e-7, "round by more than tol=1e-11"),
+    # r = 1 - 4e-8: K passes the default max_terms of 10**6
+    (1e-8, "did not settle within 1000000 terms"),
+])
+def test_limit_cycle_refuses_before_drawing_a_factor(monkeypatch, t, message):
+    drawn = []
+
+    def counting(*args, **kwargs):
+        for item in _settle(*args, **kwargs):
+            drawn.append(None)
+            yield item
+
+    monkeypatch.setattr(ratsys.rank2, "_settle", counting)
+    with pytest.raises(ConvergenceError, match=message):
+        limit_cycle(PeriodicCoefficients(t, 1, 1, t, t, 1, 1, t), (2.0, 0.5))
+    assert len(drawn) == 1  # term 0, the start's own logs
+
+
 def test_balanced_set_holds_its_cycle_at_1e9():
     params, start = RANK2_BALANCED, (1.5, 0.5)
     _, settled = logs_at(params, start, 10**9)
