@@ -489,13 +489,21 @@ def head(
     return states, [(math.log(x), math.log(y)) for x, y in states]
 
 
+# The rounding of a float log factor whose parts are formed without
+# cancellation, relative to its size (at least 1).
+ROUNDING = 16 * EPSILON
+
+
 class Tail(NamedTuple):
     """Past term k = term, the logs of the products (x[2m], x[2m+1],
     y[2m], y[2m+1]) are logs + (m - k)*factors, one multiply-add each;
-    the states saturate to inf or 0.0. base bounds the error of logs in
-    log, the rounding of every earlier term and the factors' remaining
-    tail included; slope, one term's rounding plus drift, is what each
-    later term adds to it."""
+    the states saturate to inf or 0.0. Both ranks take the factors
+    (L, -L, L, -L), L = log g of the float verdict, with slope
+    ROUNDING*max(1, |L|), the rounding of L; rank 2 keeps the factors
+    that repeat where r = |lambda2/lambda1| rounds to 1, with base and
+    slope inf. base bounds the error of logs in log, the rounding of
+    every earlier term and the later factors' distance from L included;
+    slope is what each later term adds to it."""
 
     term: int
     logs: tuple[float, float, float, float]

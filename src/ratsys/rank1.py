@@ -33,8 +33,8 @@ from typing import Iterator, NamedTuple
 
 from .classification import (Classification, Kind, float_decision,
                              kind_from_sign, scaled_ratio, scaled_sum)
-from .core import (PeriodicCoefficients, Tail, closed_point, closed_states,
-                   head, horizon, initial_state)
+from .core import (ROUNDING, PeriodicCoefficients, Tail, closed_point,
+                   closed_states, head, horizon, initial_state)
 from .errors import BranchError, DomainError
 from .numeric import ArithmeticMode, Number, require_tolerance
 from .transfer import System, _prepare_rank, prepare
@@ -102,13 +102,14 @@ def _float_terms(
 ) -> Iterator[tuple[tuple[float, ...], Tail | None]]:
     """The float hook of core.closed_states: term 0, then term 1 with
     the Tail that adds log rho per two-step on even indices and -log rho
-    on odd ones. log rho comes from growth_terms on term 1, so a rank-2
-    System raises BranchError there."""
+    on odd ones, each with the rounding of log rho. log rho comes from
+    growth_terms on term 1, so a rank-2 System raises BranchError there."""
     (x0, y0), (x1, y1), (xe, ye), (xo, yo) = anchors
     yield (x0, x1, y0, y1), None
     even = _growth(_prepare_rank(system, system.mode, system.eps_rank, 1))[3]
     logs = (xe, xo, ye, yo)
-    yield logs, Tail(1, logs, (even, -even, even, -even))
+    yield logs, Tail(1, logs, (even, -even, even, -even), 0.0,
+                     ROUNDING * max(1.0, abs(even)))
 
 
 def _exact_ratios(

@@ -22,9 +22,10 @@ that does not depend on the initial values. The sign of
 decides the trichotomy: negative means even subsequences vanish and odd
 ones blow up, positive the reverse, zero means convergence to a positive
 two-cycle. Per-factor deviations decay geometrically at rate
-|lambda2/lambda1|, which drives the truncation rule for the infinite
-products, the settle term past which the float closed form extrapolates
-instead of multiplying, and the observed contraction toward the cycle.
+|lambda2/lambda1|; with the nomes of the start, that rate sets the
+settle term past which the float closed form extrapolates by log g
+instead of multiplying, and the term from which the limit cycle sums
+the rest in closed form.
 
 Every function takes the coefficients either as PeriodicCoefficients or
 as a System from transfer.prepare, as in the rank-1 module.
@@ -39,9 +40,9 @@ from typing import Iterator, NamedTuple
 
 from .classification import (Classification, Kind, float_decision,
                              kind_from_sign, scaled_ratio, scaled_sum)
-from .core import (EPSILON, SMALLEST_NORMAL, PeriodicCoefficients, Tail,
-                   closed_point, closed_states, head, horizon, initial_state,
-                   over_one_denominator)
+from .core import (EPSILON, ROUNDING, SMALLEST_NORMAL, PeriodicCoefficients,
+                   Tail, closed_point, closed_states, head, horizon,
+                   initial_state, over_one_denominator)
 from .errors import BranchError, ConvergenceError, DomainError
 from .numeric import (ArithmeticMode, Number, require_tolerance,
                       saturating_exp)
@@ -321,14 +322,16 @@ def _scaled(start: tuple[float, float]) -> tuple[float, float]:
     return (math.ldexp(start[0], -e), math.ldexp(start[1], -e))
 
 
-# The rounding of a float log factor, relative to its size (at least 1),
-# whose constants float_split forms without cancellation: the settle
-# waits for the factors to change by less than this.
-_ROUNDING = 16 * EPSILON
 # The settle comes at this term at the earliest, so that every index
 # below 42, the horizons the golden outputs pin digit for digit, is the
 # running sum itself.
 _MIN_SETTLE_TERM = 20
+# The bound on m = max|z|*r**(K - 1) over the nomes z at the settle term
+# K: the closed form's, where 4*m/(1 - m), which bounds how far each log
+# factor from K on is from +-log g, is within ROUNDING; the limit
+# cycle's, where Euler's series converges fast.
+_TAIL_NOME = ROUNDING / (4 + ROUNDING)
+_SERIES_NOME = 0.5
 
 
 def _balanced(wp: PeriodicCoefficients, eps_rank: float) -> bool:
@@ -339,23 +342,16 @@ def _balanced(wp: PeriodicCoefficients, eps_rank: float) -> bool:
     return exact.rank == 2 and delta_sign_exact(exact, eps_rank) == 0
 
 
-def _rate(split: Split) -> tuple[float, float]:
-    """r = |lambda2/lambda1| of a float Split and r/(1 - r), inf where r
-    rounds to 1."""
-    r = abs(split.lambda2 / split.lambda1)
-    return r, (r / (1.0 - r) if r < 1.0 else math.inf)
-
-
 def _settle(
     system: System, split: Split, start: tuple[float, float],
-    anchors: list[tuple[float, float]], tol: float | None, floor: int,
-    plan=None,
-) -> Iterator[tuple[Quad, tuple | None]]:
+    anchors: list[tuple[float, float]], floor: int, nome: float,
+) -> Iterator[tuple]:
     """Logs of the running (x[2k], x[2k+1], y[2k], y[2k+1]), k >= 0,
-    from the start as _scaled gives it and anchors, core.head's logs:
-    (logs, None) up to the settle term k, then
-    (logs, (k, factors, drift, tail, planned)) with the logs of term k's
-    factors and what plan returned, or None.
+    from the start as _scaled gives it and anchors, core.head's logs.
+    Yields the logs of term 0; then (K, nomes), the settle term and the
+    nomes, before any factor is drawn; then (logs, None) for the terms
+    from 1 up to the settle term and (logs, factors) at it, the logs of
+    its four factors, and stops.
 
     The products at k = 0 and 1 are states 0 to 3 from anchors. From
     k = 2 on each term multiplies in one factor per product,
@@ -369,24 +365,14 @@ def _settle(
     it) or a factor's part over- or underflows. Each term costs the
     same, so running to term k costs k factors.
 
-    With r = |lambda2/lambda1| < 1 the log factors approach their limits
-    geometrically: their change from one term to the next, times
-    tail = r/(1 - r), estimates how far they still are from them. drift
-    keeps the largest such estimate, shrunk by r per term, so that a
-    change that rounds to 0 early settles nothing. k is the first term
-    from max(floor, log(B)/log(1/r)), B = max(|c2/c1|, |c4/c3|), where
-    change plus drift is down to tol times max(1, |log gx_even|); before
-    it the lambda2 mode can hold the factors on a plateau. Where r
-    rounds to 1, drift and tail are inf, and k is the first term from
-    floor whose four factors repeat the previous four exactly. With tol
-    None, k is the first term from floor with max|z_a|*r**k <= r/2 (z_w
-    and z_z lie between z_u and z_v), or where r rounds to 1 the first
-    from max(floor, 2) whose factors repeat. Where tol is None and r < 1,
-    plan(first, nomes) is called before term 1 is yielded, so that it can
-    refuse before any factor is drawn: the settle term is 1 if first <= 1,
-    else max(2, ceil(first)), and the nomes are those of u[2j], v[2j],
-    u[2j+1] and v[2j+1], each a constant times lambda1**j*(1 - z*t**j):
-    z_u = c2/c1, z_v = c4/c3.
+    u[2j], v[2j], u[2j+1] and v[2j+1] are each a constant times
+    lambda1**j*(1 - z*t**j), with the nomes z_u = c2/c1, z_v = c4/c3 and
+    z_w, z_z, weighted means of those two. So each log factor of term k
+    lies within 4*m/(1 - m) of its limit, +-log g, m = max|z|*r**(k - 1),
+    r = |t|. K is the first term from floor with m <= nome, taken from
+    log max|z| - log nome, so that no quotient leaves float range. Where
+    r rounds to 1, K is None, and the settle term is the first from
+    max(floor, 2) whose four factors repeat the previous four exactly.
 
     Raises ConvergenceError where lambda2/lambda1 rounds to -1 and the
     two modes cancel at one parity: only 1 + lambda2/lambda1, lost to
@@ -399,20 +385,14 @@ def _settle(
         raise ConvergenceError(0, "lambda2/lambda1 rounds to -1 in float "
                                   "arithmetic; the closed form cannot "
                                   "separate the two eigenvalue modes")
-    r, tail = _rate(split)
-    first, drift = floor, 0.0 if r < 1.0 else math.inf
     log = math.log
-    series = tol is None  # the limit cycle's end: the series, or repeats
-    tol = (math.inf if r < 1.0 else 0.0) if series else tol
-    if 0.0 < r < 1.0 and sd.c1 and sd.c3:  # c1 or c3 of 0 is refused below
-        b, lr = max(abs(sd.c2 / sd.c1), abs(sd.c4 / sd.c3), 0.5), -log(r)
-        first = max(floor, (lr + log(2 * b) if series else log(max(b, 1.0))) / lr)
     l1, c1, c2, c3, c4 = sd.lambda1, sd.c1, sd.c2, sd.c3, sd.c4
     tk = t = sd.lambda2 / l1  # t**k
+    r = abs(t)
     a0, b0, c0, d0 = system.params.at(0)
     (x0, y0), (x1, y1), (x_e, y_e), (x_o, y_o) = anchors
-    yield (x0, x1, y0, y1), None
-    factors = pxe, pxo, pye, pyo = x_e - x0, x_o - x1, y_e - y0, y_o - y1
+    yield x0, x1, y0, y1
+    factors = x_e - x0, x_o - x1, y_e - y0, y_o - y1
     # u[2k], v[2k] / lambda1**k
     num_u, num_v = c1 - c2 * tk, c3 - c4 * tk
     # where one mode cancels the other at k = 1, q is x[2]/y[2]
@@ -441,9 +421,14 @@ def _settle(
         s_cur = 1 / q_cur
         nomes = (c2 / c1, c4 / c3, (b0 * c2 + a0 * c4) / (b0 * c1 + a0 * c3),
                  (d0 * c2 + c0 * c4) / (d0 * c1 + c0 * c3))
-        planned = plan(first, nomes) if series and r < 1.0 else None
-        yield (x_e, x_o, y_e, y_o), (
-            (1, factors, drift, tail, planned) if first <= 1 and drift <= tol else None)
+        z = max(abs(nomes[0]), abs(nomes[1]))  # z_w, z_z lie between
+        settle = (None if r >= 1.0 else floor if z <= nome or not r
+                  else max(floor, 1 + math.ceil((log(z) - log(nome)) / -log(r))))
+        yield settle, nomes
+        if settle == 1:
+            yield (x_e, x_o, y_e, y_o), factors
+            return
+        yield (x_e, x_o, y_e, y_o), None
         # b0*q + a0 and d0 + c0*s at the current term, reused at the next
         bq, ds = b0 * q_cur + a0, d0 + c0 * s_cur
         for k in count(2):
@@ -461,22 +446,15 @@ def _settle(
             bq, ds = b0 * q_cur + a0, d0 + c0 * s_cur
             gx_odd = bq * dq / p_cur
             gy_odd = ds * bs / r_cur
+            previous = factors
             factors = fxe, fxo, fye, fyo = (
                 log(gx_even), log(gx_odd), log(gy_even), log(gy_odd))
             x_e, x_o = x_e + fxe, x_o + fxo
             y_e, y_o = y_e + fye, y_o + fyo
-            change = max(abs(fxe - pxe), abs(fxo - pxo),
-                         abs(fye - pye), abs(fyo - pyo))
-            drift *= r
-            if change * tail > drift:
-                drift = change * tail
-            if k >= first and (change + drift <= tol
-                               or change + drift <= tol * abs(fxe)
-                               or not change and r >= 1.0):
-                yield (x_e, x_o, y_e, y_o), (k, factors, drift, tail, planned)
+            if k == settle or (settle is None and k >= floor and factors == previous):
+                yield (x_e, x_o, y_e, y_o), factors
                 return
             yield (x_e, x_o, y_e, y_o), None
-            pxe, pxo, pye, pyo = factors
     except (OverflowError, ZeroDivisionError, ValueError):
         raise DomainError("the closed form's ratio factors pass float "
                           "range") from None
@@ -485,33 +463,41 @@ def _settle(
 def _float_terms(
     system: System, start: tuple[float, float], anchors: list[tuple[float, float]]
 ) -> Iterator[tuple[Quad, Tail | None]]:
-    """The float hook of core.closed_states: the logs of _settle at the
-    factors' rounding, from term _MIN_SETTLE_TERM, up to the settle term
-    k, where a Tail takes over whose base and slope bound their error,
-    inf where r = |lambda2/lambda1| rounds to 1.
+    """The float hook of core.closed_states: the logs of _settle up to
+    its settle term K, at the earliest _MIN_SETTLE_TERM, from which every
+    factor is within ROUNDING of +-L, L = log g of float_criterion.
+    There a Tail takes over with the factors (L, -L, L, -L), the slope
+    ROUNDING*max(1, |L|) and a base that adds ROUNDING*r/(1 - r),
+    r = |lambda2/lambda1|, for the later factors' distance from L. Where
+    r rounds to 1 the Tail keeps the factors that repeat, and its base
+    and slope are inf.
 
-    Factors settled within rounding of 0 belong to a set on the
-    convergence boundary. If delta_sign_exact finds delta exactly 0 for
-    the coefficients' binary values, their limit is exactly 0 and they
-    are snapped to it, so the orbit does not drift off its cycle.
+    An L within ROUNDING of 0 belongs to a set on the convergence
+    boundary. If delta_sign_exact finds delta exactly 0 for the
+    coefficients' binary values, L is exactly 0 and the Tail is snapped
+    to it, so the orbit does not drift off its cycle.
 
     The spectral constants are computed on the first term; a rank-1
     System raises BranchError there.
     """
     system = _prepare_rank(system, system.mode, system.eps_rank, 2)
-    for logs, end in _settle(system, _roots(system.matrix, False), start,
-                             anchors, _ROUNDING, _MIN_SETTLE_TERM):
-        if end:
+    split, _, _, log_g, _ = float_criterion(system.matrix, system.params.at(0))
+    terms = _settle(system, split, start, anchors, _MIN_SETTLE_TERM, _TAIL_NOME)
+    yield next(terms), None
+    next(terms)  # the settle term and the nomes
+    for k, (logs, factors) in enumerate(terms, 1):
+        if factors:
             break
         yield logs, None
-    k, factors, drift, tail, _ = end
-    rounding = _ROUNDING * max(1.0, abs(factors[0]))
-    base = k * (rounding + EPSILON * max(map(abs, logs))) + drift * tail
-    slope = rounding + drift
-    if (max(map(abs, factors)) <= rounding
-            and _balanced(system.params, system.eps_rank)):
-        factors, slope = (0.0, 0.0, 0.0, 0.0), 0.0
-    yield logs, Tail(k, logs, factors, base, slope)
+    r = abs(split.lambda2 / split.lambda1)
+    if r >= 1.0:
+        yield logs, Tail(k, logs, factors, math.inf, math.inf)
+        return
+    rounding = ROUNDING * max(1.0, abs(log_g))
+    base = k * (rounding + EPSILON * max(map(abs, logs))) + ROUNDING * r / (1.0 - r)
+    if abs(log_g) <= ROUNDING and _balanced(system.params, system.eps_rank):
+        log_g = rounding = 0.0
+    yield logs, Tail(k, logs, (log_g, -log_g, log_g, -log_g), base, rounding)
 
 
 def _euler_tails(t: float, xs: Quad) -> list[float]:
@@ -569,12 +555,13 @@ def rank2_solution(
     """(x[n], y[n]) through the telescoping ratio products, by
     core.closed_point: the value and any error of
     rank2_solution_sequence at index n. Past index 3 float mode runs the
-    factors only to the settle term k of _float_terms, so a query costs
-    a number of terms set by r = |lambda2/lambda1| and the start (20 on
-    typical sets, some 4,000 at r = 0.99, and about 20 where r rounds to
-    1 and the factors come to repeat), not by n; before index 2k + 2 it
-    costs n/2 terms, as does every index of a set whose factors never
-    settle.
+    factors only to the settle term K of _float_terms, so a query costs
+    a number of terms set by r = |lambda2/lambda1| and the nomes of the
+    start, known before the first factor (20 on typical sets, some 320
+    at r = 0.9 and 3,400 at r = 0.99, and about 20 where r rounds to 1
+    and the factors come to repeat), not by n; before index 2K + 2 it
+    costs n/2 terms, as does every index of a set whose r rounds to 1
+    and whose factors never repeat.
     """
     horizon(n, "n")
     system = prepare(params, mode, eps_rank)
@@ -669,8 +656,8 @@ def limit_cycle(
     and S_a(K + 1) = S_a(K) - log(1 - z_a*t**K): K, not tol, sets the cost.
     Where r rounds to 1 the logs are those where the factors first repeat.
     Raises ConvergenceError where that term passes max_terms, where EPSILON
-    times the largest tail passes tol (both before the first term is drawn
-    where r < 1), or at once where |log g| of
+    times the largest tail passes tol (both before the first factor is
+    drawn where r < 1), or at once where |log g| of
     float_criterion, the factors' limit, is above the rounding of delta and
     at least tol over max(1, r/(1 - r)); DomainError for a tol that is not
     finite and > 0, a tol_class that is not finite and >= 0, a max_terms
@@ -690,32 +677,30 @@ def limit_cycle(
         )
     start = initial_state(init, ArithmeticMode.FLOAT64)
     anchors = head(wp, start, ArithmeticMode.FLOAT64)[1]
+    t = split.lambda2 / split.lambda1
+    r = abs(t)
     drift = abs(log_g)  # every log factor tends to +-log g, the least change
-    if drift > _ROUNDING and drift >= tol / max(1.0, _rate(split)[1]):
+    tail = r / (1.0 - r) if r < 1.0 else math.inf
+    if drift > ROUNDING and drift >= tol / max(1.0, tail):
         raise ConvergenceError(0, f"cycle products drift by {drift:.3g} "
                                   f"per term and cannot meet tol={tol}")
     unsettled = f"cycle products did not settle within {max_terms} terms"
-    t = split.lambda2 / split.lambda1
-
-    def plan(first, nomes):  # the series at its term K, or a refusal
-        k = max(2, first) if first > 1 else 1
-        if k > max_terms:  # as ceil(k) > max_terms
+    terms = _settle(system, split, start, anchors, 1, _SERIES_NOME)
+    next(terms)  # term 0
+    k, nomes = next(terms)
+    if k is not None:  # the series at term K, or a refusal
+        if k > max_terms:
             raise ConvergenceError(max_terms, unsettled)
-        k = math.ceil(k)
         xs = [z * t**k for z in nomes]
         tails = _euler_tails(t, xs)
         if EPSILON * max(map(abs, tails)) > tol:
             raise ConvergenceError(k, f"cycle remainders round by more than tol={tol}")
-        return xs, tails
-
-    terms = _settle(system, split, start, anchors, None, 1, plan)
-    for logs, end in islice(terms, max_terms + 1):
-        if end:
+    for logs, factors in islice(terms, max_terms):
+        if factors:
             break
     else:
         raise ConvergenceError(max_terms, unsettled)
-    if abs(t) < 1.0:
-        xs, tails = end[-1]
+    if k is not None:
         su, sv, sw, sz = tails
         nu, nv, nw, nz = [s - math.log1p(-x) for s, x in zip(tails, xs)]
         logs = [v + d for v, d in zip(logs, (nu + sv - sw - sz, nw + sz - nu - nv,

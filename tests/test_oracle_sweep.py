@@ -22,13 +22,17 @@ A verdict that names a parity must match the exact sign. A boundary
 verdict needs an exact sign of 0, or |g - 1| <= 2*tol_class, where g is
 the exact rho, or 1 + delta/scale taken in 50-digit decimals.
 
+Every command gets its coefficients as `--a0 <v>`, the plain argv that
+cli.main reads without argparse, as the README examples do.
+
 Tier-1 runs a slice of 100 sets. Run as a script, it prints the tally of
 a whole seed:
 
     PYTHONPATH=src python tests/test_oracle_sweep.py --seed 5 [--sets 500] [--wide]
 
 and exits 1 on a traceback, on `nan` in any output, on an exit code
-outside {0, 3, 4}, or on a wrong verdict.
+outside {0, 3, 4}, on a wrong verdict, or on a `closed` that misses the
+oracle on a set outside KNOWN_MISSES of its seed and variant.
 """
 
 from __future__ import annotations
@@ -92,6 +96,17 @@ PINNED = {
          1.9588013103554859e-233, 2.1451643297475995e-180, 1.6488839759164522e+84,
          7.296144952476293e-200, 1.5260600940123073e-199),
     ],
+}
+
+
+# The sets of seeds 5 and 11 whose exit-0 `closed` misses the oracle, each
+# with lambda2/lambda1 within about 2e-10 of -1, where the closed form
+# keeps only the digits of 1 + lambda2/lambda1. Any other seed or variant
+# is expected to miss on none.
+KNOWN_MISSES = {
+    (5, "standard"): {121, 129, 194, 238, 264, 366, 375, 392, 421},
+    (11, "standard"): {60, 118, 135, 195, 354, 400, 420, 459},
+    (11, "wide"): {361},
 }
 
 
@@ -172,7 +187,7 @@ def sweep(sets: list[tuple]) -> dict:
     exits, messages = Counter(), Counter()
     missed, wrong, nans = [], [], []
     for i, values in enumerate(sets):
-        coefficients = [f"--{k}={v!r}" for k, v in zip(NAMES, values)]
+        coefficients = [arg for k, v in zip(NAMES, values) for arg in (f"--{k}", repr(v))]
         for command in ("closed", "compare", "classify"):
             argv = [command, *coefficients]
             if command != "classify":
@@ -200,9 +215,7 @@ def test_slice_has_no_traceback_nan_or_miss(variant, count):
     tally = sweep(draw_sets(5, count, variant) + PINNED.get(variant, []))
     assert {code for _, code in tally["exits"]} <= {0, 3, 4}, tally["exits"]
     assert not tally["nans"]
-    # the whole of seed 5 misses on 8 sets, each with lambda2/lambda1
-    # within 2.1e-10 of -1, where the closed form keeps only the digits
-    # of 1 + lambda2/lambda1; none is in this slice
+    # none of seed 5's KNOWN_MISSES is in this slice
     assert not tally["missed"]
     assert not tally["wrong"]
 
@@ -221,12 +234,14 @@ def _main() -> int:
         print(f"  {command} exit {code}: {count}")
     for (command, line), count in tally["messages"].most_common():
         print(f"  {count:5d}  {command}: {line}")
-    print(f"  closed sets missing the oracle: {len(tally['missed'])} {tally['missed']}")
+    unknown = sorted(set(tally["missed"]) - KNOWN_MISSES.get((args.seed, variant), set()))
+    print(f"  closed sets missing the oracle: {len(tally['missed'])} {tally['missed']}, "
+          f"not known: {unknown}")
     print(f"  classify verdicts the exact one refutes: {len(tally['wrong'])} "
           f"{tally['wrong']}")
     print(f"  outputs with nan: {len(tally['nans'])} {tally['nans']}")
     bad_codes = {code for _, code in tally["exits"]} - {0, 3, 4}
-    return 1 if bad_codes or tally["nans"] or tally["wrong"] else 0
+    return 1 if bad_codes or tally["nans"] or tally["wrong"] or unknown else 0
 
 
 if __name__ == "__main__":

@@ -25,9 +25,10 @@ from ratsys import (
     rank2_solution_sequence,
     simulate,
 )
-from ratsys.core import closed_logs, closed_states, head, log_simulate
+from ratsys.core import ROUNDING, closed_logs, closed_states, head, log_simulate
 from ratsys.numeric import saturating_exp
-from ratsys.rank2 import _balanced, _euler_tails, _float_terms, _roots, _settle
+from ratsys.rank2 import (_TAIL_NOME, _balanced, _euler_tails, _float_terms,
+                          _roots, _settle, float_criterion)
 
 from conftest import (
     RANK1_GROWTH,
@@ -48,6 +49,21 @@ def logs_at(params, start, m):
     """The float rank-2 logs at term m, and the settle's Tail if it came
     first."""
     return closed_logs(prepare(params), start, m, _float_terms)
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The items of rank2._settle as they are drawn: the logs of term 0,
+    the settle term K and the nomes, then one (logs, end) per term."""
+    items = []
+
+    def recording(*args, **kwargs):
+        for item in _settle(*args, **kwargs):
+            items.append(item)
+            yield item
+
+    monkeypatch.setattr(ratsys.rank2, "_settle", recording)
+    return items
 
 
 def with_ratio(r, negative, tweak=1.5):
@@ -115,8 +131,8 @@ def test_logs_agree_with_the_decimal_oracle_within_the_settle_bound(case):
         assert settled is not None and settled.term < m
         bound = settled.error_bound(m)
         want_x, want_y = oracle[n]
-        assert abs(logs[odd] - want_x) <= min(bound, 1e-10)
-        assert abs(logs[2 + odd] - want_y) <= min(bound, 1e-10)
+        assert abs(logs[odd] - want_x) <= min(bound, 1e-11)
+        assert abs(logs[2 + odd] - want_y) <= min(bound, 1e-11)
         assert bound < 1e-9  # not vacuous
         # the point query returns exactly these logs, exponentiated
         assert rank2_solution(params, start, n) == (
@@ -129,12 +145,13 @@ def test_generic_set_at_1e5_is_far_closer_than_the_running_sum():
     want = decimal_log_orbit(params, start, [n])[n][0]
     settled_x = logs_at(params, start, m)[0][0]
     # the running sum over every factor, as the closed form was evaluated
-    # before the settle: _settle with a floor above m
+    # before the settle: _settle with a floor above m, whose term m is its
+    # item m + 1, after term 0 and the settle term
     system = prepare(params)
     anchors = head(params, start, ArithmeticMode.FLOAT64)[1]
     terms = _settle(system, _roots(system.matrix, False), start, anchors,
-                    0.0, m + 1)
-    summed_x = next(islice(terms, m, None))[0][0]
+                    m + 1, _TAIL_NOME)
+    summed_x = next(islice(terms, m + 1, None))[0][0]
     assert abs(summed_x - want) > 1e-9  # the running sum's n**2 rounding
     assert abs(settled_x - want) * 100 <= abs(summed_x - want)
     assert abs(settled_x - want) < 8.5e-11
@@ -174,16 +191,8 @@ def test_stream_equals_point_queries_across_the_settle(case):
     *((r, negative) for r in (0.01, 0.1, 0.5, 0.9, 0.99) for negative in (False, True)),
     pytest.param(1.0, False, id="r-one"),
 ])
-def test_factors_drawn_do_not_grow_with_n(monkeypatch, r, negative):
+def test_factors_drawn_do_not_grow_with_n(drawn, r, negative):
     params = R_ONE if r == 1.0 else with_ratio(r, negative)
-    drawn = []
-
-    def counting(*args, **kwargs):
-        for item in _settle(*args, **kwargs):
-            drawn.append(None)
-            yield item
-
-    monkeypatch.setattr(ratsys.rank2, "_settle", counting)
     counts = []
     for n in (10**4, 10**9):
         drawn.clear()
@@ -191,6 +200,72 @@ def test_factors_drawn_do_not_grow_with_n(monkeypatch, r, negative):
         assert not (math.isnan(x) or math.isnan(y))
         counts.append(len(drawn))
     assert counts[0] == counts[1] < 10**4 // 2
+
+
+# (r, lambda2 < 0): the settle term K from the nomes, and the term a
+# drift estimate ends at, the first whose factors' change times
+# 1 + r/(1 - r) is within their rounding
+SETTLE_TERMS = {
+    (0.5, False): (50, 49), (0.5, True): (50, 52),
+    (0.9, False): (323, 301), (0.9, True): (322, 351),
+    (0.99, False): (3372, 3833), (0.99, True): (3364, 3919),
+}
+
+
+def test_terms_drawn_are_the_settle_term_from_the_nomes(drawn):
+    for (r, negative), (want, _) in SETTLE_TERMS.items():
+        drawn.clear()
+        rank2_solution(with_ratio(r, negative), (1.5, 0.5), 10**9)
+        k = drawn[1][0]
+        # terms 1 to K follow term 0 and K itself
+        assert (k, len(drawn) - 2) == (want, want), (r, negative)
+    # 4*m/(1 - m) bounds all four log(1 - z*t**j) of a factor, where
+    # they partly cancel: K is 22 terms past the drift estimate's at
+    # r = 0.9 with lambda2 > 0, and 10% below it over the six sets
+    assert sum(k for k, _ in SETTLE_TERMS.values()) < 0.9 * sum(
+        old for _, old in SETTLE_TERMS.values())
+
+
+def test_settle_term_of_a_nome_near_float_range_comes_from_logs():
+    # the nome c2/c1 is -4.4e296: over the closed form's bound on the
+    # nomes, 8.9e-16, it passes float range; r is 3.4e-262, so K is the
+    # floor
+    params = PeriodicCoefficients(
+        6.0493745528541244e+116, 5.673266379027651e+34, 4.024884536660013e-154,
+        2.4382448613190435e-44, 5.031806022002711e+49, 1.3679474331980943e-146,
+        1.4668354698114438e-169, 5.98489421409024e+150)
+    _, settled = logs_at(params, (1.0, 1.0), 10**9)
+    assert settled.term == 20
+
+
+@pytest.mark.parametrize("params, start", [
+    *seeded_mix(),
+    *((with_ratio(r, negative), (1.5, 0.5))
+      for r in (0.01, 0.5, 0.9, 0.99) for negative in (False, True)),
+])
+def test_tail_factors_are_plus_minus_log_g(params, start):
+    system = prepare(params)
+    log_g = float_criterion(system.matrix, system.params.at(0))[3]
+    _, settled = logs_at(params, start, 10**9)
+    assert settled.factors == (log_g, -log_g, log_g, -log_g)
+    assert settled.slope == ROUNDING * max(1.0, abs(log_g))
+
+
+def test_rank1_error_bound_holds_past_the_tail():
+    """The Tail of rank 1 adds the rounding of log rho per term: its
+    bound holds against the decimal iteration at 10**4 and 10**5."""
+    rng, start = random.Random(11), (1.3, 0.8)
+    for _ in range(12):
+        params = random_rank1_params(rng)
+        oracle = decimal_log_orbit(params, start, [10**4, 10**5])
+        for n, (want_x, want_y) in oracle.items():
+            m, odd = divmod(n, 2)
+            logs, tail = closed_logs(prepare(params), start, m,
+                                     ratsys.rank1._float_terms)
+            bound = tail.error_bound(m)
+            assert abs(logs[odd] - want_x) <= bound, (params, n)
+            assert abs(logs[2 + odd] - want_y) <= bound, (params, n)
+            assert bound < 1e-9  # not vacuous
 
 
 @pytest.mark.parametrize("t", [0.05, -0.05, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99])
@@ -245,15 +320,7 @@ def test_limit_cycle_refuses_tails_whose_rounding_passes_tol():
     assert limit_cycle(farther, (2.0, 0.5)).residual < 1e-11
 
 
-def test_limit_cycle_draws_few_terms_where_r_is_099(monkeypatch):
-    drawn = []
-
-    def counting(*args, **kwargs):
-        for item in _settle(*args, **kwargs):
-            drawn.append(None)
-            yield item
-
-    monkeypatch.setattr(ratsys.rank2, "_settle", counting)
+def test_limit_cycle_draws_few_terms_where_r_is_099(drawn):
     for start in ((1.0, 1.0), (1.3, 0.8), (1e-8, 1e8)):
         drawn.clear()
         limit_cycle(RANK2_SLOW_99, start)
@@ -266,18 +333,11 @@ def test_limit_cycle_draws_few_terms_where_r_is_099(monkeypatch):
     # r = 1 - 4e-8: K passes the default max_terms of 10**6
     (1e-8, "did not settle within 1000000 terms"),
 ])
-def test_limit_cycle_refuses_before_drawing_a_factor(monkeypatch, t, message):
-    drawn = []
-
-    def counting(*args, **kwargs):
-        for item in _settle(*args, **kwargs):
-            drawn.append(None)
-            yield item
-
-    monkeypatch.setattr(ratsys.rank2, "_settle", counting)
+def test_limit_cycle_refuses_before_drawing_a_factor(drawn, t, message):
     with pytest.raises(ConvergenceError, match=message):
         limit_cycle(PeriodicCoefficients(t, 1, 1, t, t, 1, 1, t), (2.0, 0.5))
-    assert len(drawn) == 1  # term 0, the start's own logs
+    # term 0, the start's own logs, and the settle term with the nomes
+    assert len(drawn) == 2 and drawn[1][0] > 400_000
 
 
 def test_balanced_set_holds_its_cycle_at_1e9():
