@@ -41,14 +41,8 @@ def closed_form_states(
     values saturate to inf or 0.0.
     """
     system = prepare(params, mode, eps_rank)
-    start = initial_state(init, mode)
-    return closed_states(system, start, *_hooks(system))
-
-
-def _hooks(system: System):
-    """The rank's (float_terms, exact_ratios) for core.closed_states."""
     branch = rank1 if system.rank == 1 else rank2
-    return branch._float_terms, branch._exact_ratios
+    return closed_states(system, initial_state(init, mode), branch._float_terms)
 
 
 def closed_form_text(
@@ -61,7 +55,7 @@ def closed_form_text(
     gives the orbit's; no Fraction is made."""
     horizon(n_max)
     system = prepare(params, EXACT, eps_rank)
-    states = closed_factors(system, initial_state(init, EXACT), _hooks(system)[1])
+    states = closed_factors(system, initial_state(init, EXACT))
     return decimal_rows(islice(states, n_max + 1))
 
 
@@ -175,7 +169,8 @@ def product_converges(
     prev_mag: Optional[float] = None
     zero_run = 0
     used = 0
-    for alpha in islice(terms, max_terms):
+    # range, not islice, as max_terms may pass sys.maxsize
+    for _, alpha in zip(range(max_terms), terms):
         used += 1
         a = float(alpha)
         if not a > -1.0:
@@ -255,7 +250,7 @@ def compare(
             a, b = (coprime_fraction(g * p, f * r) for g, f, p, r in (a, b))
             return float(abs(a - b) / a)
         states = (sides(_exact_factors(system.params, start, n_max, DEFAULT_BIT_CAP)),
-                  sides(closed_factors(system, start, _hooks(system)[1])))
+                  sides(closed_factors(system, start)))
     else:
         def gap(a, b):  # every state is positive
             return abs(a - b) / a

@@ -69,7 +69,7 @@ def _coefficients(args, parser, mode: ArithmeticMode) -> PeriodicCoefficients:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # a decode error is a ValueError
             parser.error(f"cannot read config {args.config}: {exc}")
         if not isinstance(raw, dict):
             parser.error(f"config {args.config} must be a JSON object")

@@ -9,6 +9,10 @@ where each coefficient sequence alternates between two positive values:
 a[2k] = a0, a[2k+1] = a1, and likewise for b, c, d. Positive initial values
 give positive orbits for every n, so direct iteration serves as the oracle
 against which all closed-form evaluation in this package is checked.
+
+The closed forms are assembled here too. closed_factors, the one exact closed
+form, serves every rational set, rank 1 as its M = 0 case; the rank modules
+supply only float terms, to closed_states and closed_point.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import BitGrowthError, DomainError, TruncationError
 from .numeric import (
+    DEFAULT_BIT_CAP,
     ArithmeticMode,
     Number,
     coprime_fraction,
@@ -33,7 +38,6 @@ from .numeric import (
 if TYPE_CHECKING:
     from .transfer import System
 
-DEFAULT_BIT_CAP = 1_000_000
 SMALLEST_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
 EPSILON = 2.0 ** -52  # sys.float_info.epsilon
 COEFF_NAMES = ("a0", "b0", "c0", "d0", "a1", "b1", "c1", "d1")
@@ -336,20 +340,72 @@ def exact_orbit_text(
     return decimal_rows(_exact_factors(params, state, n_max, bit_cap))
 
 
+def _integer_spectrum(m) -> tuple[int, int, int, int]:
+    """(L, T, N, M) of an exact matrix written over one denominator L as
+    [[A, B], [G, E]]/L: T = A + E, N = (A - E)**2 + 4*B*G and
+    M = A*E - B*G, so that its eigenvalues are (T +- sqrt(N))/(2*L)."""
+    l, a, b, g, e = over_one_denominator(m)
+    return l, a + e, (a - e) ** 2 + 4 * b * g, a * e - b * g
+
+
+def _exact_ratios(
+    system: "System", start: tuple[Fraction, Fraction]
+) -> Iterator[tuple[int, int, int, int]]:
+    """The ratios of closed_factors: x[n]*x[n+1] = u[n+1]/v[n] and
+    y[n]*y[n+1] = v[n+1]/u[n] from n = 3 on, as ints, for either rank,
+    rational eigenvalues or not. With (L, T, N, M) of _integer_spectrum
+    and theta = (T + sqrt(N))/2 = L*lambda1, a root of theta**2 =
+    T*theta - M: c2 = -conj(c1) and, as sqrt(N) = 2*theta - T, 2*N*c1 =
+    N*u0 - T*s1 + 2*s1*theta with s1 = L*(2*beta*v0 + (alpha - delta)*u0);
+    likewise c3, c4 and s3. So u[2k], v[2k] are twice the rational parts
+    of c1*theta**k, c3*theta**k over L**k. Over one denominator C and
+    divided by their gcd, c1 and c3 are x + y*theta, which theta maps to
+    -M*y + (x + T*y)*theta; U_k = 2*x + T*y of c1 and V_k of c3 are u[2k]
+    and v[2k] times C*L**k. With a0 = a/D, b0 = b/D, c0 = c/D, d0 = d/D,
+    W_k = b*U_k + a*V_k and Z_k = d*U_k + c*V_k are u[2k+1] and v[2k+1]
+    times C*L**k*D. So n = 2k takes W_k/(D*V_k) and Z_k/(D*U_k), and
+    n = 2k + 1 takes D*U_{k+1}/(L*Z_k) and D*V_{k+1}/(L*W_k).
+    Rank 1 is M = 0, where each term multiplies x and y by T: the state
+    is divided by its gcd after each odd ratio, each pair by the pair's.
+    """
+    l, t, n, det = _integer_spectrum(system.matrix)
+    alpha, beta, gamma, delta = system.matrix
+    u0, v0 = start
+    s1 = l * (2 * beta * v0 + (alpha - delta) * u0)
+    s3 = l * (2 * gamma * u0 + (delta - alpha) * v0)
+    _, *parts = over_one_denominator(
+        (n * u0 - t * s1, 2 * s1, n * v0 - t * s3, 2 * s3))
+    den, ca, cb, cc, cd = over_one_denominator(system.params.at(0))
+
+    def reduced(a, b, c, d):
+        e, f = math.gcd(a, b), math.gcd(c, d)
+        return a // e, b // e, c // f, d // f
+
+    def ratios(x1, y1, x3, y3):
+        while True:
+            common = math.gcd(x1, y1, x3, y3)
+            x1, y1, x3, y3 = x1 // common, y1 // common, x3 // common, y3 // common
+            u, v = 2 * x1 + t * y1, 2 * x3 + t * y3
+            w, z = cb * u + ca * v, cd * u + cc * v
+            yield reduced(w, den * v, z, den * u)
+            x1, y1, x3, y3 = -det * y1, u - x1, -det * y3, v - x3
+            u, v = 2 * x1 + t * y1, 2 * x3 + t * y3
+            yield reduced(den * u, l * z, den * v, l * w)
+    return islice(ratios(*parts), 3, None)
+
+
 def closed_factors(
-    system: "System",
-    start: tuple[Fraction, Fraction],
-    ratios: Callable[..., Iterator[tuple[int, int, int, int]]],
+    system: "System", start: tuple[Fraction, Fraction]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...] | None]]:
-    """An exact closed form as integer_steps yields it: states 0 to 3
-    of head, then from state 3 on, for each (a, b, c, d) of
-    ratios(system, start), called on reaching index 1,
-    x[n]*x[n+1] = a/b and y[n]*y[n+1] = c/d, so that
+    """The one exact closed form, for every rational set (rank 1 is M = 0),
+    as integer_steps yields it: states 0 to 3 of head, then from state 3
+    on, for each (a, b, c, d) of _exact_ratios(system, start), called on
+    reaching index 1, x[n]*x[n+1] = a/b and y[n]*y[n+1] = c/d, so that
     x[n+1] = F*(a*r1) / (g*(b*p1)) and likewise y[n+1], with K = b*d.
     Past DEFAULT_BIT_CAP bits it raises BitGrowthError, as simulate."""
     states = head(system.params, start, system.mode)[0]
     yield shared_factors(*start), None
-    products = ratios(system, start)
+    products = _exact_ratios(system, start)
     for state in states[1:3]:
         yield shared_factors(*state), None
 
@@ -512,8 +568,9 @@ class Tail(NamedTuple):
     slope: float = 0.0
 
     def at(self, m: int) -> tuple[float, float, float, float]:
-        """The logs of the four products at term m."""
-        j = m - self.term
+        """The logs of the four products at term m; m - term is capped at
+        2**1023, past which every factor, 0 or above 1e-16, saturates."""
+        j = min(m - self.term, 1 << 1023)
         (xe, xo, ye, yo), (fxe, fxo, fye, fyo) = self.logs, self.factors
         return (xe + j * fxe, xo + j * fxo, ye + j * fye, yo + j * fyo)
 
@@ -527,17 +584,16 @@ class Tail(NamedTuple):
 
     def error_bound(self, m: int) -> float:
         """Bound on the error in log of each of the logs at term m."""
-        return (self.base + (m - self.term) * self.slope
+        return (self.base + min(m - self.term, 1 << 1023) * self.slope
                 + EPSILON * max(map(abs, self.at(m))))
 
 
 def closed_states(
-    system: "System", start: tuple[Number, Number], float_terms, exact_ratios
+    system: "System", start: tuple[Number, Number], float_terms
 ) -> Iterator[tuple[Number, Number]]:
-    """Closed-form states n = 0, 1, 2, ... of a rank from its two hooks,
-    lazily, from a checked start.
+    """Closed-form states n = 0, 1, 2, ... from a checked start, lazily.
 
-    Exact mode is closed_factors on exact_ratios. In float mode
+    Exact mode is closed_factors, for either rank. In float mode
     float_terms(system, start, anchors), anchors the logs of head,
     yields the logs of the products at terms k = 0, 1, ... as
     (logs, None), and as (logs, Tail) at the term the Tail takes over
@@ -546,7 +602,7 @@ def closed_states(
     after index 3, so a rank's hook raises its errors there.
     """
     if system.mode is ArithmeticMode.EXACT_RATIONAL:
-        yield from exact_pairs(closed_factors(system, start, exact_ratios))
+        yield from exact_pairs(closed_factors(system, start))
         return
     states, anchors = head(system.params, start, system.mode)
     yield start
@@ -574,16 +630,15 @@ def closed_logs(
 
 
 def closed_point(
-    system: "System", start: tuple[Number, Number], n: int, float_terms, exact_ratios
+    system: "System", start: tuple[Number, Number], n: int, float_terms
 ) -> tuple[Number, Number]:
-    """State n of closed_states. Exact mode takes all n integer steps
-    and makes Fractions of state n only; float mode past index 3 runs
-    the terms only up to the Tail and jumps from there to index n."""
+    """State n of closed_states: in exact mode, of either rank, after all
+    n integer steps of closed_factors, Fractions of state n only; in float
+    mode past index 3, the terms up to the Tail, then a jump to index n."""
     if system.mode is ArithmeticMode.EXACT_RATIONAL:
-        factors = closed_factors(system, start, exact_ratios)
-        return next(exact_pairs(islice(factors, n, None)))
+        return next(exact_pairs(islice(closed_factors(system, start), n, None)))
     if n < 4:
-        states = closed_states(system, start, float_terms, exact_ratios)
+        states = closed_states(system, start, float_terms)
         return next(islice(states, n, None))
     m, odd = divmod(n, 2)
     logs = closed_logs(system, start, m, float_terms)[0]

@@ -10,6 +10,7 @@ dynamics modules never branch on representation details themselves.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -18,6 +19,8 @@ from typing import Union
 from .errors import DomainError
 
 Number = Union[int, float, Fraction]
+
+DEFAULT_BIT_CAP = 1_000_000
 
 
 class ArithmeticMode(Enum):
@@ -44,21 +47,19 @@ def to_fraction(value: Number, name: str = "value") -> Fraction:
     return Fraction(value)
 
 
-if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
-    def coprime_fraction(numerator: int, denominator: int) -> Fraction:
-        """Fraction(numerator, denominator) without the gcd that would
-        reduce it: the ints must be coprime, the denominator positive."""
-        return Fraction._from_coprime_ints(numerator, denominator)
-else:
-    def coprime_fraction(numerator: int, denominator: int) -> Fraction:
-        """Fraction(numerator, denominator) without the gcd that would
-        reduce it: the ints must be coprime, the denominator positive."""
-        return Fraction(numerator, denominator, _normalize=False)
+# coprime_fraction(numerator, denominator) is the Fraction without the gcd
+# that would reduce it: the ints must be coprime, the denominator positive.
+coprime_fraction = getattr(Fraction, "_from_coprime_ints",  # Python 3.12 on
+                           functools.partial(Fraction, _normalize=False))
 
 
 def parse_number(text: str, mode: ArithmeticMode) -> Number:
-    """Parse a scalar from text. Exact mode accepts 'p/q' and decimals."""
+    """Parse a scalar from text. Exact mode accepts 'p/q' and decimals,
+    and refuses an exponent past DEFAULT_BIT_CAP bits before 10**e is built."""
     if mode is ArithmeticMode.EXACT_RATIONAL:
+        e = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if e.isdecimal() and int(e) * math.log2(10) > DEFAULT_BIT_CAP:
+            raise ValueError(f"exponent passes the {DEFAULT_BIT_CAP}-bit cap")
         return Fraction(text)
     return float(text)
 

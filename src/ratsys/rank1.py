@@ -27,8 +27,7 @@ prepared once pays for none of that again.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import cycle, islice
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .classification import (Classification, Kind, float_decision,
@@ -112,19 +111,6 @@ def _float_terms(
                      ROUNDING * max(1.0, abs(even)))
 
 
-def _exact_ratios(
-    system: System, start: tuple[Fraction, Fraction]
-) -> Iterator[tuple[int, int, int, int]]:
-    """The ratios of core.closed_factors, exact: from index 2 on v = K*u,
-    so x[n]*x[n+1] = u[n+1]/v[n] and y[n]*y[n+1] = v[n+1]/u[n] take two
-    values in turn. K and mu are computed on the first one, at index 4."""
-    k, mu = growth_and_ratio(system, system.mode, system.eps_rank)[:2]
-    a0, b0, c0, d0 = system.params.at(0)
-    ew, ow = b0 + k * a0, d0 + k * c0  # u[2m+1]/u[2m], v[2m+1]/u[2m]
-    yield from cycle([(r.numerator, r.denominator, s.numerator, s.denominator)
-                      for r, s in ((mu / ow, k * mu / ew), (ew / k, ow))])
-
-
 def rank1_solution(
     params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
@@ -136,16 +122,16 @@ def rank1_solution(
 
     Indices 0 to 3 are direct steps, from core.head. Beyond that, even
     indices follow x[2m] = x2 * rho**(m-1) and odd indices
-    x[2m+1] = x3 * rho**(1-m), same for y; this matches direct iteration
-    for all initial values, including those off the y0 = K*x0 locus where
-    the first even factor differs from rho. Float mode evaluates the
-    powers in log space, by core.closed_point.
+    x[2m+1] = x3 * rho**(1-m), same for y, off the y0 = K*x0 locus too.
+    Float mode takes the powers in log space, by core.closed_point, and
+    raises BranchError past index 3 on a rank-2 set; exact mode serves
+    that set by core.closed_point, the one exact closed form.
     """
     horizon(n, "n")
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
-    if n <= 3 or mode is not ArithmeticMode.EXACT_RATIONAL:
-        return closed_point(system, start, n, _float_terms, _exact_ratios)
+    if n <= 3 or mode is not ArithmeticMode.EXACT_RATIONAL or system.rank == 2:
+        return closed_point(system, start, n, _float_terms)
     j, odd = n // 2 - 1, n % 2
     rho = growth_and_ratio(system, mode, eps_rank).rho ** (-j if odd else j)
     x, y = head(system.params, start, mode)[0][2 + odd]
@@ -160,13 +146,13 @@ def rank1_solution_sequence(
     eps_rank: float = 1e-12,
 ) -> list[tuple[Number, Number]]:
     """Closed-form states for n = 0 .. n_max, equal to rank1_solution(n),
-    by core.closed_states at one set of constants per call. Raises
-    BranchError when n_max >= 4 and the composed matrix has rank 2."""
+    by core.closed_states at one set of constants per call. Exact mode
+    serves every rational set; float mode raises BranchError when
+    n_max >= 4 and the composed matrix has rank 2."""
     horizon(n_max)
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
-    return list(islice(closed_states(system, start, _float_terms,
-                                     _exact_ratios), n_max + 1))
+    return list(islice(closed_states(system, start, _float_terms), n_max + 1))
 
 
 def classify_rank1(

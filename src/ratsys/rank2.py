@@ -41,8 +41,8 @@ from typing import Iterator, NamedTuple
 from .classification import (Classification, Kind, float_decision,
                              kind_from_sign, scaled_ratio, scaled_sum)
 from .core import (EPSILON, ROUNDING, SMALLEST_NORMAL, PeriodicCoefficients,
-                   Tail, closed_point, closed_states, head, horizon,
-                   initial_state, over_one_denominator)
+                   Tail, _integer_spectrum, closed_point, closed_states, head,
+                   horizon, initial_state)
 from .errors import BranchError, ConvergenceError, DomainError
 from .numeric import (ArithmeticMode, Number, require_tolerance,
                       saturating_exp)
@@ -173,17 +173,9 @@ def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
     return Split(l1, l2, -lead / m21, other, lead, -lead / m12, m21 / lead, 2 * h)
 
 
-def _integer_spectrum(m: TransferMatrix) -> tuple[int, int, int, int]:
-    """(L, T, N, M) of an exact matrix written over one denominator L as
-    [[A, B], [G, E]]/L: T = A + E, N = (A - E)**2 + 4*B*G and
-    M = A*E - B*G, so that its eigenvalues are (T +- sqrt(N))/(2*L)."""
-    l, a, b, g, e = over_one_denominator(m)
-    return l, a + e, (a - e) ** 2 + 4 * b * g, a * e - b * g
-
-
 def _roots(m: TransferMatrix, exact: bool) -> Split:
     """The Split of a positive 2x2 matrix: exact rationals from the
-    isqrt of N of _integer_spectrum, or float_split in float mode."""
+    isqrt of N of core._integer_spectrum, or float_split in float mode."""
     if not exact:
         return float_split(*m.entries)
     alpha, beta, gamma, _ = m.entries
@@ -271,47 +263,6 @@ def _expansion(
     c3 = (gamma * u0 + lead1 * v0) / gap
     c4 = (gamma * u0 + lead2 * v0) / gap
     return SpectralData(lambda1=l1, lambda2=l2, c1=c1, c2=c2, c3=c3, c4=c4, q=q)
-
-
-def _exact_ratios(
-    system: System, start: tuple[Fraction, Fraction]
-) -> Iterator[tuple[int, int, int, int]]:
-    """The ratios of core.closed_factors, exact: x[n]*x[n+1] = u[n+1]/v[n]
-    and y[n]*y[n+1] = v[n+1]/u[n] from n = 3 on, as ints, rational
-    eigenvalues or not. With (L, T, N, M) of _integer_spectrum and theta
-    = (T + sqrt(N))/2 = L*lambda1, a root of theta**2 = T*theta - M:
-    c2 = -conj(c1) and, as sqrt(N) = 2*theta - T, 2*N*c1 = N*u0 - T*s1 +
-    2*s1*theta with s1 = L*(2*beta*v0 + (alpha - delta)*u0); likewise c3,
-    c4 and s3. So u[2k], v[2k] are twice the rational parts of
-    c1*theta**k, c3*theta**k over L**k. Over one denominator C and
-    divided by their gcd, c1 and c3 are x + y*theta, which theta maps to
-    -M*y + (x + T*y)*theta; U_k = 2*x + T*y of c1 and V_k of c3 are u[2k]
-    and v[2k] times C*L**k. With a0 = a/D, b0 = b/D, c0 = c/D, d0 = d/D,
-    W_k = b*U_k + a*V_k and Z_k = d*U_k + c*V_k are u[2k+1] and v[2k+1]
-    times C*L**k*D. So n = 2k takes W_k/(D*V_k) and Z_k/(D*U_k), and
-    n = 2k + 1 takes D*U_{k+1}/(L*Z_k) and D*V_{k+1}/(L*W_k).
-    """
-    l, t, n, det = _integer_spectrum(system.matrix)
-    alpha, beta, gamma, delta = system.matrix
-    u0, v0 = start
-    s1 = l * (2 * beta * v0 + (alpha - delta) * u0)
-    s3 = l * (2 * gamma * u0 + (delta - alpha) * v0)
-    _, *parts = over_one_denominator(
-        (n * u0 - t * s1, 2 * s1, n * v0 - t * s3, 2 * s3))
-    common = math.gcd(*parts)
-    den, ca, cb, cc, cd = over_one_denominator(system.params.at(0))
-
-    def ratios(x1, y1, x3, y3):
-        u, v = 2 * x1 + t * y1, 2 * x3 + t * y3
-        du, dv = den * u, den * v
-        while True:
-            w, z = cb * u + ca * v, cd * u + cc * v
-            yield w, dv, z, du
-            x1, y1, x3, y3 = -det * y1, u - x1, -det * y3, v - x3
-            u, v = 2 * x1 + t * y1, 2 * x3 + t * y3
-            du, dv = den * u, den * v
-            yield du, l * z, dv, l * w
-    return islice(ratios(*(p // common for p in parts)), 3, None)
 
 
 def _scaled(start: tuple[float, float]) -> tuple[float, float]:
@@ -531,18 +482,17 @@ def rank2_solution_sequence(
 ) -> list[tuple[Number, Number]]:
     """Closed-form states for n = 0 .. n_max, by core.closed_states.
 
-    Exact mode goes on from index 3 by the integer ratios of
-    _exact_ratios. Float mode adds the logs of the ratio factors of
-    _settle up to the settle term k of _float_terms and takes the
-    core.Tail after it; values beyond float range saturate to inf or
-    0.0. The spectral constants are computed on reaching index 1, so a
-    rank-1 System raises BranchError there.
+    Exact mode is core.closed_factors, which serves every rational set.
+    Float mode adds the logs of the ratio factors of _settle up to the
+    settle term k of _float_terms and takes the core.Tail after it;
+    values beyond float range saturate to inf or 0.0. Its spectral
+    constants are computed on reaching index 1, so a rank-1 System
+    raises BranchError there.
     """
     horizon(n_max)
     system = prepare(params, mode, eps_rank)
     start = initial_state(init, mode)
-    return list(islice(closed_states(system, start, _float_terms,
-                                     _exact_ratios), n_max + 1))
+    return list(islice(closed_states(system, start, _float_terms), n_max + 1))
 
 
 def rank2_solution(
@@ -555,18 +505,15 @@ def rank2_solution(
     """(x[n], y[n]) through the telescoping ratio products, by
     core.closed_point: the value and any error of
     rank2_solution_sequence at index n. Past index 3 float mode runs the
-    factors only to the settle term K of _float_terms, so a query costs
-    a number of terms set by r = |lambda2/lambda1| and the nomes of the
-    start, known before the first factor (20 on typical sets, some 320
-    at r = 0.9 and 3,400 at r = 0.99, and about 20 where r rounds to 1
-    and the factors come to repeat), not by n; before index 2K + 2 it
-    costs n/2 terms, as does every index of a set whose r rounds to 1
-    and whose factors never repeat.
+    factors only to the settle term K of _float_terms, set by
+    r = |lambda2/lambda1| and the start's nomes (20 on typical sets, 320
+    at r = 0.9, 3,400 at r = 0.99, about 20 where r rounds to 1 and the
+    factors repeat), not by n; below index 2K + 2, or where r rounds to
+    1 and the factors never repeat, it costs n/2 terms.
     """
     horizon(n, "n")
     system = prepare(params, mode, eps_rank)
-    start = initial_state(init, mode)
-    return closed_point(system, start, n, _float_terms, _exact_ratios)
+    return closed_point(system, initial_state(init, mode), n, _float_terms)
 
 
 def criterion_delta(
@@ -695,7 +642,8 @@ def limit_cycle(
         tails = _euler_tails(t, xs)
         if EPSILON * max(map(abs, tails)) > tol:
             raise ConvergenceError(k, f"cycle remainders round by more than tol={tol}")
-    for logs, factors in islice(terms, max_terms):
+    # range, not islice, as max_terms may pass sys.maxsize
+    for _, (logs, factors) in zip(range(max_terms), terms):
         if factors:
             break
     else:

@@ -110,6 +110,14 @@ def test_product_undecided_for_slow_decay():
     assert report.terms_used == 2000
 
 
+def test_max_terms_may_pass_sys_maxsize():
+    # the README allows any int >= 1; islice stops at sys.maxsize
+    report = product_converges((0.5 ** k for k in count(1)), max_terms=2**63)
+    assert report.status is ProductStatus.CONVERGES
+    cycle = limit_cycle(RANK2_BALANCED, (1.5, 0.5), max_terms=2**63)
+    assert cycle == limit_cycle(RANK2_BALANCED, (1.5, 0.5))
+
+
 def test_compare_exact_closed_forms_are_error_free():
     report = compare(RANK1_BOUNDARY, (Fraction(1), Fraction(2)), 30, EXACT)
     assert report.max_rel_error_x == 0.0

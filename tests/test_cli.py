@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -131,6 +132,35 @@ def test_bad_config_is_usage_error(tmp_path, content, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: ratsys classify ")
     assert message in err
+
+
+def test_undecodable_config_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "params.json"
+    config.write_bytes(b"\xff\xfe{")
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--config", str(config)])
+    assert info.value.code == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1e99999999999", "1e-99999999999"])
+def test_huge_exact_exponent_is_refused_at_once(text, capsys):
+    # 10**(10**11) would take hours to build; a child process with a
+    # timeout bounds the wait should the refusal ever go
+    argv = ["classify", "--all-ones", "--mode", "exact", "--x0", text]
+    src = str(Path(ratsys.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "ratsys", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert f"cannot parse x0={text!r}" in proc.stderr
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert time.perf_counter() - start < 1.0 and info.value.code == 2
+    assert ratsys.parse_number("1e300000", ArithmeticMode.EXACT_RATIONAL) \
+        == Fraction(10) ** 300000
 
 
 def test_output_file(tmp_path, capsys):

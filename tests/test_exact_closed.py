@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ratsys.analysis
+import ratsys.core
 import ratsys.rank1
-import ratsys.rank2
 from ratsys import (
     ArithmeticMode,
     BitGrowthError,
@@ -113,21 +113,23 @@ def test_closed_csv_is_simulate_csv():
     assert closed == simulated
 
 
-@pytest.mark.parametrize("module, params", [
-    (ratsys.rank2, PeriodicCoefficients(1, 1, 1, 3, 1, 2, 3, 1)),
-    (ratsys.rank1, PeriodicCoefficients(1, 1, 1, 1, Fraction(1, 2), Fraction(3, 2), 2, 2)),
+@pytest.mark.parametrize("params", [
+    pytest.param(PeriodicCoefficients(1, 1, 1, 3, 1, 2, 3, 1), id="rank2"),
+    pytest.param(PeriodicCoefficients(1, 1, 1, 1, Fraction(1, 2), Fraction(3, 2), 2, 2),
+                 id="rank1"),
 ])
-def test_exact_compare_sees_a_wrong_ratio(monkeypatch, module, params):
+def test_exact_compare_sees_a_wrong_ratio(monkeypatch, params):
     """The integer equality of exact compare is not vacuous: x[n]*x[n+1]
-    one too large at n = 9 puts every later x off the orbit."""
-    ratios = module._exact_ratios
+    one too large at n = 9 puts every later x off the orbit, on a set of
+    either rank, both served by the one ratio generator."""
+    ratios = ratsys.core._exact_ratios
 
     def wrong(*args):
         for n, (a, b, c, d) in enumerate(ratios(*args), 3):
             yield (a + b, b, c, d) if n == 9 else (a, b, c, d)
 
     assert compare(params, (1, 1), 30, EXACT).first_divergence_index is None
-    monkeypatch.setattr(module, "_exact_ratios", wrong)
+    monkeypatch.setattr(ratsys.core, "_exact_ratios", wrong)
     report = compare(params, (1, 1), 30, EXACT)
     assert report.first_divergence_index == 10
     assert report.max_rel_error_x > 0 and report.max_rel_error_y == 0
@@ -135,6 +137,17 @@ def test_exact_compare_sees_a_wrong_ratio(monkeypatch, module, params):
         ",".join(str(getattr(params, f)) for f in COEFF_NAMES)),
         "--mode", "exact", "-n", "30"])
     assert code == 0 and "first_divergence_index: 10" in out
+
+
+def test_rank1_ratios_stay_small():
+    """M = 0 on a rank-1 set, so every term multiplies the generator's
+    state by T; the common factor it divides out and the gcd of each pair
+    keep the ints of term 200 no larger than those of term 10."""
+    params = PeriodicCoefficients(2, 3, 4, 6, Fraction(1, 3), Fraction(5, 2), 7, 2)
+    system = prepare(params, EXACT)
+    assert system.rank == 1
+    ratios = list(islice(ratsys.core._exact_ratios(system, (Fraction(2, 3), Fraction(5))), 201))
+    assert max(map(abs, ratios[200])) <= max(map(abs, ratios[10]))
 
 
 def test_exact_compare_and_closed_hit_the_bit_cap_at_simulate_step(monkeypatch):

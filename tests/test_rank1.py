@@ -191,7 +191,9 @@ def test_sequence_rejects_negative_horizon():
 
 @pytest.mark.parametrize("n_max", [4, 5, 40])
 def test_sequence_needs_rank_one(n_max):
-    with pytest.raises(BranchError):
-        rank1_solution_sequence(RANK2_GENERIC, (1, 1), n_max, EXACT)
+    # the one exact closed form serves a rank-2 set; float mode refuses it
+    orbit = simulate(RANK2_GENERIC, (1, 1), n_max, EXACT)
+    assert rank1_solution_sequence(RANK2_GENERIC, (1, 1), n_max, EXACT) \
+        == list(orbit.states)
     with pytest.raises(BranchError):
         rank1_solution_sequence(RANK2_GENERIC.as_floats(), (1.0, 1.0), n_max)

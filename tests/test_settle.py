@@ -181,8 +181,8 @@ def test_stream_equals_point_queries_across_the_settle(case):
     module = ratsys.rank1 if rank == 1 else ratsys.rank2
     point = rank1_solution if rank == 1 else rank2_solution
     sequence = rank1_solution_sequence if rank == 1 else rank2_solution_sequence
-    stream = list(islice(closed_states(system, start, module._float_terms,
-                                       module._exact_ratios), n_max + 1))
+    stream = list(islice(closed_states(system, start, module._float_terms),
+                         n_max + 1))
     assert stream == [point(params, start, n, mode) for n in range(n_max + 1)]
     assert stream == sequence(params, start, n_max, mode)
 
@@ -384,3 +384,22 @@ def test_limit_cycle_stays_on_long_iteration(seed):
     for got, want in ((cycle.x_even, x_even), (cycle.y_even, y_even),
                       (cycle.x_odd, x_odd), (cycle.y_odd, y_odd)):
         assert abs(math.log(got) - want) < 1e-11
+
+
+@pytest.mark.parametrize("coeffs, start", [
+    pytest.param((2, 1, 4, 3, 1, 2, 3, 1), (1.0, 1.0), id="divergent"),
+    pytest.param((1e-20, 1, 1, 1e-20, 1e-20, 1, 1, 1e-20), (1.5, 0.5), id="balanced"),
+    pytest.param((1, 1, 1, 1, 0.5, 1.5, 0.7, 1.3), (1.0, 1.0), id="rank1-boundary"),
+])
+def test_indices_past_float_range_keep_their_parity_values(coeffs, start):
+    """A Tail's term count past 10**309 does not convert to a float; an
+    index there gives the values of 10**308 or 10**308 + 1, and its error
+    bound is still a number."""
+    params = PeriodicCoefficients(*map(float, coeffs))
+    solution = rank1_solution if prepare(params).rank == 1 else rank2_solution
+    want = [solution(params, start, 10**308 + odd) for odd in (0, 1)]
+    for n in (10**309, 10**309 + 1, 10**400, 10**400 + 1):
+        assert solution(params, start, n) == want[n % 2]
+    module = ratsys.rank1 if prepare(params).rank == 1 else ratsys.rank2
+    tail = closed_logs(prepare(params), start, 10**400, module._float_terms)[1]
+    assert not math.isnan(tail.error_bound(10**400))

@@ -229,10 +229,15 @@ def test_sequence_errors_stay_tied_to_the_horizon():
         states = rank1_solution_sequence(RANK2_SQUARE, (1, 1), 3, mode)
         assert len(states) == 4
         assert rank1_solution(RANK2_SQUARE, (1, 1), 3, mode) == states[3]
-        with pytest.raises(ratsys.BranchError):
-            rank1_solution_sequence(RANK2_SQUARE, (1, 1), 4, mode)
-        with pytest.raises(ratsys.BranchError):
-            rank1_solution(RANK2_SQUARE, (1, 1), 4, mode)
+    # past it the one exact closed form serves it, and float mode refuses
+    orbit = simulate(RANK2_SQUARE, (1, 1), 4, EXACT)
+    assert rank1_solution_sequence(RANK2_SQUARE, (1, 1), 4, EXACT) \
+        == list(orbit.states)
+    assert rank1_solution(RANK2_SQUARE, (1, 1), 4, EXACT) == orbit.state(4)
+    with pytest.raises(ratsys.BranchError):
+        rank1_solution_sequence(RANK2_SQUARE, (1, 1), 4, FLOAT)
+    with pytest.raises(ratsys.BranchError):
+        rank1_solution(RANK2_SQUARE, (1, 1), 4, FLOAT)
     # and the rank-2 path needs a rank-2 set from index 1 on
     assert rank2_solution_sequence(RANK1_GROWTH, (1, 1), 0) == [(1.0, 1.0)]
     assert rank2_solution(RANK1_GROWTH, (1, 1), 0) == (1.0, 1.0)
