@@ -11,8 +11,8 @@ give positive orbits for every n, so direct iteration serves as the oracle
 against which all closed-form evaluation in this package is checked.
 
 The closed forms are assembled here too. closed_factors, the one exact closed
-form, serves every rational set, rank 1 as its M = 0 case; the rank modules
-supply only float terms, to closed_states and closed_point.
+form, serves every rational set, rank 1 as its M = 0 case; closed_point answers
+every exact point query; the rank modules supply only float terms.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ class Orbit:
 
 
 def step(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     n: int,
     state: tuple[Number, Number],
 ) -> tuple[Number, Number]:
@@ -164,7 +164,7 @@ def step(
     if not (0 < x < math.inf and 0 < y < math.inf):
         require_positive(x, f"x[{n}]")
         require_positive(y, f"y[{n}]")
-    a, b, c, d = params.at(n)
+    a, b, c, d = getattr(params, "params", params).at(n)  # a System's coefficients
     return (a / x + b / y, c / x + d / y)
 
 
@@ -485,7 +485,7 @@ def simulate(
 
 
 def log_simulate(
-    params: PeriodicCoefficients,
+    params: PeriodicCoefficients | System,
     init: tuple[Number, Number],
     n_max: int,
 ) -> list[tuple[float, float]]:
@@ -500,7 +500,8 @@ def log_simulate(
     """
     horizon(n_max)
     frexp, log, ln2 = math.frexp, math.log, math.log(2.0)
-    quads = [tuple(map(frexp, params.as_floats().at(i))) for i in (0, 1)]
+    wp = getattr(params, "params", params).as_floats()  # a System's coefficients
+    quads = [tuple(map(frexp, wp.at(i))) for i in (0, 1)]
     (mx, ex), (my, ey) = map(frexp, initial_state(init, ArithmeticMode.FLOAT64))
     out = [(log(mx) + ex * ln2, log(my) + ey * ln2)]
     for n in range(n_max):
@@ -632,11 +633,28 @@ def closed_logs(
 def closed_point(
     system: "System", start: tuple[Number, Number], n: int, float_terms
 ) -> tuple[Number, Number]:
-    """State n of closed_states: in exact mode, of either rank, after all
-    n integer steps of closed_factors, Fractions of state n only; in float
-    mode past index 3, the terms up to the Tail, then a jump to index n."""
+    """State n of closed_states, the one answer to an exact point query:
+    of a rank-2 set after all n integer steps of closed_factors; of a
+    rank-1 set past index 3, state 2 or 3 times rho**(+-j), j = n//2 - 1,
+    rho = x[4]/x[2], with BitGrowthError(n, ...) before the power where
+    j*(bits(rho) - 1) - bits(state) passes DEFAULT_BIT_CAP (heights are
+    submultiplicative), after it where state n does. In float mode past
+    index 3, the terms up to the Tail, then a jump to index n."""
     if system.mode is ArithmeticMode.EXACT_RATIONAL:
-        return next(exact_pairs(islice(closed_factors(system, start), n, None)))
+        if system.rank == 2 or n < 4:
+            return next(exact_pairs(islice(closed_factors(system, start), n, None)))
+        states = head(system.params, start, system.mode)[0]
+        rho = step(system.params, 3, states[3])[0] / states[2][0]
+        (x, y), j = states[2 + n % 2], n // 2 - 1
+        bits = lambda *vs: max(i.bit_length() for v in vs for i in v.as_integer_ratio())
+        least = j * (bits(rho) - 1) - bits(x, y) + 1
+        if least <= DEFAULT_BIT_CAP:
+            power = rho ** (-j if n % 2 else j)
+            x, y = x * power, y * power
+            least = bits(x, y)
+        if least > DEFAULT_BIT_CAP:
+            raise BitGrowthError(n, least, DEFAULT_BIT_CAP)
+        return x, y
     if n < 4:
         states = closed_states(system, start, float_terms)
         return next(islice(states, n, None))

@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple
 from .classification import (Classification, Kind, float_decision,
                              kind_from_sign, scaled_ratio, scaled_sum)
 from .core import (ROUNDING, PeriodicCoefficients, Tail, closed_point,
-                   closed_states, head, horizon, initial_state)
+                   closed_states, horizon, initial_state)
 from .errors import BranchError, DomainError
 from .numeric import ArithmeticMode, Number, require_tolerance
 from .transfer import System, _prepare_rank, prepare
@@ -118,24 +118,16 @@ def rank1_solution(
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> tuple[Number, Number]:
-    """(x[n], y[n]) in closed form, valid for every positive start.
-
-    Indices 0 to 3 are direct steps, from core.head. Beyond that, even
-    indices follow x[2m] = x2 * rho**(m-1) and odd indices
-    x[2m+1] = x3 * rho**(1-m), same for y, off the y0 = K*x0 locus too.
-    Float mode takes the powers in log space, by core.closed_point, and
-    raises BranchError past index 3 on a rank-2 set; exact mode serves
-    that set by core.closed_point, the one exact closed form.
-    """
+    """(x[n], y[n]) in closed form, valid for every positive start, by
+    core.closed_point. Indices 0 to 3 are direct steps, from core.head;
+    beyond them x[2m] = x2 * rho**(m-1) and x[2m+1] = x3 * rho**(1-m),
+    same for y, off the y0 = K*x0 locus too. Float mode takes the powers
+    in log space, raising BranchError on a rank-2 set; exact mode takes
+    one power, or a rank-2 set's n integer steps, and checks state n
+    against the bit cap where rank1_solution_sequence checks each state."""
     horizon(n, "n")
     system = prepare(params, mode, eps_rank)
-    start = initial_state(init, mode)
-    if n <= 3 or mode is not ArithmeticMode.EXACT_RATIONAL or system.rank == 2:
-        return closed_point(system, start, n, _float_terms)
-    j, odd = n // 2 - 1, n % 2
-    rho = growth_and_ratio(system, mode, eps_rank).rho ** (-j if odd else j)
-    x, y = head(system.params, start, mode)[0][2 + odd]
-    return (x * rho, y * rho)
+    return closed_point(system, initial_state(init, mode), n, _float_terms)
 
 
 def rank1_solution_sequence(

@@ -503,13 +503,14 @@ def rank2_solution(
     eps_rank: float = 1e-12,
 ) -> tuple[Number, Number]:
     """(x[n], y[n]) through the telescoping ratio products, by
-    core.closed_point: the value and any error of
-    rank2_solution_sequence at index n. Past index 3 float mode runs the
-    factors only to the settle term K of _float_terms, set by
-    r = |lambda2/lambda1| and the start's nomes (20 on typical sets, 320
-    at r = 0.9, 3,400 at r = 0.99, about 20 where r rounds to 1 and the
-    factors repeat), not by n; below index 2K + 2, or where r rounds to
-    1 and the factors never repeat, it costs n/2 terms.
+    core.closed_point, which in exact mode takes n integer steps, or one
+    power of rho on a rank-1 set, and checks state n against the bit cap
+    where rank2_solution_sequence checks each state. Past index 3 float
+    mode runs the factors only to the settle term K of _float_terms, set
+    by r = |lambda2/lambda1| and the start's nomes (20 on typical sets,
+    320 at r = 0.9, 3,400 at r = 0.99, about 20 where r rounds to 1 and
+    the factors repeat), not by n; below index 2K + 2, or where r rounds
+    to 1 and the factors never repeat, it costs n/2 terms.
     """
     horizon(n, "n")
     system = prepare(params, mode, eps_rank)

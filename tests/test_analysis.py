@@ -82,6 +82,15 @@ def test_product_converges_terminating():
     assert report.terms_used == 2
 
 
+def test_product_converges_on_two_exact_zeros():
+    # the geometric rule does not end this run: two zero deviations in a
+    # row do, and the third term is never read
+    report = product_converges(iter([0.0, 0.0, 7.0]))
+    assert report.status is ProductStatus.CONVERGES
+    assert report.limit == 1.0
+    assert report.terms_used == 2
+
+
 def test_product_diverges_to_infinity():
     report = product_converges(0.5 for _ in count())
     assert report.status is ProductStatus.DIVERGES_TO_INFINITY

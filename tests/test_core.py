@@ -20,6 +20,7 @@ from ratsys import (
     TruncationError,
     limit_cycle,
     log_simulate,
+    prepare,
     rank1_solution,
     rank1_solution_sequence,
     rank2_solution,
@@ -70,6 +71,15 @@ def test_step_uses_the_parity_of_the_index():
     # odd step uses a1, b1, c1, d1
     assert step(p, 1, (1.0, 1.0)) == (3.0, 4.0)
     assert step(p, 2, (1.0, 1.0)) == (3.0, 7.0)
+
+
+@pytest.mark.parametrize("mode", list(ArithmeticMode))
+def test_step_takes_a_system(mode):
+    # as simulate does, step reads a System's coefficients
+    system = prepare(RANK2_GENERIC, mode)
+    start = initial_state((1, 2), mode)
+    for n in (0, 1):
+        assert step(system, n, start) == step(system.params, n, start)
 
 
 def test_step_rejects_nonpositive_state():
@@ -184,6 +194,12 @@ def test_log_simulate_matches_direct_logs():
         lx, ly = logs[n]
         assert abs(lx - math.log(x)) <= 1e-12 * (1 + n)
         assert abs(ly - math.log(y)) <= 1e-12 * (1 + n)
+
+
+@pytest.mark.parametrize("mode", list(ArithmeticMode))
+def test_log_simulate_takes_a_system(mode):
+    system = prepare(RANK2_GENERIC, mode)
+    assert log_simulate(system, (1, 1), 3) == log_simulate(RANK2_GENERIC, (1, 1), 3)
 
 
 def test_log_simulate_all_ones_is_exact():

@@ -1,12 +1,14 @@
 """Exact closed forms on integer states: core.ratio_factors against
 one-step Fraction iteration, the closed command's text, the integer
-equality of exact compare, and sets whose float criterion, spectral
-split or closed form leaves float range."""
+equality of exact compare, exact rank-1 point queries as one power
+under the bit cap, and sets whose float criterion, spectral split or
+closed form leaves float range."""
 
 import contextlib
 import io
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -31,7 +33,7 @@ from ratsys import (
 from ratsys.cli import main
 from ratsys.core import COEFF_NAMES
 
-from conftest import decimal_log_orbit
+from conftest import RANK1_BOUNDARY, RANK1_DECAY, RANK1_GROWTH, decimal_log_orbit
 
 EXACT = ArithmeticMode.EXACT_RATIONAL
 WIDE = "1,1,1,3,1,2,3,1"
@@ -165,6 +167,54 @@ def test_exact_compare_and_closed_hit_the_bit_cap_at_simulate_step(monkeypatch):
     with pytest.raises(BitGrowthError) as got:
         list(islice(closed_form_states(params, (1, 1), EXACT), 201))
     assert (got.value.index, got.value.bits) == (want.value.index, want.value.bits)
+
+
+def timed(solution, *args):
+    """(solution(*args), seconds taken)."""
+    start = time.perf_counter()
+    value = solution(*args)
+    return value, time.perf_counter() - start
+
+
+RANK1_SETS = {"growth": RANK1_GROWTH, "decay": RANK1_DECAY, "boundary": RANK1_BOUNDARY}
+
+
+@pytest.mark.parametrize("start", [(1, 2), (1, 1)], ids=["on-locus", "off-locus"])
+@pytest.mark.parametrize("name", RANK1_SETS)
+def test_exact_rank1_point_queries_are_one_power(name, start):
+    """Both entry points answer an exact rank-1 point query by one power
+    of rho: each state up to 201 is exact simulate's, and n = 10**5 takes
+    no n integer steps. (1, 2) lies on y0 = K*x0 for the growth set."""
+    params = RANK1_SETS[name]
+    for n, state in enumerate(simulate(params, start, 201, EXACT).states):
+        assert rank1_solution(params, start, n, EXACT) == state
+        assert rank2_solution(params, start, n, EXACT) == state
+    for n in (100_000, 100_001):
+        one, one_s = timed(rank1_solution, params, start, n, EXACT)
+        two, two_s = timed(rank2_solution, params, start, n, EXACT)
+        assert one == two
+        assert one_s < 0.05 and two_s < 0.05
+
+
+@pytest.mark.parametrize("n", [2 * 10**6, 10**400], ids=["2e6", "1e400"])
+@pytest.mark.parametrize("solution", [rank1_solution, rank2_solution])
+def test_exact_rank1_point_query_past_the_bit_cap_raises_at_once(solution, n):
+    """State n has some 2*n bits where rho = 4/3: the bound that heights
+    give refuses it before the power is formed, at index n."""
+    start = time.perf_counter()
+    with pytest.raises(BitGrowthError) as info:
+        solution(RANK1_GROWTH, (1, 2), n, EXACT)
+    assert time.perf_counter() - start < 0.05
+    assert info.value.index == n
+
+
+@pytest.mark.parametrize("n", [10**400, 10**400 + 1], ids=["even", "odd"])
+def test_exact_rank1_boundary_holds_states_2_and_3(n):
+    """rho = 1: every index past 3 is state 2 or 3, by parity."""
+    want = simulate(RANK1_BOUNDARY, (1, 1), 3, EXACT).state(2 + n % 2)
+    for solution in (rank1_solution, rank2_solution):
+        got, seconds = timed(solution, RANK1_BOUNDARY, (1, 1), n, EXACT)
+        assert got == want and seconds < 0.05
 
 
 # Sets found by a seeded fuzz over coefficients 10**U(-200, 154).

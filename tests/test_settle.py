@@ -340,6 +340,13 @@ def test_limit_cycle_refuses_before_drawing_a_factor(drawn, t, message):
     assert len(drawn) == 2 and drawn[1][0] > 400_000
 
 
+def test_limit_cycle_refuses_factors_that_do_not_repeat_within_max_terms():
+    # where r rounds to 1 the cycle is where the factors first repeat,
+    # which one term cannot show
+    with pytest.raises(ConvergenceError, match="did not settle within 1 terms"):
+        limit_cycle(R_ONE, (1.3, 0.8), max_terms=1)
+
+
 def test_balanced_set_holds_its_cycle_at_1e9():
     params, start = RANK2_BALANCED, (1.5, 0.5)
     _, settled = logs_at(params, start, 10**9)

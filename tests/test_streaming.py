@@ -462,9 +462,16 @@ def test_float_spectrum_of_entries_past_1e154_classifies():
 
 
 def test_matrix_entries_past_float_range_are_a_domain_error(capsys):
-    argv = ["classify", *coeff_flags(["1e308", 1, 4, 3, 1, 2, 3, 1])]
-    assert main(argv) == 3
-    assert "matrix entries overflow float range" in capsys.readouterr().err
+    # the exact verdict of the second set is decided (delta_sign_exact
+    # gives +1), but classify forms its float witness from the float
+    # coefficients, and their composed entry a0*b1 overflows
+    exact = ["1e200", 1, 4, 3, 1, "1e200", 3, 1]
+    assert ratsys.delta_sign_exact(PeriodicCoefficients(
+        *(Fraction(v) for v in exact))) == 1
+    for argv in (["classify", *coeff_flags(["1e308", 1, 4, 3, 1, 2, 3, 1])],
+                 ["classify", "--mode", "exact", *coeff_flags(exact)]):
+        assert main(argv) == 3
+        assert "matrix entries overflow float range" in capsys.readouterr().err
 
 
 def test_scaled_roots_are_bit_identical_within_range():
