@@ -73,7 +73,10 @@ class PeriodicCoefficients(namedtuple("PeriodicCoefficients", COEFF_NAMES)):
 
     def __post_init__(self):
         for name, value in zip(COEFF_NAMES, self):
-            require_positive(value, f"coefficient {name}")
+            kind = type(value)
+            if not (value.numerator > 0 if kind is Fraction else
+                    kind is float and 0 < value < math.inf):
+                require_positive(value, f"coefficient {name}")
 
     def at(self, n: int) -> tuple[Number, Number, Number, Number]:
         """Coefficient quadruple (a, b, c, d) used by the step at index n."""
@@ -642,7 +645,10 @@ def closed_point(
     index 3, the terms up to the Tail, then a jump to index n."""
     if system.mode is ArithmeticMode.EXACT_RATIONAL:
         if system.rank == 2 or n < 4:
-            return next(exact_pairs(islice(closed_factors(system, start), n, None)))
+            factors = closed_factors(system, start)
+            for _ in range(n):  # range, not islice, as n may pass sys.maxsize
+                next(factors)
+            return next(exact_pairs(factors))
         states = head(system.params, start, system.mode)[0]
         rho = step(system.params, 3, states[3])[0] / states[2][0]
         (x, y), j = states[2 + n % 2], n // 2 - 1

@@ -27,13 +27,14 @@ prepared once pays for none of that again.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .classification import (Classification, Kind, float_decision,
                              kind_from_sign, scaled_ratio, scaled_sum)
 from .core import (ROUNDING, PeriodicCoefficients, Tail, closed_point,
-                   closed_states, horizon, initial_state)
+                   closed_states, horizon, initial_state, over_one_denominator)
 from .errors import BranchError, DomainError
 from .numeric import ArithmeticMode, Number, require_tolerance
 from .transfer import System, _prepare_rank, prepare
@@ -58,18 +59,31 @@ def growth_terms(
     matrix and the even coefficients. K = m21/m11 must equal m22/m12,
     exactly in exact mode, within a relative K_CONSISTENCY_EPS in float
     mode, or BranchError says so; DomainError where a float entry is 0.
-    Exact mode takes plain arithmetic, float mode float_decision."""
+    Exact mode decides on the ints m' = s*m and (A0, B0, C0, E0) = D0*(a0,
+    b0, c0, d0) of core.over_one_denominator, rho = top/bottom, top =
+    m21'*(m11'**2 + m21'*m12')*D0**2, bottom = s*(B0*m11' + m21'*A0)*(E0*
+    m11' + m21'*C0), and makes only K, mu, rho Fractions; float mode takes
+    float_decision."""
     if not (m11 and m12 and m21 and m22):
         raise DomainError("matrix entries underflow float range")
-    k, k_check = m21 / m11, m22 / m12
-    if abs(k - k_check) > (0 if exact else K_CONSISTENCY_EPS * max(k, k_check)):
-        raise BranchError(
-            f"rank-1 row ratios disagree beyond tolerance: {k} vs {k_check}")
+    if exact:
+        s, n11, n12, n21, n22 = over_one_denominator((m11, m12, m21, m22))
+        agree = n21 * n12 == n22 * n11
+    else:
+        k, k_check = m21 / m11, m22 / m12
+        agree = not abs(k - k_check) > K_CONSISTENCY_EPS * max(k, k_check)
+    if not agree:
+        raise BranchError(f"rank-1 row ratios disagree beyond tolerance: "
+                          f"{m21 / m11} vs {m22 / m12}")
+    if exact:
+        den, a, b, c, e = over_one_denominator((a0, b0, c0, d0))
+        mu = n11 * n11 + n21 * n12
+        top = n21 * mu * den * den
+        bottom = s * (b * n11 + n21 * a) * (e * n11 + n21 * c)
+        return (Fraction(n21, n11), Fraction(mu, s * n11), Fraction(top, bottom),
+                None, kind_from_sign(top - bottom, 0, Kind.EXACT_TWO_PERIODIC))
     mu = m11 + k * m12
     r0, r1 = b0 + k * a0, d0 + k * c0
-    if exact:
-        rho = k * mu / (r0 * r1)
-        return k, mu, rho, None, kind_from_sign(rho - 1, 0, Kind.EXACT_TWO_PERIODIC)
     rho, log_rho, kind = float_decision(1, k * mu, r0 * r1, (k, mu, r0, r1), tol_class,
                                         _scaled_growth, m11, m12, m21, a0, b0, c0, d0)
     return k, mu, rho, log_rho, kind

@@ -42,7 +42,7 @@ from .classification import (Classification, Kind, float_decision,
                              kind_from_sign, scaled_ratio, scaled_sum)
 from .core import (EPSILON, ROUNDING, SMALLEST_NORMAL, PeriodicCoefficients,
                    Tail, _integer_spectrum, closed_point, closed_states, head,
-                   horizon, initial_state)
+                   horizon, initial_state, over_one_denominator)
 from .errors import BranchError, ConvergenceError, DomainError
 from .numeric import (ArithmeticMode, Number, require_tolerance,
                       saturating_exp)
@@ -539,21 +539,21 @@ def delta_sign_exact(
 ) -> int:
     """Exact sign of the trichotomy quantity for rational coefficients.
 
-    delta_crit is a rational function of sqrt(disc). Clearing
-    denominators leaves X + Y*sqrt(disc) with rational X, Y (the factors
-    removed are strictly positive), whose sign is decided by comparing
-    X**2 against Y**2*disc. Works whether or not disc is a perfect
-    square. Returns -1, 0, or 1.
+    delta_crit is a rational function of sqrt(disc). On the ints of
+    core.over_one_denominator, [[alpha, beta], [gamma, delta]]/s of the
+    matrix and (A0, B0, C0, E0)/D0 of the even coefficients, it is X +
+    Y*sqrt(disc) over the positive s**3*D0**2, signed by comparing X**2
+    with Y**2*disc, square disc or not. Returns -1, 0, or 1.
     """
     system = _prepare_rank(params, ArithmeticMode.EXACT_RATIONAL, eps_rank, 2)
-    wp, m = system.params, system.matrix
-    alpha, beta, gamma, delta = m.m11, m.m12, m.m21, m.m22
-    disc = (alpha - delta) ** 2 + 4 * beta * gamma
-    diff = delta - alpha
-    g = (alpha + delta) - 2 * (wp.b0 * wp.c0 + wp.a0 * wp.d0)
-    x = beta * (diff * g + disc) - 4 * wp.b0 * wp.d0 * beta**2 \
-        - wp.a0 * wp.c0 * (diff**2 + disc)
-    y = beta * g + (beta - 2 * wp.a0 * wp.c0) * diff
+    s, alpha, beta, gamma, delta = over_one_denominator(system.matrix)
+    d0, a0, b0, c0, e0 = over_one_denominator(system.params.at(0))
+    diff, dd = delta - alpha, d0 * d0
+    disc = diff * diff + 4 * beta * gamma
+    g = (alpha + delta) * dd - 2 * (b0 * c0 + a0 * e0) * s
+    x = (beta * (diff * g + disc * dd) - 4 * b0 * e0 * beta * beta * s
+         - a0 * c0 * (diff * diff + disc) * s)
+    y = beta * g + (beta * dd - 2 * a0 * c0 * s) * diff
     if y == 0:
         ref = x
     elif x == 0:

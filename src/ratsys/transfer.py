@@ -18,7 +18,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import SMALLEST_NORMAL, Orbit, PeriodicCoefficients
+from .core import (SMALLEST_NORMAL, Orbit, PeriodicCoefficients,
+                   _integer_spectrum, over_one_denominator)
 from .errors import BranchError, DomainError
 from .numeric import (ArithmeticMode, Number, is_exact, number_log,
                       require_tolerance, saturating_exp)
@@ -78,8 +79,13 @@ def composed_entries(
 
 
 def composed_matrix(params: PeriodicCoefficients) -> TransferMatrix:
-    """The two-step matrix of composed_entries, as a TransferMatrix."""
-    return TransferMatrix(*composed_entries(*params))
+    """The two-step matrix of composed_entries, as a TransferMatrix; of
+    Fraction coefficients, from the ints over D0 and D1 that
+    core.over_one_denominator gives each parity, one gcd per entry."""
+    if not all(type(v) is Fraction for v in params):
+        return TransferMatrix(*composed_entries(*params))
+    (d0, *even), (d1, *odd) = map(over_one_denominator, (params[:4], params[4:]))
+    return TransferMatrix(*map(Fraction, composed_entries(*even, *odd), [d0 * d1] * 4))
 
 
 def uv_from_orbit(orbit: Orbit) -> list[UVPoint]:
@@ -139,11 +145,11 @@ def float_rank(
 def rank_decision(matrix: TransferMatrix, eps: float = 1e-12) -> int:
     """Decide rank 1 versus rank 2 of a positive 2x2 matrix.
 
-    Exact entries compare the determinant with zero outright; float
-    entries go through float_rank.
+    Exact entries have rank 1 where M = 0 in core._integer_spectrum, on
+    ints over one denominator; float entries go through float_rank.
     """
     if matrix.is_exact:
-        return 1 if matrix.det() == 0 else 2
+        return 1 if _integer_spectrum(matrix)[3] == 0 else 2
     return float_rank(*matrix.entries, eps)
 
 

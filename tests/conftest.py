@@ -89,6 +89,55 @@ def random_rational_params(rng, hi=12):
     return PeriodicCoefficients(*(random_rational(rng, hi) for _ in range(8)))
 
 
+def fraction_matrix(values):
+    """The composed matrix (m11, m12, m21, m22) of eight rationals in
+    plain Fraction arithmetic, the reference for the integer composition."""
+    a0, b0, c0, d0, a1, b1, c1, d1 = map(Fraction, values)
+    return (a1 * d0 + b0 * b1, a0 * b1 + a1 * c0,
+            b0 * d1 + c1 * d0, a0 * d1 + c0 * c1)
+
+
+def fraction_verdict(values):
+    """(rank, matrix, sign, rank-1 terms) of eight rationals by the plain
+    Fraction formulas that ratsys once decided with, the reference for its
+    integer decision: rank 1 where det = 0, with sign that of rho - 1 and
+    terms (K, mu, rho); else sign that of x + y*sqrt(disc), delta_crit
+    times a positive factor, and terms None."""
+    m11, m12, m21, m22 = m = fraction_matrix(values)
+    a0, b0, c0, d0 = map(Fraction, values[:4])
+    if m11 * m22 - m12 * m21 == 0:
+        k = m21 / m11
+        mu = m11 + k * m12
+        rho = k * mu / ((b0 + k * a0) * (d0 + k * c0))
+        return 1, m, (rho > 1) - (rho < 1), (k, mu, rho)
+    x, y, disc = fraction_criterion(m, (a0, b0, c0, d0))
+    if y == 0:
+        ref = x
+    elif x == 0:
+        ref = y
+    elif (x > 0) == (y > 0):
+        ref = x
+    else:
+        cmp = x * x - y * y * disc
+        ref = cmp if x > 0 else -cmp
+    return 2, m, (ref > 0) - (ref < 0), None
+
+
+def fraction_criterion(m, even):
+    """(x, y, disc) of delta_crit = (x + y*sqrt(disc)) times a positive
+    factor, for the matrix [[alpha, beta], [gamma, delta]] and the even
+    coefficients, in Fractions."""
+    alpha, beta, gamma, delta = m
+    a0, b0, c0, d0 = even
+    disc = (alpha - delta) ** 2 + 4 * beta * gamma
+    diff = delta - alpha
+    g = (alpha + delta) - 2 * (b0 * c0 + a0 * d0)
+    x = beta * (diff * g + disc) - 4 * b0 * d0 * beta**2 \
+        - a0 * c0 * (diff**2 + disc)
+    y = beta * g + (beta - 2 * a0 * c0) * diff
+    return x, y, disc
+
+
 def find_balanced(rng, r_lo=1e-3, r_hi=0.9):
     """Random coefficients sitting on the convergence boundary.
 

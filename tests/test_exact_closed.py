@@ -33,7 +33,8 @@ from ratsys import (
 from ratsys.cli import main
 from ratsys.core import COEFF_NAMES
 
-from conftest import RANK1_BOUNDARY, RANK1_DECAY, RANK1_GROWTH, decimal_log_orbit
+from conftest import (RANK1_BOUNDARY, RANK1_DECAY, RANK1_GROWTH, RANK2_GENERIC,
+                      decimal_log_orbit)
 
 EXACT = ArithmeticMode.EXACT_RATIONAL
 WIDE = "1,1,1,3,1,2,3,1"
@@ -215,6 +216,21 @@ def test_exact_rank1_boundary_holds_states_2_and_3(n):
     for solution in (rank1_solution, rank2_solution):
         got, seconds = timed(solution, RANK1_BOUNDARY, (1, 1), n, EXACT)
         assert got == want and seconds < 0.05
+
+
+@pytest.mark.parametrize("solution", [rank1_solution, rank2_solution])
+def test_exact_rank2_point_query_past_sys_maxsize_stops_at_the_bit_cap(
+        monkeypatch, solution):
+    """n = 2**63 runs the integer steps as n = 5000 does and raises
+    BitGrowthError at the same step, not the ValueError of an islice
+    index past sys.maxsize; a low cap keeps the step early."""
+    monkeypatch.setattr(ratsys.core, "DEFAULT_BIT_CAP", 2_000)
+    with pytest.raises(BitGrowthError) as want:
+        simulate(RANK2_GENERIC, (1, 1), 5000, EXACT, bit_cap=2_000)
+    for n in (5000, 2**63):
+        with pytest.raises(BitGrowthError) as got:
+            solution(RANK2_GENERIC, (1, 1), n, EXACT)
+        assert (got.value.index, got.value.bits) == (want.value.index, want.value.bits)
 
 
 # Sets found by a seeded fuzz over coefficients 10**U(-200, 154).

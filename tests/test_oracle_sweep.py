@@ -17,7 +17,9 @@ iteration of the same floats:
 
 It judges the verdict of every exit-0 `classify` against the exact
 verdict of the floats' binary values: the exact rho against 1 where the
-exact composed matrix has rank 1, delta_sign_exact where it has rank 2.
+exact composed matrix has rank 1, the sign of delta_crit where it has
+rank 2, both from conftest.fraction_verdict's plain Fraction formulas,
+so that the sweep does not judge ratsys's integer decision by itself.
 A verdict that names a parity must match the exact sign. A boundary
 verdict needs an exact sign of 0, or |g - 1| <= 2*tol_class, where g is
 the exact rho, or 1 + delta/scale taken in 50-digit decimals.
@@ -50,11 +52,10 @@ from fractions import Fraction
 
 import pytest
 
-from ratsys import (ArithmeticMode, PeriodicCoefficients, delta_sign_exact,
-                    growth_and_ratio, prepare)
+from ratsys import PeriodicCoefficients
 from ratsys.cli import main
 
-from conftest import DECIMAL, decimal_orbit
+from conftest import DECIMAL, decimal_orbit, fraction_verdict
 
 N_MAX = 200
 RANGES = {"standard": (-200.0, 154.0), "wide": (-300.0, 300.0)}
@@ -153,23 +154,20 @@ def exact_g(values: tuple) -> tuple[int, object]:
     """(sign of g - 1, g) of the floats' binary values, exactly: g is
     the exact rho in rank 1 and 1 + delta/scale in rank 2, there as a
     50-digit Decimal."""
-    exact = prepare(PeriodicCoefficients(*map(Fraction, values)),
-                    ArithmeticMode.EXACT_RATIONAL)
-    if exact.rank == 1:
-        rho = growth_and_ratio(exact, ArithmeticMode.EXACT_RATIONAL).rho
-        return (rho > 1) - (rho < 1), rho
-    m11, m12, m21, m22 = exact.matrix
+    rank, (m11, m12, m21, m22), sign, terms = fraction_verdict(values)
+    if rank == 1:
+        return sign, terms[2]
     with decimal.localcontext(decimal.Context(
             prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)):
         def dec(f: Fraction) -> decimal.Decimal:
             return decimal.Decimal(f.numerator) / f.denominator
-        a0, b0, c0, d0 = map(dec, exact.params.at(0))
+        a0, b0, c0, d0 = map(dec, map(Fraction, values[:4]))
         root = dec((m11 - m22) ** 2 + 4 * m12 * m21).sqrt()
         d = dec(m22 - m11)
         # Q = m12/(lambda1 - m11), in the form that does not cancel
         q = 2 * dec(m12) / (d + root) if d >= 0 else (root - d) / (2 * dec(m21))
         g = (dec(m11 + m22) + root) / 2 * q / ((b0 * q + a0) * (d0 * q + c0))
-    return delta_sign_exact(exact), g
+    return sign, g
 
 
 def wrong_verdict(values: tuple, kind: str) -> bool:
