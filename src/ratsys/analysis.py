@@ -249,7 +249,7 @@ def compare(
                 return 0.0
             a, b = (coprime_fraction(g * p, f * r) for g, f, p, r in (a, b))
             return float(abs(a - b) / a)
-        states = (sides(_exact_factors(system.params, start, n_max, DEFAULT_BIT_CAP)),
+        states = (sides(_exact_factors(system.ints[:2], start, n_max, DEFAULT_BIT_CAP)),
                   sides(closed_factors(system, start)))
     else:
         def gap(a, b):  # every state is positive

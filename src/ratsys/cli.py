@@ -91,7 +91,7 @@ def _coefficients(args, parser, mode: ArithmeticMode) -> PeriodicCoefficients:
             + ", ".join(f"--{name}" for name in missing)
             + " (or use --all-ones / --config)"
         )
-    return PeriodicCoefficients(**values)
+    return PeriodicCoefficients(*map(values.get, COEFF_NAMES))
 
 
 def _inputs(args, parser) -> tuple[ArithmeticMode, PeriodicCoefficients, tuple]:
@@ -114,25 +114,28 @@ def _jfloat(v: float) -> str:
 
 
 def _jval(v, level: int) -> str:
-    pad = "  " * (level + 1)
-    end = "  " * level
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return _jstr(v)
-    if isinstance(v, Fraction):
-        return _jstr(exact_text(v))
-    if isinstance(v, float):
-        return _jfloat(v)
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, dict):
+    """v as JSON at level, by _JSON_VALUES of its exact type, or TypeError."""
+    render = _JSON_VALUES.get(type(v))
+    if render is None:
+        raise TypeError(f"cannot render {type(v).__name__} as JSON")
+    return render(v, level)
+
+
+def _jitems(v, level: int) -> str:
+    """A dict, list or tuple as JSON, its items one level in."""
+    pad, end = "  " * (level + 1), "  " * level
+    if type(v) is dict:
         items = [f"{pad}{_jstr(k)}: {_jval(x, level + 1)}" for k, x in v.items()]
         return "{\n" + ",\n".join(items) + "\n" + end + "}"
-    if isinstance(v, (list, tuple)):
-        items = [f"{pad}{_jval(x, level + 1)}" for x in v]
-        return "[\n" + ",\n".join(items) + "\n" + end + "]"
-    raise TypeError(f"cannot render {type(v).__name__} as JSON")
+    items = [f"{pad}{_jval(x, level + 1)}" for x in v]
+    return "[\n" + ",\n".join(items) + "\n" + end + "]"
+
+
+_JSON_VALUES = {
+    float: lambda v, _: _jfloat(v), int: lambda v, _: str(v),
+    str: lambda v, _: _jstr(v), Fraction: lambda v, _: _jstr(exact_text(v)),
+    type(None): lambda v, _: "null", dict: _jitems, list: _jitems, tuple: _jitems,
+}
 
 
 def render_json(payload: dict) -> str:

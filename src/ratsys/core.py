@@ -264,18 +264,17 @@ def integer_steps(
 
 
 def _exact_factors(
-    params: PeriodicCoefficients,
+    coeffs: tuple[tuple[int, ...], tuple[int, ...]],
     state: tuple[Fraction, Fraction],
     n_max: int,
     bit_cap: int,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...] | None]]:
     """The exact orbit from state as integer_steps yields it, n = 0 ..
-    n_max. With each parity's coefficients written as ints over one
-    denominator D, a = A/D, b = B/D, c = C/D, d = E/D, one step of the map
+    n_max. coeffs holds each parity's coefficients written as ints over
+    one denominator D, (D; A, B, C, E) with a = A/D, b = B/D, c = C/D,
+    d = E/D, the first two ints of an exact System; one step of the map
     has Nx = A*r1*p2 + B*r2*p1, Ny = C*r1*p2 + E*r2*p1, Mx = My = D*p1*p2
     and K = D, as F is coprime to p1*p2."""
-    coeffs = [over_one_denominator(params.at(parity)) for parity in (0, 1)]
-
     def step(n, p1, p2, r1, r2):
         den, a, b, c, e = coeffs[n & 1]
         s, t = r1 * p2, r2 * p1
@@ -289,6 +288,11 @@ def over_one_denominator(values) -> tuple[int, ...]:
     """(D, *numerators) of Fractions written over one denominator D."""
     den = math.lcm(*(v.denominator for v in values))
     return (den, *(v.numerator * (den // v.denominator) for v in values))
+
+
+def _parities(params: PeriodicCoefficients) -> tuple[tuple[int, ...], ...]:
+    """over_one_denominator of the even and of the odd coefficients."""
+    return over_one_denominator(params[:4]), over_one_denominator(params[4:])
 
 
 def shared_factors(x: Fraction, y: Fraction) -> tuple[int, ...]:
@@ -340,14 +344,15 @@ def exact_orbit_text(
     horizon(n_max)
     params = getattr(params, "params", params).as_fractions()
     state = initial_state(init, ArithmeticMode.EXACT_RATIONAL)
-    return decimal_rows(_exact_factors(params, state, n_max, bit_cap))
+    return decimal_rows(_exact_factors(_parities(params), state, n_max, bit_cap))
 
 
-def _integer_spectrum(m) -> tuple[int, int, int, int]:
+def _integer_spectrum(ints) -> tuple[int, int, int, int]:
     """(L, T, N, M) of an exact matrix written over one denominator L as
-    [[A, B], [G, E]]/L: T = A + E, N = (A - E)**2 + 4*B*G and
-    M = A*E - B*G, so that its eigenvalues are (T +- sqrt(N))/(2*L)."""
-    l, a, b, g, e = over_one_denominator(m)
+    [[A, B], [G, E]]/L, ints = (L, A, B, G, E) as over_one_denominator
+    gives it: T = A + E, N = (A - E)**2 + 4*B*G and M = A*E - B*G, so
+    that its eigenvalues are (T +- sqrt(N))/(2*L)."""
+    l, a, b, g, e = ints
     return l, a + e, (a - e) ** 2 + 4 * b * g, a * e - b * g
 
 
@@ -371,14 +376,14 @@ def _exact_ratios(
     Rank 1 is M = 0, where each term multiplies x and y by T: the state
     is divided by its gcd after each odd ratio, each pair by the pair's.
     """
-    l, t, n, det = _integer_spectrum(system.matrix)
+    l, t, n, det = _integer_spectrum(system.ints[2])
     alpha, beta, gamma, delta = system.matrix
     u0, v0 = start
     s1 = l * (2 * beta * v0 + (alpha - delta) * u0)
     s3 = l * (2 * gamma * u0 + (delta - alpha) * v0)
     _, *parts = over_one_denominator(
         (n * u0 - t * s1, 2 * s1, n * v0 - t * s3, 2 * s3))
-    den, ca, cb, cc, cd = over_one_denominator(system.params.at(0))
+    den, ca, cb, cc, cd = system.ints[0]
 
     def reduced(a, b, c, d):
         e, f = math.gcd(a, b), math.gcd(c, d)
@@ -466,7 +471,7 @@ def simulate(
     horizon(n_max)
     params = getattr(params, "params", params)  # a System's coefficients
     if mode is ArithmeticMode.EXACT_RATIONAL:
-        factors = _exact_factors(params.as_fractions(),
+        factors = _exact_factors(_parities(params.as_fractions()),
                                  initial_state(init, mode), n_max, bit_cap)
         return Orbit(tuple(exact_pairs(factors)), mode)
     wp = params.as_floats()

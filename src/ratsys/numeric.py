@@ -55,8 +55,14 @@ coprime_fraction = getattr(Fraction, "_from_coprime_ints",  # Python 3.12 on
 
 def parse_number(text: str, mode: ArithmeticMode) -> Number:
     """Parse a scalar from text. Exact mode accepts 'p/q' and decimals,
-    and refuses an exponent past DEFAULT_BIT_CAP bits before 10**e is built."""
+    and refuses an exponent past DEFAULT_BIT_CAP bits before 10**e is built.
+    A plain 'p' or 'p/q' of ASCII digits, q not 0, is read by int() into
+    the Fraction that Fraction(text) gives, with its int() errors; every
+    other text goes to Fraction(text)."""
     if mode is ArithmeticMode.EXACT_RATIONAL:
+        p, slash, q = text.partition("/")
+        if text.isascii() and p.isdigit() and (q.strip("0").isdigit() or not slash):
+            return Fraction(int(p), int(q or 1))
         e = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
         if e.isdecimal() and int(e) * math.log2(10) > DEFAULT_BIT_CAP:
             raise ValueError(f"exponent passes the {DEFAULT_BIT_CAP}-bit cap")

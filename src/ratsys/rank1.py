@@ -59,34 +59,40 @@ def growth_terms(
     matrix and the even coefficients. K = m21/m11 must equal m22/m12,
     exactly in exact mode, within a relative K_CONSISTENCY_EPS in float
     mode, or BranchError says so; DomainError where a float entry is 0.
-    Exact mode decides on the ints m' = s*m and (A0, B0, C0, E0) = D0*(a0,
-    b0, c0, d0) of core.over_one_denominator, rho = top/bottom, top =
-    m21'*(m11'**2 + m21'*m12')*D0**2, bottom = s*(B0*m11' + m21'*A0)*(E0*
-    m11' + m21'*C0), and makes only K, mu, rho Fractions; float mode takes
+    Exact mode is _exact_growth on the ints core.over_one_denominator
+    gives the matrix and the even coefficients; float mode takes
     float_decision."""
     if not (m11 and m12 and m21 and m22):
         raise DomainError("matrix entries underflow float range")
     if exact:
-        s, n11, n12, n21, n22 = over_one_denominator((m11, m12, m21, m22))
-        agree = n21 * n12 == n22 * n11
-    else:
-        k, k_check = m21 / m11, m22 / m12
-        agree = not abs(k - k_check) > K_CONSISTENCY_EPS * max(k, k_check)
-    if not agree:
+        return _exact_growth(over_one_denominator((m11, m12, m21, m22)),
+                             over_one_denominator((a0, b0, c0, d0)))
+    k, k_check = m21 / m11, m22 / m12
+    if abs(k - k_check) > K_CONSISTENCY_EPS * max(k, k_check):
         raise BranchError(f"rank-1 row ratios disagree beyond tolerance: "
                           f"{m21 / m11} vs {m22 / m12}")
-    if exact:
-        den, a, b, c, e = over_one_denominator((a0, b0, c0, d0))
-        mu = n11 * n11 + n21 * n12
-        top = n21 * mu * den * den
-        bottom = s * (b * n11 + n21 * a) * (e * n11 + n21 * c)
-        return (Fraction(n21, n11), Fraction(mu, s * n11), Fraction(top, bottom),
-                None, kind_from_sign(top - bottom, 0, Kind.EXACT_TWO_PERIODIC))
     mu = m11 + k * m12
     r0, r1 = b0 + k * a0, d0 + k * c0
     rho, log_rho, kind = float_decision(1, k * mu, r0 * r1, (k, mu, r0, r1), tol_class,
                                         _scaled_growth, m11, m12, m21, a0, b0, c0, d0)
     return k, mu, rho, log_rho, kind
+
+
+def _exact_growth(matrix: tuple[int, ...], even: tuple[int, ...]):
+    """growth_terms in exact mode on the ints (s; m') = s*(1; m) and (D0;
+    A0, B0, C0, E0) = D0*(1; a0, b0, c0, d0): K agrees where m21'*m12' ==
+    m22'*m11', rho = top/bottom, top = m21'*(m11'**2 + m21'*m12')*D0**2,
+    bottom = s*(B0*m11' + m21'*A0)*(E0*m11' + m21'*C0), no other Fraction."""
+    s, n11, n12, n21, n22 = matrix
+    if n21 * n12 != n22 * n11:
+        raise BranchError(f"rank-1 row ratios disagree beyond tolerance: "
+                          f"{Fraction(n21, n11)} vs {Fraction(n22, n12)}")
+    den, a, b, c, e = even
+    mu = n11 * n11 + n21 * n12
+    top = n21 * mu * den * den
+    bottom = s * (b * n11 + n21 * a) * (e * n11 + n21 * c)
+    return (Fraction(n21, n11), Fraction(mu, s * n11), Fraction(top, bottom),
+            None, kind_from_sign(top - bottom, 0, Kind.EXACT_TWO_PERIODIC))
 
 
 def _scaled_growth(m11, m12, m21, a0, b0, c0, d0):
@@ -96,9 +102,11 @@ def _scaled_growth(m11, m12, m21, a0, b0, c0, d0):
 
 
 def _growth(system: System, tol_class: float = 0.0):
-    """growth_terms of a rank-1 System, in its mode."""
-    return growth_terms(*system.matrix.entries, *system.params.at(0),
-                        system.mode is ArithmeticMode.EXACT_RATIONAL, tol_class)
+    """growth_terms of a rank-1 System, in its mode, on its ints if exact."""
+    if system.ints:
+        even, _, matrix = system.ints
+        return _exact_growth(matrix, even)
+    return growth_terms(*system.matrix.entries, *system.params.at(0), False, tol_class)
 
 
 def growth_and_ratio(

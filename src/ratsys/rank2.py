@@ -40,19 +40,17 @@ from typing import Iterator, NamedTuple
 
 from .classification import (Classification, Kind, float_decision,
                              kind_from_sign, scaled_ratio, scaled_sum)
-from .core import (EPSILON, ROUNDING, SMALLEST_NORMAL, PeriodicCoefficients,
-                   Tail, _integer_spectrum, closed_point, closed_states, head,
+from .core import (EPSILON, ROUNDING, PeriodicCoefficients, Tail,
+                   _integer_spectrum, closed_point, closed_states, head,
                    horizon, initial_state, over_one_denominator)
 from .errors import BranchError, ConvergenceError, DomainError
 from .numeric import (ArithmeticMode, Number, require_tolerance,
                       saturating_exp)
-from .transfer import (System, TransferMatrix, _prepare_rank, composed_entries,
-                       prepare)
+from .transfer import (_LOST, Split, System, TransferMatrix, _prepare_rank,
+                       composed_entries, float_split, prepare)
 
 DEFAULT_CYCLE_TOL = 1e-11
 DEFAULT_MAX_TERMS = 1_000_000
-# A difference below 1/_LOST of its terms has lost half its digits.
-_LOST = 2.0 ** 26
 
 Quad = tuple[Number, Number, Number, Number]
 
@@ -100,86 +98,13 @@ class LimitCycle(NamedTuple):
     residual: float
 
 
-class Split(NamedTuple):
-    """Of a positive matrix [[alpha, beta], [gamma, delta]]: eigenvalues,
-    dominant first, Q = beta/(lambda1 - alpha), the leads lambda - alpha,
-    the ratios gamma/lead and the gap lambda1 - lambda2."""
-
-    lambda1: Number
-    lambda2: Number
-    q: Number
-    lead1: Number
-    lead2: Number
-    ratio1: Number
-    ratio2: Number
-    gap: Number
-
-
-def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
-    """The Split of a positive 2x2 float matrix from its entries.
-
-    The eigenvalues come from the matrix scaled by the power of two that
-    brings its largest entry into [0.5, 1), so the discriminant cannot
-    overflow while every entry is finite; the scaling is exact, and the
-    roots are scaled back. Raises DomainError when an entry is inf, or
-    where the leads without cancellation below would divide by beta,
-    gamma or a lead that underflowed to 0.
-
-    The leads lambda - alpha are plain differences of the roots where
-    all keep their digits: lambda1 <= 64*(lambda1 - alpha),
-    |lambda2| <= 64*|lambda2 - alpha|, lambda1 <= _LOST*|lambda2|, and
-    the scaled discriminant is a normal float, so that neither of its
-    terms underflowed. Elsewhere beta*gamma is lost against
-    (alpha - delta)**2, lambda2 against lambda1, or both terms.
-    With d = (delta - alpha)/2 and h = hypot(d, sqrt(beta)*sqrt(gamma)),
-    the leads are d + h and d - h: the one whose sum adds is taken as it
-    is, the other as -beta*gamma over it, in a form that never rounds
-    beta*gamma away, with its ratio -(the first lead)/beta, which holds
-    where it underflows. The gap is 2h. Where the scaled discriminant
-    underflowed, lambda1 is alpha plus its lead; where it did, or
-    (trace - root)/2 lost half its digits, lambda2 is alpha plus its
-    lead if alpha <= delta, else delta minus lambda1's lead, which do
-    not cancel.
-    """
-    top = max(m11, m12, m21, m22)
-    if top == math.inf:
-        raise DomainError("matrix entries overflow float range")
-    e = math.frexp(top)[1]
-    ldexp = math.ldexp
-    alpha, beta = ldexp(m11, -e), ldexp(m12, -e)
-    gamma, delta = ldexp(m21, -e), ldexp(m22, -e)
-    disc = (alpha - delta) ** 2 + 4 * beta * gamma
-    root = math.sqrt(disc)
-    trace = alpha + delta
-    l1, l2 = ldexp((trace + root) * 0.5, e), ldexp((trace - root) * 0.5, e)
-    lead1, lead2 = l1 - m11, l2 - m11
-    if (disc >= SMALLEST_NORMAL and abs(l2) * _LOST >= l1
-            and l1 <= 64 * lead1 and abs(l2) <= 64 * abs(lead2)):
-        return Split(l1, l2, m12 / lead1, lead1, lead2,
-                     m21 / lead1, m21 / lead2, l1 - l2)
-    d = (m22 - m11) * 0.5
-    sb, sg = math.sqrt(m12), math.sqrt(m21)
-    h = math.hypot(d, sb * sg)
-    lead = d + h if d >= 0 else d - h
-    if not (m12 and (m21 or d >= 0) and lead):
-        raise DomainError("matrix entries underflow float range")
-    other = -(sb / lead * sg) * sb * sg
-    if disc < SMALLEST_NORMAL:
-        l1 = m11 + (lead if d >= 0 else other)
-    if disc < SMALLEST_NORMAL or abs(l2) * _LOST < l1:
-        l2 = m11 + other if d >= 0 else m22 - other
-    if d >= 0:
-        return Split(l1, l2, m12 / lead, lead, other, m21 / lead, -lead / m12, 2 * h)
-    return Split(l1, l2, -lead / m21, other, lead, -lead / m12, m21 / lead, 2 * h)
-
-
 def _roots(m: TransferMatrix, exact: bool) -> Split:
     """The Split of a positive 2x2 matrix: exact rationals from the
     isqrt of N of core._integer_spectrum, or float_split in float mode."""
     if not exact:
         return float_split(*m.entries)
     alpha, beta, gamma, _ = m.entries
-    l, t, n, _ = _integer_spectrum(m)
+    l, t, n, _ = _integer_spectrum(over_one_denominator(m))
     root = math.isqrt(n)
     if root * root != n:
         raise DomainError(
@@ -215,7 +140,17 @@ def float_criterion(
     exact sign, where given (0 makes delta 0.0). A delta that is not
     finite is inf with the kind's sign, one that underflows to 0 is
     5e-324 with it, and either is 0.0 on the boundary."""
-    split = float_split(*m)
+    return _criterion(float_split(*m), m, even, tol_class, sign)
+
+
+def _system_criterion(system: System, tol_class: float = 0.0):
+    """float_criterion of a float System, on the Split it carries."""
+    return _criterion(system.split or float_split(*system.matrix), system.matrix,
+                      system.params.at(0), tol_class, None)
+
+
+def _criterion(split: Split, m: Quad, even: Quad, tol_class: float, sign: int | None):
+    """float_criterion, given the Split of m."""
     a0, b0, c0, d0 = even
     l1, q = split.lambda1, split.q
     r0, r1 = b0 * q + a0, d0 * q + c0
@@ -432,7 +367,7 @@ def _float_terms(
     System raises BranchError there.
     """
     system = _prepare_rank(system, system.mode, system.eps_rank, 2)
-    split, _, _, log_g, _ = float_criterion(system.matrix, system.params.at(0))
+    split, _, _, log_g, _ = _system_criterion(system)
     terms = _settle(system, split, start, anchors, _MIN_SETTLE_TERM, _TAIL_NOME)
     yield next(terms), None
     next(terms)  # the settle term and the nomes
@@ -539,15 +474,14 @@ def delta_sign_exact(
 ) -> int:
     """Exact sign of the trichotomy quantity for rational coefficients.
 
-    delta_crit is a rational function of sqrt(disc). On the ints of
-    core.over_one_denominator, [[alpha, beta], [gamma, delta]]/s of the
+    delta_crit is a rational function of sqrt(disc). On the ints the
+    exact System carries, [[alpha, beta], [gamma, delta]]/s of the
     matrix and (A0, B0, C0, E0)/D0 of the even coefficients, it is X +
     Y*sqrt(disc) over the positive s**3*D0**2, signed by comparing X**2
     with Y**2*disc, square disc or not. Returns -1, 0, or 1.
     """
     system = _prepare_rank(params, ArithmeticMode.EXACT_RATIONAL, eps_rank, 2)
-    s, alpha, beta, gamma, delta = over_one_denominator(system.matrix)
-    d0, a0, b0, c0, e0 = over_one_denominator(system.params.at(0))
+    (d0, a0, b0, c0, e0), _, (s, alpha, beta, gamma, delta) = system.ints
     diff, dd = delta - alpha, d0 * d0
     disc = diff * diff + 4 * beta * gamma
     g = (alpha + delta) * dd - 2 * (b0 * c0 + a0 * e0) * s
@@ -573,17 +507,20 @@ def classify_rank2(
     eps_rank: float = 1e-12,
 ) -> Classification:
     """Trichotomy by the sign of delta_crit: float mode by float_criterion,
-    exact mode by delta_sign_exact. The witness always holds the float
-    values float_criterion forms from the float coefficients. Raises
-    DomainError for a tol_class that is not finite and >= 0.
+    on the Split the System carries, exact mode by delta_sign_exact. The
+    witness always holds the float values float_criterion forms from the
+    float coefficients. Raises DomainError for a tol_class that is not
+    finite and >= 0.
     """
     require_tolerance(tol_class, "tol_class")
     system = _prepare_rank(params, mode, eps_rank, 2)
-    wp = system.params.as_floats()
-    sign = (delta_sign_exact(system, eps_rank)
-            if mode is ArithmeticMode.EXACT_RATIONAL else None)
-    split, scale, delta, _, kind = float_criterion(
-        composed_entries(*wp), wp.at(0), tol_class, sign)
+    if mode is ArithmeticMode.EXACT_RATIONAL:
+        wp = system.params.as_floats()
+        sign = delta_sign_exact(system, eps_rank)
+        criterion = float_criterion(composed_entries(*wp), wp.at(0), tol_class, sign)
+    else:
+        criterion = _system_criterion(system, tol_class)
+    split, scale, delta, _, kind = criterion
     witness = Rank2Witness(*split[:3], delta, scale)
     return Classification(kind=kind, rank=2, witness=witness)
 
@@ -617,7 +554,7 @@ def limit_cycle(
     require_tolerance(tol_class, "tol_class")
     system = _prepare_rank(params, ArithmeticMode.FLOAT64, eps_rank, 2)
     wp = system.params
-    split, _, _, log_g, kind = float_criterion(system.matrix, wp.at(0), tol_class)
+    split, _, _, log_g, kind = _system_criterion(system, tol_class)
     if kind is not Kind.CONVERGES_TO_TWO_PERIODIC:
         raise BranchError(
             f"limit cycle exists only in the convergent case, "

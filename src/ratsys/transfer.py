@@ -19,10 +19,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (SMALLEST_NORMAL, Orbit, PeriodicCoefficients,
-                   _integer_spectrum, over_one_denominator)
+                   _integer_spectrum, _parities, over_one_denominator)
 from .errors import BranchError, DomainError
 from .numeric import (ArithmeticMode, Number, is_exact, number_log,
                       require_tolerance, saturating_exp)
+
+# A difference below 1/_LOST of its terms has lost half its digits.
+_LOST = 2.0 ** 26
 
 
 class TransferMatrix(NamedTuple):
@@ -78,13 +81,13 @@ def composed_entries(
             b0 * d1 + c1 * d0, a0 * d1 + c0 * c1)
 
 
-def composed_matrix(params: PeriodicCoefficients) -> TransferMatrix:
+def composed_matrix(params: PeriodicCoefficients, parities=None) -> TransferMatrix:
     """The two-step matrix of composed_entries, as a TransferMatrix; of
-    Fraction coefficients, from the ints over D0 and D1 that
-    core.over_one_denominator gives each parity, one gcd per entry."""
+    Fraction coefficients, from parities, each parity's ints over D0 and
+    D1 (core._parities where not given), one gcd per entry."""
     if not all(type(v) is Fraction for v in params):
         return TransferMatrix(*composed_entries(*params))
-    (d0, *even), (d1, *odd) = map(over_one_denominator, (params[:4], params[4:]))
+    (d0, *even), (d1, *odd) = parities or _parities(params)
     return TransferMatrix(*map(Fraction, composed_entries(*even, *odd), [d0 * d1] * 4))
 
 
@@ -142,14 +145,88 @@ def float_rank(
     return 1 if abs(p - s) <= eps * (p + s) else 2
 
 
-def rank_decision(matrix: TransferMatrix, eps: float = 1e-12) -> int:
+class Split(NamedTuple):
+    """Of a positive matrix [[alpha, beta], [gamma, delta]]: eigenvalues,
+    dominant first, Q = beta/(lambda1 - alpha), the leads lambda - alpha,
+    the ratios gamma/lead and the gap lambda1 - lambda2."""
+
+    lambda1: Number
+    lambda2: Number
+    q: Number
+    lead1: Number
+    lead2: Number
+    ratio1: Number
+    ratio2: Number
+    gap: Number
+
+
+def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
+    """The Split of a positive 2x2 float matrix from its entries.
+
+    The eigenvalues come from the matrix scaled by the power of two that
+    brings its largest entry into [0.5, 1), so the discriminant cannot
+    overflow while every entry is finite; the scaling is exact, and the
+    roots are scaled back. Raises DomainError when an entry is inf, or
+    where the leads without cancellation below would divide by beta,
+    gamma or a lead that underflowed to 0.
+
+    The leads lambda - alpha are plain differences of the roots where
+    all keep their digits: lambda1 <= 64*(lambda1 - alpha),
+    |lambda2| <= 64*|lambda2 - alpha|, lambda1 <= _LOST*|lambda2|, and
+    the scaled discriminant is a normal float, so that neither of its
+    terms underflowed. Elsewhere beta*gamma is lost against
+    (alpha - delta)**2, lambda2 against lambda1, or both terms.
+    With d = (delta - alpha)/2 and h = hypot(d, sqrt(beta)*sqrt(gamma)),
+    the leads are d + h and d - h: the one whose sum adds is taken as it
+    is, the other as -beta*gamma over it, in a form that never rounds
+    beta*gamma away, with its ratio -(the first lead)/beta, which holds
+    where it underflows. The gap is 2h. Where the scaled discriminant
+    underflowed, lambda1 is alpha plus its lead; where it did, or
+    (trace - root)/2 lost half its digits, lambda2 is alpha plus its
+    lead if alpha <= delta, else delta minus lambda1's lead, which do
+    not cancel.
+    """
+    top = max(m11, m12, m21, m22)
+    if top == math.inf:
+        raise DomainError("matrix entries overflow float range")
+    e = math.frexp(top)[1]
+    ldexp = math.ldexp
+    alpha, beta = ldexp(m11, -e), ldexp(m12, -e)
+    gamma, delta = ldexp(m21, -e), ldexp(m22, -e)
+    disc = (alpha - delta) ** 2 + 4 * beta * gamma
+    root = math.sqrt(disc)
+    trace = alpha + delta
+    l1, l2 = ldexp((trace + root) * 0.5, e), ldexp((trace - root) * 0.5, e)
+    lead1, lead2 = l1 - m11, l2 - m11
+    if (disc >= SMALLEST_NORMAL and abs(l2) * _LOST >= l1
+            and l1 <= 64 * lead1 and abs(l2) <= 64 * abs(lead2)):
+        return Split(l1, l2, m12 / lead1, lead1, lead2,
+                     m21 / lead1, m21 / lead2, l1 - l2)
+    d = (m22 - m11) * 0.5
+    sb, sg = math.sqrt(m12), math.sqrt(m21)
+    h = math.hypot(d, sb * sg)
+    lead = d + h if d >= 0 else d - h
+    if not (m12 and (m21 or d >= 0) and lead):
+        raise DomainError("matrix entries underflow float range")
+    other = -(sb / lead * sg) * sb * sg
+    if disc < SMALLEST_NORMAL:
+        l1 = m11 + (lead if d >= 0 else other)
+    if disc < SMALLEST_NORMAL or abs(l2) * _LOST < l1:
+        l2 = m11 + other if d >= 0 else m22 - other
+    if d >= 0:
+        return Split(l1, l2, m12 / lead, lead, other, m21 / lead, -lead / m12, 2 * h)
+    return Split(l1, l2, -lead / m21, other, lead, -lead / m12, m21 / lead, 2 * h)
+
+
+def rank_decision(matrix: TransferMatrix, eps: float = 1e-12, ints=None) -> int:
     """Decide rank 1 versus rank 2 of a positive 2x2 matrix.
 
-    Exact entries have rank 1 where M = 0 in core._integer_spectrum, on
-    ints over one denominator; float entries go through float_rank.
+    Exact entries have rank 1 where M = 0 in core._integer_spectrum of
+    ints, the matrix over one denominator (formed here where not given);
+    float entries go through float_rank.
     """
     if matrix.is_exact:
-        return 1 if _integer_spectrum(matrix)[3] == 0 else 2
+        return 1 if _integer_spectrum(ints or over_one_denominator(matrix))[3] == 0 else 2
     return float_rank(*matrix.entries, eps)
 
 
@@ -158,9 +235,13 @@ class System(NamedTuple):
 
     params holds the validated coefficients in the mode's representation
     (floats, or Fractions in exact mode), matrix the composed two-step
-    matrix built from them, and rank its rank under eps_rank. Every
-    classification and closed form reads these instead of converting,
-    composing and deciding again. Build one with prepare.
+    matrix built from them, and rank its rank under eps_rank. An exact
+    System's ints are what core.over_one_denominator gives the even and
+    the odd coefficients and the matrix; a float System of rank 2 holds
+    the Split of its matrix, None where float_split raised (it raises
+    again where the Split is needed). Every classification and closed
+    form reads these instead of converting, composing and deciding
+    again. Build one with prepare.
     """
 
     params: PeriodicCoefficients
@@ -168,6 +249,8 @@ class System(NamedTuple):
     eps_rank: float
     matrix: TransferMatrix
     rank: int
+    ints: tuple[tuple[int, ...], ...] | None
+    split: Split | None
 
 
 def prepare(
@@ -175,7 +258,8 @@ def prepare(
     mode: ArithmeticMode = ArithmeticMode.FLOAT64,
     eps_rank: float = 1e-12,
 ) -> System:
-    """Validate, convert, compose and decide the rank, once.
+    """Validate, convert, compose and decide the rank, once, and form
+    the ints or the Split the System holds.
 
     A System already in this mode with this eps_rank is returned as it
     is. A System in the other mode is converted from its coefficients;
@@ -192,14 +276,23 @@ def prepare(
             rank = params.rank
         params = params.params
     require_tolerance(eps_rank, "eps_rank")
+    ints = split = None
     if mode is ArithmeticMode.EXACT_RATIONAL:
         wp = params.as_fractions()
+        parities = _parities(wp)
+        matrix = composed_matrix(wp, parities)
+        ints = (*parities, over_one_denominator(matrix))
     else:
         wp = params.as_floats()
-    matrix = composed_matrix(wp)
+        matrix = composed_matrix(wp)
     if rank is None:
-        rank = rank_decision(matrix, eps_rank)
-    return System(wp, mode, eps_rank, matrix, rank)
+        rank = rank_decision(matrix, eps_rank, ints and ints[2])
+    if ints is None and rank == 2:
+        try:
+            split = float_split(*matrix)
+        except DomainError:
+            pass
+    return System(wp, mode, eps_rank, matrix, rank, ints, split)
 
 
 def _prepare_rank(

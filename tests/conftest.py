@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from ratsys import PeriodicCoefficients, criterion_delta, eigenvalues
+from ratsys.numeric import exact_text
 
 settings.register_profile(
     "suite",
@@ -180,6 +181,36 @@ def find_balanced(rng, r_lo=1e-3, r_hi=0.9):
 
 # 34 digits, and an exponent range of 10**18, which no orbit of interest
 # leaves
+def _reference_jstr(s):
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def reference_jval(v, level):
+    """The recursive isinstance chain the CLI rendered JSON values with,
+    kept as the reference its table-driven renderer must match byte for
+    byte."""
+    pad = "  " * (level + 1)
+    end = "  " * level
+    if v is None:
+        return "null"
+    if isinstance(v, str):
+        return _reference_jstr(v)
+    if isinstance(v, Fraction):
+        return _reference_jstr(exact_text(v))
+    if isinstance(v, float):
+        return f"{v:.17g}" if math.isfinite(v) else _reference_jstr(repr(v))
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, dict):
+        items = [f"{pad}{_reference_jstr(k)}: {reference_jval(x, level + 1)}"
+                 for k, x in v.items()]
+        return "{\n" + ",\n".join(items) + "\n" + end + "}"
+    if isinstance(v, (list, tuple)):
+        items = [f"{pad}{reference_jval(x, level + 1)}" for x in v]
+        return "[\n" + ",\n".join(items) + "\n" + end + "]"
+    raise TypeError(f"cannot render {type(v).__name__} as JSON")
+
+
 DECIMAL = decimal.Context(prec=34, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 

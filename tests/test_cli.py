@@ -4,7 +4,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -21,6 +23,8 @@ import ratsys
 from ratsys import ArithmeticMode, PeriodicCoefficients, simulate
 from ratsys.cli import main
 from ratsys.numeric import exact_text
+
+from conftest import reference_jval
 
 RANK2_ARGS = [
     "--a0", "2", "--b0", "1", "--c0", "4", "--d0", "3",
@@ -161,6 +165,84 @@ def test_huge_exact_exponent_is_refused_at_once(text, capsys):
     assert time.perf_counter() - start < 1.0 and info.value.code == 2
     assert ratsys.parse_number("1e300000", ArithmeticMode.EXACT_RATIONAL) \
         == Fraction(10) ** 300000
+
+
+# Literals the exact parser must read as Fraction(text) does: int-only
+# p/q forms, forms with an empty side, a zero denominator, a sign, a space,
+# an underscore, non-ASCII digits, decimals, exponents, int-digit-limit
+# sizes on either side, and texts that are no number.
+PARSE_CORPUS = [
+    "3/4", "007/010", "0/5", "3/0", "5/000", "0/0", "3/", "/3", "3//4", "3/4/5",
+    "-3/4", "3/-4", " 3/4", "3 /4", "3/4 ", "+3", "1_000/3", "\u0663/\u0664",
+    "\u00b2", "0.5", "5e-1", "1E2", "1e300000", "12345678901234567890123/7",
+    "7" * 5000, "3/" + "7" * 5000, "7" * 5000 + "/3", "", "/", "inf", "nan",
+]
+
+
+def parsed(parse, text):
+    """The value parse gives text, or its exception's type and message."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_exact_parse_is_the_fraction_of_the_text():
+    rng = random.Random(30)
+
+    def digits():
+        return "0" * rng.randint(0, 2) + str(rng.randrange(10 ** rng.randint(1, 40)))
+    texts = PARSE_CORPUS + [rng.choice(("{}/{}", "{}", "-{}/{}", "{}/{}/{}")).format(
+        digits(), digits(), digits()) for _ in range(2000)]
+    for text in texts:
+        got = parsed(lambda t: ratsys.parse_number(t, ArithmeticMode.EXACT_RATIONAL), text)
+        want = parsed(Fraction, text)
+        assert type(got) is type(want) and got == want, text
+
+
+def test_exact_parse_refuses_a_huge_exponent_at_once():
+    # Fraction(text) itself would build 10**(10**11)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bit cap"):
+        ratsys.parse_number("1e99999999999", ArithmeticMode.EXACT_RATIONAL)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_render_json_is_the_recursive_renderer(monkeypatch, capsys):
+    payloads = []
+    render = ratsys.cli.render_json
+    monkeypatch.setattr(ratsys.cli, "render_json",
+                        lambda payload: payloads.append(payload) or render(payload))
+    sets = {
+        "rank1": ["--all-ones", "--a1", "0.5", "--b1", "1.5", "--c1", "2", "--d1", "2"],
+        "rank2": RANK2_ARGS,
+        "cycle": ["--a0", "1", "--b0", "1", "--c0", "1", "--d0", "2",
+                  "--a1", "2", "--b1", "1", "--c1", "1", "--d1", "1"],
+    }
+    for args, mode in product(sets.values(), ("float", "exact")):
+        for command in ("classify", "compare"):
+            argv = [command, *args, "--mode", mode, "--format", "json", "--x0", "1.5"]
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+    kinds = {(p["command"], p.get("rank"), p.get("cycle") is None,
+              p.get("first_divergence_index", 0) is None) for p in payloads}
+    assert {("classify", 1, True, False), ("classify", 2, True, False),
+            ("classify", 2, False, False), ("compare", None, True, True)} <= kinds
+    payloads.append({
+        "floats": [math.inf, -math.inf, math.nan, 5e-324, -0.0, 1e308, 0.1],
+        "strings": ['say "hi"', "back\\slash", "\u03bb \u2192 \u221e", ""],
+        "exact": [Fraction(-3, 4), Fraction(10) ** 30, 10 ** 30, -7],
+        "nested": {"none": None, "tuple": (1, 2.5), "empty": {}, "list": []},
+    })
+    for payload in payloads:
+        assert render(payload) == reference_jval(payload, 0) + "\n"
+    # a sweep's head values, axis lists among them, as _serialize renders them
+    for head in ([{"name": "d1", "values": [1.0, 1.5, 2.0]},
+                  {"name": "c1", "values": [1.0, math.inf]}], "sweep"):
+        assert ratsys.cli._jval(head, 1) == reference_jval(head, 1)
+    for value in (object(), {1, 2}, b"x"):
+        with pytest.raises(TypeError, match="cannot render"):
+            render({"v": value})
 
 
 def test_output_file(tmp_path, capsys):

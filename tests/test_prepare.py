@@ -160,14 +160,14 @@ def test_float_classify_prepares_once(monkeypatch, params, kind):
     assert inits == []
 
 
-def test_float_convergent_classify_solves_the_criterion_twice(monkeypatch):
+def test_float_convergent_classify_solves_the_criterion_once(monkeypatch):
     verdicts = count_calls(monkeypatch, ratsys.rank2.classify_rank2)
     splits = count_calls(monkeypatch, ratsys.rank2.float_split)
     verdict = classify(RANK2_BALANCED.as_floats(), probe_init=(1.5, 0.5))
     assert verdict.cycle is not None
-    # classify_rank2 solves once, limit_cycle once more for its constants
+    # prepare solves once; classify_rank2 and limit_cycle read its Split
     assert len(verdicts) == 1
-    assert len(splits) == 2
+    assert len(splits) == 1
 
 
 def test_sweep_validates_each_cell_once(monkeypatch, capsys):
@@ -235,6 +235,20 @@ def test_exact_convergent_classify_builds_each_matrix_once(monkeypatch):
     assert len(matrices) == 2
     assert sorted(type(args[0].a0).__name__ for args in matrices) == [
         "Fraction", "float"]
+
+
+@pytest.mark.parametrize("params", [RANK1_GROWTH, RANK2_GENERIC, RANK2_BALANCED])
+def test_exact_classify_writes_each_quadruple_over_one_denominator_once(
+        monkeypatch, params):
+    over_one_denominator = ratsys.core.over_one_denominator
+    calls = count_calls(monkeypatch, over_one_denominator)
+    system = prepare(params, EXACT)
+    # the even and odd coefficients, then the composed matrix
+    assert calls == [(system.params[:4],), (system.params[4:],), (system.matrix,)]
+    assert system.ints == tuple(over_one_denominator(*args) for args in calls[:3])
+    calls.clear()
+    classify(params, EXACT, probe_init=(Fraction(3, 2), Fraction(1, 2)))
+    assert len(calls) == 3  # the verdict reads the System's ints
 
 
 def test_exact_verdict_builds_no_float_system(monkeypatch):
