@@ -42,7 +42,7 @@ from .classification import (Classification, Kind, float_decision,
                              kind_from_sign, scaled_ratio, scaled_sum)
 from .core import (EPSILON, ROUNDING, PeriodicCoefficients, Tail,
                    _integer_spectrum, closed_point, closed_states, head,
-                   horizon, initial_state, over_one_denominator)
+                   horizon, initial_state)
 from .errors import BranchError, ConvergenceError, DomainError
 from .numeric import (ArithmeticMode, Number, require_tolerance,
                       saturating_exp)
@@ -98,13 +98,14 @@ class LimitCycle(NamedTuple):
     residual: float
 
 
-def _roots(m: TransferMatrix, exact: bool) -> Split:
-    """The Split of a positive 2x2 matrix: exact rationals from the
-    isqrt of N of core._integer_spectrum, or float_split in float mode."""
-    if not exact:
-        return float_split(*m.entries)
-    alpha, beta, gamma, _ = m.entries
-    l, t, n, _ = _integer_spectrum(over_one_denominator(m))
+def _roots(system: System) -> Split:
+    """The Split of a rank-2 System's matrix: the one a float System
+    carries (float_split where it holds none), or exact rationals from
+    the isqrt of N of core._integer_spectrum of an exact one's ints."""
+    if system.ints is None:
+        return system.split or float_split(*system.matrix)
+    alpha, beta, gamma, _ = system.matrix
+    l, t, n, _ = _integer_spectrum(system.ints[2])
     root = math.isqrt(n)
     if root * root != n:
         raise DomainError(
@@ -127,8 +128,7 @@ def eigenvalues(
     Exact mode needs the discriminant to be a perfect rational square;
     otherwise the eigenvalues are irrational and a DomainError says so.
     """
-    system = _prepare_rank(params, mode, eps_rank, 2)
-    return _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)[:2]
+    return _roots(_prepare_rank(params, mode, eps_rank, 2))[:2]
 
 
 def float_criterion(
@@ -145,8 +145,8 @@ def float_criterion(
 
 def _system_criterion(system: System, tol_class: float = 0.0):
     """float_criterion of a float System, on the Split it carries."""
-    return _criterion(system.split or float_split(*system.matrix), system.matrix,
-                      system.params.at(0), tol_class, None)
+    return _criterion(_roots(system), system.matrix, system.params.at(0),
+                      tol_class, None)
 
 
 def _criterion(split: Split, m: Quad, even: Quad, tol_class: float, sign: int | None):
@@ -182,8 +182,7 @@ def spectral_constants(
 ) -> SpectralData:
     """Expansion constants for the start (u0, v0) = (x0, y0)."""
     system = _prepare_rank(params, mode, eps_rank, 2)
-    split = _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)
-    return _expansion(split, system.matrix, initial_state(init, mode))
+    return _expansion(_roots(system), system.matrix, initial_state(init, mode))
 
 
 def _expansion(
@@ -464,7 +463,7 @@ def criterion_delta(
     gap; delta_sign_exact decides the sign without that restriction.
     """
     system = _prepare_rank(params, mode, eps_rank, 2)
-    l1, _, q = _roots(system.matrix, mode is ArithmeticMode.EXACT_RATIONAL)[:3]
+    l1, _, q = _roots(system)[:3]
     a0, b0, c0, d0 = system.params.at(0)
     return l1 * q - (b0 * q + a0) * (d0 * q + c0)
 

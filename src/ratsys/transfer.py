@@ -81,10 +81,11 @@ def composed_entries(
             b0 * d1 + c1 * d0, a0 * d1 + c0 * c1)
 
 
-def composed_matrix(params: PeriodicCoefficients, parities=None) -> TransferMatrix:
+def composed_matrix(params: PeriodicCoefficients, *, parities=None) -> TransferMatrix:
     """The two-step matrix of composed_entries, as a TransferMatrix; of
-    Fraction coefficients, from parities, each parity's ints over D0 and
-    D1 (core._parities where not given), one gcd per entry."""
+    Fraction coefficients, from the ints over D0 and D1 that
+    core.over_one_denominator gives each parity, one gcd per entry.
+    parities is internal: prepare passes the ints it has formed."""
     if not all(type(v) is Fraction for v in params):
         return TransferMatrix(*composed_entries(*params))
     (d0, *even), (d1, *odd) = parities or _parities(params)
@@ -218,16 +219,20 @@ def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
     return Split(l1, l2, -lead / m21, other, lead, -lead / m12, m21 / lead, 2 * h)
 
 
-def rank_decision(matrix: TransferMatrix, eps: float = 1e-12, ints=None) -> int:
+def rank_decision(matrix: TransferMatrix, eps: float = 1e-12) -> int:
     """Decide rank 1 versus rank 2 of a positive 2x2 matrix.
 
-    Exact entries have rank 1 where M = 0 in core._integer_spectrum of
-    ints, the matrix over one denominator (formed here where not given);
-    float entries go through float_rank.
+    Exact entries go through _exact_rank, on ints over one denominator;
+    float entries through float_rank.
     """
     if matrix.is_exact:
-        return 1 if _integer_spectrum(ints or over_one_denominator(matrix))[3] == 0 else 2
+        return _exact_rank(over_one_denominator(matrix))
     return float_rank(*matrix.entries, eps)
+
+
+def _exact_rank(ints: tuple[int, ...]) -> int:
+    """1 where M = 0 in core._integer_spectrum of a matrix's ints, else 2."""
+    return 1 if _integer_spectrum(ints)[3] == 0 else 2
 
 
 class System(NamedTuple):
@@ -280,13 +285,13 @@ def prepare(
     if mode is ArithmeticMode.EXACT_RATIONAL:
         wp = params.as_fractions()
         parities = _parities(wp)
-        matrix = composed_matrix(wp, parities)
+        matrix = composed_matrix(wp, parities=parities)
         ints = (*parities, over_one_denominator(matrix))
     else:
         wp = params.as_floats()
         matrix = composed_matrix(wp)
     if rank is None:
-        rank = rank_decision(matrix, eps_rank, ints and ints[2])
+        rank = _exact_rank(ints[2]) if ints else rank_decision(matrix, eps_rank)
     if ints is None and rank == 2:
         try:
             split = float_split(*matrix)

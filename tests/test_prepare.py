@@ -170,6 +170,19 @@ def test_float_convergent_classify_solves_the_criterion_once(monkeypatch):
     assert len(splits) == 1
 
 
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_spectral_queries_read_what_the_system_carries(monkeypatch, mode):
+    rank2 = ratsys.rank2
+    queries = (rank2.eigenvalues, rank2.criterion_delta,
+               lambda *a: rank2.spectral_constants(a[0], (3, 2), *a[1:]))
+    expected = [query(RANK2_SQUARE, mode) for query in queries]
+    system = prepare(RANK2_SQUARE, mode)
+    calls = [count_calls(monkeypatch, fn) for fn in (
+        rank2.float_split, ratsys.core.over_one_denominator)]
+    assert [query(system, mode) for query in queries] == expected
+    assert calls == [[], []]  # the Split or the ints, not solved again
+
+
 def test_sweep_validates_each_cell_once(monkeypatch, capsys):
     inits = count_inits(monkeypatch)
     code = main(["sweep", "--all-ones", "--axis1", "d1:1:2:5",

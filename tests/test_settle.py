@@ -149,7 +149,7 @@ def test_generic_set_at_1e5_is_far_closer_than_the_running_sum():
     # item m + 1, after term 0 and the settle term
     system = prepare(params)
     anchors = head(params, start, ArithmeticMode.FLOAT64)[1]
-    terms = _settle(system, _roots(system.matrix, False), start, anchors,
+    terms = _settle(system, _roots(system), start, anchors,
                     m + 1, _TAIL_NOME)
     summed_x = next(islice(terms, m + 1, None))[0][0]
     assert abs(summed_x - want) > 1e-9  # the running sum's n**2 rounding
