@@ -557,43 +557,109 @@ def head(
 # The rounding of a float log factor whose parts are formed without
 # cancellation, relative to its size (at least 1).
 ROUNDING = 16 * EPSILON
+# From the first term k with max|z|*r**(k - 1) at most this, every log factor
+# is within ROUNDING of +-L, and their rest, within ROUNDING*r/(1 - r), is left out.
+_NEGLIGIBLE = ROUNDING / (4 + ROUNDING)
+
+Quad = tuple[float, float, float, float]
 
 
 class Tail(NamedTuple):
-    """Past term k = term, the logs of the products (x[2m], x[2m+1],
-    y[2m], y[2m+1]) are logs + (m - k)*factors, one multiply-add each;
-    the states saturate to inf or 0.0. Both ranks take the factors
-    (L, -L, L, -L), L = log g of the float verdict, with slope
-    ROUNDING*max(1, |L|), the rounding of L; rank 2 keeps the factors
-    that repeat where r = |lambda2/lambda1| rounds to 1, with base and
-    slope inf. base bounds the error of logs in log, the rounding of
-    every earlier term and the later factors' distance from L included;
-    slope is what each later term adds to it."""
+    """Past term K = term, the logs of the products (x[2m], x[2m+1],
+    y[2m], y[2m+1]) are logs + R(1) + j*factors - R(t**j), j = m - K;
+    the states saturate to inf or 0.0. The factors are (L, -L, L, -L),
+    L = log g of the float verdict, with slope ROUNDING*max(1, |L|), the
+    rounding of L, or, where r = |t| = |lambda2/lambda1| rounds to 1, the
+    rank-2 factors that repeat, with base and slope inf. base bounds the
+    error of logs in log, and slope what each later term adds to it.
+
+    R(t**j) is what the factors past term m add beyond their L. A rank-2
+    log factor of term i is L plus four log(1 - z*t**i) or
+    log(1 - z*t**(i-1)), one per nome z_u, z_v, z_w, z_z, so with
+    Euler's S(x) = sum over i >= 0 of log(1 - x*t**i) = -sum over n >= 1
+    of x**n/(n*(1 - t**n)), x_a = z_a*t**K the xs, s_a = S(x_a*tau) and
+    s'_a = S(x_a*t*tau), R(tau) = (s'_u + s_v - s_w - s_z, s'_w + s_z -
+    s'_u - s'_v, s'_v + s_u - s_w - s_z, s'_z + s_w - s'_u - s'_v). It is
+    left out from the first j with max|x_a|*r**j <= r*_NEGLIGIBLE, R(1)
+    too where that is j = 0, as for rank 1, which has no xs. With factors
+    0 the logs at m = inf are the limit cycle."""
 
     term: int
-    logs: tuple[float, float, float, float]
-    factors: tuple[float, float, float, float]
+    logs: Quad
+    factors: Quad
     base: float = 0.0
     slope: float = 0.0
+    t: float = 0.0
+    xs: tuple[float, ...] = ()
 
-    def at(self, m: int) -> tuple[float, float, float, float]:
-        """The logs of the four products at term m; m - term is capped at
-        2**1023, past which every factor, 0 or above 1e-16, saturates."""
+    def _rest(self):
+        """(J, logs + R(1), R, bound of the rounding of R(1) - R(t**j)),
+        R(t**j) counting for j < J. Each S is cut after the N terms whose
+        bound m**(N+1)/((N+1)*(1 - m)*(1 - r)), m = max|x|, is at most
+        EPSILON/4, and at tau to those of them with (m*|tau|)**n > cut, the
+        same bound's factor; 1 - t**n adds positive terms, so it keeps its
+        digits."""
+        t, r, xs = self.t, abs(self.t), self.xs
+        m = max(map(abs, xs)) if xs else 0.0
+        if m <= r * _NEGLIGIBLE:
+            return 0, self.logs, None, 0.0
+        cut = EPSILON / 4 * (1.0 - m) * (1.0 - r)
+        log_cut = math.log(cut)
+        xu, xv, xw, xz = xs
+        coeffs = []  # the c_n of R(tau)
+        n, mn, p, q, s, d2 = 1, m, 0.0, 1.0 - t, t * t, (1.0 - t) * (1.0 + t)
+        pu, pv, pw, pz, tn = xu, xv, xw, xz, t  # the x_a**n and t**n
+        while mn > cut * n:  # q = 1 - t**n, p = 1 - t**(n-1)
+            w = -1.0 / (n * q)
+            a, b = (pw + pz) * w, (pu + pv) * tn * w
+            coeffs.append(((pu * tn + pv) * w - a, (pw * tn + pz) * w - b,
+                           (pv * tn + pu) * w - a, (pz * tn + pw) * w - b))
+            pu, pv, pw, pz, tn = pu * xu, pv * xv, pw * xw, pz * xz, tn * t
+            n, mn, p, q = n + 1, mn * m, q, d2 + s * p  # (1 - t**2) + t**2*p
+
+        def rest(tau: float) -> Quad:  # by Horner's rule, on the terms with (m*|tau|)**n > cut
+            a = b = c = d = 0.0
+            mt = m * abs(tau)
+            for ca, cb, cc, cd in reversed(coeffs[:math.ceil(log_cut / math.log(mt)) - 1]
+                                           if mt else ()):
+                a = (a + ca) * tau
+                b = (b + cb) * tau
+                c = (c + cc) * tau
+                d = (d + cd) * tau
+            return a, b, c, d
+
+        J = math.ceil(1 + (math.log(_NEGLIGIBLE) - math.log(m)) / math.log(r))
+        # the eight S of R(1) - R(t**j) are each within m/((1 - m)*(1 - r)),
+        # cut within EPSILON/4 of it and rounded by (4N + 8)*EPSILON of it
+        bound = 8 * (4 * len(coeffs) + 9) * EPSILON * m / ((1.0 - m) * (1.0 - r))
+        (xe, xo, ye, yo), (a, b, c, d) = self.logs, rest(1.0)
+        return J, (xe + a, xo + b, ye + c, yo + d), rest, bound
+
+    def at(self, m: int | float) -> Quad:
+        """The logs at term m > term; m - term is capped at 2**1023, past
+        which every factor, 0 or above 1e-16, saturates."""
         j = min(m - self.term, 1 << 1023)
-        (xe, xo, ye, yo), (fxe, fxo, fye, fyo) = self.logs, self.factors
-        return (xe + j * fxe, xo + j * fxo, ye + j * fye, yo + j * fyo)
+        J, (xe, xo, ye, yo), rest, _ = self._rest()
+        fxe, fxo, fye, fyo = self.factors
+        a, b, c, d = rest(self.t ** j) if j < J else (0.0, 0.0, 0.0, 0.0)
+        return (xe + j * fxe - a, xo + j * fxo - b, ye + j * fye - c, yo + j * fyo - d)
 
     def states(self) -> Iterator[tuple[float, float]]:
-        """States 2k + 2, 2k + 3, ..., lazily."""
-        (xe, xo, ye, yo), (fxe, fxo, fye, fyo) = self.logs, self.factors
+        """States 2K + 2, 2K + 3, ..., lazily."""
+        (fxe, fxo, fye, fyo), t = self.factors, self.t
+        J, (xe, xo, ye, yo), rest, _ = self._rest()
         exp = saturating_exp
-        for j in count(1):
+        for j in range(1, J):
+            a, b, c, d = rest(t ** j)
+            yield (exp(xe + j * fxe - a), exp(ye + j * fye - c))
+            yield (exp(xo + j * fxo - b), exp(yo + j * fyo - d))
+        for j in count(max(J, 1)):
             yield (exp(xe + j * fxe), exp(ye + j * fye))
             yield (exp(xo + j * fxo), exp(yo + j * fyo))
 
     def error_bound(self, m: int) -> float:
         """Bound on the error in log of each of the logs at term m."""
-        return (self.base + min(m - self.term, 1 << 1023) * self.slope
+        return (self.base + self._rest()[3] + min(m - self.term, 1 << 1023) * self.slope
                 + EPSILON * max(map(abs, self.at(m))))
 
 
@@ -629,13 +695,13 @@ def closed_states(
 def closed_logs(
     system: "System", start: tuple[float, float], m: int, float_terms
 ) -> tuple[tuple[float, float, float, float], Tail | None]:
-    """The float logs at term m, and the Tail if it came first."""
+    """The float logs at term m, and the Tail if it came by then."""
     anchors = head(system.params, start, system.mode)[1]
     for k, (logs, tail) in enumerate(float_terms(system, start, anchors)):
+        if k == m:
+            return logs, tail
         if tail is not None:
             return tail.at(m), tail
-        if k == m:
-            return logs, None
 
 
 def closed_point(

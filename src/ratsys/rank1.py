@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple
 from .classification import (Classification, Kind, float_decision,
                              kind_from_sign, scaled_ratio, scaled_sum)
 from .core import (ROUNDING, PeriodicCoefficients, Tail, closed_point,
-                   closed_states, horizon, initial_state, over_one_denominator)
+                   closed_states, horizon, initial_state)
 from .errors import BranchError, DomainError
 from .numeric import ArithmeticMode, Number, require_tolerance
 from .transfer import System, _prepare_rank, prepare
@@ -51,22 +51,16 @@ class Rank1Data(NamedTuple):
 
 
 def growth_terms(
-    m11: Number, m12: Number, m21: Number, m22: Number,
-    a0: Number, b0: Number, c0: Number, d0: Number,
-    exact: bool = False, tol_class: float = 0.0,
-) -> tuple[Number, Number, Number, float | None, Kind]:
-    """(K, mu, rho, log rho, kind) from the entries of a rank-1 composed
-    matrix and the even coefficients. K = m21/m11 must equal m22/m12,
-    exactly in exact mode, within a relative K_CONSISTENCY_EPS in float
-    mode, or BranchError says so; DomainError where a float entry is 0.
-    Exact mode is _exact_growth on the ints core.over_one_denominator
-    gives the matrix and the even coefficients; float mode takes
-    float_decision."""
+    m11: float, m12: float, m21: float, m22: float,
+    a0: float, b0: float, c0: float, d0: float, tol_class: float = 0.0,
+) -> tuple[float, float, float, float, Kind]:
+    """(K, mu, rho, log rho, kind) from the float entries of a rank-1
+    composed matrix and the even coefficients, by float_decision.
+    K = m21/m11 must equal m22/m12 within a relative K_CONSISTENCY_EPS,
+    or BranchError says so; DomainError where an entry is 0. An exact
+    System's are _exact_growth's, on the ints it carries."""
     if not (m11 and m12 and m21 and m22):
         raise DomainError("matrix entries underflow float range")
-    if exact:
-        return _exact_growth(over_one_denominator((m11, m12, m21, m22)),
-                             over_one_denominator((a0, b0, c0, d0)))
     k, k_check = m21 / m11, m22 / m12
     if abs(k - k_check) > K_CONSISTENCY_EPS * max(k, k_check):
         raise BranchError(f"rank-1 row ratios disagree beyond tolerance: "
@@ -80,13 +74,11 @@ def growth_terms(
 
 def _exact_growth(matrix: tuple[int, ...], even: tuple[int, ...]):
     """growth_terms in exact mode on the ints (s; m') = s*(1; m) and (D0;
-    A0, B0, C0, E0) = D0*(1; a0, b0, c0, d0): K agrees where m21'*m12' ==
-    m22'*m11', rho = top/bottom, top = m21'*(m11'**2 + m21'*m12')*D0**2,
-    bottom = s*(B0*m11' + m21'*A0)*(E0*m11' + m21'*C0), no other Fraction."""
-    s, n11, n12, n21, n22 = matrix
-    if n21 * n12 != n22 * n11:
-        raise BranchError(f"rank-1 row ratios disagree beyond tolerance: "
-                          f"{Fraction(n21, n11)} vs {Fraction(n22, n12)}")
+    A0, B0, C0, E0) = D0*(1; a0, b0, c0, d0) of a rank-1 System, whose
+    rows agree: m21'*m12' == m22'*m11' is its rank test. rho = top/bottom,
+    top = m21'*(m11'**2 + m21'*m12')*D0**2, bottom = s*(B0*m11' +
+    m21'*A0)*(E0*m11' + m21'*C0), no other Fraction."""
+    s, n11, n12, n21, _ = matrix
     den, a, b, c, e = even
     mu = n11 * n11 + n21 * n12
     top = n21 * mu * den * den
@@ -106,7 +98,7 @@ def _growth(system: System, tol_class: float = 0.0):
     if system.ints:
         even, _, matrix = system.ints
         return _exact_growth(matrix, even)
-    return growth_terms(*system.matrix.entries, *system.params.at(0), False, tol_class)
+    return growth_terms(*system.matrix.entries, *system.params.at(0), tol_class)
 
 
 def growth_and_ratio(
@@ -128,9 +120,8 @@ def _float_terms(
     (x0, y0), (x1, y1), (xe, ye), (xo, yo) = anchors
     yield (x0, x1, y0, y1), None
     even = _growth(_prepare_rank(system, system.mode, system.eps_rank, 1))[3]
-    logs = (xe, xo, ye, yo)
-    yield logs, Tail(1, logs, (even, -even, even, -even), 0.0,
-                     ROUNDING * max(1.0, abs(even)))
+    logs = (xe, xo, ye, yo)  # the tail with no nomes: Tail.xs is empty
+    yield logs, Tail(1, logs, (even, -even, even, -even), 0.0, ROUNDING * max(1.0, abs(even)))
 
 
 def rank1_solution(

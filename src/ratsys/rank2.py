@@ -23,9 +23,8 @@ decides the trichotomy: negative means even subsequences vanish and odd
 ones blow up, positive the reverse, zero means convergence to a positive
 two-cycle. Per-factor deviations decay geometrically at rate
 |lambda2/lambda1|; with the nomes of the start, that rate sets the
-settle term past which the float closed form extrapolates by log g
-instead of multiplying, and the term from which the limit cycle sums
-the rest in closed form.
+settle term past which one tail, core.Tail, sums the factors in closed
+form, for the float closed form and the limit cycle alike.
 
 Every function takes the coefficients either as PeriodicCoefficients or
 as a System from transfer.prepare, as in the rank-1 module.
@@ -207,15 +206,12 @@ def _scaled(start: tuple[float, float]) -> tuple[float, float]:
     return (math.ldexp(start[0], -e), math.ldexp(start[1], -e))
 
 
-# The settle comes at this term at the earliest, so that every index
-# below 42, the horizons the golden outputs pin digit for digit, is the
-# running sum itself.
+# The closed form's settle comes at this term at the earliest, so that
+# every index below 42, the horizons the golden outputs pin digit for
+# digit, is the running sum itself.
 _MIN_SETTLE_TERM = 20
-# The bound on m = max|z|*r**(K - 1) over the nomes z at the settle term
-# K: the closed form's, where 4*m/(1 - m), which bounds how far each log
-# factor from K on is from +-log g, is within ROUNDING; the limit
-# cycle's, where Euler's series converges fast.
-_TAIL_NOME = ROUNDING / (4 + ROUNDING)
+# The bound on max|z|*r**(K - 1) over the nomes z at the settle term K,
+# where Euler's series converges fast: each z*t**K is within r/2.
 _SERIES_NOME = 0.5
 
 
@@ -229,7 +225,7 @@ def _balanced(wp: PeriodicCoefficients, eps_rank: float) -> bool:
 
 def _settle(
     system: System, split: Split, start: tuple[float, float],
-    anchors: list[tuple[float, float]], floor: int, nome: float,
+    anchors: list[tuple[float, float]], floor: int,
 ) -> Iterator[tuple]:
     """Logs of the running (x[2k], x[2k+1], y[2k], y[2k+1]), k >= 0,
     from the start as _scaled gives it and anchors, core.head's logs.
@@ -252,12 +248,11 @@ def _settle(
 
     u[2j], v[2j], u[2j+1] and v[2j+1] are each a constant times
     lambda1**j*(1 - z*t**j), with the nomes z_u = c2/c1, z_v = c4/c3 and
-    z_w, z_z, weighted means of those two. So each log factor of term k
-    lies within 4*m/(1 - m) of its limit, +-log g, m = max|z|*r**(k - 1),
-    r = |t|. K is the first term from floor with m <= nome, taken from
-    log max|z| - log nome, so that no quotient leaves float range. Where
-    r rounds to 1, K is None, and the settle term is the first from
-    max(floor, 2) whose four factors repeat the previous four exactly.
+    z_w, z_z, weighted means of those two (see core.Tail). K is the first
+    term from floor with max|z|*r**(K - 1) <= 1/2, r = |t|, from logs, so
+    no quotient leaves float range; where r rounds to 1, K is None, and
+    the settle is the first term from max(floor, 2) whose four factors
+    repeat the previous four exactly.
 
     Raises ConvergenceError where lambda2/lambda1 rounds to -1 and the
     two modes cancel at one parity: only 1 + lambda2/lambda1, lost to
@@ -307,8 +302,8 @@ def _settle(
         nomes = (c2 / c1, c4 / c3, (b0 * c2 + a0 * c4) / (b0 * c1 + a0 * c3),
                  (d0 * c2 + c0 * c4) / (d0 * c1 + c0 * c3))
         z = max(abs(nomes[0]), abs(nomes[1]))  # z_w, z_z lie between
-        settle = (None if r >= 1.0 else floor if z <= nome or not r
-                  else max(floor, 1 + math.ceil((log(z) - log(nome)) / -log(r))))
+        settle = (None if r >= 1.0 else floor if z <= _SERIES_NOME or not r
+                  else max(floor, 1 + math.ceil((log(z) - log(_SERIES_NOME)) / -log(r))))
         yield settle, nomes
         if settle == 1:
             yield (x_e, x_o, y_e, y_o), factors
@@ -349,13 +344,10 @@ def _float_terms(
     system: System, start: tuple[float, float], anchors: list[tuple[float, float]]
 ) -> Iterator[tuple[Quad, Tail | None]]:
     """The float hook of core.closed_states: the logs of _settle up to
-    its settle term K, at the earliest _MIN_SETTLE_TERM, from which every
-    factor is within ROUNDING of +-L, L = log g of float_criterion.
-    There a Tail takes over with the factors (L, -L, L, -L), the slope
-    ROUNDING*max(1, |L|) and a base that adds ROUNDING*r/(1 - r),
-    r = |lambda2/lambda1|, for the later factors' distance from L. Where
-    r rounds to 1 the Tail keeps the factors that repeat, and its base
-    and slope are inf.
+    its settle term K, at the earliest _MIN_SETTLE_TERM, and there the
+    core.Tail of L = log g of float_criterion, t = lambda2/lambda1 and
+    the nomes' z*t**K, whose base is the rounding of the K terms plus
+    ROUNDING*r/(1 - r), r = |t|, for the rest it leaves out.
 
     An L within ROUNDING of 0 belongs to a set on the convergence
     boundary. If delta_sign_exact finds delta exactly 0 for the
@@ -367,14 +359,15 @@ def _float_terms(
     """
     system = _prepare_rank(system, system.mode, system.eps_rank, 2)
     split, _, _, log_g, _ = _system_criterion(system)
-    terms = _settle(system, split, start, anchors, _MIN_SETTLE_TERM, _TAIL_NOME)
+    terms = _settle(system, split, start, anchors, _MIN_SETTLE_TERM)
     yield next(terms), None
-    next(terms)  # the settle term and the nomes
+    nomes = next(terms)[1]
     for k, (logs, factors) in enumerate(terms, 1):
         if factors:
             break
         yield logs, None
-    r = abs(split.lambda2 / split.lambda1)
+    t = split.lambda2 / split.lambda1
+    r = abs(t)
     if r >= 1.0:
         yield logs, Tail(k, logs, factors, math.inf, math.inf)
         return
@@ -382,29 +375,8 @@ def _float_terms(
     base = k * (rounding + EPSILON * max(map(abs, logs))) + ROUNDING * r / (1.0 - r)
     if abs(log_g) <= ROUNDING and _balanced(system.params, system.eps_rank):
         log_g = rounding = 0.0
-    yield logs, Tail(k, logs, (log_g, -log_g, log_g, -log_g), base, rounding)
-
-
-def _euler_tails(t: float, xs: Quad) -> list[float]:
-    """The sum of log(1 - z*t**i) over i >= K for each x = z*t**K in xs,
-    |x| < 1: Euler's series -sum_{n >= 1} x**n/(n*(1 - t**n)) to the first
-    N terms whose truncation bound m**(N+1)/((N+1)*(1 - m)*(1 - |t|)),
-    m = max|x|, is at most EPSILON/4. 1 - t**n = (1 - t**2) + t**2*(1 -
-    t**(n-2)) adds positive terms, so it keeps its digits near |t| = 1."""
-    m = max(map(abs, xs))
-    cut = EPSILON / 4 * (1.0 - m) * (1.0 - abs(t))
-    s, d2 = t * t, (1.0 - t) * (1.0 + t)
-    coeffs, n, mn, p, q = [], 1, m, 0.0, 1.0 - t  # q = 1 - t**n, p = 1 - t**(n-1)
-    while mn > cut * n:
-        coeffs.insert(0, 1.0 / (n * q))
-        n, mn, p, q = n + 1, mn * m, q, d2 + s * p
-    sums = []
-    for x in xs:  # by Horner's rule
-        acc = 0.0
-        for c in coeffs:
-            acc = (acc + c) * x
-        sums.append(-acc)
-    return sums
+    xs = tuple([z * t**k for z in nomes])
+    yield logs, Tail(k, logs, (log_g, -log_g, log_g, -log_g), base, rounding, t, xs)
 
 
 def rank2_solution_sequence(
@@ -418,7 +390,7 @@ def rank2_solution_sequence(
 
     Exact mode is core.closed_factors, which serves every rational set.
     Float mode adds the logs of the ratio factors of _settle up to the
-    settle term k of _float_terms and takes the core.Tail after it;
+    settle term K of _float_terms and takes the core.Tail after it;
     values beyond float range saturate to inf or 0.0. Its spectral
     constants are computed on reaching index 1, so a rank-1 System
     raises BranchError there.
@@ -440,11 +412,10 @@ def rank2_solution(
     core.closed_point, which in exact mode takes n integer steps, or one
     power of rho on a rank-1 set, and checks state n against the bit cap
     where rank2_solution_sequence checks each state. Past index 3 float
-    mode runs the factors only to the settle term K of _float_terms, set
-    by r = |lambda2/lambda1| and the start's nomes (20 on typical sets,
-    320 at r = 0.9, 3,400 at r = 0.99, about 20 where r rounds to 1 and
-    the factors repeat), not by n; below index 2K + 2, or where r rounds
-    to 1 and the factors never repeat, it costs n/2 terms.
+    mode runs the factors only to the settle term K of _float_terms, 20
+    where every nome is within 1/2 and about 20 where r rounds to 1 and
+    the factors repeat, not n; below index 2K + 2, or where r rounds to 1
+    and the factors never repeat, it costs n/2 terms.
     """
     horizon(n, "n")
     system = prepare(params, mode, eps_rank)
@@ -534,14 +505,13 @@ def limit_cycle(
 ) -> LimitCycle:
     """Limits of the four subsequences in the convergent rank-2 case.
 
-    Runs _settle to the first term K >= 1 where Euler's series applies,
-    max|z_a|*r**K <= r/2 over its nomes, r = |lambda2/lambda1|, and adds
-    each log's exact remainder past K from the tails S_a(K) of _euler_tails
-    and S_a(K + 1) = S_a(K) - log(1 - z_a*t**K): K, not tol, sets the cost.
-    Where r rounds to 1 the logs are those where the factors first repeat.
-    Raises ConvergenceError where that term passes max_terms, where EPSILON
-    times the largest tail passes tol (both before the first factor is
-    drawn where r < 1), or at once where |log g| of
+    The logs at term infinity of the closed form's core.Tail with factors
+    0, from the first term K >= 1 of _settle, r = |lambda2/lambda1|: K,
+    not tol, sets the cost. Where r rounds to 1 the logs are those where
+    the factors first repeat. Raises ConvergenceError where that term
+    passes max_terms, where EPSILON times m/((1 - m)*(1 - r)), m =
+    max|z*t**K| over the nomes, which bounds the tails, passes tol (both
+    before the first factor is drawn where r < 1), or at once where |log g| of
     float_criterion, the factors' limit, is above the rounding of delta and
     at least tol over max(1, r/(1 - r)); DomainError for a tol that is not
     finite and > 0, a tol_class that is not finite and >= 0, a max_terms
@@ -569,15 +539,15 @@ def limit_cycle(
         raise ConvergenceError(0, f"cycle products drift by {drift:.3g} "
                                   f"per term and cannot meet tol={tol}")
     unsettled = f"cycle products did not settle within {max_terms} terms"
-    terms = _settle(system, split, start, anchors, 1, _SERIES_NOME)
+    terms = _settle(system, split, start, anchors, 1)
     next(terms)  # term 0
     k, nomes = next(terms)
     if k is not None:  # the series at term K, or a refusal
         if k > max_terms:
             raise ConvergenceError(max_terms, unsettled)
-        xs = [z * t**k for z in nomes]
-        tails = _euler_tails(t, xs)
-        if EPSILON * max(map(abs, tails)) > tol:
+        xs = tuple([z * t**k for z in nomes])
+        m = max(map(abs, xs))
+        if EPSILON * m / ((1.0 - m) * (1.0 - r)) > tol:
             raise ConvergenceError(k, f"cycle remainders round by more than tol={tol}")
     # range, not islice, as max_terms may pass sys.maxsize
     for _, (logs, factors) in zip(range(max_terms), terms):
@@ -586,10 +556,7 @@ def limit_cycle(
     else:
         raise ConvergenceError(max_terms, unsettled)
     if k is not None:
-        su, sv, sw, sz = tails
-        nu, nv, nw, nz = [s - math.log1p(-x) for s, x in zip(tails, xs)]
-        logs = [v + d for v, d in zip(logs, (nu + sv - sw - sz, nw + sz - nu - nv,
-                                             nv + su - sw - sz, nz + sw - nu - nv))]
+        logs = Tail(k, logs, (0.0,) * 4, t=t, xs=xs).at(math.inf)
     x_even, x_odd, y_even, y_odd = cycle = [saturating_exp(v) for v in logs]
     if not all(0 < v < math.inf for v in cycle):
         raise DomainError("the limit cycle from this start lies outside float range")

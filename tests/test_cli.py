@@ -259,6 +259,29 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text() == "n,x,y\n0,1,1\n1,2,2\n2,1,1\n"
 
 
+def test_output_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "orbit.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--all-ones", "-n", "2", "-o", str(target)])
+    assert exc.value.code == 2
+    assert f"cannot write {target}" in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
+def test_failed_command_leaves_an_existing_output_file(tmp_path, capsys):
+    # the cycle products drift, so classify exits 4 before any output
+    target = tmp_path / "verdict.txt"
+    target.write_text("kept\n")
+    code, out, err = run_cli(
+        ["classify", "--a0", "2", "--b0", "1", "--c0", "4", "--d0", "3",
+         "--a1", "1", "--b1", "4.1715627063077", "--c1", "3", "--d1", "1",
+         "-o", str(target)],
+        capsys,
+    )
+    assert (code, out) == (4, "") and "drift" in err
+    assert target.read_text() == "kept\n"
+
+
 def test_compare_json(capsys):
     code, out, _ = run_cli(
         ["compare", *RANK2_ARGS, "-n", "40", "--format", "json"], capsys

@@ -25,10 +25,10 @@ from ratsys import (
     rank2_solution_sequence,
     simulate,
 )
-from ratsys.core import ROUNDING, closed_logs, closed_states, head, log_simulate
+from ratsys.core import (ROUNDING, Tail, closed_logs, closed_states, head,
+                         log_simulate)
 from ratsys.numeric import saturating_exp
-from ratsys.rank2 import (_TAIL_NOME, _balanced, _euler_tails, _float_terms,
-                          _roots, _settle, float_criterion)
+from ratsys.rank2 import _balanced, _float_terms, _roots, _settle, float_criterion
 
 from conftest import (
     RANK1_GROWTH,
@@ -149,8 +149,7 @@ def test_generic_set_at_1e5_is_far_closer_than_the_running_sum():
     # item m + 1, after term 0 and the settle term
     system = prepare(params)
     anchors = head(params, start, ArithmeticMode.FLOAT64)[1]
-    terms = _settle(system, _roots(system), start, anchors,
-                    m + 1, _TAIL_NOME)
+    terms = _settle(system, _roots(system), start, anchors, m + 1)
     summed_x = next(islice(terms, m + 1, None))[0][0]
     assert abs(summed_x - want) > 1e-9  # the running sum's n**2 rounding
     assert abs(settled_x - want) * 100 <= abs(summed_x - want)
@@ -188,7 +187,8 @@ def test_stream_equals_point_queries_across_the_settle(case):
 
 
 @pytest.mark.parametrize("r, negative", [
-    *((r, negative) for r in (0.01, 0.1, 0.5, 0.9, 0.99) for negative in (False, True)),
+    *((r, negative) for r in (0.01, 0.1, 0.5, 0.9, 0.99, 0.999)
+      for negative in (False, True)),
     pytest.param(1.0, False, id="r-one"),
 ])
 def test_factors_drawn_do_not_grow_with_n(drawn, r, negative):
@@ -200,30 +200,34 @@ def test_factors_drawn_do_not_grow_with_n(drawn, r, negative):
         assert not (math.isnan(x) or math.isnan(y))
         counts.append(len(drawn))
     assert counts[0] == counts[1] < 10**4 // 2
+    if r < 1.0:  # term 0, K and the nomes, then terms 1 to K = 20
+        assert counts[0] == 2 + drawn[1][0] == 22
 
 
-# (r, lambda2 < 0): the settle term K from the nomes, and the term a
-# drift estimate ends at, the first whose factors' change times
-# 1 + r/(1 - r) is within their rounding
-SETTLE_TERMS = {
-    (0.5, False): (50, 49), (0.5, True): (50, 52),
-    (0.9, False): (323, 301), (0.9, True): (322, 351),
-    (0.99, False): (3372, 3833), (0.99, True): (3364, 3919),
+# (r, lambda2 < 0): the term from which every later log factor is within
+# ROUNDING of +-log g, where the Tail leaves out the rest of the factors'
+# distance from it; the closed form ran its factors up to this term before
+# the Tail summed that rest in closed form
+REST_ROUNDS_AWAY = {
+    (0.5, False): 50, (0.5, True): 50,
+    (0.9, False): 323, (0.9, True): 322,
+    (0.99, False): 3372, (0.99, True): 3364,
+    (0.999, False): 33859, (0.999, True): 33775,
 }
 
 
 def test_terms_drawn_are_the_settle_term_from_the_nomes(drawn):
-    for (r, negative), (want, _) in SETTLE_TERMS.items():
+    for (r, negative), rounds_away in REST_ROUNDS_AWAY.items():
+        params = with_ratio(r, negative)
         drawn.clear()
-        rank2_solution(with_ratio(r, negative), (1.5, 0.5), 10**9)
-        k = drawn[1][0]
-        # terms 1 to K follow term 0 and K itself
-        assert (k, len(drawn) - 2) == (want, want), (r, negative)
-    # 4*m/(1 - m) bounds all four log(1 - z*t**j) of a factor, where
-    # they partly cancel: K is 22 terms past the drift estimate's at
-    # r = 0.9 with lambda2 > 0, and 10% below it over the six sets
-    assert sum(k for k, _ in SETTLE_TERMS.values()) < 0.9 * sum(
-        old for _, old in SETTLE_TERMS.values())
+        rank2_solution(params, (1.5, 0.5), 10**9)
+        # every nome is below 1/2, where Euler's series applies: K is the
+        # floor, and terms 1 to K follow term 0 and K itself
+        k, nomes = drawn[1]
+        assert max(map(abs, nomes)) < 0.5
+        assert (k, len(drawn) - 2) == (20, 20), (r, negative)
+        tail = logs_at(params, (1.5, 0.5), 10**9)[1]
+        assert tail.term + tail._rest()[0] == rounds_away, (r, negative)
 
 
 def test_settle_term_of_a_nome_near_float_range_comes_from_logs():
@@ -268,6 +272,49 @@ def test_rank1_error_bound_holds_past_the_tail():
             assert bound < 1e-9  # not vacuous
 
 
+@pytest.mark.parametrize("params, start", [
+    *seeded_mix(),
+    *((with_ratio(0.999, negative), (1.5, 0.5)) for negative in (False, True)),
+])
+def test_error_bound_holds_at_every_term_of_the_tail(params, start):
+    """Tail.error_bound bounds the error of the logs against the decimal
+    iteration at every term from K to K + 500, where the rest of the
+    factors' distance from +-log g still counts, and at n = 10**4 and
+    10**5."""
+    k = logs_at(params, start, 10**9)[1].term
+    terms = [*range(k, k + 501), 10**4 // 2, 10**5 // 2]
+    oracle = decimal_log_orbit(params, start, [2 * m + odd for m in terms for odd in (0, 1)])
+    for m in terms:
+        logs, tail = logs_at(params, start, m)
+        bound = tail.error_bound(m)
+        for odd in (0, 1):
+            want_x, want_y = oracle[2 * m + odd]
+            assert abs(logs[odd] - want_x) <= bound, (m, odd)
+            assert abs(logs[2 + odd] - want_y) <= bound, (m, odd)
+
+
+# (t, 1, 1, t, t, 1, 1, t) is balanced with r = ((1 - t)/(1 + t))**2 = 0.96
+@pytest.mark.parametrize("params", [
+    RANK2_BALANCED, PeriodicCoefficients(0.01, 1, 1, 0.01, 0.01, 1, 1, 0.01)])
+def test_tail_at_infinity_is_the_limit_cycle(params):
+    start = (1.5, 0.5)
+    tail = logs_at(params, start, 10**9)[1]
+    assert tail.factors == (0.0,) * 4
+    cycle = limit_cycle(params, start)
+    bound = tail.error_bound(math.inf)
+    assert bound < 1e-11  # the cycle's default tolerance
+    for got, want in zip(tail.at(math.inf),
+                         (cycle.x_even, cycle.x_odd, cycle.y_even, cycle.y_odd)):
+        assert abs(got - math.log(want)) <= bound
+
+
+def test_rest_where_r_times_the_bound_underflows():
+    # r*_NEGLIGIBLE rounds to 0 while max|x| does not: the term where the
+    # rest is left out comes from logs, and the rest rounds to 0
+    tail = Tail(1, (0.5,) * 4, (0.0,) * 4, t=1e-310, xs=(1e-300, -1e-300, 1e-300, -1e-300))
+    assert tail.at(math.inf) == tail.at(3) == (0.5,) * 4
+
+
 @pytest.mark.parametrize("t", [0.05, -0.05, 0.5, -0.5, 0.9, -0.9, 0.99, -0.99])
 @pytest.mark.parametrize("z", [-3.0, -0.8, 0.5, 3.0])
 def test_euler_series_is_the_sum_of_the_log_factors(t, z):
@@ -276,7 +323,8 @@ def test_euler_series_is_the_sum_of_the_log_factors(t, z):
     while abs(z) * abs(t) ** k > abs(t) / 2:
         k += 1
     x = z * t**k
-    got = _euler_tails(t, [x])[0]
+    # Euler's S(x) is the y[2m] remainder of a Tail whose only nome is z_u
+    got = Tail(k, (0.0,) * 4, (0.0,) * 4, t=t, xs=(x, 0.0, 0.0, 0.0)).at(math.inf)[2]
     ulp = math.ulp(max(1.0, abs(got)))
     terms = [math.log1p(-z * t**i) for i in range(k, k + 10_000)]
     assert abs(got - math.fsum(terms)) <= 4 * ulp
