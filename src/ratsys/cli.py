@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .analysis import (classify, closed_form_states, closed_form_text, compare,
                        float_verdict)
-from .classification import Classification
+from .classification import Classification, Kind
 from .core import (COEFF_NAMES, PeriodicCoefficients, exact_orbit_text,
                    horizon, simulate)
 from .errors import (
@@ -149,6 +149,11 @@ def _kv_text(pairs) -> str:
     return "".join(f"{key}: {text(value)}\n" for key, value in pairs)
 
 
+class _Number(str):
+    """A finite float formatted in advance: its .17g text, which is its
+    json text too, so every format prints it as it is."""
+
+
 # How a column of values of one type becomes cells, for table and csv and
 # for json. Every value of a column has the type of its first value, so
 # each column picks its formatter once.
@@ -157,12 +162,14 @@ _TEXT_CELLS = {
     Fraction: functools.partial(map, exact_text),
     int: functools.partial(map, str),
     str: iter,
+    _Number: iter,
 }
 _JSON_CELLS = {
     float: functools.partial(map, _jfloat),
     Fraction: functools.partial(map, lambda v: _jstr(exact_text(v))),
     int: functools.partial(map, str),
     str: functools.partial(map, _jstr),
+    _Number: iter,
 }
 _BLOCK_ROWS = 1024  # rows taken from a command at a time
 _CHUNK_CHARS = 1 << 16  # characters per write, about
@@ -370,14 +377,15 @@ def _parse_axis(raw: str, parser):
 
 
 def _cmd_sweep(args, parser) -> _Rows:
-    """Classify every cell of the grid, one row per cell.
+    """Classify every cell of the grid, one row per cell, in product order.
 
-    The base coefficients are checked once. A cell is checked and
-    classified with no per-cell objects: its swept values are written
-    into one list of the eight coefficients, tested against (0, inf),
-    and handed to float_verdict, which shares its formulas with
-    classify. A value outside the range builds the cell's
-    PeriodicCoefficients, which raises the DomainError naming it.
+    The base coefficients are checked once, and each axis value is tested
+    against (0, inf) and formatted once, as a _Number that every format
+    prints as it is. A cell is only classified: its swept values are
+    written into one list of the eight coefficients, axis1's once per row,
+    and handed to float_verdict, which shares its formulas with classify.
+    In a grid that holds a value outside the range, a cell with one builds
+    its PeriodicCoefficients, which raises the DomainError naming it.
     """
     axes = [_parse_axis(args.axis1, parser)]
     if args.axis2:
@@ -388,18 +396,25 @@ def _cmd_sweep(args, parser) -> _Rows:
     base = _coefficients(args, parser, ArithmeticMode.FLOAT64)
     cell = list(base)
     slots = [COEFF_NAMES.index(name) for name in axis_names]
-    combos = product(*(values for _, values in axes))
-    eps_rank, tol_class, inf = args.eps_rank, args.tol_class, math.inf
+    *outer_slots, inner = slots
+    *outer_axes, inner_axis = [[(v, _Number(format(v, ".17g"))) for v in values]
+                               for _, values in axes]
+    bad = not all(0 < v < math.inf for _, values in axes for v in values)
+    eps_rank, tol_class = args.eps_rank, args.tol_class
+    kinds = {kind: kind.value for kind in Kind}
 
     def rows():
-        for combo in combos:
-            for i, v in zip(slots, combo):
+        for outer in product(*outer_axes):  # one empty row for one axis
+            for i, (v, _) in zip(outer_slots, outer):
                 cell[i] = v
-            if not all(0 < v < inf for v in combo):
-                PeriodicCoefficients(*cell)
-            rank, k_or_q, rho_or_delta, kind = float_verdict(
-                cell, eps_rank, tol_class)
-            yield (*combo, rank, k_or_q, rho_or_delta, kind.value)
+            texts = tuple(text for _, text in outer)
+            for v, text in inner_axis:
+                cell[inner] = v
+                if bad and not all(0 < cell[i] < math.inf for i in slots):
+                    PeriodicCoefficients(*cell)
+                rank, k_or_q, rho_or_delta, kind = float_verdict(
+                    cell, eps_rank, tol_class)
+                yield (*texts, text, rank, k_or_q, rho_or_delta, kinds[kind])
 
     axes_json = [{"name": name, "values": values} for name, values in axes]
     return _Rows(

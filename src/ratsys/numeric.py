@@ -12,6 +12,7 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+import sys
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -21,6 +22,7 @@ from .errors import DomainError
 Number = Union[int, float, Fraction]
 
 DEFAULT_BIT_CAP = 1_000_000
+_LOG_MAX = math.log(sys.float_info.max)  # 709.782712893384, its exp finite
 
 
 class ArithmeticMode(Enum):
@@ -100,6 +102,8 @@ def number_log(value: Fraction) -> float:
 
 def saturating_exp(x: float) -> float:
     """math.exp that returns inf past float range instead of raising."""
+    if x > _LOG_MAX:
+        return math.inf
     try:
         return math.exp(x)
     except OverflowError:

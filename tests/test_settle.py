@@ -3,6 +3,7 @@ grow with n, checked against a 34-digit decimal iteration."""
 
 import math
 import random
+import sys
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -458,3 +459,24 @@ def test_indices_past_float_range_keep_their_parity_values(coeffs, start):
     module = ratsys.rank1 if prepare(params).rank == 1 else ratsys.rank2
     tail = closed_logs(prepare(params), start, 10**400, module._float_terms)[1]
     assert not math.isnan(tail.error_bound(10**400))
+
+
+def test_saturating_exp_is_exp_with_overflow_caught():
+    """Saturating from the log gives, bit for bit, what catching exp's
+    OverflowError gives: on the floats a few ulps either side of
+    log(max float), whose own exp is finite, on +-inf and on nan."""
+    def caught(x):
+        try:
+            return math.exp(x)
+        except OverflowError:
+            return math.inf
+
+    below = above = math.log(sys.float_info.max)
+    xs = [below, math.inf, -math.inf, math.nan, -745.2, 1e308]
+    for _ in range(6):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        xs += [below, above]
+    for x in xs:
+        assert saturating_exp(x).hex() == caught(x).hex(), x
+    assert math.isfinite(saturating_exp(math.log(sys.float_info.max)))
+    assert saturating_exp(-math.inf) == 0.0 and math.isnan(saturating_exp(math.nan))

@@ -4,14 +4,16 @@ bit, and grids with a bad cell fail as they always have."""
 import contextlib
 import csv
 import io
+import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ratsys import ArithmeticMode, PeriodicCoefficients, classify
-from ratsys.cli import main
+from ratsys.cli import _parse_axis, _Rows, _serialize, main
 from ratsys.core import COEFF_NAMES
 
 EXACT = ArithmeticMode.EXACT_RATIONAL
@@ -70,6 +72,22 @@ def sweep_argv(base, axes, fmt="csv"):
     return argv + ["--format", fmt]
 
 
+def sweep_output(base, axes, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(sweep_argv(base, axes, fmt)) == 0
+    return out.getvalue()
+
+
+def classify_row(cell):
+    """classify's (rank, K or Q, rho or delta, kind text) of a dict of
+    coefficients."""
+    verdict = classify(PeriodicCoefficients(**cell), attach_cycle=False)
+    w = verdict.witness
+    pair = (w.k, w.rho) if verdict.rank == 1 else (w.q, w.delta)
+    return (verdict.rank, *pair, verdict.kind.value)
+
+
 @settings(max_examples=100)
 @given(grid=grids())
 # cells at 1.6, 3.1 and 4.7 times the tol_class band from the boundary
@@ -79,10 +97,7 @@ def sweep_argv(base, axes, fmt="csv"):
 @example(grid=([1e-6, 2.0, 1.0, 1e-6, 1e-6, 1.0, 1.0, 1e-6], [("b1", 0.5, 2.0, 7)]))
 def test_sweep_rows_equal_classify_bit_for_bit(grid):
     base, axes = grid
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(sweep_argv(base, axes)) == 0
-    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    rows = list(csv.reader(io.StringIO(sweep_output(base, axes, "csv"))))
     names = [name for name, *_ in axes]
     assert rows[0] == names + ["rank", "K_or_Q", "rho_or_delta", "kind"]
     cells = 1
@@ -94,13 +109,37 @@ def test_sweep_rows_equal_classify_bit_for_bit(grid):
         # very values the sweep computed
         cell = dict(zip(COEFF_NAMES, base)) | dict(
             zip(names, map(float, row[:len(names)])))
-        verdict = classify(PeriodicCoefficients(**cell), attach_cycle=False)
-        w = verdict.witness
-        pair = (w.k, w.rho) if verdict.rank == 1 else (w.q, w.delta)
         rank, k_or_q, rho_or_delta, kind = row[len(names):]
-        assert int(rank) == verdict.rank
-        assert (float(k_or_q), float(rho_or_delta)) == pair
-        assert kind == verdict.kind.value
+        assert (int(rank), float(k_or_q), float(rho_or_delta), kind) == classify_row(cell)
+
+
+@settings(max_examples=50)
+@given(grid=grids())
+@example(grid=(BALANCED, [("b1", 1 - 6e-8, 1 + 6e-8, 7)]))
+def test_sweep_table_and_json_are_its_rows_rendered_from_floats(grid):
+    """Every format prints the axis cells as float cells print: table and
+    json equal the rows, axis values as plain floats and verdicts from
+    classify, rendered by _serialize; json parses, and its axis fields
+    are numbers equal to the grid's floats."""
+    base, axes = grid
+    names = tuple(name for name, *_ in axes)
+    grid_values = [_parse_axis(f"{name}:{lo!r}:{hi!r}:{steps}", None)[1]
+                   for name, lo, hi, steps in axes]
+    combos = list(product(*grid_values))
+    rows = [(*combo, *classify_row(dict(zip(COEFF_NAMES, base)) | dict(zip(names, combo))))
+            for combo in combos]
+    head = (("command", "sweep"), ("axes", [
+        {"name": name, "values": values} for name, values in zip(names, grid_values)]))
+    want = _Rows(names + ("rank", "K_or_Q", "rho_or_delta", "kind"), rows, head)
+    for fmt in ("table", "json"):
+        got = sweep_output(base, axes, fmt)
+        assert got == "".join(_serialize(want, fmt))
+    payload = json.loads(got)
+    assert len(payload["rows"]) == len(combos)
+    for row, combo in zip(payload["rows"], combos):
+        # 17 significant digits print 1.0 as 1, which json reads as an int
+        assert all(type(row[name]) in (int, float) for name in names)
+        assert tuple(row[name] for name in names) == combo
 
 
 BASE = ["--a0", "2", "--b0", "1", "--c0", "4", "--d0", "3",
@@ -132,6 +171,19 @@ BASE = ["--a0", "2", "--b0", "1", "--c0", "4", "--d0", "3",
     # m12 is inf at a0 = 1e308, the last of five cells, whose i*(hi - lo)
     # overflows from cell 2 on
     (["--axis1", "a0:1e300:1e308:5"], "matrix entries overflow float range"),
+    # the only bad value is the last of axis1 (3, 1, -1), met after eight
+    # valid cells
+    (["--axis1", "a1:3:-1:3", "--axis2", "c1:1:2:4"],
+     "coefficient a1 must be positive, got -1.0"),
+    # the only bad value is the last of axis2 (3, 1, -1), in every row
+    (["--axis1", "c1:1:2:4", "--axis2", "d1:3:-1:3"],
+     "coefficient d1 must be positive, got -1.0"),
+    # a0 is 1e308, then 0: the first cell overflows before a cell with
+    # the bad value comes, whether a0 is axis1 or axis2
+    (["--axis1", "a0:1e308:0:2", "--axis2", "d1:1:2:2"],
+     "matrix entries overflow float range"),
+    (["--axis1", "c1:1:2:2", "--axis2", "a0:1e308:-1:2"],
+     "matrix entries overflow float range"),
 ])
 def test_error_grids_keep_their_exit_code_and_message(extra, message, capsys):
     assert main(["sweep", *BASE, *extra]) == 3
