@@ -33,6 +33,8 @@ from .numeric import (
     require_positive,
     saturating_exp,
     to_fraction,
+    wide,
+    wide_sum,
 )
 
 if TYPE_CHECKING:
@@ -500,32 +502,24 @@ def log_simulate(
     """Iterate in log space, immune to overflow and underflow.
 
     Returns [(log x[n], log y[n])] for n = 0 .. n_max. States and
-    coefficients are carried as frexp's mantissa and power-of-two
-    exponent, so a/x is a quotient in (0.5, 2) times a power of two and
-    nothing leaves float range. A step rounds at the size of the value,
-    not of its log, so the error in log grows at most linearly in n
-    (about 2e-12 at n = 10**5).
+    coefficients are carried as numeric.Wide pairs, so a/x is a quotient
+    in (0.5, 2) times a power of two and nothing leaves float range. A
+    step rounds at the size of the value, not of its log, so the error in
+    log grows at most linearly in n (about 2e-12 at n = 10**5).
     """
     horizon(n_max)
-    frexp, log, ln2 = math.frexp, math.log, math.log(2.0)
+    log, ln2 = math.log, math.log(2.0)
     wp = getattr(params, "params", params).as_floats()  # a System's coefficients
-    quads = [tuple(map(frexp, wp.at(i))) for i in (0, 1)]
-    (mx, ex), (my, ey) = map(frexp, initial_state(init, ArithmeticMode.FLOAT64))
+    quads = [tuple(map(wide, wp.at(i))) for i in (0, 1)]
+    (mx, ex), (my, ey) = map(wide, initial_state(init, ArithmeticMode.FLOAT64))
     out = [(log(mx) + ex * ln2, log(my) + ey * ln2)]
-    for n in range(n_max):
+    push = out.append
+    for n in range(n_max):  # two calls a step: quotients and wide_log written out
         (ma, ea), (mb, eb), (mc, ec), (md, ed) = quads[n & 1]
-        (mx, ex), (my, ey) = (_scaled_sum(ma / mx, ea - ex, mb / my, eb - ey),
-                              _scaled_sum(mc / mx, ec - ex, md / my, ed - ey))
-        out.append((log(mx) + ex * ln2, log(my) + ey * ln2))
+        (mx, ex), (my, ey) = (wide_sum(ma / mx, ea - ex, mb / my, eb - ey),
+                              wide_sum(mc / mx, ec - ex, md / my, ed - ey))
+        push((log(mx) + ex * ln2, log(my) + ey * ln2))
     return out
-
-
-def _scaled_sum(u: float, i: int, v: float, j: int) -> tuple[float, int]:
-    """u*2**i + v*2**j, for u and v in (0.5, 2), as frexp gives it."""
-    if i < j:
-        u, i, v, j = v, j, u, i
-    m, k = math.frexp(u + math.ldexp(v, j - i))
-    return m, i + k
 
 
 def head(
@@ -686,7 +680,8 @@ def closed_states(
     yield from states[1:]
     _, tail = next(terms)
     while tail is None:
-        (x_e, x_o, y_e, y_o), tail = next(terms)
+        logs, tail = next(terms)
+        x_e, x_o, y_e, y_o = _no_nan(logs)
         yield (saturating_exp(x_e), saturating_exp(y_e))
         yield (saturating_exp(x_o), saturating_exp(y_o))
     yield from tail.states()
@@ -699,9 +694,17 @@ def closed_logs(
     anchors = head(system.params, start, system.mode)[1]
     for k, (logs, tail) in enumerate(float_terms(system, start, anchors)):
         if k == m:
-            return logs, tail
+            return _no_nan(logs), tail
         if tail is not None:
-            return tail.at(m), tail
+            return _no_nan(tail.at(m)), tail
+
+
+def _no_nan(logs: tuple[float, ...]) -> tuple[float, ...]:
+    """logs, or DomainError where one is nan, as after a factor inf/inf."""
+    x_e, x_o, y_e, y_o = logs
+    if x_e != x_e or x_o != x_o or y_e != y_e or y_o != y_o:
+        raise DomainError("the closed form's ratio factors pass float range")
+    return logs
 
 
 def closed_point(

@@ -5,6 +5,11 @@ IEEE-754 doubles, or exact rationals backed by fractions.Fraction (always
 reduced, denominator positive). ints are accepted anywhere and count as
 exact. Helpers here coerce, validate, and format scalars uniformly so the
 dynamics modules never branch on representation details themselves.
+
+A float that may leave float range (a product of coefficients, a state
+growing like lambda1**n) travels as a Wide pair (f, e), the value f*2**e,
+as math.frexp gives it. The wide_* functions and shifted are the only code
+that splits a float into mantissa and exponent or scales it by 2**e.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ from typing import Union
 from .errors import DomainError
 
 Number = Union[int, float, Fraction]
+Wide = tuple[float, int]  # (f, e), the value f*2**e
 
 DEFAULT_BIT_CAP = 1_000_000
 _LOG_MAX = math.log(sys.float_info.max)  # 709.782712893384, its exp finite
+_LN2 = math.log(2.0)
 
 
 class ArithmeticMode(Enum):
@@ -108,6 +115,47 @@ def saturating_exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+# wide(x) is x as the Wide pair with 0.5 <= |f| < 1, exactly ((0.0, 0) for 0).
+wide = math.frexp
+# shifted(x, e) is x*2**e, rounded only below the normal range, OverflowError
+# past float range. A group takes one shift per value: a call per group costs
+# CPython more than the shifts, on float_split's path through every sweep cell.
+shifted = math.ldexp
+
+
+def wide_product(p: Wide, q: Wide) -> Wide:
+    """p*q, rounded once (the mantissas' product)."""
+    return p[0] * q[0], p[1] + q[1]
+
+
+def wide_quotient(p: Wide, q: Wide) -> Wide:
+    """p/q, rounded once (the mantissas' quotient)."""
+    return p[0] / q[0], p[1] - q[1]
+
+
+def wide_sum(f: float, e: int, g: float, k: int) -> Wide:
+    """(f, e) + (g, k) of positive mantissas, added at the larger exponent,
+    rounded once and normalized. Spread, for core.log_simulate's step."""
+    if e < k:
+        f, e, g, k = g, k, f, e
+    m, j = math.frexp(f + math.ldexp(g, k - e))
+    return m, e + j
+
+
+def wide_log(p: Wide) -> float:
+    """log(f) + e*ln2, the log of a positive pair at any exponent."""
+    return math.log(p[0]) + p[1] * _LN2
+
+
+def wide_float(p: Wide) -> float:
+    """f*2**e rounded once to a float, so inf with f's sign past float
+    range and a subnormal or 0.0 below the normal range."""
+    try:
+        return math.ldexp(p[0], p[1])
+    except OverflowError:
+        return math.copysign(math.inf, p[0])
 
 
 def _decimal(value: int) -> str:

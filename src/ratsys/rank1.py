@@ -31,8 +31,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .classification import (Classification, Kind, float_decision,
-                             kind_from_sign, scaled_ratio, scaled_sum)
+from .classification import Classification, Kind, float_decision, kind_from_sign
 from .core import (ROUNDING, PeriodicCoefficients, Tail, closed_point,
                    closed_states, horizon, initial_state)
 from .errors import BranchError, DomainError
@@ -68,7 +67,7 @@ def growth_terms(
     mu = m11 + k * m12
     r0, r1 = b0 + k * a0, d0 + k * c0
     rho, log_rho, kind = float_decision(1, k * mu, r0 * r1, (k, mu, r0, r1), tol_class,
-                                        _scaled_growth, m11, m12, m21, a0, b0, c0, d0)
+                                        m21, m11, (m11, m12, b0, a0, d0, c0))
     return k, mu, rho, log_rho, kind
 
 
@@ -85,12 +84,6 @@ def _exact_growth(matrix: tuple[int, ...], even: tuple[int, ...]):
     bottom = s * (b * n11 + n21 * a) * (e * n11 + n21 * c)
     return (Fraction(n21, n11), Fraction(mu, s * n11), Fraction(top, bottom),
             None, kind_from_sign(top - bottom, 0, Kind.EXACT_TWO_PERIODIC))
-
-
-def _scaled_growth(m11, m12, m21, a0, b0, c0, d0):
-    """K = m21/m11, mu and the row sums b0 + K*a0, d0 + K*c0, scaled."""
-    t = scaled_ratio(m21, m11)
-    return t, *(scaled_sum(a, t, b) for a, b in ((m11, m12), (b0, a0), (d0, c0)))
 
 
 def _growth(system: System, tol_class: float = 0.0):

@@ -37,14 +37,13 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator, NamedTuple
 
-from .classification import (Classification, Kind, float_decision,
-                             kind_from_sign, scaled_ratio, scaled_sum)
+from .classification import Classification, Kind, float_decision, kind_from_sign
 from .core import (EPSILON, ROUNDING, PeriodicCoefficients, Tail,
                    _integer_spectrum, closed_point, closed_states, head,
                    horizon, initial_state)
 from .errors import BranchError, ConvergenceError, DomainError
-from .numeric import (ArithmeticMode, Number, require_tolerance,
-                      saturating_exp)
+from .numeric import (ArithmeticMode, Number, require_tolerance, saturating_exp,
+                      shifted, wide)
 from .transfer import (_LOST, Split, System, TransferMatrix, _prepare_rank,
                        composed_entries, float_split, prepare)
 
@@ -155,8 +154,10 @@ def _criterion(split: Split, m: Quad, even: Quad, tol_class: float, sign: int | 
     r0, r1 = b0 * q + a0, d0 * q + c0
     top, scale = l1 * q, r0 * r1
     delta = top - scale
+    lead1, lead2 = split.lead1, split.lead2  # Q from the larger lead
+    num, den = (m[1], lead1) if lead1 >= -lead2 else (-lead2, m[2])
     _, log_g, kind = float_decision(2, top, scale, (l1, q, r0, r1), tol_class,
-                                    _scaled_criterion, split, m, *even)
+                                    num, den, even)
     if sign is not None:
         kind = kind_from_sign(sign, 0, Kind.CONVERGES_TO_TWO_PERIODIC)
         delta = delta if sign else 0.0
@@ -164,13 +165,6 @@ def _criterion(split: Split, m: Quad, even: Quad, tol_class: float, sign: int | 
         side = (kind is Kind.BLOW_EVEN_VANISH_ODD) - (kind is Kind.VANISH_EVEN_BLOW_ODD)
         delta = math.copysign(math.inf if delta else 5e-324, side) if side else 0.0
     return split, scale, delta, log_g, kind
-
-
-def _scaled_criterion(split, m, a0, b0, c0, d0):
-    """lambda1, Q from the larger lead and the row sums of g, scaled."""
-    lead1, lead2 = split.lead1, split.lead2
-    t = scaled_ratio(m[1], lead1) if lead1 >= -lead2 else scaled_ratio(-lead2, m[2])
-    return math.frexp(split.lambda1), t, scaled_sum(a0, t, b0), scaled_sum(c0, t, d0)
 
 
 def spectral_constants(
@@ -198,14 +192,6 @@ def _expansion(
     return SpectralData(lambda1=l1, lambda2=l2, c1=c1, c2=c2, c3=c3, c4=c4, q=q)
 
 
-def _scaled(start: tuple[float, float]) -> tuple[float, float]:
-    """A float start times the power of two that brings its larger
-    component into [0.5, 1), so that the expansion constants stay in
-    float range for every start; only their ratios enter _settle."""
-    e = max(math.frexp(start[0])[1], math.frexp(start[1])[1])
-    return (math.ldexp(start[0], -e), math.ldexp(start[1], -e))
-
-
 # The closed form's settle comes at this term at the earliest, so that
 # every index below 42, the horizons the golden outputs pin digit for
 # digit, is the running sum itself.
@@ -228,7 +214,7 @@ def _settle(
     anchors: list[tuple[float, float]], floor: int,
 ) -> Iterator[tuple]:
     """Logs of the running (x[2k], x[2k+1], y[2k], y[2k+1]), k >= 0,
-    from the start as _scaled gives it and anchors, core.head's logs.
+    from the start and anchors, core.head's logs.
     Yields the logs of term 0; then (K, nomes), the settle term and the
     nomes, before any factor is drawn; then (logs, None) for the terms
     from 1 up to the settle term and (logs, factors) at it, the logs of
@@ -244,7 +230,9 @@ def _settle(
     float range where the factor does not; DomainError says where a
     constant left float range (c1 or c3 is 0 where Q = lim c1/c3 passed
     it) or a factor's part over- or underflows. Each term costs the
-    same, so running to term k costs k factors.
+    same, so running to term k costs k factors. A factor inf/inf is nan,
+    and so is every log after it; core.closed_states and closed_logs
+    refuse those.
 
     u[2j], v[2j], u[2j+1] and v[2j+1] are each a constant times
     lambda1**j*(1 - z*t**j), with the nomes z_u = c2/c1, z_v = c4/c3 and
@@ -258,7 +246,10 @@ def _settle(
     two modes cancel at one parity: only 1 + lambda2/lambda1, lost to
     rounding, would tell the products there.
     """
-    sd = _expansion(split, system.matrix, _scaled(start))
+    # the start's larger component brought into [0.5, 1), so that the
+    # constants, whose ratios alone enter below, stay in float range
+    es = wide(max(start))[1]
+    sd = _expansion(split, system.matrix, (shifted(start[0], -es), shifted(start[1], -es)))
     if sd.lambda2 == -sd.lambda1 and any(
             abs(c + sign * d) * _LOST < abs(d)
             for c, d in ((sd.c1, sd.c2), (sd.c3, sd.c4)) for sign in (1, -1)):
@@ -283,20 +274,19 @@ def _settle(
     # u, v and the coefficients times the powers of two that bring q,
     # b0*q + a0 and d0*q + c0 near 1: each factor is the same, bit
     # for bit, and its parts stay in float range
-    frexp, ldexp = math.frexp, math.ldexp
-    eu, ev = frexp(c1)[1], frexp(c3)[1]
+    eu, ev = wide(c1)[1], wide(c3)[1]
     e = eu - ev
-    f = max(frexp(b0)[1] + e, frexp(a0)[1])
-    g = max(frexp(d0)[1] + e, frexp(c0)[1])
+    f = max(wide(b0)[1] + e, wide(a0)[1])
+    g = max(wide(d0)[1] + e, wide(c0)[1])
     try:
         if not (0 < c1 < math.inf and 0 < c3 < math.inf
                 and abs(c2) < math.inf and abs(c4) < math.inf):
             raise OverflowError
-        c1, c2, num_u = ldexp(c1, -eu), ldexp(c2, -eu), ldexp(num_u, -eu)
-        c3, c4, num_v = ldexp(c3, -ev), ldexp(c4, -ev), ldexp(num_v, -ev)
-        l1 = ldexp(l1, e - f - g)
-        a0, b0, c0, d0 = (ldexp(a0, -f), ldexp(b0, e - f),
-                          ldexp(c0, -g), ldexp(d0, e - g))
+        c1, c2, num_u = shifted(c1, -eu), shifted(c2, -eu), shifted(num_u, -eu)
+        c3, c4, num_v = shifted(c3, -ev), shifted(c4, -ev), shifted(num_v, -ev)
+        l1 = shifted(l1, e - f - g)
+        a0, b0, c0, d0 = (shifted(a0, -f), shifted(b0, e - f),
+                          shifted(c0, -g), shifted(d0, e - g))
         q_cur = num_u / num_v
         s_cur = 1 / q_cur
         nomes = (c2 / c1, c4 / c3, (b0 * c2 + a0 * c4) / (b0 * c1 + a0 * c3),

@@ -22,7 +22,8 @@ from .core import (SMALLEST_NORMAL, Orbit, PeriodicCoefficients,
                    _integer_spectrum, _parities, over_one_denominator)
 from .errors import BranchError, DomainError
 from .numeric import (ArithmeticMode, Number, is_exact, number_log,
-                      require_tolerance, saturating_exp)
+                      require_tolerance, saturating_exp, shifted, wide,
+                      wide_product)
 
 # A difference below 1/_LOST of its terms has lost half its digits.
 _LOST = 2.0 ** 26
@@ -132,17 +133,16 @@ def float_rank(
 ) -> int:
     """Rank of a positive 2x2 float matrix: 1 where |det| <= eps times
     m11*m22 + m12*m21. Where a product is not a normal float, both are
-    mantissa products at the larger binary exponent. Raises DomainError
-    where an entry is inf."""
+    Wide products at their common exponent. Raises DomainError where an
+    entry is inf."""
     p, s = m11 * m22, m12 * m21
     if not (SMALLEST_NORMAL <= p < math.inf and SMALLEST_NORMAL <= s < math.inf):
         if max(m11, m12, m21, m22) == math.inf:
             raise DomainError("matrix entries overflow float range")
-        (f11, e11), (f12, e12), (f21, e21), (f22, e22) = map(
-            math.frexp, (m11, m12, m21, m22))
-        fp, ep, fs, es = f11 * f22, e11 + e22, f12 * f21, e12 + e21
+        (fp, ep), (fs, es) = (wide_product(wide(m11), wide(m22)),
+                              wide_product(wide(m12), wide(m21)))
         top = max(ep if fp else es, es if fs else ep)
-        p, s = math.ldexp(fp, ep - top), math.ldexp(fs, es - top)
+        p, s = shifted(fp, ep - top), shifted(fs, es - top)
     return 1 if abs(p - s) <= eps * (p + s) else 2
 
 
@@ -167,9 +167,9 @@ def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
     The eigenvalues come from the matrix scaled by the power of two that
     brings its largest entry into [0.5, 1), so the discriminant cannot
     overflow while every entry is finite; the scaling is exact, and the
-    roots are scaled back. Raises DomainError when an entry is inf, or
-    where the leads without cancellation below would divide by beta,
-    gamma or a lead that underflowed to 0.
+    roots are scaled back. Raises DomainError when an entry or lambda1
+    is inf, or where the leads without cancellation below would divide
+    by beta, gamma or a lead that underflowed to 0.
 
     The leads lambda - alpha are plain differences of the roots where
     all keep their digits: lambda1 <= 64*(lambda1 - alpha),
@@ -190,14 +190,16 @@ def float_split(m11: float, m12: float, m21: float, m22: float) -> Split:
     top = max(m11, m12, m21, m22)
     if top == math.inf:
         raise DomainError("matrix entries overflow float range")
-    e = math.frexp(top)[1]
-    ldexp = math.ldexp
-    alpha, beta = ldexp(m11, -e), ldexp(m12, -e)
-    gamma, delta = ldexp(m21, -e), ldexp(m22, -e)
+    e = wide(top)[1]
+    alpha, beta = shifted(m11, -e), shifted(m12, -e)
+    gamma, delta = shifted(m21, -e), shifted(m22, -e)
     disc = (alpha - delta) ** 2 + 4 * beta * gamma
     root = math.sqrt(disc)
     trace = alpha + delta
-    l1, l2 = ldexp((trace + root) * 0.5, e), ldexp((trace - root) * 0.5, e)
+    try:  # lambda1 may pass float range while every entry is finite
+        l1, l2 = shifted((trace + root) * 0.5, e), shifted((trace - root) * 0.5, e)
+    except OverflowError:
+        raise DomainError("matrix entries overflow float range") from None
     lead1, lead2 = l1 - m11, l2 - m11
     if (disc >= SMALLEST_NORMAL and abs(l2) * _LOST >= l1
             and l1 <= 64 * lead1 and abs(l2) <= 64 * abs(lead2)):

@@ -474,6 +474,38 @@ def test_matrix_entries_past_float_range_are_a_domain_error(capsys):
         assert "matrix entries overflow float range" in capsys.readouterr().err
 
 
+def test_lambda1_past_float_range_is_a_domain_error(capsys):
+    # the composed entries (1.5e8, 1.5e308, 1.5e308, 1.5e308) are finite,
+    # lambda1 is not. compare stops at -n 3: its direct orbit is inf at
+    # step 4 and exits 4 there first
+    flags = coeff_flags(["1", "1", "1", "1e-300", "1.5e308", "1", "1", "1.5e308"])
+    for argv in (["classify", *flags], ["closed", *flags], ["compare", *flags, "-n", "3"],
+                 ["classify", "--mode", "exact", *flags],
+                 ["sweep", *flags, "--axis1", "d1:1e308:1.5e308:2"]):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err.endswith(
+            "error: matrix entries overflow float range\n"), argv
+    for command in ("simulate", "closed", "compare"):
+        assert main([command, "--mode", "exact", *flags, "-n", "5"]) == 0, command
+
+
+def test_a_nan_ratio_factor_is_a_domain_error(capsys):
+    # at term 2 the factor's p and b0*q + a0 times d0*q + c0 are both inf
+    values = [0.16766254779913992, 7.704193451142962e-79, 3.651129653034631e-80,
+              1.3410321017353315e+308, 0.07240342554464047, 1.6769415500289335e+308,
+              0.1171084984201599, 0.020526163533661605]
+    start = (3.376192529737e-312, 0.024892890496036917)
+    argv = ["closed", *coeff_flags(values), "--x0", repr(start[0]),
+            "--y0", repr(start[1]), "-n", "12"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert "nan" not in out
+    assert err.endswith("error: the closed form's ratio factors pass float range\n")
+    for n in (12, 10**9):  # a point query, before and past the settle term
+        with pytest.raises(DomainError, match="ratio factors pass float range"):
+            rank2_solution(PeriodicCoefficients(*values), start, n)
+
+
 def test_scaled_roots_are_bit_identical_within_range():
     rng = random.Random(99)
     for _ in range(200):
@@ -570,6 +602,18 @@ def test_underflowing_rank1_row_sums_keep_rho(capsys):
     # a product of row sums above the smallest normal keeps its bits
     k, mu, rho = growth_terms(5.0, 8.0, 10.0, 16.0, 1.0, 1.0, 1.0, 1.0)[:3]
     assert rho == k * mu / ((1.0 + k) * (1.0 + k))
+
+
+def test_scaled_rho_below_the_largest_float_is_not_saturated():
+    # K*mu overflows and rho = 8.79e307 lies between exp(709) and the
+    # largest float: the scaled path gives its value, not inf
+    args = (1.0, 1.1 * 2.0**423, 2.0**600, 1.1 * 2.0**1023, 2.0**-603, 1.0, 1.0, 1.0)
+    k, mu, rho, log_rho, _ = growth_terms(*args)
+    m11, m12, m21, _, a0, b0, c0, d0 = map(Fraction, args)
+    k_, mu_ = m21 / m11, m11 + m21 / m11 * m12
+    exact = k_ * mu_ / ((b0 + k_ * a0) * (d0 + k_ * c0))
+    assert rho == pytest.approx(float(exact), rel=1e-15)
+    assert log_rho == math.log(rho)
 
 
 TINY_DIAGONAL = ["1e-6", 2, 1, "1e-6", "1e-6", 1, 1, "1e-6"]

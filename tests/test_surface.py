@@ -33,3 +33,11 @@ def test_cold_start_loads_no_dataclasses_inspect_or_json():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={"PYTHONPATH": str(SRC)}, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_only_numeric_splits_a_float_into_mantissa_and_exponent():
+    # numeric's Wide pairs are the one vocabulary for values past float range
+    for path in sorted((SRC / "ratsys").glob("*.py")):
+        if path.name != "numeric.py":
+            text = path.read_text(encoding="utf-8")
+            assert "frexp" not in text and "ldexp" not in text, path.name
